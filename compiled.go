@@ -13,8 +13,8 @@ import (
 )
 
 // CompiledAnalysis is a module instrumented once for a hook set: the
-// instrumented module, its metadata, and the precomputed trampoline layouts
-// every session binds against. It is immutable and safe for concurrent use —
+// instrumented module, its metadata, and the hook plans (each hook's
+// lowering, derived once) every session binds against. It is immutable and safe for concurrent use —
 // one CompiledAnalysis can back any number of simultaneous Sessions, which
 // is how one instrumentation pass serves N analyses or N instances (the
 // paper's instrument-once, analyze-many workflow).

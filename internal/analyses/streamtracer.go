@@ -33,17 +33,19 @@ func (tr *StreamTracer) StreamCaps() analysis.Cap { return analysis.AllCaps }
 // SetEventTable receives the decode table before events flow.
 func (tr *StreamTracer) SetEventTable(tbl *analysis.EventTable) { tr.tbl = tbl }
 
+// emit appends one line; Events stops before the trace exceeds MaxEvents.
 func (tr *StreamTracer) emit(format string, args ...any) {
-	if tr.MaxEvents > 0 && len(tr.Lines) >= tr.MaxEvents {
-		return
-	}
 	tr.Lines = append(tr.Lines, fmt.Sprintf(format, args...))
 }
 
 // Events consumes one borrowed batch. Formats mirror Tracer method for
 // method; every value is re-typed through the spec the record points at.
+// Once the trace holds MaxEvents lines, later records are not decoded.
 func (tr *StreamTracer) Events(batch []analysis.Event) {
 	for i := 0; i < len(batch); {
+		if tr.MaxEvents > 0 && len(tr.Lines) >= tr.MaxEvents {
+			return
+		}
 		e := &batch[i]
 		if e.Hook == analysis.EventCont {
 			i++ // defensive: continuations are consumed by AppendValues below

@@ -6,6 +6,7 @@ import (
 
 	"wasabi"
 	"wasabi/internal/analyses"
+	"wasabi/internal/analysis"
 	"wasabi/internal/builder"
 	"wasabi/internal/interp"
 	"wasabi/internal/wasm"
@@ -107,5 +108,55 @@ func TestTraceNotTakenBranch(t *testing.T) {
 	// Exactly one end-of-block event (the natural one at instr 4).
 	if got := strings.Count(joined, "end block"); got != 1 {
 		t.Errorf("expected exactly 1 block end, got %d:\n%s", got, joined)
+	}
+}
+
+// TestStreamTracerStopsAtMaxEvents pins that a bounded StreamTracer keeps
+// the first MaxEvents lines of the unbounded trace byte for byte, and that it
+// stops decoding once it has them: a full tracer consumes a batch without
+// allocating.
+func TestStreamTracerStopsAtMaxEvents(t *testing.T) {
+	i32s := []wasm.ValType{wasm.I32, wasm.I32, wasm.I32, wasm.I32}
+	tbl := &analysis.EventTable{Specs: []analysis.EventSpec{
+		{Kind: analysis.KindConst, Name: "const_i64", Types: []wasm.ValType{wasm.I64}},
+		{Kind: analysis.KindReturn, Name: "return_i32_i32_i32_i32", Types: i32s},
+	}}
+	// Two batches of consts, every third followed by a 4-value return
+	// (primary record plus one continuation).
+	var batches [2][]analysis.Event
+	for i := 0; i < 10; i++ {
+		b := &batches[i/5]
+		*b = append(*b, analysis.Event{Hook: 0, Kind: analysis.KindConst, Pack: analysis.PackSlots(wasm.I64),
+			Func: 1, Instr: int32(i), Vals: [3]uint64{uint64(i) << 40}})
+		if i%3 == 0 {
+			*b = append(*b,
+				analysis.Event{Hook: 1, Kind: analysis.KindReturn, Pack: analysis.PackSlots(i32s[:3]...),
+					Func: 1, Instr: int32(i), Vals: [3]uint64{1, 2, 3}},
+				analysis.Event{Hook: analysis.EventCont, Kind: analysis.KindReturn, Pack: analysis.PackSlots(wasm.I32),
+					Func: 1, Instr: int32(i), Vals: [3]uint64{uint64(i)}})
+		}
+	}
+	run := func(max int) *analyses.StreamTracer {
+		st := &analyses.StreamTracer{MaxEvents: max}
+		st.SetEventTable(tbl)
+		for _, b := range batches {
+			st.Events(b)
+		}
+		return st
+	}
+	full := run(0).Lines
+	if len(full) != 14 {
+		t.Fatalf("unbounded trace has %d lines, want 14: %q", len(full), full)
+	}
+	for _, max := range []int{1, 5, 6, 13, 14, 20} {
+		got := run(max).Lines
+		want := full[:min(max, len(full))]
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("MaxEvents %d: got %q, want %q", max, got, want)
+		}
+	}
+	st := run(3)
+	if allocs := testing.AllocsPerRun(100, func() { st.Events(batches[1]) }); allocs != 0 {
+		t.Errorf("full tracer: %.1f allocs per batch, want 0", allocs)
 	}
 }

@@ -8,9 +8,9 @@ import "wasabi/internal/wasm"
 // its word offset within the vector. i64 payload values occupy two words
 // (lo at Offs[i], hi at Offs[i]+1, paper §2.4.6); all other types one.
 //
-// The runtime's trampoline builder captures this once at bind time, so the
-// per-call fast path re-joins i64 halves with precomputed offsets instead of
-// walking the vector through an argReader.
+// The runtime derives each hook's dispatch plan from it once per compiled
+// instrumentation, so the per-call fast path re-joins i64 halves with
+// precomputed offsets instead of walking the vector through an argReader.
 type ArgLayout struct {
 	Arity int   // lowered words, including the two location words
 	Offs  []int // lowered word offset of each HookSpec.Types entry
@@ -34,6 +34,5 @@ func (s *HookSpec) Layout() ArgLayout {
 
 // OpName returns the interned instruction name of op-carrying hooks (unary,
 // binary, load, store, local, global). The returned string header points at
-// the opcode name table, so capturing it in a trampoline closure at bind time
-// costs nothing per call.
+// the opcode name table, so keeping it in a hook plan costs nothing per call.
 func (s *HookSpec) OpName() string { return s.Op.String() }

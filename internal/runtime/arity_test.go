@@ -12,53 +12,58 @@ import (
 	"testing"
 
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 )
 
 func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recorder{}
-	rt := New(md, rec)
-	inst, err := interp.Instantiate(instrumented, rt.Imports())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, set := range paritySets(t) {
+		md := set.md
+		rt := New(md, &recorder{})
+		inst, err := interp.Instantiate(set.instrumented, rt.Imports())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtE := New(md, struct{}{})
+		rtE.SetEmitter(NewEmitter(64, Drop), analysis.AllCaps|analysis.CapBlockCoverage)
+		tramps, encs := hostFuncs(rt), hostFuncs(rtE)
 
-	for i := range md.Hooks {
-		spec := &md.Hooks[i]
-		lay := spec.Layout()
-		tramp, _ := rt.compileTrampoline(spec, lay)
-		full := synthArgs(spec, lay.Arity)
-		for _, bad := range [][]interp.Value{
-			nil,
-			full[:lay.Arity-1],
-			append(append([]interp.Value(nil), full...), 0),
-		} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("hook %s: %d args panicked the host: %v", spec.Name, len(bad), r)
+		for i := range md.Hooks {
+			spec := &md.Hooks[i]
+			arity := spec.Layout().Arity
+			full := synthArgs(spec, arity)
+			for _, bad := range [][]interp.Value{
+				nil,
+				full[:arity-1],
+				append(append([]interp.Value(nil), full...), 0),
+			} {
+				checkTrap := func(backend string, err any) {
+					trap, ok := err.(*interp.Trap)
+					if !ok {
+						t.Errorf("%s: hook %s: %d lowered args (want %d): %s raised %T, want *interp.Trap",
+							set.name, spec.Name, len(bad), arity, backend, err)
+						return
 					}
+					if trap.Code != TrapInvalidMetadata {
+						t.Errorf("%s: hook %s: %s trap code %q, want %q", set.name, spec.Name, backend, trap.Code, TrapInvalidMetadata)
+					}
+				}
+				// Trampolines return the trap; it must never escape as a
+				// panic of the host process.
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: hook %s: %d args panicked the host: %v", set.name, spec.Name, len(bad), r)
+						}
+					}()
+					checkTrap("trampoline", tramps[i].Fast(inst, bad))
 				}()
-				err := tramp(inst, bad)
-				if err == nil {
-					t.Errorf("hook %s: %d lowered args (want %d) must trap", spec.Name, len(bad), lay.Arity)
-					return
-				}
-				trap, ok := err.(*interp.Trap)
-				if !ok {
-					t.Errorf("hook %s: error is %T, want *interp.Trap", spec.Name, err)
-					return
-				}
-				if trap.Code != TrapInvalidMetadata {
-					t.Errorf("hook %s: trap code %q, want %q", spec.Name, trap.Code, TrapInvalidMetadata)
-				}
-			}()
+				// Encoders have no error path: they panic with the same
+				// trap, which the interpreter's invocation root contains.
+				func() {
+					defer func() { checkTrap("encoder", recover()) }()
+					encs[i].Emit(inst, bad)
+				}()
+			}
 		}
 	}
 }
@@ -67,32 +72,29 @@ func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
 // embedder calling a hook import through the public invoke path with too few
 // arguments must get an error back, not a crash.
 func TestHookImportInvokedDirectlyTraps(t *testing.T) {
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recorder{}
-	rt := New(md, rec)
-	inst, err := interp.Instantiate(instrumented, rt.Imports())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("direct hook invocation panicked the host: %v", r)
+	for _, set := range paritySets(t) {
+		md := set.md
+		rt := New(md, &recorder{})
+		inst, err := interp.Instantiate(set.instrumented, rt.Imports())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	// Hook imports sit at [NumImportedFuncs, NumImportedFuncs+NumHooks) in
-	// the instrumented index space, in metadata order.
-	for k := range md.Hooks {
-		idx := uint32(md.NumImportedFuncs + k)
-		_, err := inst.InvokeIdx(idx) // zero args; every hook wants >= 2
-		if err == nil {
-			t.Fatalf("hook %s: 0-arg direct invocation must error", md.Hooks[k].Name)
-		}
-		if !strings.Contains(err.Error(), TrapInvalidMetadata) {
-			t.Errorf("hook %s: error %q does not mention %q", md.Hooks[k].Name, err, TrapInvalidMetadata)
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("direct hook invocation panicked the host: %v", r)
+			}
+		}()
+		// Hook imports sit at [NumImportedFuncs, NumImportedFuncs+NumHooks) in
+		// the instrumented index space, in metadata order.
+		for k := range md.Hooks {
+			idx := uint32(md.NumImportedFuncs + k)
+			_, err := inst.InvokeIdx(idx) // zero args; every hook wants >= 2
+			if err == nil {
+				t.Fatalf("%s: hook %s: 0-arg direct invocation must error", set.name, md.Hooks[k].Name)
+			}
+			if !strings.Contains(err.Error(), TrapInvalidMetadata) {
+				t.Errorf("%s: hook %s: error %q does not mention %q", set.name, md.Hooks[k].Name, err, TrapInvalidMetadata)
+			}
 		}
 	}
 }

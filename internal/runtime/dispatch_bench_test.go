@@ -50,6 +50,7 @@ func (c *counting) CallPre(analysis.Location, int, []analysis.Value, int64)     
 func (c *counting) CallPost(analysis.Location, []analysis.Value)                     { c.n++ }
 func (c *counting) Return(analysis.Location, []analysis.Value)                       { c.n++ }
 func (c *counting) Start(analysis.Location)                                          { c.n++ }
+func (c *counting) BlockCovered(analysis.Location, int)                              { c.n++ }
 
 // sliceCarrying reports whether dispatching the hook hands the analysis a
 // borrowed vector (the hooks the pooled-buffer convention exists for).
@@ -68,45 +69,37 @@ func sliceCarrying(spec *core.HookSpec) bool {
 	return false
 }
 
-// dispatchFixture instruments the parity module and compiles every
-// trampoline twice: against a full analysis and against an empty one.
+// dispatchFixture compiles every trampoline of one parity spec set twice:
+// against a full analysis and against an empty one.
 type dispatchFixture struct {
-	md     *core.Metadata
 	inst   *interp.Instance
 	specs  []*core.HookSpec
 	hooked []hookFn
 	noop   []hookFn
-	isNoop []bool
 }
 
-func newDispatchFixture(t testing.TB) *dispatchFixture {
+func newDispatchFixture(t testing.TB, set paritySet) *dispatchFixture {
 	t.Helper()
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := set.md
 	full := New(md, &counting{})
 	empty := New(md, struct{}{})
-	inst, err := interp.Instantiate(instrumented, full.Imports())
+	inst, err := interp.Instantiate(set.instrumented, full.Imports())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &dispatchFixture{md: md, inst: inst}
+	fx := &dispatchFixture{inst: inst}
+	hooked, noop := hostFuncs(full), hostFuncs(empty)
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
-		h, hn := full.compileTrampoline(spec, spec.Layout())
-		if hn {
+		if hooked[i].NoOp {
 			t.Fatalf("hook %s: full analysis bound to no-op", spec.Name)
 		}
-		n, nn := empty.compileTrampoline(spec, spec.Layout())
-		if !nn {
+		if !noop[i].NoOp {
 			t.Fatalf("hook %s: empty analysis not bound to no-op", spec.Name)
 		}
 		fx.specs = append(fx.specs, spec)
-		fx.hooked = append(fx.hooked, h)
-		fx.noop = append(fx.noop, n)
-		fx.isNoop = append(fx.isNoop, nn)
+		fx.hooked = append(fx.hooked, hooked[i].Fast)
+		fx.noop = append(fx.noop, noop[i].Fast)
 	}
 	return fx
 }
@@ -124,7 +117,7 @@ func (fx *dispatchFixture) kindRep() map[analysis.HookKind]int {
 }
 
 func BenchmarkDispatch(b *testing.B) {
-	fx := newDispatchFixture(b)
+	fx := newDispatchFixture(b, paritySets(b)[0])
 	rep := fx.kindRep()
 	for k := analysis.HookKind(0); k < analysis.HookKind(analysis.NumKinds); k++ {
 		i, ok := rep[k]
@@ -162,20 +155,21 @@ func BenchmarkDispatch(b *testing.B) {
 // per-call decoding buffer, or pool-defeating slice-header boxing fails the
 // guard.
 func TestDispatchZeroAllocs(t *testing.T) {
-	fx := newDispatchFixture(t)
 	sawSliceCarrying := false
-	for i, spec := range fx.specs {
-		sawSliceCarrying = sawSliceCarrying || sliceCarrying(spec)
-		args := synthArgs(spec, spec.Layout().Arity)
-		for name, fn := range map[string]hookFn{"hooked": fx.hooked[i], "noop": fx.noop[i]} {
-			fn := fn
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := fn(fx.inst, args); err != nil {
-					t.Fatal(err)
+	for _, set := range paritySets(t) {
+		fx := newDispatchFixture(t, set)
+		for i, spec := range fx.specs {
+			sawSliceCarrying = sawSliceCarrying || sliceCarrying(spec)
+			args := synthArgs(spec, spec.Layout().Arity)
+			for name, fn := range map[string]hookFn{"hooked": fx.hooked[i], "noop": fx.noop[i]} {
+				allocs := testing.AllocsPerRun(200, func() {
+					if err := fn(fx.inst, args); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s: hook %s (%s): %.1f allocs/op, want 0", set.name, spec.Name, name, allocs)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("hook %s (%s): %.1f allocs/op, want 0", spec.Name, name, allocs)
 			}
 		}
 	}

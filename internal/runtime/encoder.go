@@ -1,21 +1,20 @@
 package runtime
 
-// Per-spec compiled record encoders: the producer half of the event-stream
-// surface and the sibling of trampoline.go. A trampoline decodes one lowered
-// hook-argument vector and calls analysis Go code; an encoder decodes the
-// same vector — through the same precomputed HookSpec.Layout() offsets,
-// including the i64 lo/hi re-joins — and instead appends one packed
-// analysis.Event record to the session's Emitter. Everything static about a
-// record (hook index, kind, Pack byte, slot offsets and types, continuation
-// plan) is computed once here, at Imports() time; the per-event path only
-// copies words.
+// Record encoders: the stream backend of hook dispatch and the sibling of
+// trampoline.go. Where a trampoline decodes a lowered hook-argument vector
+// and calls analysis Go code, an encoder copies the same words — through the
+// same hook plan — into one packed analysis.Event record and appends it to
+// the session's Emitter. Everything static about a record (hook index, kind,
+// Pack byte, constant slots, continuation plan) is in the plan's template;
+// the per-event path only copies words. compileEncoder builds one of four
+// shapes: a single record (specialized by how many Vals slots come from
+// lowered words), a record group (return, call_post, direct call_pre), an
+// indirect call_pre group, and br_table.
 //
 // Encoders use the interpreter's Emit host-call convention (the record-emit
 // twin of Fast, see iCallHostEmit): args is a read-only stack window, never
 // retained, and failure is reported only by a trap panic — the hot loop has
-// no error check. Hooks outside the stream capability set compile to a
-// shared no-op and are elided by the interpreter exactly like dead callback
-// hooks.
+// no error check.
 //
 // Flush points, per the stream contract: batch-full (Emitter.emit),
 // top-level call completion (the session installs Emitter.Flush as the
@@ -23,563 +22,141 @@ package runtime
 // and explicit Emitter.Flush/Close.
 
 import (
-	"fmt"
-
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
-	"wasabi/internal/wasm"
 )
 
 // emitFn is the compiled record encoder of one low-level hook; it matches
 // interp.HostFunc.Emit.
 type emitFn = func(inst *interp.Instance, args []interp.Value)
 
-// nopEmit is the shared encoder of every hook outside the stream caps.
-func nopEmit(*interp.Instance, []interp.Value) {}
-
-// emitArity panics with the same trap a trampoline would return when the
-// lowered argument vector does not match the spec (Emit has no error path).
-func emitArity(name string, want, got int) {
-	panic(&interp.Trap{
-		Code: TrapInvalidMetadata,
-		Info: fmt.Sprintf("hook %s called with %d lowered args, want %d", name, got, want),
-	})
-}
-
-// rawAt decodes the raw 64-bit representation of one logical value at its
-// precomputed lowered offset, re-joining i64 (lo, hi) halves. It is
-// valueAt without the type box — Event records carry raw bits, the types
-// live in the EventTable.
-func rawAt(args []interp.Value, off int, t wasm.ValType) uint64 {
-	if t == wasm.I64 {
-		lo := uint64(uint32(args[off]))
-		hi := uint64(uint32(args[off+1]))
-		return hi<<32 | lo
-	}
-	return args[off]
-}
-
-// setLoc fills the location header from the two leading location words.
-func setLoc(e *analysis.Event, args []interp.Value) {
-	e.Func = int32(uint32(args[0]))
-	e.Instr = int32(uint32(args[1]))
-}
-
-// encSlot is one value of a record group: where it sits in the lowered
-// vector and its logical type.
-type encSlot struct {
-	off int
-	t   wasm.ValType
-}
-
-// encRec is the compile-time plan of one record of a group: which Vals slot
-// the values start at, the precomputed Pack byte, and the slots to copy.
-type encRec struct {
-	pack  uint8
-	start int
-	slots []encSlot
-}
-
-// fillRec copies one planned record's values from the lowered vector.
-func fillRec(e *analysis.Event, rec *encRec, args []interp.Value) {
-	for i := range rec.slots {
-		e.Vals[rec.start+i] = rawAt(args, rec.slots[i].off, rec.slots[i].t)
-	}
-}
-
-// planValues lays a logical value vector out over a primary record (whose
-// first Vals slot is start, with head occupying the slots before it) and as
-// many continuation records as needed, 3 values each. head holds the types
-// of the primary record's leading non-vector slots (e.g. call_pre's table
-// index) so its Pack byte is complete.
-func planValues(offs []int, ts []wasm.ValType, start int, head ...wasm.ValType) []encRec {
-	recs := []encRec{{start: start}}
-	cur := 0
-	for i := range ts {
-		if start+len(recs[cur].slots) == 3 {
-			recs = append(recs, encRec{})
-			cur++
-			start = 0
+// compileEncoder builds the record encoder of a live hook.
+func (r *Runtime) compileEncoder(p *hookPlan) emitFn {
+	em := r.emitter
+	switch {
+	case p.tmpl.Kind == analysis.KindBrTable:
+		return r.brTableEncoder(p)
+	case p.indirect:
+		return func(inst *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			tblIdx := e.Aux
+			e.Aux = uint32(int32(r.resolve(inst, tblIdx)))
+			e.Vals[0] = uint64(tblIdx)
+			p.emitGroup(em, e, args)
 		}
-		recs[cur].slots = append(recs[cur].slots, encSlot{off: offs[i], t: ts[i]})
+	case p.group:
+		return func(_ *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			p.emitGroup(em, e, args)
+		}
 	}
-	// Pack bytes: the primary includes the head slots, continuations only
-	// their own values.
-	primTypes := append(append([]wasm.ValType{}, head...), slotTypes(recs[0].slots)...)
-	recs[0].pack = analysis.PackSlots(primTypes...)
-	for i := 1; i < len(recs); i++ {
-		recs[i].pack = analysis.PackSlots(slotTypes(recs[i].slots)...)
+	switch p.n {
+	case 0:
+		return func(_ *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			em.emit(e)
+		}
+	case 1:
+		return func(_ *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			e.Vals[0] = p.vals[0].raw(args)
+			em.emit(e)
+		}
+	case 2:
+		return func(_ *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			e.Vals[0] = p.vals[0].raw(args)
+			e.Vals[1] = p.vals[1].raw(args)
+			em.emit(e)
+		}
+	default:
+		return func(_ *interp.Instance, args []interp.Value) {
+			if len(args) != p.arity {
+				panic(p.arityTrap(len(args)))
+			}
+			e := p.tmpl
+			p.fill(&e, args)
+			e.Vals[0] = p.vals[0].raw(args)
+			e.Vals[1] = p.vals[1].raw(args)
+			e.Vals[2] = p.vals[2].raw(args)
+			em.emit(e)
+		}
 	}
-	return recs
 }
 
-func slotTypes(slots []encSlot) []wasm.ValType {
-	ts := make([]wasm.ValType, len(slots))
-	for i := range slots {
-		ts[i] = slots[i].t
+// emitGroup emits e, whose Vals already hold what precedes p's value vector,
+// together with the vector: it fills e from Vals[vecStart] on and spills the
+// rest into continuation records, as one group that never straddles a batch
+// boundary.
+func (p *hookPlan) emitGroup(em *Emitter, e analysis.Event, args []interp.Value) {
+	em.reserve(1 + len(p.contPacks))
+	slot, cont := p.vecStart, 0
+	for _, w := range p.vec {
+		if slot == len(e.Vals) {
+			em.emit(e)
+			e = analysis.Event{Hook: analysis.EventCont, Kind: e.Kind, Pack: p.contPacks[cont], Func: e.Func, Instr: e.Instr}
+			slot, cont = 0, cont+1
+		}
+		e.Vals[slot] = w.raw(args)
+		slot++
 	}
-	return ts
-}
-
-// emitGroup emits a primary record and its planned continuations as one
-// atomic group (never straddling a batch boundary).
-func emitGroup(em *Emitter, e analysis.Event, recs []encRec, args []interp.Value) {
-	em.reserve(len(recs))
-	fillRec(&e, &recs[0], args)
 	em.emit(e)
-	for i := 1; i < len(recs); i++ {
-		c := analysis.Event{
-			Hook: analysis.EventCont, Kind: e.Kind, Pack: recs[i].pack,
-			Func: e.Func, Instr: e.Instr,
-		}
-		fillRec(&c, &recs[i], args)
-		em.emit(c)
-	}
 }
 
-// compileEncoder builds the record encoder for one hook spec against its
-// precomputed lowered-arg layout. hookIdx is the spec's index in the
-// metadata hook table (what Event.Hook carries). noop reports that the
-// stream capability set cannot observe this hook, so the interpreter may
-// elide its call sites; the returned fn is still always callable.
-func (r *Runtime) compileEncoder(spec *core.HookSpec, lay core.ArgLayout, hookIdx int) (fn emitFn, noop bool) {
-	caps := r.streamCaps
+// brTableEncoder replays the end records of the blocks the taken branch
+// leaves (when end events are streamed) and then emits the br_table record
+// itself (when br_table events are streamed) — the event order of the
+// callback trampoline.
+func (r *Runtime) brTableEncoder(p *hookPlan) emitFn {
 	em := r.emitter
-	arity := lay.Arity
-	name := spec.Name
-	tmpl := analysis.Event{Hook: uint16(hookIdx), Kind: spec.Kind}
-
-	// locOnly is the shared shape of the payload-less hooks.
-	locOnly := func() emitFn {
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			em.emit(e)
-		}
-	}
-	// auxOnly carries one scalar from lowered offset 2 in Aux.
-	auxOnly := func() emitFn {
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])
-			em.emit(e)
-		}
-	}
-
-	switch spec.Kind {
-	case analysis.KindNop:
-		if !caps.Has(analysis.CapNop) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindUnreachable:
-		if !caps.Has(analysis.CapUnreachable) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindStart:
-		if !caps.Has(analysis.CapStart) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindBegin:
-		if !caps.Has(analysis.CapBegin) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindIf:
-		if !caps.Has(analysis.CapIf) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
-	case analysis.KindEnd:
-		if !caps.Has(analysis.CapEnd) {
-			return nopEmit, true
-		}
-		// Aux = begin instruction index; Vals[0] = block kind code, so end
-		// records decode without a spec (matching the synthesized br_table
-		// replays).
-		tmpl.Pack = analysis.PackSlots(wasm.I32)
-		tmpl.Vals[0] = uint64(spec.Block.Code())
-		return auxOnly(), false
-
-	case analysis.KindMemorySize:
-		if !caps.Has(analysis.CapMemorySize) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
-	case analysis.KindBlockProbe:
-		// Aux = the block's last original instruction index.
-		if !caps.Has(analysis.CapBlockCoverage) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
-	case analysis.KindBr:
-		if !caps.Has(analysis.CapBr) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])     // raw label
-			e.Vals[0] = uint64(args[3]) // resolved target instruction
-			em.emit(e)
-		}, false
-
-	case analysis.KindBrIf:
-		if !caps.Has(analysis.CapBrIf) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32, wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[4]) // condition
-			e.Vals[0] = uint64(args[2])
-			e.Vals[1] = uint64(args[3])
-			em.emit(e)
-		}, false
-
-	case analysis.KindBrTable:
-		if !caps.HasAny(analysis.CapBrTable | analysis.CapEnd) {
-			return nopEmit, true
-		}
-		return r.brTableEncoder(tmpl, name, arity), false
-
-	case analysis.KindConst:
-		if !caps.Has(analysis.CapConst) {
-			return nopEmit, true
-		}
-		return r.valueEncoder(tmpl, name, arity, 2, spec.Types[0]), false
-
-	case analysis.KindDrop:
-		if !caps.Has(analysis.CapDrop) {
-			return nopEmit, true
-		}
-		return r.valueEncoder(tmpl, name, arity, 2, spec.Types[0]), false
-
-	case analysis.KindSelect:
-		if !caps.Has(analysis.CapSelect) {
-			return nopEmit, true
-		}
-		t := spec.Types[1]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		tmpl.Pack = analysis.PackSlots(t, t)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2]) // condition
-			e.Vals[0] = rawAt(args, o1, t)
-			e.Vals[1] = rawAt(args, o2, t)
-			em.emit(e)
-		}, false
-
-	case analysis.KindUnary:
-		if !caps.Has(analysis.CapUnary) {
-			return nopEmit, true
-		}
-		tIn, tOut := spec.Types[0], spec.Types[1]
-		oOut := lay.Offs[1]
-		tmpl.Pack = analysis.PackSlots(tIn, tOut)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Vals[0] = rawAt(args, 2, tIn)
-			e.Vals[1] = rawAt(args, oOut, tOut)
-			em.emit(e)
-		}, false
-
-	case analysis.KindBinary:
-		if !caps.Has(analysis.CapBinary) {
-			return nopEmit, true
-		}
-		t0, t1, t2 := spec.Types[0], spec.Types[1], spec.Types[2]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		tmpl.Pack = analysis.PackSlots(t0, t1, t2)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Vals[0] = rawAt(args, 2, t0)
-			e.Vals[1] = rawAt(args, o1, t1)
-			e.Vals[2] = rawAt(args, o2, t2)
-			em.emit(e)
-		}, false
-
-	case analysis.KindLocal:
-		if !caps.Has(analysis.CapLocal) {
-			return nopEmit, true
-		}
-		return r.indexedEncoder(tmpl, name, arity, spec.Types[1]), false
-
-	case analysis.KindGlobal:
-		if !caps.Has(analysis.CapGlobal) {
-			return nopEmit, true
-		}
-		return r.indexedEncoder(tmpl, name, arity, spec.Types[1]), false
-
-	case analysis.KindLoad:
-		if !caps.Has(analysis.CapLoad) {
-			return nopEmit, true
-		}
-		return r.memEncoder(tmpl, name, arity, spec.Types[2]), false
-
-	case analysis.KindStore:
-		if !caps.Has(analysis.CapStore) {
-			return nopEmit, true
-		}
-		return r.memEncoder(tmpl, name, arity, spec.Types[2]), false
-
-	case analysis.KindMemoryGrow:
-		if !caps.Has(analysis.CapMemoryGrow) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])     // delta
-			e.Vals[0] = uint64(args[3]) // previous size
-			em.emit(e)
-		}, false
-
-	case analysis.KindCall:
-		return r.callEncoder(tmpl, spec, lay)
-
-	case analysis.KindReturn:
-		if !caps.Has(analysis.CapReturn) {
-			return nopEmit, true
-		}
-		recs := planValues(lay.Offs, spec.Types, 0)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			emitGroup(em, e, recs, args)
-		}, false
-	}
-
-	// Unknown kind (newer metadata than this runtime): never observable.
-	return nopEmit, true
-}
-
-// valueEncoder carries one typed value at lowered offset off in Vals[0]
-// (const, drop).
-func (r *Runtime) valueEncoder(tmpl analysis.Event, name string, arity, off int, t wasm.ValType) emitFn {
-	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(t)
-	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
-		}
-		e := tmpl
-		setLoc(&e, args)
-		e.Vals[0] = rawAt(args, off, t)
-		em.emit(e)
-	}
-}
-
-// indexedEncoder carries a variable index in Aux and one typed value in
-// Vals[0] (local, global).
-func (r *Runtime) indexedEncoder(tmpl analysis.Event, name string, arity int, t wasm.ValType) emitFn {
-	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(t)
-	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
-		}
-		e := tmpl
-		setLoc(&e, args)
-		e.Aux = uint32(args[2])
-		e.Vals[0] = rawAt(args, 3, t)
-		em.emit(e)
-	}
-}
-
-// memEncoder carries the static offset in Aux, the dynamic address in
-// Vals[0], and the accessed value in Vals[1] (load, store).
-func (r *Runtime) memEncoder(tmpl analysis.Event, name string, arity int, t wasm.ValType) emitFn {
-	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(wasm.I32, t)
-	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
-		}
-		e := tmpl
-		setLoc(&e, args)
-		e.Aux = uint32(args[2])     // static offset
-		e.Vals[0] = uint64(args[3]) // address
-		e.Vals[1] = rawAt(args, 4, t)
-		em.emit(e)
-	}
-}
-
-// callEncoder specializes the three call-hook shapes, mirroring
-// callTrampoline: call_post, direct call_pre, and indirect call_pre with
-// table resolution. Argument/result vectors that exceed the record's free
-// slots spill into continuation records (see planValues).
-func (r *Runtime) callEncoder(tmpl analysis.Event, spec *core.HookSpec, lay core.ArgLayout) (emitFn, bool) {
-	caps := r.streamCaps
-	em := r.emitter
-	arity := lay.Arity
-	name := spec.Name
-
-	if spec.Post {
-		if !caps.Has(analysis.CapCallPost) {
-			return nopEmit, true
-		}
-		recs := planValues(lay.Offs, spec.Types, 0)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			emitGroup(em, e, recs, args)
-		}, false
-	}
-	if !caps.Has(analysis.CapCallPre) {
-		return nopEmit, true
-	}
-	// Vals[0] holds the table index (i64, -1 for direct calls); the callee
-	// arguments start at slot 1. Types[0] is the i32 target / table index.
-	recs := planValues(lay.Offs[1:], spec.Types[1:], 1, wasm.I64)
-	if !spec.Indirect {
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2]) // target function index (original space)
-			e.Vals[0] = ^uint64(0)  // table index -1: direct call
-			emitGroup(em, e, recs, args)
-		}, false
-	}
-	meta := r.meta
-	return func(inst *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
-		}
-		tblIdx := uint32(args[2])
-		// Same resolution as the callback trampoline: prefer the calling
-		// instance, fall back to the explicitly bound one.
-		ri := inst
-		if ri == nil {
-			ri = r.inst
-		}
-		target := -1
-		if ri != nil {
-			if fidx := ri.ResolveTable(tblIdx); fidx >= 0 {
-				target = meta.OriginalFuncIdx(int(fidx))
-			}
-		}
-		e := tmpl
-		setLoc(&e, args)
-		e.Aux = uint32(int32(target))
-		e.Vals[0] = uint64(int64(tblIdx))
-		emitGroup(em, e, recs, args)
-	}, false
-}
-
-// brTableEncoder handles the one hook whose encoding consults metadata at
-// run time: it replays the end records of the blocks left by the taken
-// branch (when end events are streamed) and then emits the br_table record
-// itself (when br_table events are streamed) — the exact event order the
-// callback dispatcher produces.
-func (r *Runtime) brTableEncoder(tmpl analysis.Event, name string, arity int) emitFn {
-	em := r.emitter
-	meta := r.meta
 	emitEnds := r.streamCaps.Has(analysis.CapEnd)
 	emitTable := r.streamCaps.Has(analysis.CapBrTable)
-	// Replayed end records reference the end hook's table index per block
-	// kind when one was generated; when the module was instrumented without
-	// end hooks (the replay data lives in the br_table metadata either way)
-	// they carry the EventSynth sentinel and decode by Kind + kind code.
-	endHook := map[analysis.BlockKind]uint16{}
-	for i := range meta.Hooks {
-		if meta.Hooks[i].Kind == analysis.KindEnd {
-			endHook[meta.Hooks[i].Block] = uint16(i)
-		}
-	}
-	endHookOf := func(k analysis.BlockKind) uint16 {
-		if h, ok := endHook[k]; ok {
-			return h
-		}
-		return analysis.EventSynth
-	}
-	packI32 := analysis.PackSlots(wasm.I32) // precomputed like every template Pack
 	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
+		if len(args) != p.arity {
+			panic(p.arityTrap(len(args)))
 		}
-		e := tmpl
-		setLoc(&e, args)
-		metaIdx := int(int32(uint32(args[2])))
-		idx := uint32(args[3])
-		if metaIdx < 0 || metaIdx >= len(meta.BrTables) {
-			panic(&interp.Trap{
-				Code: TrapInvalidMetadata,
-				Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(meta.BrTables), e.Loc()),
-			})
+		info, taken := r.brTaken(p, args)
+		if info == nil {
+			panic(r.brTableTrap(p, args))
 		}
-		info := &meta.BrTables[metaIdx]
-		taken := info.Default
-		if int(idx) < len(info.Targets) {
-			taken = info.Targets[idx]
-		}
+		e := p.tmpl
+		p.fill(&e, args)
 		if emitEnds {
 			for _, end := range taken.Ends {
+				code := end.Kind.Code()
 				em.emit(analysis.Event{
-					Hook:  endHookOf(end.Kind),
+					Hook:  p.endHook[code],
 					Kind:  analysis.KindEnd,
-					Pack:  packI32,
+					Pack:  e.Pack, // one i32 slot, like the br_table record
 					Func:  e.Func,
 					Instr: int32(end.End),
 					Aux:   uint32(int32(end.Begin)),
-					Vals:  [3]uint64{uint64(end.Kind.Code())},
+					Vals:  [3]uint64{uint64(code)},
 				})
 			}
 		}
 		if emitTable {
-			e.Aux = idx
-			e.Pack = packI32
-			e.Vals[0] = uint64(uint32(metaIdx))
+			e.Vals[0] = p.vals[0].raw(args)
 			em.emit(e)
 		}
 	}

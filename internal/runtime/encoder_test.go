@@ -10,6 +10,7 @@ package runtime
 // TestDispatchZeroAllocs's twin for the stream path.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -17,112 +18,160 @@ import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
+	"wasabi/internal/wasm"
 )
 
-// encoderFixture compiles every encoder against an emitter, next to a
-// trampoline set bound to a callback tracer on the same metadata.
-type encoderFixture struct {
-	md      *core.Metadata
-	inst    *interp.Instance
-	em      *Emitter
-	tracer  *analyses.Tracer
-	specs   []*core.HookSpec
-	tramps  []hookFn
-	encs    []emitFn
-	encNoop []bool
+// probeTracer adds the block-probe callback, which the callback Tracer does
+// not implement (a static engine would collapse its instrumentation to
+// probes), in the format streamLines decodes probe records to.
+type probeTracer struct{ *analyses.Tracer }
+
+func (tr probeTracer) BlockCovered(l analysis.Location, end int) {
+	tr.Events = append(tr.Events, fmt.Sprintf("%v block_probe %d", l, end))
 }
 
-func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderFixture {
-	t.Helper()
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
+// streamLines decodes a batch through the StreamTracer, formatting the block
+// probe records it does not know like probeTracer.
+func streamLines(st *analyses.StreamTracer, tbl *analysis.EventTable, batch []analysis.Event) {
+	for i := 0; i < len(batch); {
+		next := tbl.Next(batch, i)
+		if e := &batch[i]; e.Kind == analysis.KindBlockProbe {
+			st.Lines = append(st.Lines, fmt.Sprintf("%v block_probe %d", e.Loc(), int(int32(e.Aux))))
+		} else {
+			st.Events(batch[i:next])
+		}
+		i = next
 	}
-	tracer := analyses.NewTracer()
+}
+
+// checkPacks verifies that the Pack bytes of a batch's call and return
+// groups describe their values: decoding the primary record (after
+// call_pre's i64 table index) and its continuations through Event.Val gives
+// the values EventTable.AppendValues types through the spec.
+func checkPacks(t *testing.T, tbl *analysis.EventTable, batch []analysis.Event) {
+	t.Helper()
+	for i := 0; i < len(batch); {
+		next := tbl.Next(batch, i)
+		if e := &batch[i]; e.Kind == analysis.KindCall || e.Kind == analysis.KindReturn {
+			want, _ := tbl.AppendValues(nil, batch, i)
+			var got []analysis.Value
+			slot := 0
+			if e.Kind == analysis.KindCall && !tbl.Spec(e).Post {
+				if e.NumVals() == 0 || e.Val(0).Type != wasm.I64 {
+					t.Errorf("%s: Pack %#x does not start with the i64 table index", tbl.Spec(e).Name, e.Pack)
+				}
+				slot = 1
+			}
+			for j := i; j < next; j, slot = j+1, 0 {
+				for ; slot < batch[j].NumVals(); slot++ {
+					got = append(got, batch[j].Val(slot))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: Pack bytes decode %v, spec types decode %v", tbl.Spec(e).Name, got, want)
+			}
+		}
+		i = next
+	}
+}
+
+// encoderFixture compiles every encoder of one parity spec set against an
+// emitter, next to a trampoline set bound to a callback tracer on the same
+// metadata.
+type encoderFixture struct {
+	md     *core.Metadata
+	inst   *interp.Instance
+	em     *Emitter
+	tracer probeTracer
+	specs  []*core.HookSpec
+	tramps []hookFn
+	encs   []emitFn
+}
+
+func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpressure) *encoderFixture {
+	t.Helper()
+	md := set.md
+	tracer := probeTracer{analyses.NewTracer()}
 	rtT := New(md, tracer)
 
 	em := NewEmitter(batchSize, mode)
 	rtE := New(md, struct{}{})
-	rtE.SetEmitter(em, analysis.AllCaps)
+	rtE.SetEmitter(em, analysis.AllCaps|analysis.CapBlockCoverage)
 
-	inst, err := interp.Instantiate(instrumented, rtT.Imports())
+	inst, err := interp.Instantiate(set.instrumented, rtT.Imports())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtE.BindInstance(inst)
 
 	fx := &encoderFixture{md: md, inst: inst, em: em, tracer: tracer}
+	tramps, encs := hostFuncs(rtT), hostFuncs(rtE)
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
-		lay := spec.Layout()
-		tramp, tn := rtT.compileTrampoline(spec, lay)
-		if tn {
+		if tramps[i].NoOp {
 			t.Fatalf("hook %s: tracer bound to no-op trampoline", spec.Name)
 		}
-		enc, en := rtE.compileEncoder(spec, lay, i)
-		if en {
-			t.Fatalf("hook %s: AllCaps stream bound to no-op encoder", spec.Name)
+		if encs[i].NoOp {
+			t.Fatalf("hook %s: all-caps stream bound to no-op encoder", spec.Name)
 		}
 		fx.specs = append(fx.specs, spec)
-		fx.tramps = append(fx.tramps, tramp)
-		fx.encs = append(fx.encs, enc)
-		fx.encNoop = append(fx.encNoop, en)
+		fx.tramps = append(fx.tramps, tramps[i].Fast)
+		fx.encs = append(fx.encs, encs[i].Emit)
 	}
 	return fx
 }
 
 func TestEncoderParityWithTrampolines(t *testing.T) {
-	fx := newEncoderFixture(t, 1<<14, Block)
-	for i, spec := range fx.specs {
-		args := synthArgs(spec, spec.Layout().Arity)
-		if err := fx.tramps[i](fx.inst, args); err != nil {
-			t.Fatalf("hook %s: trampoline: %v", spec.Name, err)
+	for _, set := range paritySets(t) {
+		fx := newEncoderFixture(t, set, 1<<14, Block)
+		fx.tracer.Events = nil // drop the start function's events from instantiation
+		for i, spec := range fx.specs {
+			args := synthArgs(spec, spec.Layout().Arity)
+			if err := fx.tramps[i](fx.inst, args); err != nil {
+				t.Fatalf("%s: hook %s: trampoline: %v", set.name, spec.Name, err)
+			}
+			fx.encs[i](fx.inst, args)
 		}
-		fx.encs[i](fx.inst, args)
-	}
-	fx.em.Close()
+		fx.em.Close()
 
-	st := analyses.NewStreamTracer()
-	st.SetEventTable(fx.md.EventTable())
-	for {
-		batch, ok := fx.em.Next()
-		if !ok {
-			break
+		st := analyses.NewStreamTracer()
+		tbl := fx.md.EventTable()
+		st.SetEventTable(tbl)
+		for {
+			batch, ok := fx.em.Next()
+			if !ok {
+				break
+			}
+			checkPacks(t, tbl, batch)
+			streamLines(st, tbl, batch)
 		}
-		st.Events(batch)
-	}
 
-	// The callback tracer formats location-first; both tracers share the
-	// format strings, so compare line for line.
-	if len(st.Lines) != len(fx.tracer.Events) {
-		t.Fatalf("stream decoded %d events, callbacks dispatched %d", len(st.Lines), len(fx.tracer.Events))
-	}
-	for i := range st.Lines {
-		if st.Lines[i] != fx.tracer.Events[i] {
-			t.Errorf("event %d:\n  callback: %s\n  stream:   %s", i, fx.tracer.Events[i], st.Lines[i])
+		// The callback tracer formats location-first; both tracers share the
+		// format strings, so compare line for line.
+		if len(st.Lines) != len(fx.tracer.Events) {
+			t.Fatalf("%s: stream decoded %d events, callbacks dispatched %d", set.name, len(st.Lines), len(fx.tracer.Events))
 		}
-	}
-	if len(st.Lines) == 0 {
-		t.Fatal("parity suite produced no events")
+		for i := range st.Lines {
+			if st.Lines[i] != fx.tracer.Events[i] {
+				t.Errorf("%s: event %d:\n  callback: %s\n  stream:   %s", set.name, i, fx.tracer.Events[i], st.Lines[i])
+			}
+		}
+		if len(st.Lines) == 0 {
+			t.Fatalf("%s: parity suite produced no events", set.name)
+		}
 	}
 }
 
 // TestEncoderDeadHookElision pins that hooks outside the stream capability
 // set compile to elidable no-ops, exactly like dead callback hooks.
 func TestEncoderDeadHookElision(t *testing.T) {
-	m := parityModule()
-	_, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := paritySets(t)[0].md
 	rt := New(md, struct{}{})
 	rt.SetEmitter(NewEmitter(16, Drop), analysis.CapBinary)
-	for i := range md.Hooks {
+	for i, hf := range hostFuncs(rt) {
 		spec := &md.Hooks[i]
-		_, noop := rt.compileEncoder(spec, spec.Layout(), i)
-		if want := spec.Kind != analysis.KindBinary; noop != want {
-			t.Errorf("hook %s: noop = %v, want %v under CapBinary-only stream", spec.Name, noop, want)
+		if want := spec.Kind != analysis.KindBinary; hf.NoOp != want {
+			t.Errorf("hook %s: noop = %v, want %v under CapBinary-only stream", spec.Name, hf.NoOp, want)
 		}
 	}
 }
@@ -131,18 +180,22 @@ func TestEncoderDeadHookElision(t *testing.T) {
 // steady-state record emission — including batch hand-off and Drop-mode
 // recycling — must not allocate, for every hook kind.
 func TestStreamEmitZeroAllocs(t *testing.T) {
-	fx := newEncoderFixture(t, 256, Drop) // small batches: exercise flush/drop inside the measurement
-	for i, spec := range fx.specs {
-		args := synthArgs(spec, spec.Layout().Arity)
-		enc := fx.encs[i]
-		allocs := testing.AllocsPerRun(200, func() {
-			enc(fx.inst, args)
-		})
-		if allocs != 0 {
-			t.Errorf("hook %s: %.1f allocs/op, want 0", spec.Name, allocs)
+	var dropped uint64
+	for _, set := range paritySets(t) {
+		fx := newEncoderFixture(t, set, 256, Drop) // small batches: exercise flush/drop inside the measurement
+		for i, spec := range fx.specs {
+			args := synthArgs(spec, spec.Layout().Arity)
+			enc := fx.encs[i]
+			allocs := testing.AllocsPerRun(200, func() {
+				enc(fx.inst, args)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: hook %s: %.1f allocs/op, want 0", set.name, spec.Name, allocs)
+			}
 		}
+		dropped += fx.em.Dropped()
 	}
-	if fx.em.Dropped() == 0 {
+	if dropped == 0 {
 		t.Error("no batch was dropped; the guard did not exercise the flush path")
 	}
 }

@@ -5,7 +5,8 @@ package runtime
 // reference implementation) and the production trampolines, on identical
 // lowered argument vectors, and the resulting high-level hook invocations
 // must match event for event — including i64 lo/hi re-joins, br_table
-// end-replay, and indirect-call table resolution.
+// end-replay, and indirect-call table resolution. The spec sets cover every
+// hook kind and therefore every hook-plan shape.
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"wasabi/internal/builder"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
+	"wasabi/internal/static"
 	"wasabi/internal/wasm"
 )
 
@@ -79,15 +81,24 @@ func (r *recorder) Return(l analysis.Location, res []analysis.Value) {
 	r.log("return %v %v", l, res)
 }
 func (r *recorder) Start(l analysis.Location) { r.log("start %v", l) }
+func (r *recorder) BlockCovered(l analysis.Location, end int) {
+	r.log("block_probe %v %d", l, end)
+}
 
-// parityModule generates hooks covering every kind and every lowered layout
-// shape, including i64 monomorphizations, a br_table (for metadata), an
-// indirect call through a table, and an i64-heavy call signature.
+// parityModule generates hooks covering every per-instruction kind and every
+// lowered layout shape, including i64 monomorphizations, a br_table (for
+// metadata), an indirect call through a table, an i64-heavy call signature,
+// and a start function.
 func parityModule() *wasm.Module {
 	b := builder.New()
 	b.Memory(1)
 	b.Table(4)
 	g64 := b.GlobalI64(true, 5)
+
+	init := b.Func("", nil, nil)
+	init.Op(wasm.OpNop)
+	init.Done()
+	b.Start(init.Index)
 
 	callee := b.Func("callee", builder.V(wasm.I64, wasm.F64, wasm.I32), builder.V(wasm.I64))
 	callee.Get(0)
@@ -126,6 +137,47 @@ func parityModule() *wasm.Module {
 	return b.Build()
 }
 
+// paritySet is one instrumentation of the parity module.
+type paritySet struct {
+	name         string
+	instrumented *wasm.Module
+	md           *core.Metadata
+}
+
+// paritySets instruments the parity module for every per-instruction hook,
+// and for block probes placed by a static plan (probes exist only where a
+// plan places them).
+func paritySets(t testing.TB) []paritySet {
+	t.Helper()
+	all := paritySet{name: "all"}
+	var err error
+	if all.instrumented, all.md, err = core.Instrument(parityModule(), core.Options{Hooks: analysis.AllHooks}); err != nil {
+		t.Fatal(err)
+	}
+	probes := paritySet{name: "block_probe"}
+	hooks := analysis.HookSet(0).With(analysis.KindBlockProbe)
+	m := parityModule()
+	plan, err := static.PlanFor(m, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probes.instrumented, probes.md, err = core.Instrument(m, core.Options{Hooks: hooks, Plan: plan}); err != nil {
+		t.Fatal(err)
+	}
+	return []paritySet{all, probes}
+}
+
+// hostFuncs returns the host function Imports bound to each hook, in
+// metadata order.
+func hostFuncs(rt *Runtime) []*interp.HostFunc {
+	fields := rt.Imports()[core.HookModule]
+	hfs := make([]*interp.HostFunc, len(rt.meta.Hooks))
+	for i := range rt.meta.Hooks {
+		hfs[i] = fields[rt.meta.Hooks[i].Name].(*interp.HostFunc)
+	}
+	return hfs
+}
+
 // synthArgs builds a deterministic lowered argument vector for a spec: every
 // word gets a distinctive pattern so wrong offsets or a missed i64 re-join
 // change the observed events.
@@ -153,138 +205,131 @@ func synthArgs(spec *core.HookSpec, n int) []interp.Value {
 }
 
 func TestTrampolineParityWithGenericDispatch(t *testing.T) {
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One runtime per dispatcher, each with its own recorder.
-	recT, recG := &recorder{}, &recorder{}
-	rtT, rtG := New(md, recT), New(md, recG)
-
-	inst, err := interp.Instantiate(instrumented, rtT.Imports())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtG.BindInstance(inst) // reference resolves indirect calls via the bound instance
-
 	seenKinds := map[analysis.HookKind]bool{}
-	for i := range md.Hooks {
-		spec := &md.Hooks[i]
-		seenKinds[spec.Kind] = true
-		lay := spec.Layout()
-		tramp, noop := rtT.compileTrampoline(spec, lay)
-		if noop {
-			t.Errorf("hook %s: bound no-op although the analysis implements everything", spec.Name)
-			continue
-		}
-		vectors := [][]interp.Value{synthArgs(spec, lay.Arity)}
-		if spec.Kind == analysis.KindBrTable {
-			// Also exercise the default entry (index past the table).
-			v := synthArgs(spec, lay.Arity)
-			v[3] = 99
-			vectors = append(vectors, v)
-		}
-		if spec.Kind == analysis.KindCall && !spec.Post && spec.Indirect {
-			// Also exercise an unresolvable table index.
-			v := synthArgs(spec, lay.Arity)
-			v[2] = 1000
-			vectors = append(vectors, v)
-		}
-		for vi, args := range vectors {
-			recT.events, recG.events = nil, nil
-			errT := tramp(inst, args)
-			errG := rtG.referenceDispatch(spec, args)
-			if (errT == nil) != (errG == nil) {
-				t.Errorf("hook %s vector %d: trampoline err %v, reference err %v", spec.Name, vi, errT, errG)
-				continue
-			}
-			if len(recT.events) != len(recG.events) {
-				t.Errorf("hook %s vector %d: %d trampoline events vs %d reference events\n%v\n%v",
-					spec.Name, vi, len(recT.events), len(recG.events), recT.events, recG.events)
-				continue
-			}
-			for j := range recT.events {
-				if recT.events[j] != recG.events[j] {
-					t.Errorf("hook %s vector %d event %d:\n  trampoline: %s\n  reference:  %s",
-						spec.Name, vi, j, recT.events[j], recG.events[j])
-				}
-			}
-		}
-	}
-
-	// The module must have monomorphized every hook kind, or the suite is
-	// weaker than it claims.
-	for k := analysis.HookKind(0); k < analysis.HookKind(analysis.NumKinds); k++ {
-		if k == analysis.KindStart {
-			continue // start requires a start function; covered end-to-end elsewhere
-		}
-		if k == analysis.KindBlockProbe {
-			// Probes are placed by a static plan, not by AllHooks
-			// instrumentation; covered by the engine-level elision tests.
-			continue
-		}
-		if !seenKinds[k] {
-			t.Errorf("parity module generated no %v hook", k)
-		}
-	}
-
-	// End-to-end: the full instrumented run through the trampolines must see
-	// the exact event stream of a reference-dispatched run.
-	runEvents := func(rec *recorder, viaReference bool) []string {
-		rec2 := &recorder{}
-		rt := New(md, rec2)
-		var imports interp.Imports
-		if viaReference {
-			imports = rt.referenceImports()
-		} else {
-			imports = rt.Imports()
-		}
-		in2, err := interp.Instantiate(instrumented, imports)
+	for _, set := range paritySets(t) {
+		md := set.md
+		// One runtime for the trampolines, one recorder per dispatcher.
+		recT, recG := &recorder{}, &recorder{}
+		rtT := New(md, recT)
+		inst, err := interp.Instantiate(set.instrumented, rtT.Imports())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.BindInstance(in2)
-		if _, err := in2.Invoke("f", interp.I32(1)); err != nil {
-			t.Fatal(err)
+		ref := &reference{meta: md, a: recG, inst: inst} // resolves indirect calls via the same instance
+
+		for i, hf := range hostFuncs(rtT) {
+			spec := &md.Hooks[i]
+			seenKinds[spec.Kind] = true
+			if hf.NoOp {
+				t.Errorf("%s: hook %s bound no-op although the analysis implements everything", set.name, spec.Name)
+				continue
+			}
+			arity := spec.Layout().Arity
+			vectors := [][]interp.Value{synthArgs(spec, arity)}
+			if spec.Kind == analysis.KindBrTable {
+				// Also exercise the default entry (index past the table).
+				v := synthArgs(spec, arity)
+				v[3] = 99
+				vectors = append(vectors, v)
+			}
+			if spec.Kind == analysis.KindCall && !spec.Post && spec.Indirect {
+				// Also exercise an unresolvable table index.
+				v := synthArgs(spec, arity)
+				v[2] = 1000
+				vectors = append(vectors, v)
+			}
+			for vi, args := range vectors {
+				recT.events, recG.events = nil, nil
+				errT := hf.Fast(inst, args)
+				errG := ref.dispatch(spec, args)
+				if (errT == nil) != (errG == nil) {
+					t.Errorf("%s: hook %s vector %d: trampoline err %v, reference err %v", set.name, spec.Name, vi, errT, errG)
+					continue
+				}
+				if len(recT.events) != len(recG.events) {
+					t.Errorf("%s: hook %s vector %d: %d trampoline events vs %d reference events\n%v\n%v",
+						set.name, spec.Name, vi, len(recT.events), len(recG.events), recT.events, recG.events)
+					continue
+				}
+				for j := range recT.events {
+					if recT.events[j] != recG.events[j] {
+						t.Errorf("%s: hook %s vector %d event %d:\n  trampoline: %s\n  reference:  %s",
+							set.name, spec.Name, vi, j, recT.events[j], recG.events[j])
+					}
+				}
+			}
 		}
-		return rec2.events
+
+		// End-to-end: the full instrumented run (start function included)
+		// through the trampolines must see the exact event stream of a
+		// reference-dispatched run.
+		runEvents := func(viaReference bool) []string {
+			rec := &recorder{}
+			rt := New(md, rec)
+			imports := rt.Imports()
+			if viaReference {
+				imports = (&reference{meta: md, a: rec}).imports()
+			}
+			in2, err := interp.Instantiate(set.instrumented, imports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.BindInstance(in2)
+			if _, err := in2.Invoke("f", interp.I32(1)); err != nil {
+				t.Fatal(err)
+			}
+			return rec.events
+		}
+		gotT, gotG := runEvents(false), runEvents(true)
+		if len(gotT) == 0 {
+			t.Fatalf("%s: end-to-end run produced no events", set.name)
+		}
+		if len(gotT) != len(gotG) {
+			t.Fatalf("%s: end-to-end: %d trampoline events vs %d reference events", set.name, len(gotT), len(gotG))
+		}
+		for i := range gotT {
+			if gotT[i] != gotG[i] {
+				t.Errorf("%s: end-to-end event %d:\n  trampoline: %s\n  reference:  %s", set.name, i, gotT[i], gotG[i])
+			}
+		}
 	}
-	gotT := runEvents(recT, false)
-	gotG := runEvents(recG, true)
-	if len(gotT) == 0 {
-		t.Fatal("end-to-end run produced no events")
-	}
-	if len(gotT) != len(gotG) {
-		t.Fatalf("end-to-end: %d trampoline events vs %d reference events", len(gotT), len(gotG))
-	}
-	for i := range gotT {
-		if gotT[i] != gotG[i] {
-			t.Errorf("end-to-end event %d:\n  trampoline: %s\n  reference:  %s", i, gotT[i], gotG[i])
+
+	// The spec sets must have monomorphized every hook kind, or the suite
+	// is weaker than it claims.
+	for k := analysis.HookKind(0); k < analysis.HookKind(analysis.NumKinds); k++ {
+		if !seenKinds[k] {
+			t.Errorf("parity spec sets generated no %v hook", k)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Reference implementation: the pre-trampoline generic dispatcher, verbatim.
-// Production code no longer uses it; it exists to pin down trampoline
-// behavior.
+// Reference implementation: the pre-trampoline generic dispatcher. Production
+// code no longer uses it, and it shares no code with the hook plans: it binds
+// callbacks by type assertion per call and decodes arguments sequentially.
+// It exists to pin down trampoline behavior.
 // ---------------------------------------------------------------------------
 
-// referenceImports exposes the reference dispatcher as hook imports, for the
+// reference dispatches hook calls to analysis a.
+type reference struct {
+	meta *core.Metadata
+	a    any
+	inst *interp.Instance // for table resolution; set by the first hook call when nil
+}
+
+// imports exposes the reference dispatcher as hook imports, for the
 // end-to-end leg of the parity suite.
-func (r *Runtime) referenceImports() interp.Imports {
-	fields := make(map[string]any, len(r.meta.Hooks))
-	for i := range r.meta.Hooks {
-		spec := r.meta.Hooks[i] // copy: closures must not share the loop var's address
+func (ref *reference) imports() interp.Imports {
+	fields := make(map[string]any, len(ref.meta.Hooks))
+	for i := range ref.meta.Hooks {
+		spec := &ref.meta.Hooks[i]
 		fields[spec.Name] = &interp.HostFunc{
 			Type: spec.WasmType(),
 			Fn: func(inst *interp.Instance, args []interp.Value) ([]interp.Value, error) {
-				if r.inst == nil {
-					r.inst = inst
+				if ref.inst == nil {
+					ref.inst = inst
 				}
-				return nil, r.referenceDispatch(&spec, args)
+				return nil, ref.dispatch(spec, args)
 			},
 		}
 	}
@@ -324,173 +369,179 @@ func (ar *argReader) values(ts []wasm.ValType) []analysis.Value {
 	return vs
 }
 
-func (r *Runtime) referenceDispatch(spec *core.HookSpec, args []interp.Value) error {
+func (ref *reference) dispatch(spec *core.HookSpec, args []interp.Value) error {
 	ar := &argReader{args: args}
 	loc := analysis.Location{Func: int(ar.i32()), Instr: int(ar.i32())}
+	a := ref.a
 
 	switch spec.Kind {
 	case analysis.KindNop:
-		if r.nop != nil {
-			r.nop(loc)
+		if h, ok := a.(analysis.NopHooker); ok {
+			h.Nop(loc)
 		}
 	case analysis.KindUnreachable:
-		if r.unreachable != nil {
-			r.unreachable(loc)
+		if h, ok := a.(analysis.UnreachableHooker); ok {
+			h.Unreachable(loc)
 		}
 	case analysis.KindIf:
-		if r.ifHook != nil {
-			r.ifHook(loc, ar.u32() != 0)
+		if h, ok := a.(analysis.IfHooker); ok {
+			h.If(loc, ar.u32() != 0)
 		}
 	case analysis.KindBr:
-		if r.br != nil {
+		if h, ok := a.(analysis.BrHooker); ok {
 			label := ar.u32()
 			instr := int(ar.i32())
-			r.br(loc, analysis.BranchTarget{Label: label, Location: analysis.Location{Func: loc.Func, Instr: instr}})
+			h.Br(loc, analysis.BranchTarget{Label: label, Location: analysis.Location{Func: loc.Func, Instr: instr}})
 		}
 	case analysis.KindBrIf:
-		if r.brIf != nil {
+		if h, ok := a.(analysis.BrIfHooker); ok {
 			label := ar.u32()
 			instr := int(ar.i32())
 			cond := ar.u32() != 0
-			r.brIf(loc, analysis.BranchTarget{Label: label, Location: analysis.Location{Func: loc.Func, Instr: instr}}, cond)
+			h.BrIf(loc, analysis.BranchTarget{Label: label, Location: analysis.Location{Func: loc.Func, Instr: instr}}, cond)
 		}
 	case analysis.KindBrTable:
-		return r.referenceDispatchBrTable(loc, ar)
+		return ref.dispatchBrTable(loc, ar)
 	case analysis.KindBegin:
-		if r.begin != nil {
-			r.begin(loc, spec.Block)
+		if h, ok := a.(analysis.BeginHooker); ok {
+			h.Begin(loc, spec.Block)
 		}
 	case analysis.KindEnd:
-		if r.end != nil {
+		if h, ok := a.(analysis.EndHooker); ok {
 			begin := int(ar.i32())
-			r.end(loc, spec.Block, analysis.Location{Func: loc.Func, Instr: begin})
+			h.End(loc, spec.Block, analysis.Location{Func: loc.Func, Instr: begin})
 		}
 	case analysis.KindConst:
-		if r.constHook != nil {
-			r.constHook(loc, ar.value(spec.Types[0]))
+		if h, ok := a.(analysis.ConstHooker); ok {
+			h.Const(loc, ar.value(spec.Types[0]))
 		}
 	case analysis.KindDrop:
-		if r.drop != nil {
-			r.drop(loc, ar.value(spec.Types[0]))
+		if h, ok := a.(analysis.DropHooker); ok {
+			h.Drop(loc, ar.value(spec.Types[0]))
 		}
 	case analysis.KindSelect:
-		if r.selectHook != nil {
+		if h, ok := a.(analysis.SelectHooker); ok {
 			cond := ar.u32() != 0
 			first := ar.value(spec.Types[1])
 			second := ar.value(spec.Types[2])
-			r.selectHook(loc, cond, first, second)
+			h.Select(loc, cond, first, second)
 		}
 	case analysis.KindUnary:
-		if r.unary != nil {
+		if h, ok := a.(analysis.UnaryHooker); ok {
 			in := ar.value(spec.Types[0])
 			out := ar.value(spec.Types[1])
-			r.unary(loc, spec.Op.String(), in, out)
+			h.Unary(loc, spec.Op.String(), in, out)
 		}
 	case analysis.KindBinary:
-		if r.binary != nil {
-			a := ar.value(spec.Types[0])
-			b := ar.value(spec.Types[1])
+		if h, ok := a.(analysis.BinaryHooker); ok {
+			x := ar.value(spec.Types[0])
+			y := ar.value(spec.Types[1])
 			res := ar.value(spec.Types[2])
-			r.binary(loc, spec.Op.String(), a, b, res)
+			h.Binary(loc, spec.Op.String(), x, y, res)
 		}
 	case analysis.KindLocal:
-		if r.local != nil {
+		if h, ok := a.(analysis.LocalHooker); ok {
 			idx := ar.u32()
-			r.local(loc, spec.Op.String(), idx, ar.value(spec.Types[1]))
+			h.Local(loc, spec.Op.String(), idx, ar.value(spec.Types[1]))
 		}
 	case analysis.KindGlobal:
-		if r.global != nil {
+		if h, ok := a.(analysis.GlobalHooker); ok {
 			idx := ar.u32()
-			r.global(loc, spec.Op.String(), idx, ar.value(spec.Types[1]))
+			h.Global(loc, spec.Op.String(), idx, ar.value(spec.Types[1]))
 		}
 	case analysis.KindLoad:
-		if r.load != nil {
+		if h, ok := a.(analysis.LoadHooker); ok {
 			offset := ar.u32()
 			addr := ar.u32()
-			r.load(loc, spec.Op.String(), analysis.MemArg{Addr: addr, Offset: offset}, ar.value(spec.Types[2]))
+			h.Load(loc, spec.Op.String(), analysis.MemArg{Addr: addr, Offset: offset}, ar.value(spec.Types[2]))
 		}
 	case analysis.KindStore:
-		if r.store != nil {
+		if h, ok := a.(analysis.StoreHooker); ok {
 			offset := ar.u32()
 			addr := ar.u32()
-			r.store(loc, spec.Op.String(), analysis.MemArg{Addr: addr, Offset: offset}, ar.value(spec.Types[2]))
+			h.Store(loc, spec.Op.String(), analysis.MemArg{Addr: addr, Offset: offset}, ar.value(spec.Types[2]))
 		}
 	case analysis.KindMemorySize:
-		if r.memSize != nil {
-			r.memSize(loc, ar.u32())
+		if h, ok := a.(analysis.MemorySizeHooker); ok {
+			h.MemorySize(loc, ar.u32())
 		}
 	case analysis.KindMemoryGrow:
-		if r.memGrow != nil {
+		if h, ok := a.(analysis.MemoryGrowHooker); ok {
 			delta := ar.u32()
-			r.memGrow(loc, delta, ar.u32())
+			h.MemoryGrow(loc, delta, ar.u32())
 		}
 	case analysis.KindCall:
-		r.referenceDispatchCall(loc, spec, ar)
+		ref.dispatchCall(loc, spec, ar)
 	case analysis.KindReturn:
-		if r.returnHook != nil {
-			r.returnHook(loc, ar.values(spec.Types))
+		if h, ok := a.(analysis.ReturnHooker); ok {
+			h.Return(loc, ar.values(spec.Types))
 		}
 	case analysis.KindStart:
-		if r.start != nil {
-			r.start(loc)
+		if h, ok := a.(analysis.StartHooker); ok {
+			h.Start(loc)
+		}
+	case analysis.KindBlockProbe:
+		if h, ok := a.(analysis.BlockCoverageHooker); ok {
+			h.BlockCovered(loc, int(ar.i32()))
 		}
 	}
 	return nil
 }
 
-func (r *Runtime) referenceDispatchCall(loc analysis.Location, spec *core.HookSpec, ar *argReader) {
+func (ref *reference) dispatchCall(loc analysis.Location, spec *core.HookSpec, ar *argReader) {
 	if spec.Post {
-		if r.callPost != nil {
-			r.callPost(loc, ar.values(spec.Types))
+		if h, ok := ref.a.(analysis.CallPostHooker); ok {
+			h.CallPost(loc, ar.values(spec.Types))
 		}
 		return
 	}
-	if r.callPre == nil {
+	h, ok := ref.a.(analysis.CallPreHooker)
+	if !ok {
 		return
 	}
 	first := ar.u32()
 	args := ar.values(spec.Types[1:])
 	if !spec.Indirect {
-		r.callPre(loc, int(first), args, -1)
+		h.CallPre(loc, int(first), args, -1)
 		return
 	}
 	target := -1
-	if r.inst != nil {
-		if fidx := r.inst.ResolveTable(first); fidx >= 0 {
-			target = r.meta.OriginalFuncIdx(int(fidx))
+	if ref.inst != nil {
+		if fidx := ref.inst.ResolveTable(first); fidx >= 0 {
+			target = ref.meta.OriginalFuncIdx(int(fidx))
 		}
 	}
-	r.callPre(loc, target, args, int64(first))
+	h.CallPre(loc, target, args, int64(first))
 }
 
-func (r *Runtime) referenceDispatchBrTable(loc analysis.Location, ar *argReader) error {
+func (ref *reference) dispatchBrTable(loc analysis.Location, ar *argReader) error {
 	metaIdx := int(ar.i32())
 	idx := ar.u32()
-	if metaIdx < 0 || metaIdx >= len(r.meta.BrTables) {
+	if metaIdx < 0 || metaIdx >= len(ref.meta.BrTables) {
 		return &interp.Trap{
 			Code: TrapInvalidMetadata,
-			Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(r.meta.BrTables), loc),
+			Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(ref.meta.BrTables), loc),
 		}
 	}
-	info := &r.meta.BrTables[metaIdx]
+	info := &ref.meta.BrTables[metaIdx]
 
 	taken := info.Default
 	if int(idx) < len(info.Targets) {
 		taken = info.Targets[idx]
 	}
-	if r.end != nil {
+	if h, ok := ref.a.(analysis.EndHooker); ok {
 		for _, e := range taken.Ends {
-			r.end(analysis.Location{Func: loc.Func, Instr: e.End}, e.Kind,
+			h.End(analysis.Location{Func: loc.Func, Instr: e.End}, e.Kind,
 				analysis.Location{Func: loc.Func, Instr: e.Begin})
 		}
 	}
-	if r.brTable != nil {
+	if h, ok := ref.a.(analysis.BrTableHooker); ok {
 		table := make([]analysis.BranchTarget, len(info.Targets))
 		for i, t := range info.Targets {
 			table[i] = analysis.BranchTarget{Label: t.Label, Location: analysis.Location{Func: loc.Func, Instr: t.Instr}}
 		}
 		deflt := analysis.BranchTarget{Label: info.Default.Label, Location: analysis.Location{Func: loc.Func, Instr: info.Default.Instr}}
-		r.brTable(loc, table, deflt, idx)
+		h.BrTable(loc, table, deflt, idx)
 	}
 	return nil
 }

@@ -6,14 +6,16 @@
 // the end hooks of blocks traversed by br_table branches, whose set is only
 // known at runtime (paper §2.4.5).
 //
-// Dispatch is specialized per generated hook: Imports() compiles one
-// trampoline closure per core.HookSpec (see trampoline.go) instead of
-// funneling every call through a generic Kind switch, and hooks the analysis
-// does not implement are bound to a shared no-op that the interpreter elides
+// Dispatch is specialized per generated hook: NewShared derives one hook
+// plan per core.HookSpec (plan.go), and Imports() builds one trampoline
+// closure (trampoline.go) or record encoder (encoder.go) per plan instead of
+// funneling every call through a generic Kind switch. Hooks the analysis
+// does not observe are bound to a shared no-op that the interpreter elides
 // at compile time.
 package runtime
 
 import (
+	"math/bits"
 	"sync"
 
 	"wasabi/internal/analysis"
@@ -21,26 +23,39 @@ import (
 	"wasabi/internal/interp"
 )
 
-// Shared is the per-instrumentation state every session's runtime reuses: the
-// precomputed lowered-argument layout of each hook spec and the engine's
-// borrowed-buffer pool. A CompiledAnalysis computes it once; binding a new
-// session then only captures callbacks, never re-derives layouts.
+// Shared is the per-instrumentation state every session's runtime reuses:
+// the hook plans and the engine's borrowed-buffer pool. A CompiledAnalysis
+// computes it once; binding a new session then only captures callbacks,
+// never re-derives a hook's lowering.
 type Shared struct {
-	Layouts []core.ArgLayout // indexed like Metadata.Hooks
-	Pool    *ValuePool
+	Pool  *ValuePool
+	plans []hookPlan // indexed like Metadata.Hooks
 }
 
-// NewShared precomputes the shared trampoline layout for meta. A nil pool
-// falls back to the process-wide default pool.
+// NewShared derives the hook plans of meta. A nil pool falls back to the
+// process-wide default pool.
 func NewShared(meta *core.Metadata, pool *ValuePool) *Shared {
 	if pool == nil {
 		pool = &defaultPool
 	}
-	layouts := make([]core.ArgLayout, len(meta.Hooks))
-	for i := range meta.Hooks {
-		layouts[i] = meta.Hooks[i].Layout()
+	// br_table end replays reference the end hook of their block kind when
+	// one was generated; when the module was instrumented without end hooks
+	// (the replay data lives in the br_table metadata either way) they carry
+	// the EventSynth sentinel and decode by Kind and block kind code.
+	var endHook [5]uint16
+	for i := range endHook {
+		endHook[i] = analysis.EventSynth
 	}
-	return &Shared{Layouts: layouts, Pool: pool}
+	for i := range meta.Hooks {
+		if meta.Hooks[i].Kind == analysis.KindEnd {
+			endHook[meta.Hooks[i].Block.Code()] = uint16(i)
+		}
+	}
+	plans := make([]hookPlan, len(meta.Hooks))
+	for i := range meta.Hooks {
+		plans[i] = newPlan(&meta.Hooks[i], i, endHook)
+	}
+	return &Shared{Pool: pool, plans: plans}
 }
 
 // Runtime dispatches low-level hook calls to one analysis.
@@ -59,39 +74,15 @@ type Runtime struct {
 	importsOnce sync.Once
 	imports     interp.Imports // compiled trampolines/encoders, built once per runtime
 
-	// Pre-bound high-level hook callbacks; nil when the analysis does not
-	// implement the corresponding interface. The trampoline builder captures
-	// these once per spec.
-	nop         func(analysis.Location)
-	unreachable func(analysis.Location)
-	ifHook      func(analysis.Location, bool)
-	br          func(analysis.Location, analysis.BranchTarget)
-	brIf        func(analysis.Location, analysis.BranchTarget, bool)
-	brTable     func(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32)
-	begin       func(analysis.Location, analysis.BlockKind)
-	end         func(analysis.Location, analysis.BlockKind, analysis.Location)
-	constHook   func(analysis.Location, analysis.Value)
-	drop        func(analysis.Location, analysis.Value)
-	selectHook  func(analysis.Location, bool, analysis.Value, analysis.Value)
-	unary       func(analysis.Location, string, analysis.Value, analysis.Value)
-	binary      func(analysis.Location, string, analysis.Value, analysis.Value, analysis.Value)
-	local       func(analysis.Location, string, uint32, analysis.Value)
-	global      func(analysis.Location, string, uint32, analysis.Value)
-	load        func(analysis.Location, string, analysis.MemArg, analysis.Value)
-	store       func(analysis.Location, string, analysis.MemArg, analysis.Value)
-	memSize     func(analysis.Location, uint32)
-	memGrow     func(analysis.Location, uint32, uint32)
-	callPre     func(analysis.Location, int, []analysis.Value, int64)
-	callPost    func(analysis.Location, []analysis.Value)
-	returnHook  func(analysis.Location, []analysis.Value)
-	start       func(analysis.Location)
-	blockCov    func(analysis.Location, int)
+	// cbs holds the analysis's bound callback per Cap bit (indexed by the
+	// bit's position), nil where it does not implement the interface.
+	cbs [numCaps]any
 }
 
 // New creates a runtime dispatching to the given analysis, with its own
 // freshly derived shared state. Sessions created through the engine API use
-// NewBound instead, so all sessions of one CompiledAnalysis reuse one layout
-// table and one buffer pool.
+// NewBound instead, so all sessions of one CompiledAnalysis reuse one set of
+// hook plans and one buffer pool.
 func New(meta *core.Metadata, a any) *Runtime {
 	return NewBound(meta, a, NewShared(meta, nil))
 }
@@ -101,77 +92,78 @@ func New(meta *core.Metadata, a any) *Runtime {
 // analysis.ModuleInfoReceiver it receives the module info now.
 func NewBound(meta *core.Metadata, a any, shared *Shared) *Runtime {
 	r := &Runtime{meta: meta, shared: shared, caps: analysis.CapsOf(a)}
+	bind := func(c analysis.Cap, cb any) { r.cbs[capIndex(c)] = cb }
 	if v, ok := a.(analysis.NopHooker); ok {
-		r.nop = v.Nop
+		bind(analysis.CapNop, v.Nop)
 	}
 	if v, ok := a.(analysis.UnreachableHooker); ok {
-		r.unreachable = v.Unreachable
+		bind(analysis.CapUnreachable, v.Unreachable)
 	}
 	if v, ok := a.(analysis.IfHooker); ok {
-		r.ifHook = v.If
+		bind(analysis.CapIf, v.If)
 	}
 	if v, ok := a.(analysis.BrHooker); ok {
-		r.br = v.Br
+		bind(analysis.CapBr, v.Br)
 	}
 	if v, ok := a.(analysis.BrIfHooker); ok {
-		r.brIf = v.BrIf
+		bind(analysis.CapBrIf, v.BrIf)
 	}
 	if v, ok := a.(analysis.BrTableHooker); ok {
-		r.brTable = v.BrTable
+		bind(analysis.CapBrTable, v.BrTable)
 	}
 	if v, ok := a.(analysis.BeginHooker); ok {
-		r.begin = v.Begin
+		bind(analysis.CapBegin, v.Begin)
 	}
 	if v, ok := a.(analysis.EndHooker); ok {
-		r.end = v.End
+		bind(analysis.CapEnd, v.End)
 	}
 	if v, ok := a.(analysis.ConstHooker); ok {
-		r.constHook = v.Const
+		bind(analysis.CapConst, v.Const)
 	}
 	if v, ok := a.(analysis.DropHooker); ok {
-		r.drop = v.Drop
+		bind(analysis.CapDrop, v.Drop)
 	}
 	if v, ok := a.(analysis.SelectHooker); ok {
-		r.selectHook = v.Select
+		bind(analysis.CapSelect, v.Select)
 	}
 	if v, ok := a.(analysis.UnaryHooker); ok {
-		r.unary = v.Unary
+		bind(analysis.CapUnary, v.Unary)
 	}
 	if v, ok := a.(analysis.BinaryHooker); ok {
-		r.binary = v.Binary
+		bind(analysis.CapBinary, v.Binary)
 	}
 	if v, ok := a.(analysis.LocalHooker); ok {
-		r.local = v.Local
+		bind(analysis.CapLocal, v.Local)
 	}
 	if v, ok := a.(analysis.GlobalHooker); ok {
-		r.global = v.Global
+		bind(analysis.CapGlobal, v.Global)
 	}
 	if v, ok := a.(analysis.LoadHooker); ok {
-		r.load = v.Load
+		bind(analysis.CapLoad, v.Load)
 	}
 	if v, ok := a.(analysis.StoreHooker); ok {
-		r.store = v.Store
+		bind(analysis.CapStore, v.Store)
 	}
 	if v, ok := a.(analysis.MemorySizeHooker); ok {
-		r.memSize = v.MemorySize
+		bind(analysis.CapMemorySize, v.MemorySize)
 	}
 	if v, ok := a.(analysis.MemoryGrowHooker); ok {
-		r.memGrow = v.MemoryGrow
+		bind(analysis.CapMemoryGrow, v.MemoryGrow)
 	}
 	if v, ok := a.(analysis.CallPreHooker); ok {
-		r.callPre = v.CallPre
+		bind(analysis.CapCallPre, v.CallPre)
 	}
 	if v, ok := a.(analysis.CallPostHooker); ok {
-		r.callPost = v.CallPost
+		bind(analysis.CapCallPost, v.CallPost)
 	}
 	if v, ok := a.(analysis.ReturnHooker); ok {
-		r.returnHook = v.Return
+		bind(analysis.CapReturn, v.Return)
 	}
 	if v, ok := a.(analysis.StartHooker); ok {
-		r.start = v.Start
+		bind(analysis.CapStart, v.Start)
 	}
 	if v, ok := a.(analysis.BlockCoverageHooker); ok {
-		r.blockCov = v.BlockCovered
+		bind(analysis.CapBlockCoverage, v.BlockCovered)
 	}
 	if v, ok := a.(analysis.ModuleInfoReceiver); ok {
 		v.SetModuleInfo(&meta.Info)
@@ -179,11 +171,15 @@ func NewBound(meta *core.Metadata, a any, shared *Shared) *Runtime {
 	return r
 }
 
+// capIndex is the position of capability bit c, its callback's index in
+// Runtime.cbs.
+func capIndex(c analysis.Cap) int { return bits.TrailingZeros32(uint32(c)) }
+
 // BindInstance gives the runtime access to the most recently instantiated
 // module, used as a fallback to resolve indirect-call table indices when a
-// trampoline is invoked without an instance (the interpreter always passes
-// the calling instance, which takes precedence — so with multiple instances
-// per session, each hook resolves against the instance that fired it).
+// hook is invoked without an instance (the interpreter always passes the
+// calling instance, which takes precedence — so with multiple instances per
+// session, each hook resolves against the instance that fired it).
 func (r *Runtime) BindInstance(inst *interp.Instance) { r.inst = inst }
 
 // SetEmitter switches the runtime to stream dispatch: Imports() compiles
@@ -200,21 +196,31 @@ func (r *Runtime) SetEmitter(em *Emitter, caps analysis.Cap) {
 // Imports returns the host imports providing every generated low-level hook
 // under the core.HookModule namespace, each bound to its compiled trampoline
 // (zero-copy Fast convention) — or, in stream mode, to its compiled record
-// encoder (Emit convention). Merge them with the program's own imports
-// before instantiation. The dispatchers are compiled on the first call and
-// reused: a session instantiating N instances binds them once.
+// encoder (Emit convention). A hook none of whose callbacks (or stream
+// capabilities) is present binds to the shared no-op and is marked NoOp, so
+// the interpreter elides its call sites. Merge the imports with the
+// program's own before instantiation. The dispatchers are compiled on the
+// first call and reused: a session instantiating N instances binds them once.
 func (r *Runtime) Imports() interp.Imports {
 	r.importsOnce.Do(func() {
-		fields := make(map[string]any, len(r.meta.Hooks))
-		for i := range r.meta.Hooks {
-			spec := &r.meta.Hooks[i]
-			hf := &interp.HostFunc{Type: spec.WasmType()}
-			if r.emitter != nil {
-				hf.Emit, hf.NoOp = r.compileEncoder(spec, r.shared.Layouts[i], i)
-			} else {
-				hf.Fast, hf.NoOp = r.compileTrampoline(spec, r.shared.Layouts[i])
+		caps := r.caps
+		if r.emitter != nil {
+			caps = r.streamCaps
+		}
+		plans := r.shared.plans
+		fields := make(map[string]any, len(plans))
+		for i := range plans {
+			p := &plans[i]
+			hf := &interp.HostFunc{Type: p.typ}
+			switch {
+			case !caps.HasAny(p.live):
+				hf.Fast, hf.NoOp = nopHook, true
+			case r.emitter != nil:
+				hf.Emit = r.compileEncoder(p)
+			default:
+				hf.Fast = r.compileTrampoline(p)
 			}
-			fields[spec.Name] = hf
+			fields[p.name] = hf
 		}
 		r.imports = interp.Imports{core.HookModule: fields}
 	})

@@ -1,12 +1,13 @@
 package runtime
 
-// Per-spec compiled trampolines: the hot half of the runtime. Where the
-// previous dispatcher re-discovered everything on every hook call — switching
-// on HookSpec.Kind, re-decoding the lowered argument vector through an
-// argReader, rebuilding the opcode name — compileTrampoline does all of that
+// Callback trampolines: the callback backend of hook dispatch. For each live
+// hook, compileTrampoline wraps the analysis callback around the hook's plan
 // once, at Imports() time, and returns a closure that already knows its
-// callback, its interned op name, its lowered argument layout (including the
-// i64 lo/hi re-join offsets), and its exact arity.
+// callback, interned op name, block kind, lowered offsets (including the
+// i64 lo/hi re-joins) and exact arity. There is one case per callback
+// signature; kinds sharing a signature (nop/unreachable/start, const/drop,
+// local/global, load/store, call_post/return) share the closure and differ
+// only in their plans.
 //
 // Trampolines use the interpreter's zero-copy host-call convention
 // (interp.HostFunc.Fast): args is a read-only window aliasing the caller's
@@ -16,515 +17,234 @@ package runtime
 // table) that is valid only for the duration of the callback — analyses use
 // analysis.Values.Clone to retain one. Filling a pooled buffer instead of
 // allocating keeps slice-carrying hook dispatch at 0 allocs/op.
-//
-// Hooks whose callbacks the analysis does not implement compile to a shared
-// no-op and are reported as such, which lets the interpreter's compile pass
-// elide the call and its argument lowering entirely (dead-hook elision).
 
 import (
-	"fmt"
-
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
-	"wasabi/internal/wasm"
 )
 
 // hookFn is the compiled fast-path entry of one low-level hook; it matches
 // interp.HostFunc.Fast.
 type hookFn = func(inst *interp.Instance, args []interp.Value) error
 
-// nopHook is the shared trampoline of every hook the analysis ignores.
+// nopHook is the shared entry of every hook the analysis does not observe.
 func nopHook(*interp.Instance, []interp.Value) error { return nil }
 
-// arityTrap reports a hook call whose lowered argument vector does not match
-// the spec — possible only when an embedder corrupts or mixes up Metadata,
-// or invokes a hook import directly with the wrong arguments. It surfaces as
-// a trap, never as an index-out-of-range panic of the host process.
-func arityTrap(name string, want, got int) error {
-	return &interp.Trap{
-		Code: TrapInvalidMetadata,
-		Info: fmt.Sprintf("hook %s called with %d lowered args, want %d", name, got, want),
+// at is the location of instruction instr in loc's function.
+func at(loc analysis.Location, instr int) analysis.Location {
+	return analysis.Location{Func: loc.Func, Instr: instr}
+}
+
+// compileTrampoline builds the dispatch closure of a live hook.
+func (r *Runtime) compileTrampoline(p *hookPlan) hookFn {
+	if p.tmpl.Kind == analysis.KindBrTable {
+		return r.brTableTrampoline(p)
 	}
-}
-
-// hookLoc decodes the two location words every hook call starts with.
-func hookLoc(args []interp.Value) analysis.Location {
-	return analysis.Location{Func: int(int32(uint32(args[0]))), Instr: int(int32(uint32(args[1])))}
-}
-
-// valueAt decodes one logical value at the precomputed lowered offset,
-// re-joining i64 (lo, hi) halves.
-func valueAt(args []interp.Value, off int, t wasm.ValType) analysis.Value {
-	if t == wasm.I64 {
-		lo := uint64(uint32(args[off]))
-		hi := uint64(uint32(args[off+1]))
-		return analysis.Value{Type: wasm.I64, Bits: hi<<32 | lo}
-	}
-	return analysis.Value{Type: t, Bits: args[off]}
-}
-
-// fillValues decodes a value vector with precomputed offsets into a borrowed
-// buffer (len(vs) == len(ts)).
-func fillValues(vs []analysis.Value, args []interp.Value, offs []int, ts []wasm.ValType) {
-	for i, t := range ts {
-		vs[i] = valueAt(args, offs[i], t)
-	}
-}
-
-// locOnly builds the trampoline shape shared by the hooks whose only
-// payload is the location (nop, unreachable, start).
-func locOnly(cb func(analysis.Location), name string, arity int) hookFn {
-	return func(_ *interp.Instance, args []interp.Value) error {
-		if len(args) != arity {
-			return arityTrap(name, arity, len(args))
-		}
-		cb(hookLoc(args))
-		return nil
-	}
-}
-
-// compileTrampoline builds the specialized dispatch closure for one hook
-// spec against its precomputed lowered-arg layout (shared across sessions).
-// noop reports that the analysis implements no callback the hook could
-// reach — decided from the capability bits computed in NewBound — so the
-// interpreter may elide its call sites outright; the returned fn is still
-// always callable (the shared no-op).
-func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn hookFn, noop bool) {
-	arity := lay.Arity
-	name := spec.Name
-
-	switch spec.Kind {
-	case analysis.KindNop:
-		if !r.caps.Has(analysis.CapNop) {
-			return nopHook, true
-		}
-		return locOnly(r.nop, name, arity), false
-
-	case analysis.KindUnreachable:
-		if !r.caps.Has(analysis.CapUnreachable) {
-			return nopHook, true
-		}
-		return locOnly(r.unreachable, name, arity), false
-
-	case analysis.KindStart:
-		if !r.caps.Has(analysis.CapStart) {
-			return nopHook, true
-		}
-		return locOnly(r.start, name, arity), false
-
-	case analysis.KindBlockProbe:
-		cb := r.blockCov
-		if !r.caps.Has(analysis.CapBlockCoverage) {
-			return nopHook, true
-		}
+	// Every live kind but br_table has exactly one callback bit.
+	switch cb := r.cbs[capIndex(p.live)].(type) {
+	case func(analysis.Location): // nop, unreachable, start
 		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
 			}
-			cb(hookLoc(args), int(int32(uint32(args[2]))))
+			cb(hookLoc(args))
 			return nil
-		}, false
-
-	case analysis.KindIf:
-		cb := r.ifHook
-		if !r.caps.Has(analysis.CapIf) {
-			return nopHook, true
 		}
+	case func(analysis.Location, bool): // if
 		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
 			}
-			cb(hookLoc(args), uint32(args[2]) != 0)
+			cb(hookLoc(args), uint32(args[p.aux]) != 0)
 			return nil
-		}, false
-
-	case analysis.KindBr:
-		cb := r.br
-		if !r.caps.Has(analysis.CapBr) {
-			return nopHook, true
 		}
+	case func(analysis.Location, analysis.BranchTarget): // br
 		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
 			}
 			loc := hookLoc(args)
-			cb(loc, analysis.BranchTarget{
-				Label:    uint32(args[2]),
-				Location: analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[3])))},
+			cb(loc, analysis.BranchTarget{Label: uint32(args[p.aux]), Location: at(loc, int(int32(uint32(args[p.vals[0].off]))))})
+			return nil
+		}
+	case func(analysis.Location, analysis.BranchTarget, bool): // br_if
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			loc := hookLoc(args)
+			cb(loc, analysis.BranchTarget{Label: uint32(args[p.vals[0].off]), Location: at(loc, int(int32(uint32(args[p.vals[1].off]))))},
+				uint32(args[p.aux]) != 0)
+			return nil
+		}
+	case func(analysis.Location, analysis.BlockKind): // begin
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.block)
+			return nil
+		}
+	case func(analysis.Location, analysis.BlockKind, analysis.Location): // end
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			loc := hookLoc(args)
+			cb(loc, p.block, at(loc, int(int32(uint32(args[p.aux])))))
+			return nil
+		}
+	case func(analysis.Location, analysis.Value): // const, drop
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.vals[0].value(args))
+			return nil
+		}
+	case func(analysis.Location, bool, analysis.Value, analysis.Value): // select
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), uint32(args[p.aux]) != 0, p.vals[0].value(args), p.vals[1].value(args))
+			return nil
+		}
+	case func(analysis.Location, string, analysis.Value, analysis.Value): // unary
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.op, p.vals[0].value(args), p.vals[1].value(args))
+			return nil
+		}
+	case func(analysis.Location, string, analysis.Value, analysis.Value, analysis.Value): // binary
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.op, p.vals[0].value(args), p.vals[1].value(args), p.vals[2].value(args))
+			return nil
+		}
+	case func(analysis.Location, string, uint32, analysis.Value): // local, global
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.op, uint32(args[p.aux]), p.vals[0].value(args))
+			return nil
+		}
+	case func(analysis.Location, string, analysis.MemArg, analysis.Value): // load, store
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), p.op, analysis.MemArg{Addr: uint32(args[p.vals[0].off]), Offset: uint32(args[p.aux])},
+				p.vals[1].value(args))
+			return nil
+		}
+	case func(analysis.Location, uint32): // memory_size
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), uint32(args[p.aux]))
+			return nil
+		}
+	case func(analysis.Location, uint32, uint32): // memory_grow
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), uint32(args[p.aux]), uint32(args[p.vals[0].off]))
+			return nil
+		}
+	case func(analysis.Location, int): // block_probe
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			cb(hookLoc(args), int(int32(uint32(args[p.aux]))))
+			return nil
+		}
+	case func(analysis.Location, []analysis.Value): // call_post, return
+		pool := r.shared.Pool
+		return func(_ *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
+			}
+			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
+				cb(hookLoc(args), vs)
 			})
 			return nil
-		}, false
-
-	case analysis.KindBrIf:
-		cb := r.brIf
-		if !r.caps.Has(analysis.CapBrIf) {
-			return nopHook, true
 		}
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
+	case func(analysis.Location, int, []analysis.Value, int64): // call_pre
+		pool := r.shared.Pool
+		return func(inst *interp.Instance, args []interp.Value) error {
+			if len(args) != p.arity {
+				return p.arityTrap(len(args))
 			}
-			loc := hookLoc(args)
-			cb(loc, analysis.BranchTarget{
-				Label:    uint32(args[2]),
-				Location: analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[3])))},
-			}, uint32(args[4]) != 0)
-			return nil
-		}, false
-
-	case analysis.KindBrTable:
-		// The br_table hook is live when either the br_table callback or the
-		// end callback is implemented: the runtime half of the dynamic
-		// block-nesting mechanism (paper §2.4.5) replays the end hooks of the
-		// blocks left by the taken branch.
-		if !r.caps.HasAny(analysis.CapBrTable | analysis.CapEnd) {
-			return nopHook, true
-		}
-		return r.brTableTrampoline(name, arity), false
-
-	case analysis.KindBegin:
-		cb := r.begin
-		if !r.caps.Has(analysis.CapBegin) {
-			return nopHook, true
-		}
-		block := spec.Block
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
+			w := uint32(args[p.aux]) // the target function, or the table index of an indirect call
+			target, tblIdx := int(int32(w)), int64(-1)
+			if p.indirect {
+				target, tblIdx = r.resolve(inst, w), int64(w)
 			}
-			cb(hookLoc(args), block)
+			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
+				cb(hookLoc(args), target, vs, tblIdx)
+			})
 			return nil
-		}, false
-
-	case analysis.KindEnd:
-		cb := r.end
-		if !r.caps.Has(analysis.CapEnd) {
-			return nopHook, true
 		}
-		block := spec.Block
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			loc := hookLoc(args)
-			cb(loc, block, analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[2])))})
-			return nil
-		}, false
-
-	case analysis.KindConst:
-		cb := r.constHook
-		if !r.caps.Has(analysis.CapConst) {
-			return nopHook, true
-		}
-		t := spec.Types[0]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), valueAt(args, 2, t))
-			return nil
-		}, false
-
-	case analysis.KindDrop:
-		cb := r.drop
-		if !r.caps.Has(analysis.CapDrop) {
-			return nopHook, true
-		}
-		t := spec.Types[0]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), valueAt(args, 2, t))
-			return nil
-		}, false
-
-	case analysis.KindSelect:
-		cb := r.selectHook
-		if !r.caps.Has(analysis.CapSelect) {
-			return nopHook, true
-		}
-		t := spec.Types[1]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), uint32(args[2]) != 0, valueAt(args, o1, t), valueAt(args, o2, t))
-			return nil
-		}, false
-
-	case analysis.KindUnary:
-		cb := r.unary
-		if !r.caps.Has(analysis.CapUnary) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		tIn, tOut := spec.Types[0], spec.Types[1]
-		oOut := lay.Offs[1]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op, valueAt(args, 2, tIn), valueAt(args, oOut, tOut))
-			return nil
-		}, false
-
-	case analysis.KindBinary:
-		cb := r.binary
-		if !r.caps.Has(analysis.CapBinary) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		t0, t1, t2 := spec.Types[0], spec.Types[1], spec.Types[2]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op, valueAt(args, 2, t0), valueAt(args, o1, t1), valueAt(args, o2, t2))
-			return nil
-		}, false
-
-	case analysis.KindLocal:
-		cb := r.local
-		if !r.caps.Has(analysis.CapLocal) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		t := spec.Types[1]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op, uint32(args[2]), valueAt(args, 3, t))
-			return nil
-		}, false
-
-	case analysis.KindGlobal:
-		cb := r.global
-		if !r.caps.Has(analysis.CapGlobal) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		t := spec.Types[1]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op, uint32(args[2]), valueAt(args, 3, t))
-			return nil
-		}, false
-
-	case analysis.KindLoad:
-		cb := r.load
-		if !r.caps.Has(analysis.CapLoad) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		t := spec.Types[2]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op,
-				analysis.MemArg{Addr: uint32(args[3]), Offset: uint32(args[2])},
-				valueAt(args, 4, t))
-			return nil
-		}, false
-
-	case analysis.KindStore:
-		cb := r.store
-		if !r.caps.Has(analysis.CapStore) {
-			return nopHook, true
-		}
-		op := spec.OpName()
-		t := spec.Types[2]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op,
-				analysis.MemArg{Addr: uint32(args[3]), Offset: uint32(args[2])},
-				valueAt(args, 4, t))
-			return nil
-		}, false
-
-	case analysis.KindMemorySize:
-		cb := r.memSize
-		if !r.caps.Has(analysis.CapMemorySize) {
-			return nopHook, true
-		}
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), uint32(args[2]))
-			return nil
-		}, false
-
-	case analysis.KindMemoryGrow:
-		cb := r.memGrow
-		if !r.caps.Has(analysis.CapMemoryGrow) {
-			return nopHook, true
-		}
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), uint32(args[2]), uint32(args[3]))
-			return nil
-		}, false
-
-	case analysis.KindCall:
-		return r.callTrampoline(spec, lay)
-
-	case analysis.KindReturn:
-		cb := r.returnHook
-		if !r.caps.Has(analysis.CapReturn) {
-			return nopHook, true
-		}
-		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, cb), false
 	}
-
-	// Unknown kind (newer metadata than this runtime): bind to the no-op so
-	// the module still runs; nothing could be dispatched anyway.
-	return nopHook, true
+	// Unreachable: every callback signature has a case above.
+	return nopHook
 }
 
 // borrowValues is the single implementation of the borrowed-buffer checkout
 // protocol every slice-carrying trampoline goes through: decode the value
 // vector into a pooled buffer, hand it to dispatch for the duration of the
-// call, put it back. n == 0 dispatches nil without touching the pool. The
-// dispatch closure must not escape (that would re-introduce a per-call
-// allocation — the zero-alloc guard test watches this).
-func borrowValues(pool *ValuePool, n int, args []interp.Value, offs []int, ts []wasm.ValType, dispatch func(vs []analysis.Value)) {
-	if n == 0 {
+// call, put it back. An empty vector dispatches nil without touching the
+// pool. The dispatch closure must not escape (that would re-introduce a
+// per-call allocation — the zero-alloc guard test watches this).
+func borrowValues(pool *ValuePool, vec []word, args []interp.Value, dispatch func(vs []analysis.Value)) {
+	if len(vec) == 0 {
 		dispatch(nil)
 		return
 	}
-	buf := pool.getValues(n)
-	fillValues(buf.vs, args, offs, ts)
+	buf := pool.getValues(len(vec))
+	for i, w := range vec {
+		buf.vs[i] = w.value(args)
+	}
 	dispatch(buf.vs)
 	pool.putValues(buf)
 }
 
-// valuesTrampoline builds the shared shape of the two hooks whose payload is
-// one borrowed value vector (return, call_post).
-func (r *Runtime) valuesTrampoline(name string, arity int, offs []int, ts []wasm.ValType, cb func(analysis.Location, []analysis.Value)) hookFn {
-	pool, n := r.shared.Pool, len(ts)
-	return func(_ *interp.Instance, args []interp.Value) error {
-		if len(args) != arity {
-			return arityTrap(name, arity, len(args))
-		}
-		borrowValues(pool, n, args, offs, ts, func(vs []analysis.Value) {
-			cb(hookLoc(args), vs)
-		})
-		return nil
-	}
-}
-
-// callTrampoline specializes the three call-hook shapes: call_post, direct
-// call_pre, and indirect call_pre (with table resolution, paper §2.3).
-func (r *Runtime) callTrampoline(spec *core.HookSpec, lay core.ArgLayout) (hookFn, bool) {
-	arity := lay.Arity
-	name := spec.Name
-	if spec.Post {
-		cb := r.callPost
-		if !r.caps.Has(analysis.CapCallPost) {
-			return nopHook, true
-		}
-		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, cb), false
-	}
-	cb := r.callPre
-	if !r.caps.Has(analysis.CapCallPre) {
-		return nopHook, true
-	}
-	// Types[0] is the i32 target (direct) or table index (indirect); the
-	// actual callee arguments follow.
-	offs, ts := lay.Offs[1:], spec.Types[1:]
-	pool, n := r.shared.Pool, len(ts)
-	if !spec.Indirect {
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			borrowValues(pool, n, args, offs, ts, func(vs []analysis.Value) {
-				cb(hookLoc(args), int(int32(uint32(args[2]))), vs, -1)
-			})
-			return nil
-		}, false
-	}
-	meta := r.meta
-	return func(inst *interp.Instance, args []interp.Value) error {
-		if len(args) != arity {
-			return arityTrap(name, arity, len(args))
-		}
-		tblIdx := uint32(args[2])
-		// Resolve the runtime table index to the actually called function
-		// and map it back to the original index space. The instance making
-		// the call is preferred over the explicitly bound one, so hooks that
-		// fire during the start function resolve correctly without
-		// BindInstance having run.
-		ri := inst
-		if ri == nil {
-			ri = r.inst
-		}
-		target := -1
-		if ri != nil {
-			if fidx := ri.ResolveTable(tblIdx); fidx >= 0 {
-				target = meta.OriginalFuncIdx(int(fidx))
-			}
-		}
-		borrowValues(pool, n, args, offs, ts, func(vs []analysis.Value) {
-			cb(hookLoc(args), target, vs, int64(tblIdx))
-		})
-		return nil
-	}, false
-}
-
-// brTableTrampoline handles the one hook whose dispatch consults
-// instrumentation metadata at run time: which blocks a br_table leaves is
-// only known once the branch index is (paper §2.4.5).
-func (r *Runtime) brTableTrampoline(name string, arity int) hookFn {
-	endCb := r.end
-	tableCb := r.brTable
-	meta := r.meta
+// brTableTrampoline fires the end callbacks of the blocks the taken branch
+// leaves, then the br_table callback with the borrowed resolved-target table.
+func (r *Runtime) brTableTrampoline(p *hookPlan) hookFn {
+	endCb, _ := r.cbs[capIndex(analysis.CapEnd)].(func(analysis.Location, analysis.BlockKind, analysis.Location))
+	tableCb, _ := r.cbs[capIndex(analysis.CapBrTable)].(func(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32))
 	pool := r.shared.Pool
 	return func(_ *interp.Instance, args []interp.Value) error {
-		if len(args) != arity {
-			return arityTrap(name, arity, len(args))
+		if len(args) != p.arity {
+			return p.arityTrap(len(args))
+		}
+		info, taken := r.brTaken(p, args)
+		if info == nil {
+			return r.brTableTrap(p, args)
 		}
 		loc := hookLoc(args)
-		metaIdx := int(int32(uint32(args[2])))
-		idx := uint32(args[3])
-		if metaIdx < 0 || metaIdx >= len(meta.BrTables) {
-			return &interp.Trap{
-				Code: TrapInvalidMetadata,
-				Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(meta.BrTables), loc),
-			}
-		}
-		info := &meta.BrTables[metaIdx]
-
-		taken := info.Default
-		if int(idx) < len(info.Targets) {
-			taken = info.Targets[idx]
-		}
-		// Fire the end hooks of all blocks left by the taken branch.
 		if endCb != nil {
 			for _, e := range taken.Ends {
-				endCb(analysis.Location{Func: loc.Func, Instr: e.End}, e.Kind,
-					analysis.Location{Func: loc.Func, Instr: e.Begin})
+				endCb(at(loc, e.End), e.Kind, at(loc, e.Begin))
 			}
 		}
 		if tableCb != nil {
 			buf := pool.getTargets(len(info.Targets))
 			for i, t := range info.Targets {
-				buf.ts[i] = analysis.BranchTarget{Label: t.Label, Location: analysis.Location{Func: loc.Func, Instr: t.Instr}}
+				buf.ts[i] = analysis.BranchTarget{Label: t.Label, Location: at(loc, t.Instr)}
 			}
-			deflt := analysis.BranchTarget{Label: info.Default.Label, Location: analysis.Location{Func: loc.Func, Instr: info.Default.Instr}}
-			tableCb(loc, buf.ts, deflt, idx)
+			deflt := analysis.BranchTarget{Label: info.Default.Label, Location: at(loc, info.Default.Instr)}
+			tableCb(loc, buf.ts, deflt, uint32(args[p.aux]))
 			pool.putTargets(buf)
 		}
 		return nil

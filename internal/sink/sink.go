@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"unsafe"
 
@@ -110,12 +111,17 @@ func bytesEvents(b []byte) []analysis.Event {
 
 // encodeTable serializes an EventTable deterministically (little-endian,
 // length-prefixed strings) so identical instrumentations produce identical
-// file headers.
-func encodeTable(tbl *analysis.EventTable) []byte {
+// file headers. A spec the format cannot hold — more than 255 types (a
+// call_pre of a function with 255 or more parameters) or a string over
+// 65,535 bytes — is an error, not a segment that Open would reject.
+func encodeTable(tbl *analysis.EventTable) ([]byte, error) {
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(tbl.Specs)))
 	for i := range tbl.Specs {
 		s := &tbl.Specs[i]
+		if len(s.Types) > math.MaxUint8 {
+			return nil, fmt.Errorf("wasabi: hook %d (%s) has %d types; a segment records at most %d", i, s.Name, len(s.Types), math.MaxUint8)
+		}
 		var flags byte
 		if s.Indirect {
 			flags |= 1
@@ -128,11 +134,14 @@ func encodeTable(tbl *analysis.EventTable) []byte {
 			out = append(out, byte(t))
 		}
 		for _, str := range []string{s.Name, s.Op, string(s.Block)} {
+			if len(str) > math.MaxUint16 {
+				return nil, fmt.Errorf("wasabi: hook %d has a %d-byte string; a segment records at most %d", i, len(str), math.MaxUint16)
+			}
 			out = binary.LittleEndian.AppendUint16(out, uint16(len(str)))
 			out = append(out, str...)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // decodeTable is the inverse of encodeTable; any bounds violation reports
@@ -216,7 +225,10 @@ type Writer struct {
 // Create creates (truncating) a segment file recording streams decoded by
 // tbl — pass the Stream or Fabric's Table.
 func Create(path string, tbl *analysis.EventTable) (*Writer, error) {
-	blob := encodeTable(tbl)
+	blob, err := encodeTable(tbl)
+	if err != nil {
+		return nil, err
+	}
 	if len(blob) > 1<<31-1 {
 		return nil, fmt.Errorf("wasabi: event table too large to record (%d bytes)", len(blob))
 	}

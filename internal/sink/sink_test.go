@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"wasabi/internal/analysis"
+	"wasabi/internal/builder"
+	"wasabi/internal/core"
 	"wasabi/internal/wasm"
 )
 
@@ -294,5 +296,46 @@ func TestWriterGrowth(t *testing.T) {
 	recs := r.Records()
 	if recs[len(recs)-1].Func != int32(len(batch)-1) {
 		t.Errorf("last record corrupted across growth: %+v", recs[len(recs)-1])
+	}
+}
+
+// TestCreateRefusesUnrecordableTable pins that Create rejects a decode table
+// the segment format cannot hold instead of writing a file Open then reports
+// as corrupt: a module calling a 300-parameter function monomorphizes a
+// call_pre hook with 301 types (the type count is one byte), and strings are
+// length-prefixed with two bytes.
+func TestCreateRefusesUnrecordableTable(t *testing.T) {
+	b := builder.New()
+	params := make([]wasm.ValType, 300)
+	for i := range params {
+		params[i] = wasm.I32
+	}
+	wide := b.Func("wide", params, nil)
+	wide.Done()
+	f := b.Func("f", nil, nil)
+	for range params {
+		f.I32(1)
+	}
+	f.Call(wide.Index)
+	f.Done()
+	_, md, err := core.Instrument(b.Build(), core.Options{Hooks: analysis.AllHooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	long := fixtureTable()
+	long.Specs[0].Name = string(make([]byte, 1<<16))
+
+	for name, tbl := range map[string]*analysis.EventTable{"300 params": md.EventTable(), "64 KiB name": long} {
+		path := filepath.Join(t.TempDir(), "wide.evlog")
+		w, err := Create(path, tbl)
+		if err == nil {
+			w.Close()
+			_, oerr := Open(path)
+			t.Fatalf("%s: Create accepted the table (Open then says %v)", name, oerr)
+		}
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Errorf("%s: refused Create left a file behind (stat: %v)", name, serr)
+		}
 	}
 }
