@@ -74,7 +74,9 @@ const DefaultCompiledCacheLimit = 128
 type EngineOption func(*Engine) error
 
 // WithParallelism bounds the instrumenter's worker goroutines (0 means
-// GOMAXPROCS, 1 disables parallel instrumentation).
+// GOMAXPROCS, 1 disables parallel instrumentation). It bounds only the
+// instrumenter: decoding, validation, static analysis and encoding each fan
+// out over GOMAXPROCS workers.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) error {
 		if n < 0 {

@@ -5,14 +5,21 @@ import (
 	"fmt"
 
 	"wasabi/internal/leb128"
+	"wasabi/internal/parallel"
 	"wasabi/internal/wasm"
 )
 
 // ErrBadMagic is returned for inputs that are not wasm binaries.
 var ErrBadMagic = errors.New("binary: bad magic or unsupported version")
 
-// Decode parses a WebAssembly binary into a module AST.
-func Decode(data []byte) (*wasm.Module, error) {
+// Decode parses a WebAssembly binary into a module AST. Function bodies are
+// decoded on GOMAXPROCS workers; the module, or the error, does not depend
+// on the worker count.
+func Decode(data []byte) (*wasm.Module, error) { return decode(data, 0) }
+
+// decode is Decode with function bodies decoded on par workers (0 means
+// GOMAXPROCS).
+func decode(data []byte, par int) (*wasm.Module, error) {
 	r := &reader{data: data}
 	if len(data) < 8 {
 		return nil, ErrBadMagic
@@ -68,7 +75,7 @@ func Decode(data []byte) (*wasm.Module, error) {
 		case secElem:
 			err = decodeElems(body, m)
 		case secCode:
-			err = decodeCode(body, m)
+			err = decodeCode(body, m, par)
 		case secData:
 			err = decodeDatas(body, m)
 		default:
@@ -367,11 +374,17 @@ func decodeDatas(r *reader, m *wasm.Module) error {
 	return r.err
 }
 
-func decodeCode(r *reader, m *wasm.Module) error {
+// decodeCode scans the code section's length-prefixed bodies, then decodes
+// them on par workers. A length prefix that overruns the section, or does
+// not parse, ends the scan and fails at its own index: it is reported only
+// if every body before it decodes, as a sequential decoder would.
+func decodeCode(r *reader, m *wasm.Module, par int) error {
 	n := r.u32()
 	if r.err == nil && int(n) != len(m.Funcs) {
 		return fmt.Errorf("binary: code section has %d bodies but function section declared %d", n, len(m.Funcs))
 	}
+	bodies := make([][]byte, 0, capHint(n))
+	var scanErr error
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		size := r.u32()
 		if r.err != nil {
@@ -379,35 +392,72 @@ func decodeCode(r *reader, m *wasm.Module) error {
 		}
 		end := r.pos + int(size)
 		if end > len(r.data) {
-			return fmt.Errorf("binary: code body %d length exceeds section", i)
+			scanErr = fmt.Errorf("binary: code body %d length exceeds section", i)
+			break
 		}
-		body := &reader{data: r.data[r.pos:end]}
-		// Locals.
-		runCount := body.u32()
-		var locals []wasm.ValType
-		total := 0
-		for j := uint32(0); j < runCount && body.err == nil; j++ {
-			cnt := body.u32()
-			t := body.valType()
-			total += int(cnt)
-			if total > 1_000_000 {
-				return fmt.Errorf("binary: code body %d declares too many locals", i)
-			}
-			for k := uint32(0); k < cnt; k++ {
-				locals = append(locals, t)
-			}
-		}
-		var brTargets []uint32
-		instrs, err := body.instrsUntilEndOfInput(&brTargets)
-		if err != nil {
-			return fmt.Errorf("binary: code body %d: %w", i, err)
-		}
-		m.Funcs[i].Locals = locals
-		m.Funcs[i].Body = instrs
-		m.Funcs[i].BrTargets = brTargets
+		bodies = append(bodies, r.data[r.pos:end])
 		r.pos = end
 	}
+	err := parallel.For(len(bodies), par, func() *bodyScratch { return new(bodyScratch) }, nil,
+		func(s *bodyScratch, i int) error {
+			return s.decode(bodies[i], &m.Funcs[i], i)
+		})
+	if err != nil {
+		return err
+	}
+	if scanErr != nil {
+		return scanErr
+	}
 	return r.err
+}
+
+// bodyScratch is one decode worker's reusable buffers. A body is decoded
+// into them and then copied out at its exact length, so each returned slice
+// is one allocation of exactly the size it holds.
+type bodyScratch struct {
+	locals  []wasm.ValType
+	instrs  []wasm.Instr
+	targets []uint32
+}
+
+// decode decodes code body i from data into f.
+func (s *bodyScratch) decode(data []byte, f *wasm.Func, i int) error {
+	body := &reader{data: data}
+	// Locals.
+	runCount := body.u32()
+	s.locals = s.locals[:0]
+	total := 0
+	for j := uint32(0); j < runCount && body.err == nil; j++ {
+		cnt := body.u32()
+		t := body.valType()
+		total += int(cnt)
+		if total > 1_000_000 {
+			return fmt.Errorf("binary: code body %d declares too many locals", i)
+		}
+		for k := uint32(0); k < cnt; k++ {
+			s.locals = append(s.locals, t)
+		}
+	}
+	s.targets = s.targets[:0]
+	var err error
+	s.instrs, err = body.instrsUntilEndOfInput(s.instrs[:0], &s.targets)
+	if err != nil {
+		return fmt.Errorf("binary: code body %d: %w", i, err)
+	}
+	f.Locals = exact(s.locals)
+	f.Body = exact(s.instrs)
+	f.BrTargets = exact(s.targets)
+	return nil
+}
+
+// exact copies s into a new slice of its exact length; nil when empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 func decodeCustom(r *reader, m *wasm.Module) error {
@@ -475,23 +525,23 @@ func (r *reader) expr() ([]wasm.Instr, error) {
 	}
 }
 
-// instrsUntilEndOfInput reads instructions until the input is exhausted
-// (used for code bodies, whose length is given by the size prefix).
-// br_table targets are appended to the function's pool.
-func (r *reader) instrsUntilEndOfInput(brTargets *[]uint32) ([]wasm.Instr, error) {
-	var instrs []wasm.Instr
+// instrsUntilEndOfInput appends instructions to instrs until the input is
+// exhausted (used for code bodies, whose length is given by the size
+// prefix), returning the grown slice even on error so its buffer can be
+// reused. br_table targets are appended to the function's pool.
+func (r *reader) instrsUntilEndOfInput(instrs []wasm.Instr, brTargets *[]uint32) ([]wasm.Instr, error) {
 	for !r.done() {
 		in, err := r.instr(brTargets)
 		if err != nil {
-			return nil, err
+			return instrs, err
 		}
 		instrs = append(instrs, in)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return instrs, r.err
 	}
 	if len(instrs) == 0 || instrs[len(instrs)-1].Op != wasm.OpEnd {
-		return nil, errors.New("binary: function body not terminated by end")
+		return instrs, errors.New("binary: function body not terminated by end")
 	}
 	return instrs, nil
 }

@@ -6,8 +6,10 @@ package binary
 
 import (
 	"fmt"
+	"slices"
 
 	"wasabi/internal/leb128"
+	"wasabi/internal/parallel"
 	"wasabi/internal/wasm"
 )
 
@@ -30,18 +32,27 @@ const (
 	secData     = 11
 )
 
-// Encode serializes a module to the WebAssembly binary format. Section
-// bodies are assembled first and the output buffer is then allocated at its
-// exact final size, so serializing even a large (instrumented) module
-// performs no buffer regrowth.
-func Encode(m *wasm.Module) ([]byte, error) {
+// Encode serializes a module to the WebAssembly binary format. Every
+// section is sized before the output buffer is allocated, once, at its exact
+// final size. Function bodies are sized and then written straight into that
+// buffer at their precomputed offsets, both on GOMAXPROCS workers; the bytes
+// do not depend on the worker count.
+func Encode(m *wasm.Module) ([]byte, error) { return encode(m, 0) }
+
+// encode is Encode with function bodies sized and written on par workers
+// (0 means GOMAXPROCS).
+func encode(m *wasm.Module, par int) ([]byte, error) {
+	// Every section but the code section is assembled into a body of its
+	// own; the code section's body is written in place, after the output
+	// exists.
 	type section struct {
 		id   byte
 		body []byte
+		size int
 	}
 	sections := make([]section, 0, 12)
 	add := func(id byte, body []byte) {
-		sections = append(sections, section{id, body})
+		sections = append(sections, section{id, body, len(body)})
 	}
 
 	if len(m.Types) > 0 {
@@ -83,12 +94,13 @@ func Encode(m *wasm.Module) ([]byte, error) {
 		}
 		add(secElem, b)
 	}
+	var code *codeLayout
 	if len(m.Funcs) > 0 {
-		b, err := encodeCode(m)
-		if err != nil {
+		var err error
+		if code, err = layoutCode(m, par); err != nil {
 			return nil, err
 		}
-		add(secCode, b)
+		sections = append(sections, section{id: secCode, size: code.sectionSize()})
 	}
 	if len(m.Datas) > 0 {
 		b, err := encodeDatas(m)
@@ -109,12 +121,26 @@ func Encode(m *wasm.Module) ([]byte, error) {
 
 	total := len(header)
 	for _, s := range sections {
-		total += 1 + leb128.SizeU32(uint32(len(s.body))) + len(s.body)
+		total += 1 + leb128.SizeU32(uint32(s.size)) + s.size
 	}
 	out := make([]byte, 0, total)
 	out = append(out, header...)
+	var entries []byte
 	for _, s := range sections {
-		out = appendSection(out, s.id, s.body)
+		if s.id != secCode {
+			out = appendSection(out, s.id, s.body)
+			continue
+		}
+		out = append(out, secCode)
+		out = leb128.AppendU32(out, uint32(s.size))
+		out = leb128.AppendU32(out, uint32(len(m.Funcs)))
+		entries = out[len(out) : len(out)+code.entries]
+		out = out[:len(out)+code.entries]
+	}
+	if code != nil {
+		if err := code.write(m, entries, par); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -273,35 +299,64 @@ func encodeDatas(m *wasm.Module) ([]byte, error) {
 	return b, nil
 }
 
-// encodeCode serializes the code section. A cheap measure pass computes the
-// exact encoded size of every function body first, so the section buffer is
-// allocated once at its final size and each body is encoded directly into it
-// (no per-function staging buffer, no regrowth).
-func encodeCode(m *wasm.Module) ([]byte, error) {
-	total := leb128.SizeU32(uint32(len(m.Funcs)))
-	sizes := make([]int, len(m.Funcs))
-	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		n, err := funcBodySize(f)
+// codeLayout places the code section's entries before the output exists:
+// sizes[i] is function i's exact body size (mirroring appendLocals +
+// appendInstrs) and at[i] the offset of its entry — the size prefix, then
+// the body — from the first entry.
+type codeLayout struct {
+	sizes, at []int
+	entries   int // total size of all entries
+}
+
+// layoutCode sizes every function body on par workers. A body that cannot
+// be encoded fails here, before anything is written.
+func layoutCode(m *wasm.Module, par int) (*codeLayout, error) {
+	l := &codeLayout{sizes: make([]int, len(m.Funcs)), at: make([]int, len(m.Funcs))}
+	err := parallel.Each(len(m.Funcs), par, func(i int) error {
+		n, err := funcBodySize(&m.Funcs[i])
 		if err != nil {
-			return nil, fmt.Errorf("binary: function %d: %w", i, err)
+			return fmt.Errorf("binary: function %d: %w", i, err)
 		}
-		sizes[i] = n
-		total += leb128.SizeU32(uint32(n)) + n
+		l.sizes[i] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	b := make([]byte, 0, total)
-	b = leb128.AppendU32(b, uint32(len(m.Funcs)))
-	for i := range m.Funcs {
+	for i, n := range l.sizes {
+		l.at[i] = l.entries
+		l.entries += leb128.SizeU32(uint32(n)) + n
+	}
+	return l, nil
+}
+
+// sectionSize is the size of the code section's payload: the body count,
+// then the entries.
+func (l *codeLayout) sectionSize() int {
+	return leb128.SizeU32(uint32(len(l.sizes))) + l.entries
+}
+
+// write encodes every entry into its span of entries on par workers. Each
+// body is appended into a zero-length slice capped at its span, so a size
+// pass that disagreed with the write pass shows as a length mismatch
+// instead of a silent reallocation.
+func (l *codeLayout) write(m *wasm.Module, entries []byte, par int) error {
+	return parallel.Each(len(m.Funcs), par, func(i int) error {
 		f := &m.Funcs[i]
-		b = leb128.AppendU32(b, uint32(sizes[i]))
+		start := l.at[i]
+		end := start + leb128.SizeU32(uint32(l.sizes[i])) + l.sizes[i]
+		b := entries[start:start:end]
+		b = leb128.AppendU32(b, uint32(l.sizes[i]))
 		b = appendLocals(b, f.Locals)
-		var err error
-		b, err = appendInstrs(b, f.Body, f.BrTargets)
+		b, err := appendInstrs(b, f.Body, f.BrTargets)
 		if err != nil {
-			return nil, fmt.Errorf("binary: function %d: %w", i, err)
+			return fmt.Errorf("binary: function %d: %w", i, err)
 		}
-	}
-	return b, nil
+		if len(b) != end-start {
+			return fmt.Errorf("binary: function %d: encoded %d bytes, sized %d", i, len(b), end-start)
+		}
+		return nil
+	})
 }
 
 // localRuns calls fn once per run of the run-length encoding of locals.
@@ -513,12 +568,7 @@ func encodeNameSection(m *wasm.Module) []byte {
 	for i := range m.FuncNames {
 		idxs = append(idxs, i)
 	}
-	// Insertion sort: name maps are small.
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j-1] > idxs[j]; j-- {
-			idxs[j-1], idxs[j] = idxs[j], idxs[j-1]
-		}
-	}
+	slices.Sort(idxs)
 	var sub []byte
 	sub = leb128.AppendU32(sub, uint32(len(idxs)))
 	for _, i := range idxs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"wasabi/internal/analysis"
@@ -38,6 +39,7 @@ func fuzzSeeds() ([][]byte, error) {
 		{0x00, 0x61, 0x73, 0x6D, 0x01, 0, 0, 0},
 		corrupt,
 		hostileNameCountModule(),
+		hostileCodeCountModule(),
 	}, nil
 }
 
@@ -54,10 +56,19 @@ func hostileNameCountModule() []byte {
 	return append(mod, payload...)
 }
 
-// FuzzDecode checks the decoder never panics on arbitrary input, and that
-// anything it accepts round-trips through the encoder and, if it validates,
-// survives full instrumentation. Run with `go test -fuzz=FuzzDecode`;
-// the seed corpus alone runs as a regular test.
+// hostileCodeCountModule encodes a module whose code section claims
+// 2^32-1 bodies in a few payload bytes: a length-field DoS probe for the
+// code section's boundary scan, whose preallocation goes through capHint.
+func hostileCodeCountModule() []byte {
+	return []byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0, 0, 0,
+		0x0A /* code */, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0xF /* count = 0xFFFFFFFF, no bodies */}
+}
+
+// FuzzDecode checks the decoder never panics on arbitrary input, that it
+// decodes the same module, or fails with the same error, with four workers
+// as with one, and that anything it accepts round-trips through the encoder
+// and, if it validates, survives full instrumentation. Run with
+// `go test -fuzz=FuzzDecode`; the seed corpus alone runs as a regular test.
 func FuzzDecode(f *testing.F) {
 	seeds, err := fuzzSeeds()
 	if err != nil {
@@ -68,9 +79,16 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
+		m, err := decode(data, 4)
+		seq, seqErr := decode(data, 1)
+		if (err == nil) != (seqErr == nil) || err != nil && err.Error() != seqErr.Error() {
+			t.Fatalf("4 workers: %v; 1 worker: %v", err, seqErr)
+		}
 		if err != nil {
 			return // rejected: fine
+		}
+		if !reflect.DeepEqual(m, seq) {
+			t.Fatal("4 workers decode a different module than 1")
 		}
 		// Accepted input must re-encode without error.
 		out, err := Encode(m)
@@ -161,6 +179,15 @@ func TestHostileLengthPrefixes(t *testing.T) {
 		0x01 /* type section */, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0xF}
 	if _, err := Decode(data); err == nil {
 		t.Error("truncated type section with huge count was accepted")
+	}
+	// Likewise a code section claiming 2^32-1 bodies: rejected before its
+	// boundary scan allocates anything sized by the count.
+	var decErr error
+	if alloc := allocated(func() { _, decErr = Decode(hostileCodeCountModule()) }); alloc > 64<<10 {
+		t.Errorf("hostile code count allocated %d bytes", alloc)
+	}
+	if decErr == nil {
+		t.Error("code section with huge body count was accepted")
 	}
 }
 

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"wasabi/internal/analysis"
+	"wasabi/internal/parallel"
 	"wasabi/internal/validate"
 	"wasabi/internal/wasm"
 )
@@ -28,7 +26,8 @@ type Options struct {
 
 	// Parallelism bounds the number of goroutines instrumenting function
 	// bodies concurrently (paper §3). 0 means GOMAXPROCS; 1 disables
-	// parallelism.
+	// parallelism. It bounds this instrumenter only: decode, validation,
+	// static analysis and encode each fan out over GOMAXPROCS workers.
 	Parallelism int
 
 	// SkipValidation skips validating the input module first. The
@@ -93,56 +92,27 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 		locals    []wasm.ValType
 		brTables  []BrTableInfo
 		callSites []uint32
-		err       error
 	}
 	results := make([]result, len(m.Funcs))
 
-	// Fan out over a fixed-size worker pool instead of a goroutine per
-	// function: each worker owns one pooled instrumenter whose buffers are
-	// reused across all functions it processes. Results are written by
-	// function index and hook ordering is finalized by name below, so the
-	// output is byte-identical regardless of scheduling (including par == 1).
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(m.Funcs) {
-		par = len(m.Funcs)
-	}
-	work := func(fi *funcInstrumenter, next *atomic.Int64) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(m.Funcs) {
-				return
-			}
+	// Each worker owns one pooled instrumenter whose buffers are reused
+	// across all functions it processes. Results are written by function
+	// index and hook ordering is finalized by name below, so the output is
+	// byte-identical regardless of scheduling (including par == 1).
+	err := parallel.For(len(m.Funcs), opts.Parallelism,
+		func() *funcInstrumenter { return acquireInstrumenter(m, opts.Hooks, hooks) },
+		releaseInstrumenter,
+		func(fi *funcInstrumenter, i int) error {
 			body, locals, brs, calls, err := fi.instrumentFunc(i, i == startDefined, brBase[i], opts.Plan)
-			results[i] = result{body, locals, brs, calls, err}
-		}
-	}
-	var next atomic.Int64
-	if par <= 1 {
-		fi := acquireInstrumenter(m, opts.Hooks, hooks)
-		work(fi, &next)
-		releaseInstrumenter(fi)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fi := acquireInstrumenter(m, opts.Hooks, hooks)
-				work(fi, &next)
-				releaseInstrumenter(fi)
-			}()
-		}
-		wg.Wait()
+			results[i] = result{body, locals, brs, calls}
+			return err
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	brTables := make([]BrTableInfo, totalBrTables)
 	for i := range results {
-		if results[i].err != nil {
-			return nil, nil, results[i].err
-		}
 		out.Funcs[i].Body = results[i].body
 		out.Funcs[i].Locals = append(out.Funcs[i].Locals, results[i].locals...)
 		copy(brTables[brBase[i]:], results[i].brTables)
@@ -206,7 +176,12 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	if len(out.FuncNames) > 0 {
 		names := make(map[uint32]string, len(out.FuncNames))
 		for idx, name := range out.FuncNames {
-			names[remap(idx)] = name
+			// The decoder keeps the advisory name section as it is; a name
+			// for an index past the module's functions names nothing, and
+			// remap would read it as a hook placeholder.
+			if idx < base {
+				names[remap(idx)] = name
+			}
 		}
 		out.FuncNames = names
 	}

@@ -136,3 +136,24 @@ func coreImports(md *core.Metadata) interp.Imports {
 	}
 	return interp.Imports{core.HookModule: fields}
 }
+
+// TestRemapDropsNamesOfMissingFunctions instruments a module whose name
+// section names a function index it does not have, as an arbitrary input
+// binary may: the name is dropped instead of being read as a hook.
+func TestRemapDropsNamesOfMissingFunctions(t *testing.T) {
+	m := remapModule()
+	missing := uint32(m.NumFuncs() + 40)
+	m.FuncNames[missing] = "ghost"
+	out, _, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, name := range out.FuncNames {
+		if name == "ghost" {
+			t.Errorf("name of missing function %d kept at index %d", missing, idx)
+		}
+	}
+	if len(out.FuncNames) != len(m.FuncNames)-1 {
+		t.Errorf("instrumented module keeps %d names, want %d", len(out.FuncNames), len(m.FuncNames)-1)
+	}
+}

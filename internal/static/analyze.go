@@ -5,6 +5,7 @@ import (
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
+	"wasabi/internal/parallel"
 	"wasabi/internal/wasm"
 )
 
@@ -24,28 +25,38 @@ type ModuleAnalysis struct {
 
 // Analyze runs the whole static-analysis pipeline over a decoded module. It
 // assumes a structurally decodable module but not a validated one: malformed
-// bodies fail with positioned errors, never panics.
-func Analyze(m *wasm.Module) (*ModuleAnalysis, error) {
+// bodies fail with positioned errors, never panics. The per-function CFG and
+// dataflow passes run on GOMAXPROCS workers; the error reported is the
+// lowest-index failing function's, as in a sequential pass.
+func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
+
+// analyze is Analyze with the per-function passes on par workers (0 means
+// GOMAXPROCS).
+func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 	cg, err := BuildCallGraph(m)
 	if err != nil {
 		return nil, err
 	}
 	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs))}
 	numImports := m.NumImportedFuncs()
-	for di := range m.Funcs {
+	err = parallel.Each(len(m.Funcs), par, func(di int) error {
 		f := &m.Funcs[di]
 		if int(f.TypeIdx) >= len(m.Types) {
-			return nil, fmt.Errorf("static: func %d: type index %d out of range", numImports+di, f.TypeIdx)
+			return fmt.Errorf("static: func %d: type index %d out of range", numImports+di, f.TypeIdx)
 		}
 		g, err := FuncCFG(f)
 		if err != nil {
-			return nil, fmt.Errorf("static: func %d: %w", numImports+di, err)
+			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
 		facts, err := FuncDataflow(m, m.Types[f.TypeIdx], f, g)
 		if err != nil {
-			return nil, fmt.Errorf("static: func %d: %w", numImports+di, err)
+			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
 		ma.Funcs[di] = FuncAnalysis{CFG: g, Facts: facts}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ma, nil
 }

@@ -3,13 +3,20 @@ package validate
 import (
 	"fmt"
 
+	"wasabi/internal/parallel"
 	"wasabi/internal/wasm"
 )
 
 // Module validates a whole module: section consistency, index ranges,
 // constant expressions, and the type-correctness of every function body.
 // It plays the role wasm-validate plays in the paper's RQ2 evaluation.
-func Module(m *wasm.Module) error {
+// Function bodies are checked on GOMAXPROCS workers; the error reported is
+// the lowest-index failing function's, as in a sequential check.
+func Module(m *wasm.Module) error { return module(m, 0) }
+
+// module is Module with the function bodies checked on par workers (0
+// means GOMAXPROCS), each reusing one Tracker across its functions.
+func module(m *wasm.Module, par int) error {
 	if err := checkTypes(m); err != nil {
 		return err
 	}
@@ -34,18 +41,20 @@ func Module(m *wasm.Module) error {
 	if err := checkDatas(m); err != nil {
 		return err
 	}
-	for i := range m.Funcs {
-		if err := checkFunc(m, i); err != nil {
-			idx := m.NumImportedFuncs() + i
-			return annotateFunc(err, idx, m.FuncName(uint32(idx)))
-		}
-	}
-	return nil
+	numImports := m.NumImportedFuncs()
+	return parallel.For(len(m.Funcs), par, func() *Tracker { return new(Tracker) }, nil,
+		func(tr *Tracker, i int) error {
+			if err := checkFunc(tr, m, i); err != nil {
+				idx := numImports + i
+				return annotateFunc(err, idx, m.FuncName(uint32(idx)))
+			}
+			return nil
+		})
 }
 
 // Func validates a single defined function body.
 func Func(m *wasm.Module, definedIdx int) error {
-	return checkFunc(m, definedIdx)
+	return checkFunc(new(Tracker), m, definedIdx)
 }
 
 func checkTypes(m *wasm.Module) error {
@@ -230,13 +239,13 @@ func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.V
 	return 0, fmt.Errorf("non-constant instruction %s", in.Op)
 }
 
-func checkFunc(m *wasm.Module, defined int) error {
+// checkFunc type-checks one defined function body, resetting tr for it.
+func checkFunc(tr *Tracker, m *wasm.Module, defined int) error {
 	f := &m.Funcs[defined]
 	if int(f.TypeIdx) >= len(m.Types) {
 		return fmt.Errorf("validate: type index %d out of range", f.TypeIdx)
 	}
-	sig := m.Types[f.TypeIdx]
-	tr := NewTracker(m, sig, f.Locals, f.BrTargets)
+	tr.Reset(m, m.Types[f.TypeIdx], f.Locals, f.BrTargets)
 	for i := range f.Body {
 		if name, proposal, ok := wasm.UnsupportedInfo(f.Body[i]); ok {
 			return &Error{FuncIdx: -1, Instr: i, Op: f.Body[i].Op,

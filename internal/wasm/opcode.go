@@ -303,11 +303,20 @@ func OpcodeByName(name string) (Opcode, bool) {
 	return op, ok
 }
 
+// opKnown is opNames' key set as a dense table: the decoder asks Known once
+// per instruction and the encoder twice (size pass and write pass), so a map
+// lookup here dominated both. The 0xFC prefix is not an opcode and stays
+// unknown.
+var opKnown = func() [256]bool {
+	var t [256]bool
+	for op := range opNames {
+		t[op] = true
+	}
+	return t
+}()
+
 // Known reports whether op is a valid MVP opcode.
-func (op Opcode) Known() bool {
-	_, ok := opNames[op]
-	return ok
-}
+func (op Opcode) Known() bool { return opKnown[op] }
 
 func (op Opcode) String() string {
 	if s := opNameTable[op]; s != "" {

@@ -217,3 +217,17 @@ func TestInstrString(t *testing.T) {
 		t.Errorf("br_table String = %q", got)
 	}
 }
+
+// TestKnownMatchesNames pins the Known table to the name map it is built
+// from, over every byte: the 0xFC prefix is not itself an opcode.
+func TestKnownMatchesNames(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Opcode(b)
+		if _, named := opNames[op]; op.Known() != named {
+			t.Errorf("0x%02x: Known %v, named %v", b, op.Known(), named)
+		}
+	}
+	if OpMiscPrefix.Known() {
+		t.Error("0xfc prefix reported as a known opcode")
+	}
+}
