@@ -100,14 +100,15 @@ func WithCompiledCacheLimit(n int) EngineOption {
 }
 
 // WithBackpressure sets the engine-wide default backpressure policy of
-// event streams: Block (default, lossless — event production stalls until
-// the consumer catches up) or Drop (lossy — full batches are discarded and
-// counted when the consumer lags). Individual streams can override it with
-// StreamBackpressure.
+// event streams and fan-out subscriptions: Block (default, lossless — event
+// production stalls until the consumer catches up) or Drop (lossy — a batch
+// that finds a subscription's queue full is skipped for it and counted).
+// Individual streams can override it with StreamBackpressure, individual
+// subscriptions with SubscribeBackpressure.
 func WithBackpressure(mode Backpressure) EngineOption {
 	return func(e *Engine) error {
-		if mode != BackpressureBlock && mode != BackpressureDrop {
-			return badOption("WithBackpressure", int(mode), "unknown backpressure mode")
+		if err := checkBackpressure("WithBackpressure", mode); err != nil {
+			return err
 		}
 		e.backpressure = mode
 		return nil

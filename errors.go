@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"wasabi/internal/fabric"
 	"wasabi/internal/interp"
+	wruntime "wasabi/internal/runtime"
 	"wasabi/internal/sink"
 	"wasabi/internal/validate"
 )
@@ -79,11 +79,11 @@ var (
 	// ErrFabricClosed matches Fabric.Subscribe after the stream ended
 	// (producer Close, session teardown, or a terminal stream error): a
 	// late subscriber could only observe silence.
-	ErrFabricClosed = fabric.ErrClosed
+	ErrFabricClosed = wruntime.ErrClosed
 	// ErrSubscriptionClosed matches a second Subscription.Close — a
 	// lifecycle bug, since the first Close already released the
 	// subscription's queued batches.
-	ErrSubscriptionClosed = fabric.ErrSubscriptionClosed
+	ErrSubscriptionClosed = wruntime.ErrSubscriptionClosed
 	// ErrCorruptSegment matches replay of a truncated or damaged event-log
 	// segment file (sink.Open / wasabi-replay): bad magic or version, a
 	// foreign byte order, or a commit watermark promising records the file
@@ -176,6 +176,15 @@ func (e *BadOptionError) Unwrap() error { return ErrBadOption }
 // badOption is the shared BadOptionError construction.
 func badOption(option string, value any, reason string) error {
 	return &BadOptionError{Option: option, Value: fmt.Sprint(value), Reason: reason}
+}
+
+// checkBackpressure rejects a mode that is neither Block nor Drop, naming
+// the option that carried it.
+func checkBackpressure(option string, mode Backpressure) error {
+	if mode != BackpressureBlock && mode != BackpressureDrop {
+		return badOption(option, int(mode), "unknown backpressure mode")
+	}
+	return nil
 }
 
 // UnsupportedError is the typed form of ErrUnsupported: the text name of

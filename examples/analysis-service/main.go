@@ -10,8 +10,10 @@
 //
 // The program starts the service on a loopback port, then runs a
 // self-checking client against it: a well-behaved tenant whose results are
-// asserted in detail, and a runaway tenant (infinite loop) that the fuel
-// budget must contain without taking the service down.
+// asserted in detail (also under 8 concurrent analyses of the same module),
+// a runaway tenant (infinite loop) that the fuel budget must contain without
+// taking the service down, and a module over the memory cap that must be
+// refused — with no segment file left behind by any of them.
 //
 // Run with:
 //
@@ -31,6 +33,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"wasabi"
 	"wasabi/internal/analyses"
@@ -53,8 +56,9 @@ const traceHead = 8
 // the same instrumentation cache and containment config) and the uploaded
 // compiled modules.
 type service struct {
-	engine *wasabi.Engine
-	dir    string // scratch directory for the per-request segment files
+	engine   *wasabi.Engine
+	dir      string        // scratch directory for the per-request segment files
+	segments atomic.Uint64 // numbers the segment files, one per analysis
 
 	mu      sync.Mutex
 	modules map[string]*wasabi.CompiledAnalysis
@@ -170,16 +174,25 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	tracer.MaxEvents = traceHead
 	tracer.SetEventTable(fab.Table())
 	cov := &funcCoverage{seen: map[int32]bool{}}
-	segment := filepath.Join(s.dir, id+".evlog")
+	// Every analysis records into its own segment file, which lives only as
+	// long as the request: concurrent analyses of one module must never share
+	// (and truncate) a file another request still has mapped.
+	segment := filepath.Join(s.dir, fmt.Sprintf("%s-%d.evlog", id, s.segments.Add(1)))
+	defer os.Remove(segment)
 	rec, err := sink.Create(segment, fab.Table())
 	if err != nil {
 		return nil, err
 	}
+	// Every return path below has ended the stream and waited for the
+	// subscribers first, so the writer is idle when this runs.
+	defer rec.Close()
 
 	var wg sync.WaitGroup
 	for _, consumer := range []wasabi.EventSink{mix, tracer, cov, rec} {
 		sub, err := fab.Subscribe()
 		if err != nil {
+			fab.Close()
+			wg.Wait()
 			return nil, err
 		}
 		wg.Add(1)
@@ -197,8 +210,8 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	}
 	res, invokeErr := inst.Invoke(entry, args...)
 	fuelUsed := fuelBudget - inst.Fuel()
-	fab.Close() // flush, end the stream, wait for the distributor
-	wg.Wait()
+	fab.Close() // flush and end the stream
+	wg.Wait()   // the subscribers drain their queues and return
 	if err := rec.Close(); err != nil {
 		return nil, err
 	}
@@ -274,6 +287,20 @@ func workModule() []byte {
 	return data
 }
 
+// bigMemoryModule declares 5 pages of memory, one over the service's cap.
+func bigMemoryModule() []byte {
+	b := builder.New()
+	b.Memory(5)
+	f := b.Func("main", nil, nil)
+	f.Op(wasm.OpNop)
+	f.Done()
+	data, err := binary.Encode(b.Build())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return data
+}
+
 // spinModule is the runaway tenant: main loops forever.
 func spinModule() []byte {
 	b := builder.New()
@@ -335,19 +362,27 @@ func main() {
 		}
 		return up
 	}
-	analyze := func(id, query string) analyzeReply {
+	// request posts an analysis; a failed one returns its status and body.
+	request := func(id, query string) (analyzeReply, int, string) {
 		resp, err := http.Post(base+"/modules/"+id+"/analyze?"+query, "", nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer resp.Body.Close()
+		var ar analyzeReply
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(resp.Body)
-			log.Fatalf("analyze %s: %s: %s", id, resp.Status, body)
+			return ar, resp.StatusCode, string(body)
 		}
-		var ar analyzeReply
 		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
 			log.Fatal(err)
+		}
+		return ar, resp.StatusCode, ""
+	}
+	analyze := func(id, query string) analyzeReply {
+		ar, status, body := request(id, query)
+		if status != http.StatusOK {
+			log.Fatalf("analyze %s: %d: %s", id, status, body)
 		}
 		return ar
 	}
@@ -398,10 +433,38 @@ func main() {
 	fmt.Printf("runaway tenant contained: fuel exhausted after %d instructions; %d records still replayable\n",
 		sr.Instructions, sr.Recorded)
 
-	// The first tenant must be unaffected by its noisy neighbor.
-	again := analyze(work.ID, "entry=main&arg=10")
-	if again.Return != wr.Return || again.Recorded != wr.Recorded {
-		log.Fatalf("service degraded after containment: %+v vs %+v", again, wr)
+	// The first tenant must be unaffected by its noisy neighbor, also when
+	// it runs many analyses of the same module at once.
+	const concurrent = 8
+	replies := make([]analyzeReply, concurrent)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i] = analyze(work.ID, "entry=main&arg=10")
+		}(i)
 	}
-	fmt.Println("analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP")
+	wg.Wait()
+	for _, again := range replies {
+		if again.Return != wr.Return || again.Recorded != wr.Recorded || again.Replayed != wr.Recorded {
+			log.Fatalf("service degraded after containment: %+v vs %+v", again, wr)
+		}
+	}
+	fmt.Printf("tenant %s: %d concurrent analyses each recorded and replayed %d records\n",
+		work.ID, concurrent, wr.Recorded)
+
+	// A module over the memory cap uploads, but its analysis is refused.
+	big := upload(bigMemoryModule())
+	_, status, _ := request(big.ID, "entry=main")
+	if status == http.StatusOK {
+		log.Fatalf("module %s over the memory cap was analyzed", big.ID)
+	}
+	fmt.Printf("tenant %s over the memory cap refused (HTTP %d)\n", big.ID, status)
+
+	// Every analysis, failed or not, removed its segment file.
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		log.Fatalf("segment files left behind: %v (%v)", left, err)
+	}
+	fmt.Println("analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP; no segment file left behind")
 }

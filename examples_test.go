@@ -60,7 +60,9 @@ func TestExamples(t *testing.T) {
 			"tenant m1: main(10) = 285, 229 instructions over 2 funcs",
 			"durable replay matches (285 records)",
 			"runaway tenant contained: fuel exhausted",
+			"tenant m1: 8 concurrent analyses each recorded and replayed 285 records",
 			"analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP",
+			"no segment file left behind",
 		}},
 	}
 	for _, tc := range cases {

@@ -4,9 +4,10 @@ package wasabi
 // concurrent subscribers over the same record stream. Session.Fanout opens
 // the session's stream like Session.Stream does, but instead of a single
 // consumer end it returns a Fabric that hands out Subscriptions — each with
-// the familiar Next/Serve surface — and broadcasts every batch to all of
-// them by reference (no per-subscriber copy; see internal/fabric for the
-// refcounted hand-off).
+// the familiar Next/Serve surface. At each flush the session's emitter
+// publishes the batch to all of them by reference, on the producer's own
+// goroutine, with no per-subscriber copy (see internal/runtime/emitter.go
+// for the refcounted hand-off).
 //
 //	sess, _ := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
 //	fab, _ := sess.Fanout()
@@ -18,16 +19,17 @@ package wasabi
 //	inst.Invoke("main")
 //	fab.Close()                              // flush + end of stream
 //
-// Backpressure is per subscriber: a Subscription is lossless by default
-// (Block — once its queue and the emitter's ring fill, the instrumented
-// program stalls until it catches up), or opts out of the guarantee with
-// SubscribeBackpressure(BackpressureDrop), in which case a full queue loses
-// batches for that subscriber only (Subscription.Dropped counts them) and
-// never delays the producer or its peers.
+// Backpressure is per subscription. The stream's policy (StreamBackpressure,
+// engine default WithBackpressure) is the default, and SubscribeBackpressure
+// overrides it: a Block subscription is lossless — once its queue is full
+// the instrumented program stalls until it catches up — and a Drop
+// subscription loses batches for itself only when its queue is full
+// (Subscription.Dropped counts them), never delaying the producer or its
+// peers.
 
 import (
 	"wasabi/internal/analysis"
-	"wasabi/internal/fabric"
+	wruntime "wasabi/internal/runtime"
 )
 
 // DefaultSubscriberQueue is the default per-subscriber queue depth, in
@@ -38,24 +40,25 @@ const DefaultSubscriberQueue = 8
 // Subscription is one subscriber's end of a Fabric: Next/Serve like a
 // Stream, plus Close to unsubscribe early and Dropped for its own loss
 // count. Exactly one goroutine may consume a subscription.
-type Subscription = fabric.Subscription
+type Subscription = wruntime.Subscription
 
 // Fabric broadcasts a session's event stream to any number of
 // subscriptions. The producer-side calls (Flush, Close) follow the same
 // rules as a Stream's: call them only while no instrumented code of the
 // session runs.
 type Fabric struct {
-	st    *Stream
-	inner *fabric.Fabric
-	queue int // engine-default queue depth for new subscriptions
+	em           *wruntime.Emitter
+	tbl          *analysis.EventTable
+	queue        int          // default queue depth of new subscriptions
+	backpressure Backpressure // default policy of new subscriptions
 }
 
 // SubscribeOption configures one Subscription.
 type SubscribeOption func(*subscribeConfig)
 
 type subscribeConfig struct {
-	queue int
-	drop  bool
+	queue        int
+	backpressure Backpressure
 }
 
 // SubscribeQueue overrides the subscription's queue depth: how many batches
@@ -65,12 +68,12 @@ func SubscribeQueue(n int) SubscribeOption {
 	return func(c *subscribeConfig) { c.queue = n }
 }
 
-// SubscribeBackpressure overrides the subscription's backpressure policy:
-// BackpressureBlock (default, lossless — a full queue stalls the
-// distributor and transitively the producer) or BackpressureDrop (lossy —
-// a full queue skips batches for this subscriber only).
+// SubscribeBackpressure overrides the subscription's backpressure policy,
+// which defaults to the stream's: BackpressureBlock (lossless — a full queue
+// stalls the producer) or BackpressureDrop (lossy — a full queue skips
+// batches for this subscriber only).
 func SubscribeBackpressure(mode Backpressure) SubscribeOption {
-	return func(c *subscribeConfig) { c.drop = mode == BackpressureDrop }
+	return func(c *subscribeConfig) { c.backpressure = mode }
 }
 
 // Fanout switches the session to stream delivery like Session.Stream, but
@@ -79,16 +82,11 @@ func SubscribeBackpressure(mode Backpressure) SubscribeOption {
 // at most one stream per session); the analysis value is typically a
 // StreamCaps anchor, since the actual consumers attach per subscription.
 //
-// Delivery starts immediately — subscribe before invoking instrumented
-// code to observe the complete record sequence.
+// Batches flushed while no subscription exists reach nobody — subscribe
+// before invoking instrumented code to observe the complete record
+// sequence.
 func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
-	st, err := s.openStream("Fanout", opts)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fabric{st: st, inner: fabric.New(st.em), queue: s.compiled.engine.subQueue}
-	s.fanout = f
-	return f, nil
+	return s.openStream("Fanout", opts)
 }
 
 // Subscribe adds a subscriber and returns its consumption end. Subscribers
@@ -96,45 +94,47 @@ func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
 // batches flushed from now on); subscribing after the stream ended fails
 // with ErrFabricClosed.
 func (f *Fabric) Subscribe(opts ...SubscribeOption) (*Subscription, error) {
-	cfg := subscribeConfig{queue: f.queue}
+	cfg := subscribeConfig{queue: f.queue, backpressure: f.backpressure}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.queue < 1 {
 		return nil, badOption("SubscribeQueue", cfg.queue, "a subscription queues at least one batch")
 	}
-	return f.inner.Subscribe(cfg.queue, cfg.drop)
+	if err := checkBackpressure("SubscribeBackpressure", cfg.backpressure); err != nil {
+		return nil, err
+	}
+	return f.em.Subscribe(cfg.queue, cfg.backpressure)
 }
 
 // Table returns the decode table shared by every subscription of this
 // fabric (see Stream.Table).
-func (f *Fabric) Table() *EventTable { return f.st.tbl }
+func (f *Fabric) Table() *EventTable { return f.tbl }
 
 // Flush hands the partially filled batch to the subscribers now.
 // Producer-side: call it between invocations.
-func (f *Fabric) Flush() { f.st.Flush() }
+func (f *Fabric) Flush() { f.em.Flush() }
 
-// Close flushes pending records and ends the stream, then waits for the
-// distributor to hand the last batch over: when Close returns, every
-// record is either enqueued on a subscription or (for Drop subscribers
-// that lagged) counted dropped, and subscribers' Next/Serve wind down with
-// ok == false. Producer-side. Block subscribers must keep draining until
+// Close flushes pending records and ends the stream: when Close returns,
+// every record is either queued on a subscription or counted dropped, and
+// subscribers' Next/Serve wind down with ok == false once they have drained
+// their queues. Producer-side. Block subscribers must keep draining until
 // their subscription ends, exactly like a single-consumer Block stream.
-func (f *Fabric) Close() {
-	f.st.Close()
-	<-f.inner.Done()
-}
+// After a failed invocation the stream has already ended, and Close returns
+// at once.
+func (f *Fabric) Close() { f.em.Close() }
 
 // Dropped returns the producer-side loss count of the underlying stream
-// (events dropped before distribution — emitter backpressure, teardown).
-// Per-subscriber losses are counted on each Subscription instead.
-func (f *Fabric) Dropped() uint64 { return f.st.Dropped() }
+// (records never published: emitted after the end of the stream, or pending
+// at a fault or teardown). Per-subscriber losses are counted on each
+// Subscription instead.
+func (f *Fabric) Dropped() uint64 { return f.em.Dropped() }
 
-// Err returns the terminal error of a fabric torn down by a guest failure,
-// nil while live or after a clean Close — Stream.Err's contract, shared by
+// Err returns the terminal error of a fabric torn down by a failure, nil
+// while live or after a clean Close — Stream.Err's contract, shared by
 // every subscription: when a subscription ends, the error (if any) is
 // already visible.
-func (f *Fabric) Err() error { return f.st.Err() }
+func (f *Fabric) Err() error { return f.em.Err() }
 
 // StreamCaps returns an analysis anchor for fan-out sessions: a value
 // whose only capability is streaming the given event classes. Pass it to

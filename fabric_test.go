@@ -8,8 +8,10 @@ package wasabi_test
 // race-clean and leak-free: subscribers run on their own goroutines.
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -343,9 +345,9 @@ func TestFanoutLifecycleErrors(t *testing.T) {
 	})
 }
 
-// TestFanoutSessionCloseTeardown: closing the session with a wedged Block
-// subscriber must not hang (the registry-eviction analogue of the stream
-// teardown bar), and the subscriber must observe end-of-stream.
+// TestFanoutSessionCloseTeardown: closing the session with a subscriber that
+// stopped draining must not hang (the registry-eviction analogue of the
+// stream teardown bar), and the subscriber must observe end-of-stream.
 func TestFanoutSessionCloseTeardown(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, compiled := fig9Workload(t, 8)
@@ -357,7 +359,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedged, err := fab.Subscribe(wasabi.SubscribeQueue(1)) // Block, never drained during the run
+	wedged, err := fab.Subscribe(wasabi.SubscribeQueue(1)) // inherits Drop; never drained during the run
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +367,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop-mode emitter: the run completes even though the distributor is
-	// wedged on the undrained Block subscription.
+	// Drop subscription: the run completes although its queue stays full.
 	if _, err := inst.Invoke("kernel"); err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +381,121 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("Session.Close hung on a wedged Block subscriber")
 	}
-	// The wedged subscriber can still drain what was queued, then ends.
+	// Teardown discarded what was queued (counted in Dropped); the
+	// subscription ends.
 	for {
 		if _, ok := wedged.Next(); !ok {
 			break
 		}
+	}
+
+	t.Run("BlockAfterDeadline", func(t *testing.T) {
+		sess, fab := spinFanout(t)
+		wedged, err := fab.Subscribe(wasabi.SubscribeBackpressure(wasabi.BackpressureBlock), wasabi.SubscribeQueue(1)) // never drained
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := sess.Instantiate("", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The producer wedges on the full queue; only the deadline ends the run.
+		if _, err := sess.InvokeContext(context.Background(), inst, "spin"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			sess.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Session.Close hung on a wedged Block subscriber")
+		}
+		if _, ok := wedged.Next(); ok {
+			t.Error("the subscription delivered a batch after teardown")
+		}
+		if wedged.Dropped() == 0 {
+			t.Error("neither the abandoned delivery nor the discarded queue was counted")
+		}
+	})
+}
+
+// spinFanout opens a fan-out session over the runaway spin module on an
+// engine whose invocations end on a 20ms deadline. Batches hold 8 records,
+// so an undrained subscription fills within the first loop iterations.
+func spinFanout(t *testing.T) (*wasabi.Session, *wasabi.Fabric) {
+	t.Helper()
+	engine := mustEngine(t, wasabi.WithDeadline(20*time.Millisecond))
+	compiled, err := engine.InstrumentFor(spinModule(), &brCounter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	fab, err := sess.Fanout(wasabi.StreamBatchSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, fab
+}
+
+// TestFanoutCloseAfterInterrupt is the regression test for interrupting a
+// fan-out session whose Block subscriber stopped draining: the interruption
+// reaches the only place that waits (the emitter's Flush), so Fabric.Close
+// returns at once and the fabric ends with the interruption as its error.
+func TestFanoutCloseAfterInterrupt(t *testing.T) {
+	leakcheck.Check(t)
+	sess, fab := spinFanout(t)
+	if _, err := fab.Subscribe(wasabi.SubscribeBackpressure(wasabi.BackpressureBlock)); err != nil { // never drained
+		t.Fatal(err)
+	}
+	inst, err := sess.Instantiate("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.InvokeContext(context.Background(), inst, "spin"); !errors.Is(err, wasabi.ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		fab.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fabric.Close hung after the invocation was interrupted")
+	}
+	if err := fab.Err(); !errors.Is(err, wasabi.ErrInterrupted) {
+		t.Errorf("Fabric.Err() = %v, want ErrInterrupted", err)
+	}
+}
+
+// TestFanoutStartsNoGoroutine pins that publication runs on the producer's
+// goroutine: opening a fan-out and subscribing four times starts none.
+func TestFanoutStartsNoGoroutine(t *testing.T) {
+	_, compiled := fig9Workload(t, 4)
+	sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before := runtime.NumGoroutine()
+	fab, err := sess.Fanout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := fab.Subscribe(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("Fanout plus 4 Subscribe calls started %d goroutines", after-before)
 	}
 }

@@ -24,7 +24,7 @@ func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		rtE := New(md, struct{}{})
-		rtE.SetEmitter(NewEmitter(64, Drop), analysis.AllCaps|analysis.CapBlockCoverage)
+		rtE.SetEmitter(NewEmitter(64), analysis.AllCaps|analysis.CapBlockCoverage)
 		tramps, encs := hostFuncs(rt), hostFuncs(rtE)
 
 		for i := range md.Hooks {

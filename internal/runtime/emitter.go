@@ -1,23 +1,27 @@
 package runtime
 
-// Emitter is the transport of the event-stream surface: a small ring of
-// fixed-capacity batch buffers between one producer (the session goroutine
-// running instrumented code, appending packed records through the compiled
-// encoders in encoder.go) and one consumer (the analysis goroutine pulling
-// whole batches). Buffers cycle — producer fills, consumer borrows, buffer
-// returns — so steady-state emission allocates nothing.
+// Emitter is the transport of the event-stream surface: one producer (the
+// session goroutine running instrumented code, appending packed records
+// through the compiled encoders in encoder.go) publishing whole batches to
+// any number of Subscriptions. Flush, on the producer's own goroutine, hands
+// every subscription a refcounted reference to the same buffer — no
+// per-subscriber copy — and the last holder to release a batch returns its
+// buffer to the emitter's pool, so steady-state emission allocates nothing.
 //
-// Flush points: a batch is handed to the consumer when it fills, when a
-// top-level call into an instance completes (the session installs Flush as
-// the instance's top-return hook), and on explicit Flush/Close.
+// Flush points: a batch is published when it fills, when a top-level call
+// into an instance completes (the session installs Flush as the instance's
+// top-return hook), and on explicit Flush/Close.
 //
-// Backpressure when the consumer lags is a policy choice: Block makes the
-// producer wait (lossless — the instrumented program stalls until the
-// consumer catches up), Drop discards the full batch and counts it
-// (lossy — the program never stalls). Block requires a concurrently running
-// consumer; a single-goroutine run-then-drain loop must use Drop.
+// Backpressure is a property of each subscription. When its queue is full,
+// a Block subscription makes Flush wait until the queue has room, the
+// subscriber leaves, or Interrupt fires (lossless — the instrumented program
+// stalls until the consumer catches up, so the consumer must run
+// concurrently). A Drop subscription skips the batch and counts it on itself
+// (lossy — it never stalls the producer or its peers).
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,79 +29,117 @@ import (
 	"wasabi/internal/failpoint"
 )
 
-// Backpressure selects what the producer does when every batch buffer is
-// full because the consumer lags.
+// Backpressure selects what Flush does for a subscription whose queue is
+// full because its consumer lags.
 type Backpressure int
 
 const (
-	// Block stalls event production until the consumer frees a batch.
-	// Lossless; requires the consumer to run concurrently.
+	// Block waits for room in the queue. Lossless; requires the consumer to
+	// run concurrently.
 	Block Backpressure = iota
-	// Drop discards the batch being flushed when no buffer is free and keeps
-	// running, counting the dropped events (Emitter.Dropped). Lossy; never
-	// stalls the instrumented program.
+	// Drop skips the batch for this subscription and counts its records
+	// (Subscription.Dropped). Lossy; never stalls the instrumented program.
 	Drop
 )
 
-// emitterDepth is the number of filled batches that may be in flight between
-// producer and consumer. Total buffers = emitterDepth + 2 (one being filled
-// by the producer, one borrowed by the consumer): after any successful
-// hand-off the free ring is provably non-empty, so the producer only ever
-// blocks waiting for the consumer, never on its own bookkeeping.
-const emitterDepth = 2
+// ErrClosed reports Subscribe after the producer side ended the stream
+// (Close, teardown, or a terminal error): a late subscriber could only ever
+// observe silence, which is never what the caller meant.
+var ErrClosed = errors.New("wasabi: fabric is closed to new subscribers")
 
-// Emitter is the producer/consumer pair of one event stream.
+// ErrSubscriptionClosed reports a second Subscription.Close: the first Close
+// already released the subscription's queued batches, so a double close is a
+// lifecycle bug on the caller's side, not a no-op.
+var ErrSubscriptionClosed = errors.New("wasabi: subscription is already closed")
+
+// emitterBuffers is the number of batch buffers allocated up front: the one
+// being filled, two queued on a two-deep subscription, and the one its
+// consumer holds. A single-subscription stream therefore never allocates
+// after construction; fan-outs whose subscribers hold more batches grow the
+// pool on demand.
+const emitterBuffers = 4
+
+// batchRef is one published batch: the buffer plus the number of holders
+// (queued subscriptions, Flush while it publishes, a consumer between Next
+// calls). Refs are pooled together with their buffers.
+type batchRef struct {
+	buf  []analysis.Event
+	refs atomic.Int32
+	em   *Emitter
+}
+
+// release drops one hold; the last returns the batch to the pool.
+func (r *batchRef) release() {
+	if r.refs.Add(-1) == 0 {
+		r.em.mu.Lock()
+		r.em.free = append(r.em.free, r)
+		r.em.mu.Unlock()
+	}
+}
+
+// Emitter is the producer end of one event stream.
 type Emitter struct {
 	cur       []analysis.Event // batch being filled (producer-owned)
-	full      chan []analysis.Event
-	free      chan []analysis.Event
+	ref       *batchRef        // carries cur when it is published
 	batchSize int
+	dropped   atomic.Uint64 // producer-side losses
 
-	drop    bool
-	closed  bool
-	dropped atomic.Uint64
-
-	// Interruption support: stopc is closed by Interrupt (any goroutine) to
-	// unwedge a Block-mode producer waiting in Flush — the batch it carried
-	// is dropped and counted, and the producer returns to guest code, which
-	// traps at its next containment guard. intrMu serializes Interrupt
-	// against ClearInterrupt's re-arm; stopped dedupes the close.
-	intrMu  sync.Mutex
-	stopc   chan struct{}
-	stopped bool
-
-	// Terminal host-side fault (fault injection today; any future emitter
-	// failure). Set once by fail, read by Err from any goroutine — the
-	// session's flush hook promotes it to the stream's terminal error.
-	failMu  sync.Mutex
-	failErr error
-
-	prev []analysis.Event // batch last handed out by Next (consumer-owned)
+	mu     sync.Mutex
+	subs   []*Subscription // copy-on-write: Flush reads it without copying
+	free   []*batchRef     // released batches, reused as cur
+	closed bool            // ended: nothing is published, nobody subscribes
+	err    error           // first terminal error (Fail)
+	// stopc is closed by Interrupt (any goroutine) so that a Block delivery
+	// in Flush gives up; ClearInterrupt re-arms it between invocations.
+	stopc chan struct{}
 }
 
 // NewEmitter creates an emitter whose batches hold batchSize records.
-func NewEmitter(batchSize int, mode Backpressure) *Emitter {
-	if batchSize < 1 {
-		batchSize = 1
+func NewEmitter(batchSize int) *Emitter {
+	em := &Emitter{batchSize: max(batchSize, 1), stopc: make(chan struct{})}
+	for len(em.free) < emitterBuffers {
+		em.free = append(em.free, em.newRef())
 	}
-	em := &Emitter{
-		full:      make(chan []analysis.Event, emitterDepth),
-		free:      make(chan []analysis.Event, emitterDepth+2),
-		drop:      mode == Drop,
-		stopc:     make(chan struct{}),
-		batchSize: batchSize,
-	}
-	em.cur = make([]analysis.Event, 0, batchSize)
-	for i := 0; i < emitterDepth+1; i++ {
-		em.free <- make([]analysis.Event, 0, batchSize)
-	}
+	em.next()
 	return em
+}
+
+func (em *Emitter) newRef() *batchRef {
+	return &batchRef{buf: make([]analysis.Event, 0, em.batchSize), em: em}
+}
+
+// next makes a pooled batch the one being filled, allocating only when the
+// subscribers hold every buffer.
+func (em *Emitter) next() {
+	em.mu.Lock()
+	if n := len(em.free); n > 0 {
+		em.ref = em.free[n-1]
+		em.free = em.free[:n-1]
+	} else {
+		em.ref = em.newRef()
+	}
+	em.mu.Unlock()
+	em.cur = em.ref.buf[:0]
+}
+
+// Subscribe adds a subscription with a queue of up to queue batches and its
+// own backpressure policy. A subscription added while the producer runs
+// joins mid-stream. Fails with ErrClosed once the stream has ended.
+func (em *Emitter) Subscribe(queue int, mode Backpressure) (*Subscription, error) {
+	s := &Subscription{em: em, ch: make(chan *batchRef, max(queue, 1)), drop: mode == Drop, gone: make(chan struct{})}
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	if em.closed {
+		return nil, ErrClosed
+	}
+	em.subs = append(slices.Clip(em.subs), s)
+	return s, nil
 }
 
 // emit appends one record, flushing first when the batch is full.
 func (em *Emitter) emit(e analysis.Event) {
 	if err := failpoint.Inject(failpoint.EmitterEmit); err != nil {
-		em.fail(err)
+		em.Fail(err)
 		return
 	}
 	if len(em.cur) == cap(em.cur) {
@@ -110,9 +152,7 @@ func (em *Emitter) emit(e analysis.Event) {
 // continuations), so the group never straddles a batch boundary: emit's
 // batch-full check cannot fire mid-group once len+n <= cap holds. A group
 // larger than the batch capacity itself replaces the current buffer with a
-// grown one (the undersized buffer it displaces leaves the ring, keeping
-// the buffer count — and therefore the backpressure accounting — intact);
-// the grown buffer then cycles like any other, so this is a rare one-time
+// grown one, which is published and pooled like any other — a rare one-time
 // allocation, not a per-event one.
 func (em *Emitter) reserve(n int) {
 	if len(em.cur)+n <= cap(em.cur) {
@@ -124,229 +164,251 @@ func (em *Emitter) reserve(n int) {
 	}
 }
 
-// Flush hands the current batch to the consumer. In Block mode it waits for
-// a slot; in Drop mode it discards the batch (counting its events) when the
-// consumer is behind. Safe to call with an empty batch (no-op), and after
-// Close (events are counted as dropped).
+// Flush publishes the current batch to every subscription (see the file
+// comment for the backpressure rules). Safe to call with an empty batch
+// (no-op), and after the stream ended (the records count as dropped).
+// Producer-side: call it only from the goroutine running instrumented code,
+// or while none runs.
 func (em *Emitter) Flush() {
 	if len(em.cur) == 0 {
 		return
 	}
-	if em.closed {
-		em.dropped.Add(uint64(len(em.cur)))
-		em.cur = em.cur[:0]
+	em.mu.Lock()
+	closed, subs := em.closed, em.subs
+	em.mu.Unlock()
+	if closed {
+		em.discardCur()
 		return
 	}
 	if err := failpoint.Inject(failpoint.EmitterFlush); err != nil {
-		em.fail(err)
+		em.Fail(err)
 		return
 	}
-	if em.drop {
-		select {
-		case em.full <- em.cur:
-			em.refill() // non-blocking by the buffer-count invariant
-		default:
-			em.dropped.Add(uint64(len(em.cur)))
-			em.cur = em.cur[:0]
-		}
-		return
+	ref := em.ref
+	ref.buf = em.cur
+	// Holders: every subscription plus Flush itself, counted up front so a
+	// consumer that receives and releases early cannot recycle the batch
+	// while later subscriptions are still being offered it.
+	ref.refs.Store(int32(len(subs)) + 1)
+	for _, s := range subs {
+		s.deliver(ref, em.stopc)
 	}
-	// Block mode. Prefer delivery when a slot is already free, then wait on
-	// either the consumer or an interrupt: a deadline expiring while the
-	// producer is wedged here must unblock it (the guest then traps at its
-	// next containment guard), or the interruption could never take effect.
-	select {
-	case em.full <- em.cur:
-		em.refill()
-		return
-	default:
-	}
-	select {
-	case em.full <- em.cur:
-		em.refill()
-	case <-em.stopc:
-		em.dropped.Add(uint64(len(em.cur)))
-		em.cur = em.cur[:0]
-	}
+	ref.release()
+	em.next()
 }
 
-// refill takes a free buffer for cur after a successful hand-off. The
-// buffer-count invariant keeps the free ring non-empty here as long as every
-// consumer returns what it borrows (Next's recycle, Exchange's swap), so the
-// fallback never fires on a well-behaved stream; it exists so a consumer
-// that fails to return a buffer degrades into an allocation instead of a
-// producer stall — which Drop mode promises never to do, and which Block
-// mode must at least abandon on Interrupt.
-func (em *Emitter) refill() {
-	select {
-	case em.cur = <-em.free:
-		return
-	default:
-	}
-	if em.drop {
-		em.cur = make([]analysis.Event, 0, em.batchSize)
-		return
-	}
-	select {
-	case em.cur = <-em.free:
-	case <-em.stopc:
-		em.cur = make([]analysis.Event, 0, em.batchSize)
-	}
-}
-
-// Interrupt unwedges a Block-mode producer blocked in Flush (dropping the
-// batch it carried) and makes further Block-mode flushes non-blocking until
-// ClearInterrupt. The one Emitter method safe to call from any goroutine;
-// the session layer pairs it with Instance.Interrupt so a cancelled
-// invocation cannot stay wedged on a lagging consumer. Idempotent.
-func (em *Emitter) Interrupt() {
-	em.intrMu.Lock()
-	if !em.stopped {
-		em.stopped = true
-		close(em.stopc)
-	}
-	em.intrMu.Unlock()
-}
-
-// ClearInterrupt re-arms Block-mode backpressure after an Interrupt.
-// Producer-side, like Flush: call it only between invocations.
-func (em *Emitter) ClearInterrupt() {
-	em.intrMu.Lock()
-	if em.stopped {
-		em.stopped = false
-		em.stopc = make(chan struct{})
-	}
-	em.intrMu.Unlock()
-}
-
-// Close flushes the pending batch and ends the stream: after the in-flight
-// batches are drained, Next reports ok == false. Close is producer-side
-// like Flush: call it only when no instrumented code is running. Idempotent.
-func (em *Emitter) Close() {
-	if em.closed {
-		return
-	}
-	em.Flush()
-	if em.closed {
-		// Flush hit a fault and already ended the stream (see fail).
-		return
-	}
-	em.closed = true
-	close(em.full)
-}
-
-// fail ends the stream with a terminal host-side error: the pending batch
-// is discarded and counted, the consumer side is woken (Next drains and
-// reports done), and the error is recorded for Err. Producer-side, like
-// Flush; first error wins, later faults only count their dropped events.
-func (em *Emitter) fail(err error) {
-	em.failMu.Lock()
-	if em.failErr == nil {
-		em.failErr = err
-	}
-	em.failMu.Unlock()
+// discardCur counts the pending records as producer-side drops.
+func (em *Emitter) discardCur() {
 	em.dropped.Add(uint64(len(em.cur)))
 	em.cur = em.cur[:0]
-	if !em.closed {
-		em.closed = true
-		close(em.full)
+}
+
+// Interrupt makes a Block delivery waiting in Flush give up (the batch counts
+// as dropped on each subscription that did not receive it), and makes later
+// Block deliveries to a full queue do the same until ClearInterrupt. The one
+// Emitter method safe to call from any goroutine; the session layer pairs it
+// with Instance.Interrupt so a cancelled invocation cannot stay wedged on a
+// lagging consumer. Idempotent.
+func (em *Emitter) Interrupt() {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	select {
+	case <-em.stopc:
+	default:
+		close(em.stopc)
 	}
 }
 
-// Err returns the terminal host-side fault recorded by fail, or nil. Safe
-// from any goroutine.
-func (em *Emitter) Err() error {
-	em.failMu.Lock()
-	defer em.failMu.Unlock()
-	return em.failErr
+// ClearInterrupt re-arms Block backpressure after an Interrupt.
+// Producer-side, like Flush: call it only between invocations.
+func (em *Emitter) ClearInterrupt() {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	select {
+	case <-em.stopc:
+		em.stopc = make(chan struct{})
+	default:
+	}
 }
 
-// CloseDiscard ends the stream WITHOUT waiting for the consumer: the
-// pending batch and any undelivered in-flight batches are discarded and
-// counted as dropped. Unlike Close (whose final flush waits for a buffer in
-// Block mode) it never blocks, which makes it the teardown path — Session
-// .Close uses it so closing a session cannot hang on a consumer that
-// stopped draining. Producer-side, idempotent, and safe after Close.
+// Close publishes the pending batch and ends the stream: subscribers receive
+// what is queued, then Next reports ok == false. Producer-side like Flush.
+// Idempotent. A Block subscription's final delivery waits for room, so keep
+// its consumer draining until the subscription ends.
+func (em *Emitter) Close() {
+	em.Flush()
+	em.end()
+}
+
+// Fail ends the stream with a terminal error: the pending batch is discarded
+// and counted, subscribers receive what is queued and then end, and err is
+// recorded for Err (the first error wins). Producer-side, like Flush.
+func (em *Emitter) Fail(err error) {
+	em.mu.Lock()
+	if em.err == nil {
+		em.err = err
+	}
+	em.mu.Unlock()
+	em.discardCur()
+	em.end()
+}
+
+// end stops publication: Subscribe fails from now on, and every subscription
+// ends once its queue is drained.
+func (em *Emitter) end() {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	if !em.closed {
+		em.closed = true
+		for _, s := range em.subs {
+			close(s.ch)
+		}
+	}
+}
+
+// CloseDiscard is the teardown path: it ends the stream without waiting for
+// any consumer. The pending batch counts on the emitter; batches still
+// queued are released unseen and count on their own subscription. Then the
+// pooled buffers are let go, so a closed stream does not pin its batch
+// memory. Producer-side, idempotent, and safe after Close or Fail.
 func (em *Emitter) CloseDiscard() {
-	if !em.closed {
-		em.dropped.Add(uint64(len(em.cur)))
-		em.cur = em.cur[:0]
-		em.closed = true
-		close(em.full)
+	em.discardCur()
+	em.end()
+	em.mu.Lock()
+	subs := em.subs
+	em.free = nil
+	em.mu.Unlock()
+	em.cur, em.ref = nil, nil
+	for _, s := range subs {
+		s.discard()
 	}
+}
+
+// Err returns the terminal error recorded by Fail, or nil. Safe from any
+// goroutine.
+func (em *Emitter) Err() error {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	return em.err
+}
+
+// Dropped returns the number of records lost before publication: flushed
+// after the stream ended, or pending at a fault or teardown. Losses of a
+// published batch count on the subscription that missed it.
+func (em *Emitter) Dropped() uint64 { return em.dropped.Load() }
+
+// Subscription is one subscriber's end of an Emitter: its own queue and
+// backpressure policy, and the Next/Serve consumption surface. Exactly one
+// goroutine may consume a subscription, and Close belongs to that goroutine
+// too.
+type Subscription struct {
+	em      *Emitter
+	ch      chan *batchRef
+	drop    bool
+	gone    chan struct{} // closed by Close; a Block delivery stops waiting
+	closed  bool
+	prev    *batchRef // batch last handed out by Next
+	dropped atomic.Uint64
+}
+
+// deliver queues ref, or applies the backpressure policy when the queue is
+// full. A batch the subscription does not receive counts on it, unless the
+// subscriber has left.
+func (s *Subscription) deliver(ref *batchRef, stop <-chan struct{}) {
+	select {
+	case s.ch <- ref:
+		return
+	default:
+	}
+	if !s.drop {
+		select {
+		case s.ch <- ref:
+			return
+		case <-s.gone:
+			ref.release()
+			return
+		case <-stop:
+		}
+	}
+	s.dropped.Add(uint64(len(ref.buf)))
+	ref.release()
+}
+
+// discard releases every queued batch unseen, counting its records.
+func (s *Subscription) discard() {
 	for {
 		select {
-		case batch, ok := <-em.full:
+		case ref, ok := <-s.ch:
 			if !ok {
 				return
 			}
-			em.dropped.Add(uint64(len(batch)))
+			s.dropped.Add(uint64(len(ref.buf)))
+			ref.release()
 		default:
 			return
 		}
 	}
 }
 
-// Dropped returns the total number of events discarded: under Drop
-// backpressure, when emitting after Close, and by CloseDiscard's teardown.
-func (em *Emitter) Dropped() uint64 { return em.dropped.Load() }
-
-// Next returns the next filled batch, blocking until one is flushed or the
-// emitter is closed and drained (ok == false). The returned slice is
-// borrowed: it is recycled on the following Next call.
-func (em *Emitter) Next() ([]analysis.Event, bool) {
-	if em.prev != nil {
-		em.free <- em.prev[:0]
-		em.prev = nil
+// Next returns the next batch, blocking until one is published or the stream
+// ends (ok == false). The batch is BORROWED and read-only: it is shared with
+// every other subscription and recycled once the following Next call
+// releases this subscription's hold on it.
+func (s *Subscription) Next() ([]analysis.Event, bool) {
+	if s.prev != nil {
+		s.prev.release()
+		s.prev = nil
 	}
-	batch, ok := <-em.full
+	if s.closed {
+		return nil, false
+	}
+	ref, ok := <-s.ch
 	if !ok {
 		return nil, false
 	}
-	em.prev = batch
-	return batch, true
+	s.prev = ref
+	return ref.buf, true
 }
 
-// Exchange is the retain variant of Next, for consumers that broadcast
-// batches instead of processing them in place (internal/fabric): the
-// returned batch is RETAINED — the emitter will not recycle it — and the
-// caller compensates by handing a replacement buffer into the free ring in
-// the same call, keeping the ring population (and with it the backpressure
-// accounting and the producer's 0-alloc steady state) intact. The spare is
-// pushed before the receive, so the ring never dips below its invariant
-// count; pass a fresh buffer of BatchSize capacity on the first call and a
-// fully released retained buffer afterwards. A nil spare is accepted (the
-// ring runs one buffer short until the next call). Consumer-side, same
-// single-goroutine contract as Next; do not mix Exchange and Next consumers.
-func (em *Emitter) Exchange(spare []analysis.Event) ([]analysis.Event, bool) {
-	if spare != nil {
-		select {
-		case em.free <- spare[:0]: //borrowcheck:ignore -- feeding a released buffer back into the ring is the recycle contract
-		default: // ring already at capacity; let the spare go to the GC
-		}
-	}
-	batch, ok := <-em.full
-	if !ok {
-		return nil, false
-	}
-	return batch, true
-}
-
-// BatchSize returns the record capacity batches are created with, so an
-// Exchange consumer can size the replacement buffers it feeds back.
-func (em *Emitter) BatchSize() int { return em.batchSize }
-
-// Release drops the producer-side buffers so a closed stream does not pin
-// its batch memory (Session.Close calls it, after Close). Producer-side: it
-// leaves the consumer's in-flight batch alone — a consumer still draining
-// keeps working, and its buffers are collected with the emitter.
-func (em *Emitter) Release() {
-	em.cur = nil
+// Serve pulls batches and hands each to sink until the stream ends or the
+// subscription is closed.
+func (s *Subscription) Serve(sink analysis.EventSink) {
 	for {
-		select {
-		case <-em.free:
-		default:
+		batch, ok := s.Next()
+		if !ok {
 			return
 		}
+		sink.Events(batch)
 	}
 }
+
+// Close unsubscribes: queued batches are released unseen and counted in
+// Dropped, and Flush stops delivering here (a Block subscription stops
+// exerting backpressure). Consumer-side, like Next. A second Close fails
+// with ErrSubscriptionClosed. Closing is optional for a subscription consumed
+// to the end of the stream; it lets a subscriber leave early without
+// wedging the producer.
+func (s *Subscription) Close() error {
+	if s.closed {
+		return ErrSubscriptionClosed
+	}
+	s.closed = true
+	if s.prev != nil {
+		s.prev.release()
+		s.prev = nil
+	}
+	close(s.gone)
+	s.em.mu.Lock()
+	s.em.subs = slices.DeleteFunc(slices.Clone(s.em.subs), func(x *Subscription) bool { return x == s })
+	s.em.mu.Unlock()
+	// A Flush holding the old list can still slip one batch in after this
+	// drain; that buffer is left to the GC and the pool allocates a
+	// replacement — a bounded leak, never a stall.
+	s.discard()
+	return nil
+}
+
+// Dropped returns how many records this subscription missed: skipped by
+// Drop backpressure, abandoned by Interrupt, or still queued at teardown or
+// Close.
+func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }

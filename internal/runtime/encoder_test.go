@@ -82,6 +82,7 @@ type encoderFixture struct {
 	md     *core.Metadata
 	inst   *interp.Instance
 	em     *Emitter
+	sub    *Subscription
 	tracer probeTracer
 	specs  []*core.HookSpec
 	tramps []hookFn
@@ -94,7 +95,11 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpres
 	tracer := probeTracer{analyses.NewTracer()}
 	rtT := New(md, tracer)
 
-	em := NewEmitter(batchSize, mode)
+	em := NewEmitter(batchSize)
+	sub, err := em.Subscribe(2, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rtE := New(md, struct{}{})
 	rtE.SetEmitter(em, analysis.AllCaps|analysis.CapBlockCoverage)
 
@@ -104,7 +109,7 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpres
 	}
 	rtE.BindInstance(inst)
 
-	fx := &encoderFixture{md: md, inst: inst, em: em, tracer: tracer}
+	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, tracer: tracer}
 	tramps, encs := hostFuncs(rtT), hostFuncs(rtE)
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
@@ -138,7 +143,7 @@ func TestEncoderParityWithTrampolines(t *testing.T) {
 		tbl := fx.md.EventTable()
 		st.SetEventTable(tbl)
 		for {
-			batch, ok := fx.em.Next()
+			batch, ok := fx.sub.Next()
 			if !ok {
 				break
 			}
@@ -167,7 +172,7 @@ func TestEncoderParityWithTrampolines(t *testing.T) {
 func TestEncoderDeadHookElision(t *testing.T) {
 	md := paritySets(t)[0].md
 	rt := New(md, struct{}{})
-	rt.SetEmitter(NewEmitter(16, Drop), analysis.CapBinary)
+	rt.SetEmitter(NewEmitter(16), analysis.CapBinary)
 	for i, hf := range hostFuncs(rt) {
 		spec := &md.Hooks[i]
 		if want := spec.Kind != analysis.KindBinary; hf.NoOp != want {
@@ -193,7 +198,7 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 				t.Errorf("%s: hook %s: %.1f allocs/op, want 0", set.name, spec.Name, allocs)
 			}
 		}
-		dropped += fx.em.Dropped()
+		dropped += fx.sub.Dropped()
 	}
 	if dropped == 0 {
 		t.Error("no batch was dropped; the guard did not exercise the flush path")
@@ -203,14 +208,18 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 // TestEmitterBlockDelivery checks the lossless hand-off: a concurrent
 // consumer sees every emitted record, in order, across many batch cycles.
 func TestEmitterBlockDelivery(t *testing.T) {
-	em := NewEmitter(64, Block)
+	em := NewEmitter(64)
+	sub, err := em.Subscribe(2, Block)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 10_000
 	got := make([]uint32, 0, n)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			batch, ok := em.Next()
+			batch, ok := sub.Next()
 			if !ok {
 				return
 			}
@@ -232,18 +241,22 @@ func TestEmitterBlockDelivery(t *testing.T) {
 			t.Fatalf("event %d out of order: %d", i, v)
 		}
 	}
-	if em.Dropped() != 0 {
-		t.Errorf("Block mode dropped %d events", em.Dropped())
+	if em.Dropped()+sub.Dropped() != 0 {
+		t.Errorf("Block mode dropped %d events", em.Dropped()+sub.Dropped())
 	}
 }
 
-// TestEmitterCloseDiscardNeverBlocks pins the teardown path: with the full
-// ring at capacity, a non-empty current batch, and no consumer, CloseDiscard
-// must return (Close's lossless final flush would wait forever here) and
-// account every event as dropped.
+// TestEmitterCloseDiscardNeverBlocks pins the teardown path: with a Block
+// subscription's queue at capacity, a non-empty current batch, and no
+// consumer, CloseDiscard must return (Close's lossless final flush would
+// wait forever here) and account every event as dropped.
 func TestEmitterCloseDiscardNeverBlocks(t *testing.T) {
-	em := NewEmitter(4, Block)
-	const n = 11 // two full batches into the ring + 3 pending in cur
+	em := NewEmitter(4)
+	sub, err := em.Subscribe(2, Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 11 // two full batches into the queue + 3 pending in cur
 	for i := 0; i < n; i++ {
 		em.emit(analysis.Event{Aux: uint32(i)})
 	}
@@ -258,19 +271,23 @@ func TestEmitterCloseDiscardNeverBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("CloseDiscard blocked")
 	}
-	if em.Dropped() != n {
-		t.Errorf("dropped %d events, want all %d", em.Dropped(), n)
+	if em.Dropped()+sub.Dropped() != n {
+		t.Errorf("dropped %d events, want all %d", em.Dropped()+sub.Dropped(), n)
 	}
-	if _, ok := em.Next(); ok {
+	if _, ok := sub.Next(); ok {
 		t.Error("Next delivered a batch after CloseDiscard")
 	}
 }
 
 // TestEmitterDropBackpressure checks the lossy mode: with no consumer the
-// producer never stalls, the ring's batches survive, and the overflow is
+// producer never stalls, the queued batches survive, and the overflow is
 // counted.
 func TestEmitterDropBackpressure(t *testing.T) {
-	em := NewEmitter(8, Drop)
+	em := NewEmitter(8)
+	sub, err := em.Subscribe(2, Drop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 1000
 	for i := 0; i < n; i++ {
 		em.emit(analysis.Event{Aux: uint32(i)})
@@ -278,7 +295,7 @@ func TestEmitterDropBackpressure(t *testing.T) {
 	em.Close()
 	var got int
 	for {
-		batch, ok := em.Next()
+		batch, ok := sub.Next()
 		if !ok {
 			break
 		}
@@ -287,10 +304,10 @@ func TestEmitterDropBackpressure(t *testing.T) {
 	if got == 0 {
 		t.Error("drop mode delivered nothing; the in-flight batches should survive")
 	}
-	if em.Dropped() == 0 {
+	if sub.Dropped() == 0 {
 		t.Error("drop mode with no consumer dropped nothing")
 	}
-	if uint64(got)+em.Dropped() != n {
-		t.Errorf("delivered %d + dropped %d != emitted %d", got, em.Dropped(), n)
+	if uint64(got)+sub.Dropped() != n {
+		t.Errorf("delivered %d + dropped %d != emitted %d", got, sub.Dropped(), n)
 	}
 }

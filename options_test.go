@@ -126,3 +126,48 @@ func TestStreamOptionValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestSubscribeOptionValidation checks the per-subscription overrides
+// through Fabric.Subscribe, the construction point of a subscription.
+func TestSubscribeOptionValidation(t *testing.T) {
+	compiled, err := mustEngine(t).Instrument(buildTestModule(), wasabi.AllCaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		opt    wasabi.SubscribeOption
+		option string
+	}{
+		{"queue zero", wasabi.SubscribeQueue(0), "SubscribeQueue"},
+		{"queue negative", wasabi.SubscribeQueue(-1), "SubscribeQueue"},
+		{"backpressure unknown", wasabi.SubscribeBackpressure(wasabi.Backpressure(7)), "SubscribeBackpressure"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := compiled.NewSession(faultSink{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			fab, err := sess.Fanout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = fab.Subscribe(tc.opt)
+			if err == nil {
+				t.Fatal("invalid subscribe option accepted")
+			}
+			if !errors.Is(err, wasabi.ErrBadOption) {
+				t.Errorf("err = %v, not errors.Is ErrBadOption", err)
+			}
+			var bad *wasabi.BadOptionError
+			if !errors.As(err, &bad) || bad.Option != tc.option {
+				t.Errorf("err = %v, want *BadOptionError for %s", err, tc.option)
+			}
+			// The fabric itself stays usable: a valid Subscribe call succeeds.
+			if _, err := fab.Subscribe(wasabi.SubscribeQueue(1)); err != nil {
+				t.Errorf("fabric unusable after rejected option: %v", err)
+			}
+		})
+	}
+}

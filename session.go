@@ -26,8 +26,7 @@ type Session struct {
 	rt       *wruntime.Runtime
 
 	names        []string // instance names this session registered
-	stream       *Stream  // non-nil after Stream() or Fanout()
-	fanout       *Fabric  // non-nil after Fanout(); broadcasts stream
+	stream       *Fabric  // non-nil after Stream() or Fanout()
 	instantiated bool
 	closed       bool
 
@@ -87,30 +86,26 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 	if name != "" {
 		s.names = append(s.names, name)
 	}
-	// Stream flush point and teardown: hand the partial batch to the
-	// consumer whenever a top-level call into this instance completes
-	// (normally or not), and when the call failed — trap or fault — end the
-	// stream with that error so a consumer blocked in Next/Serve observes
-	// the failure (Stream.Err) instead of waiting forever.
+	// Stream flush point and teardown: publish the partial batch whenever a
+	// top-level call into this instance completes (normally or not), and
+	// when the call failed — trap or fault — end the stream with that error
+	// so a consumer blocked in Next/Serve observes the failure (Stream.Err)
+	// instead of waiting forever. A host-side emitter fault has already
+	// ended the stream with its own error.
 	if s.stream != nil {
-		st := s.stream
+		em := s.stream.em
 		inst.SetTopReturnHook(func(err error) {
 			// The hook runs after Instance.call's panic containment (it must
 			// observe the settled instance), so a host-side panic here would
 			// escape Invoke raw: degrade it to a terminal stream error.
 			defer func() {
 				if r := recover(); r != nil {
-					st.fail(fmt.Errorf("wasabi: stream flush panic: %v", r))
+					em.Fail(fmt.Errorf("wasabi: stream flush panic: %v", r))
 				}
 			}()
-			st.em.Flush()
-			if err == nil {
-				// A host-side emitter fault (fault injection) ends the stream
-				// even when the invocation itself completed.
-				err = st.em.Err()
-			}
+			em.Flush()
 			if err != nil {
-				st.fail(err)
+				em.Fail(err)
 			}
 		})
 	}
@@ -149,10 +144,13 @@ func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn s
 // Close ends the session: every instance name it registered is removed from
 // the engine's registry (so long-running engines do not accumulate retired
 // instances — the registry-eviction half of the instance lifecycle), and an
-// active event stream is closed and its pooled batch buffers released. The
-// instances themselves stay usable for an embedder that still holds them;
-// they are simply no longer reachable by name. Idempotent; the session
-// cannot Instantiate or Stream afterwards.
+// active event stream is torn down and its pooled batch buffers released.
+// Teardown never waits on a consumer, for a Stream and a Fabric alike:
+// every subscription ends, and batches still queued on it are discarded and
+// counted in its Dropped (for a lossless shutdown, Close the stream and
+// drain it first). The instances themselves stay usable for an embedder
+// that still holds them; they are simply no longer reachable by name.
+// Idempotent; the session cannot Instantiate or Stream afterwards.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
@@ -163,14 +161,7 @@ func (s *Session) Close() error {
 	}
 	s.names = nil
 	if s.stream != nil {
-		s.stream.release()
-	}
-	// With a fabric on top of the stream, also stop its distributor: the
-	// emitter is closed and drained by release above, so the distributor
-	// exits promptly, and Kill additionally unwedges it from a Block
-	// subscriber that stopped draining. Subscribers observe end-of-stream.
-	if s.fanout != nil {
-		s.fanout.inner.Kill()
+		s.stream.em.CloseDiscard()
 	}
 	return nil
 }

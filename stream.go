@@ -2,10 +2,10 @@ package wasabi
 
 // The event-stream analysis surface: hook events as packed records pulled in
 // batches, beside (not on top of) the callback API. A stream session's hooks
-// compile to per-spec record encoders — the same precomputed lowered-arg
-// layouts as the callback trampolines, but writing 40-byte analysis.Event
-// records into a per-session batch ring instead of calling analysis Go code.
-// The consumer pulls whole batches:
+// compile to per-spec record encoders — the same hook plans as the callback
+// trampolines, but writing 40-byte analysis.Event records into the session's
+// emitter instead of calling analysis Go code. The consumer pulls whole
+// batches:
 //
 //	sess, _ := compiled.NewSession(myStreamAnalysis) // EventStreamer
 //	stream, _ := sess.Stream()
@@ -13,6 +13,9 @@ package wasabi
 //	inst, _ := sess.Instantiate("app", imports)
 //	inst.Invoke("main")                              // events flow in batches
 //	stream.Close()                                   // flush + end of stream
+//
+// A Stream is a one-subscription Fabric (fabric.go): the same emitter
+// publishes to the same kind of Subscription, whose queue holds two batches.
 //
 // Ownership follows the Values rule of the callback API: a batch is
 // borrowed and valid only until the next batch is requested — the buffers
@@ -22,27 +25,27 @@ package wasabi
 // when the consumer lags, Drop discards full batches and counts them.
 // Block requires the consumer to run concurrently; a run-first-drain-later
 // loop on one goroutine must use Drop (or a batch budget that fits the
-// ring).
+// queue).
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"wasabi/internal/analysis"
 	wruntime "wasabi/internal/runtime"
 )
 
-// Backpressure selects what a stream's producer side does when every batch
-// buffer is full because the consumer lags. See the package comment of this
-// file.
+// Backpressure selects what happens to a batch for a subscription whose
+// queue is full because its consumer lags. See the comment at the top of
+// this file.
 type Backpressure = wruntime.Backpressure
 
 const (
-	// BackpressureBlock stalls event production until the consumer frees a
-	// batch (lossless).
+	// BackpressureBlock stalls event production until the consumer makes
+	// room (lossless).
 	BackpressureBlock = wruntime.Block
-	// BackpressureDrop discards the batch being flushed and keeps the
-	// program running (lossy; Stream.Dropped counts the loss).
+	// BackpressureDrop skips the batch for that subscription and keeps the
+	// program running (lossy; Stream.Dropped and Subscription.Dropped count
+	// the loss).
 	BackpressureDrop = wruntime.Drop
 )
 
@@ -83,18 +86,24 @@ func StreamBatchSize(n int) StreamOption {
 	return func(c *streamConfig) { c.batchSize = n }
 }
 
-// StreamBackpressure overrides the backpressure policy of this stream.
+// StreamBackpressure overrides the backpressure policy of this stream: the
+// policy of a Stream, and the default of a Fabric's subscriptions.
 func StreamBackpressure(mode Backpressure) StreamOption {
 	return func(c *streamConfig) { c.backpressure = mode }
 }
 
-// Stream is the consumer end of a session's event stream. Exactly one
-// goroutine may consume a stream; Flush and Close belong to the producer
-// side (call them only while no instrumented code of the session runs).
+// streamQueue is a Stream's queue depth in batches. With the batch being
+// filled and the one its consumer holds, it uses exactly the emitter's
+// up-front buffers.
+const streamQueue = 2
+
+// Stream is the consumer end of a session's event stream: a Fabric with one
+// subscription. Exactly one goroutine may consume a stream; Flush and Close
+// belong to the producer side (call them only while no instrumented code of
+// the session runs).
 type Stream struct {
-	em  *wruntime.Emitter
-	tbl *analysis.EventTable
-	err atomic.Value // first terminal error (fail); read via Err
+	fab *Fabric
+	sub *Subscription
 }
 
 // Stream switches the session from callback dispatch to stream delivery and
@@ -109,13 +118,19 @@ type Stream struct {
 // analysis would observe). If the analysis implements EventTableReceiver it
 // receives the decode table now.
 func (s *Session) Stream(opts ...StreamOption) (*Stream, error) {
-	return s.openStream("Stream", opts)
+	fab, err := s.openStream("Stream", opts)
+	if err != nil {
+		return nil, err
+	}
+	// A fresh fabric accepts subscribers, and the stream's default policy
+	// was validated by openStream.
+	sub, _ := fab.Subscribe(SubscribeQueue(streamQueue))
+	return &Stream{fab: fab, sub: sub}, nil
 }
 
-// openStream is the shared construction behind Session.Stream (one
-// consumer) and Session.Fanout (N subscribers over the same emitter): it
-// validates, builds the emitter, and wires the session's stream hooks.
-func (s *Session) openStream(method string, opts []StreamOption) (*Stream, error) {
+// openStream is the construction behind Session.Stream and Session.Fanout:
+// it validates, builds the emitter, and wires the session's stream hooks.
+func (s *Session) openStream(method string, opts []StreamOption) (*Fabric, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: %s", ErrSessionClosed, method)
 	}
@@ -148,16 +163,16 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Stream, error
 	if cfg.batchSize < 1 {
 		return nil, badOption("StreamBatchSize", cfg.batchSize, "a batch holds at least one record")
 	}
-	if cfg.backpressure != BackpressureBlock && cfg.backpressure != BackpressureDrop {
-		return nil, badOption("StreamBackpressure", int(cfg.backpressure), "unknown backpressure mode")
+	if err := checkBackpressure("StreamBackpressure", cfg.backpressure); err != nil {
+		return nil, err
 	}
-	em := wruntime.NewEmitter(cfg.batchSize, cfg.backpressure)
+	em := wruntime.NewEmitter(cfg.batchSize)
 	s.rt.SetEmitter(em, caps)
 	tbl := s.compiled.EventTable()
 	if recv, ok := s.analysis.(analysis.EventTableReceiver); ok {
 		recv.SetEventTable(tbl)
 	}
-	s.stream = &Stream{em: em, tbl: tbl}
+	s.stream = &Fabric{em: em, tbl: tbl, queue: s.compiled.engine.subQueue, backpressure: cfg.backpressure}
 	return s.stream, nil
 }
 
@@ -174,74 +189,39 @@ func streamCapsOf(a any) Cap {
 // Close). ok is false when the stream is closed and fully drained. The
 // batch is BORROWED: it is valid only until the next Next call, which
 // recycles the buffer.
-func (st *Stream) Next() ([]Event, bool) { return st.em.Next() }
+func (st *Stream) Next() ([]Event, bool) { return st.sub.Next() }
 
 // Serve pulls batches and hands each to sink until the stream ends. Run it
 // on its own goroutine for Block-mode streams.
-func (st *Stream) Serve(sink EventSink) {
-	for {
-		batch, ok := st.em.Next()
-		if !ok {
-			return
-		}
-		sink.Events(batch)
-	}
-}
+func (st *Stream) Serve(sink EventSink) { st.sub.Serve(sink) }
 
 // Flush hands the partially filled batch to the consumer now. Producer-side:
 // call it between invocations, never while instrumented code runs.
-func (st *Stream) Flush() { st.em.Flush() }
+func (st *Stream) Flush() { st.fab.Flush() }
 
-// Close flushes pending records and ends the stream: after the in-flight
+// Close flushes pending records and ends the stream: after the queued
 // batches are drained, Next reports ok == false and Serve returns.
 // Producer-side like Flush. Idempotent. In Block mode the final flush waits
-// for a buffer, so keep the consumer draining until the stream ends.
-func (st *Stream) Close() { st.em.Close() }
+// for room in the queue, so keep the consumer draining until the stream
+// ends.
+func (st *Stream) Close() { st.fab.Close() }
 
 // Dropped returns the number of event records discarded so far: by
-// BackpressureDrop when the consumer lagged, by events emitted after Close,
-// and by Session.Close's non-waiting teardown. A Block-mode stream that is
-// closed once (Stream.Close) and fully drained before its session closes
-// loses nothing and reports 0.
-func (st *Stream) Dropped() uint64 { return st.em.Dropped() }
+// BackpressureDrop when the consumer lagged, by an interruption that
+// abandoned a delivery, by events emitted after Close, and by Session.Close's
+// non-waiting teardown. A Block-mode stream that is closed once
+// (Stream.Close) and fully drained before its session closes loses nothing
+// and reports 0.
+func (st *Stream) Dropped() uint64 { return st.fab.Dropped() + st.sub.Dropped() }
 
 // Table returns the decode table mapping Event.Hook indices back to hook
 // kinds, instruction names, and payload types. Shared and immutable.
-func (st *Stream) Table() *EventTable { return st.tbl }
+func (st *Stream) Table() *EventTable { return st.fab.Table() }
 
-// Err returns the terminal error of a stream that was torn down by a guest
-// failure — the *Trap or *RuntimeFault of the invocation that ended it —
-// and nil for a stream that is still live or ended cleanly (Close). Like a
-// bufio.Scanner's Err, it is meaningful once the stream has ended: when
-// Next reports ok == false / Serve returns, the error (if any) is already
-// visible to the consumer goroutine.
-func (st *Stream) Err() error {
-	if v := st.err.Load(); v != nil {
-		return v.(streamErr).error
-	}
-	// A host-side emitter fault (fault injection) recorded outside any
-	// invocation — e.g. during an explicit Flush or Close — is terminal too.
-	return st.em.Err()
-}
-
-// streamErr gives every stored terminal error the same concrete type, which
-// atomic.Value requires across stores.
-type streamErr struct{ error }
-
-// fail tears the stream down with a terminal error: the partial batch was
-// already flushed by the top-return hook, the error is recorded for Err,
-// and the stream is closed so blocked consumers wake up. The first error
-// wins. Producer-side (runs from the instance's top-return hook).
-func (st *Stream) fail(err error) {
-	st.err.CompareAndSwap(nil, streamErr{err})
-	st.em.Close()
-}
-
-// release is Session.Close's teardown: end the stream without waiting for
-// the consumer (undelivered batches are discarded and counted in Dropped —
-// for a lossless shutdown call Stream.Close and drain first) and return the
-// batch buffers.
-func (st *Stream) release() {
-	st.em.CloseDiscard()
-	st.em.Release()
-}
+// Err returns the terminal error of a stream that was torn down by a
+// failure — the *Trap or *RuntimeFault of the invocation that ended it, or
+// a host-side emitter fault — and nil for a stream that is still live or
+// ended cleanly (Close). Like a bufio.Scanner's Err, it is meaningful once
+// the stream has ended: when Next reports ok == false / Serve returns, the
+// error (if any) is already visible to the consumer goroutine.
+func (st *Stream) Err() error { return st.fab.Err() }

@@ -36,9 +36,10 @@
 //
 // Beside the callback API there is a stream-native surface: Session.Stream
 // compiles the session's hooks into record encoders that append packed,
-// fixed-width Event records to a batch ring instead of calling analysis Go
-// code, and the consumer pulls whole batches (Stream.Next / Stream.Serve)
-// — on its own goroutine if desired. Stream-native analyses implement
+// fixed-width Event records to the session's emitter instead of calling
+// analysis Go code, and the consumer pulls whole batches (Stream.Next /
+// Stream.Serve) — on its own goroutine if desired. Session.Fanout publishes
+// the same batches to any number of subscriptions. Stream-native analyses implement
 // EventStreamer (declaring their event classes) and EventSink (consuming
 // batches); batches follow the same borrow rule as hook value vectors. See
 // stream.go and the README's "Event streams" section.
