@@ -197,9 +197,14 @@ func BenchmarkFig9_PerHook(b *testing.B) {
 		{"end", analysis.Set(analysis.KindEnd)},
 		{"all", analysis.AllHooks},
 	}
+	engine := mustEngine(b)
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: tc.set})
+			compiled, err := engine.InstrumentHooks(m, tc.set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, err := compiled.NewSession(&analyses.Empty{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,9 +39,10 @@ type BenchReport struct {
 	// specific optimization landed, so its effect stays machine-readable
 	// without re-running old trees.
 	References map[string]map[string]BenchResult `json:"references,omitempty"`
-	// ParallelScaling records the parallel-instrumentation worker sweep
-	// (the -parallel mode refreshes just this section).
-	ParallelScaling ParallelScaling `json:"parallel_scaling"`
+	// ParallelScaling is a frozen record of an instrumentation worker sweep
+	// taken on a 1-core machine; no mode measures it, so writeBenchJSON
+	// carries it over from the file it rewrites.
+	ParallelScaling json.RawMessage `json:"parallel_scaling,omitempty"`
 }
 
 // Fig9Hook is one per-hook row of BENCH_fig9.json: absolute time and the
@@ -215,7 +216,7 @@ func writeJSONFile(path string, v any) error {
 // mergeSection rewrites one top-level section of an existing report file,
 // leaving every other section byte-for-byte intact (decoded as raw
 // messages). The refresh contract of the single-section modes (-fuel,
-// -fanout, -parallel): a section can be re-measured on a quiet machine
+// -fanout): a section can be re-measured on a quiet machine
 // without re-running the whole suite.
 func mergeSection(path, section string, v any) error {
 	data, err := os.ReadFile(path)
@@ -369,15 +370,15 @@ func writeBenchJSON(instrPath, fig9Path string) error {
 	}
 
 	if instrPath != "" {
-		parScaling, err := measureParallelScaling()
-		if err != nil {
-			return err
+		var prev BenchReport
+		if data, err := os.ReadFile(instrPath); err == nil {
+			_ = json.Unmarshal(data, &prev) // an unreadable old report just carries nothing over
 		}
 		report := BenchReport{
 			SeedBaseline:    seedBaseline,
 			Current:         cur,
 			References:      map[string]map[string]BenchResult{"pr3_remap_before": pr3RemapBefore},
-			ParallelScaling: parScaling,
+			ParallelScaling: prev.ParallelScaling,
 		}
 		if err := writeJSONFile(instrPath, &report); err != nil {
 			return err

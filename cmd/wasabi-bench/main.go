@@ -10,7 +10,6 @@
 //	wasabi-bench -stream        (event-stream events/sec + batch-size sweep)
 //	wasabi-bench -fuel [-fig9 BENCH_fig9.json]   (metered vs unmetered Fig 9 kernel)
 //	wasabi-bench -fanout [-fig9 BENCH_fig9.json] (fan-out scaling + sink throughput)
-//	wasabi-bench -parallel [-json BENCH_instrument.json]  (instrumentation worker sweep)
 package main
 
 import (
@@ -33,20 +32,11 @@ func main() {
 	stream := flag.Bool("stream", false, "measure event-stream delivery (events/sec, batch-size sweep) on the Fig 9 workload; skips the experiments")
 	fuel := flag.Bool("fuel", false, "measure metered vs unmetered execution of the Fig 9 kernel (containment guard cost); skips the experiments")
 	fanout := flag.Bool("fanout", false, "measure fabric fan-out scaling and sink write/replay throughput on the Fig 9 workload; skips the experiments")
-	parallel := flag.Bool("parallel", false, "measure parallel-instrumentation scaling on the 1 MiB synthetic app; skips the experiments")
 	flag.Parse()
 
 	if *fanout {
 		if err := runFanout(*fig9Out); err != nil {
 			fmt.Fprintf(os.Stderr, "wasabi-bench: -fanout: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parallel {
-		if err := runParallel(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -parallel: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	wasabi [-hooks all|h1,h2,...] [-o out.wasm] [-meta out.json] [-p N] input.wasm
+//	wasabi [-hooks all|h1,h2,...] [-o out.wasm] [-meta out.json] input.wasm
 //	wasabi -inspect input.wasm
 //	wasabi -diff input.wasm [entry]
 //	wasabi -gen seed [-o out.wasm]
@@ -47,7 +47,6 @@ func main() {
 	hooks := flag.String("hooks", "all", "comma-separated hook kinds to instrument, or \"all\"")
 	out := flag.String("o", "", "output file (default: <input>.instrumented.wasm)")
 	metaOut := flag.String("meta", "", "metadata JSON file (default: <input>.wasabi.json)")
-	par := flag.Int("p", 0, "instrumenter parallelism (0 = GOMAXPROCS); decode, validation, static analysis and encode use GOMAXPROCS")
 	check := flag.Bool("validate", true, "validate the instrumented output")
 	inspect := flag.Bool("inspect", false, "print the static-analysis report instead of instrumenting")
 	diffMode := flag.Bool("diff", false, "run the differential-execution matrix instead of instrumenting")
@@ -122,7 +121,7 @@ func main() {
 		}
 		return
 	}
-	engine, err := wasabi.NewEngine(wasabi.WithParallelism(*par))
+	engine, err := wasabi.NewEngine()
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/binary"
 	"wasabi/internal/core"
-	"wasabi/internal/interp"
 	wruntime "wasabi/internal/runtime"
 	"wasabi/internal/wasm"
 )
@@ -20,7 +19,6 @@ import (
 // paper's instrument-once, analyze-many workflow).
 type CompiledAnalysis struct {
 	engine *Engine
-	reg    *interp.Registry // where sessions register/resolve named instances
 	module *wasm.Module
 	meta   *core.Metadata
 	shared *wruntime.Shared

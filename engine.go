@@ -41,18 +41,14 @@ func CapsOf(a any) Cap { return analysis.CapsOf(a) }
 // CompiledAnalysis, from which any number of Sessions — each binding one
 // analysis value — instantiate and run instances.
 type Engine struct {
-	parallelism  int
-	cacheLimit   int
-	streamBatch  int
-	subQueue     int
-	backpressure Backpressure
-	exec         interp.Config // containment config for every instance (see WithFuel etc.)
-	deadline     time.Duration // default InvokeContext deadline (WithDeadline)
-	static       bool          // analysis-aware instrumentation (WithStaticAnalysis)
-	noValidate   bool          // skip input validation (WithoutValidation)
-	wasiCfg      *WASIConfig   // preview1 host environment (WithWASI); nil = no WASI
-	reg          *interp.Registry
-	pool         *wruntime.ValuePool
+	cacheLimit int
+	exec       interp.Config // containment config for every instance (see WithFuel etc.)
+	deadline   time.Duration // default InvokeContext deadline (WithDeadline)
+	static     bool          // analysis-aware instrumentation (WithStaticAnalysis)
+	noValidate bool          // skip input validation (WithoutValidation)
+	wasiCfg    *WASIConfig   // preview1 host environment (WithWASI); nil = no WASI
+	reg        *interp.Registry
+	pool       *wruntime.ValuePool
 
 	mu         sync.Mutex
 	cache      map[compiledKey]*CompiledAnalysis
@@ -73,20 +69,6 @@ const DefaultCompiledCacheLimit = 128
 // would misbehave at runtime.
 type EngineOption func(*Engine) error
 
-// WithParallelism bounds the instrumenter's worker goroutines (0 means
-// GOMAXPROCS, 1 disables parallel instrumentation). It bounds only the
-// instrumenter: decoding, validation, static analysis and encoding each fan
-// out over GOMAXPROCS workers.
-func WithParallelism(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 0 {
-			return badOption("WithParallelism", n, "worker count cannot be negative")
-		}
-		e.parallelism = n
-		return nil
-	}
-}
-
 // WithCompiledCacheLimit overrides the instrumented-module cache bound; 0
 // disables caching entirely (every Instrument call runs the instrumenter).
 func WithCompiledCacheLimit(n int) EngineOption {
@@ -95,50 +77,6 @@ func WithCompiledCacheLimit(n int) EngineOption {
 			return badOption("WithCompiledCacheLimit", n, "cache bound cannot be negative (0 disables caching)")
 		}
 		e.cacheLimit = n
-		return nil
-	}
-}
-
-// WithBackpressure sets the engine-wide default backpressure policy of
-// event streams and fan-out subscriptions: Block (default, lossless — event
-// production stalls until the consumer catches up) or Drop (lossy — a batch
-// that finds a subscription's queue full is skipped for it and counted).
-// Individual streams can override it with StreamBackpressure, individual
-// subscriptions with SubscribeBackpressure.
-func WithBackpressure(mode Backpressure) EngineOption {
-	return func(e *Engine) error {
-		if err := checkBackpressure("WithBackpressure", mode); err != nil {
-			return err
-		}
-		e.backpressure = mode
-		return nil
-	}
-}
-
-// WithStreamBatchSize sets the engine-wide default number of event records
-// per stream batch (default DefaultStreamBatchSize). Individual streams can
-// override it with StreamBatchSize.
-func WithStreamBatchSize(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 1 {
-			return badOption("WithStreamBatchSize", n, "a batch holds at least one record")
-		}
-		e.streamBatch = n
-		return nil
-	}
-}
-
-// WithSubscriberQueue sets the engine-wide default queue depth (in batches)
-// of fan-out subscriptions (default DefaultSubscriberQueue). Individual
-// subscribers can override it with SubscribeQueue. Deeper queues let Block
-// subscribers absorb longer analysis hiccups before stalling the producer,
-// at the cost of more retained batch buffers.
-func WithSubscriberQueue(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 1 {
-			return badOption("WithSubscriberQueue", n, "a subscription queues at least one batch")
-		}
-		e.subQueue = n
 		return nil
 	}
 }
@@ -263,12 +201,10 @@ func WithoutValidation() EngineOption {
 // with a *BadOptionError (errors.Is ErrBadOption).
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e := &Engine{
-		cacheLimit:  DefaultCompiledCacheLimit,
-		streamBatch: DefaultStreamBatchSize,
-		subQueue:    DefaultSubscriberQueue,
-		reg:         interp.NewRegistry(),
-		pool:        &wruntime.ValuePool{},
-		cache:       make(map[compiledKey]*CompiledAnalysis),
+		cacheLimit: DefaultCompiledCacheLimit,
+		reg:        interp.NewRegistry(),
+		pool:       &wruntime.ValuePool{},
+		cache:      make(map[compiledKey]*CompiledAnalysis),
 	}
 	for _, o := range opts {
 		if err := o(e); err != nil {
@@ -277,20 +213,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// defaultEngine backs the deprecated one-shot API. An optionless NewEngine
-// cannot fail.
-var defaultEngine = sync.OnceValue(func() *Engine {
-	e, err := NewEngine()
-	if err != nil {
-		panic(err)
-	}
-	return e
-})
-
-// DefaultEngine returns the shared process-wide engine the deprecated
-// one-shot API delegates to.
-func DefaultEngine() *Engine { return defaultEngine() }
 
 // Instrument instruments m once for every hook the capability mask selects
 // and returns the immutable result. An empty mask fails with ErrNoHooks
@@ -347,10 +269,7 @@ func (e *Engine) InstrumentHooks(m *wasm.Module, hooks HookSet) (*CompiledAnalys
 	}
 	e.mu.Unlock()
 
-	c, err := e.instrumentUncached(m, core.Options{
-		Hooks:       hooks,
-		Parallelism: e.parallelism,
-	})
+	c, err := e.instrumentUncached(m, core.Options{Hooks: hooks})
 	if err != nil {
 		return nil, err
 	}
@@ -408,12 +327,12 @@ func (e *Engine) InstrumentBytes(wasmBytes []byte, caps Cap) (*CompiledAnalysis,
 	if err != nil {
 		return nil, fmt.Errorf("wasabi: decode: %w", err)
 	}
-	return e.instrumentUncached(m, core.Options{Hooks: caps.HookSet(), Parallelism: e.parallelism})
+	return e.instrumentUncached(m, core.Options{Hooks: caps.HookSet()})
 }
 
 // instrumentUncached runs the instrumenter without touching the cache: for
-// inputs whose module pointer will never be seen again (decoded bytes, the
-// deprecated one-shot shims), caching would retain every module forever.
+// inputs whose module pointer will never be seen again (decoded bytes),
+// caching would retain every module forever.
 func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*CompiledAnalysis, error) {
 	if !e.noValidate {
 		if err := validate.Module(m); err != nil {
@@ -445,7 +364,6 @@ func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*Compile
 	}
 	return &CompiledAnalysis{
 		engine: e,
-		reg:    e.reg,
 		module: instrumented,
 		meta:   meta,
 		shared: wruntime.NewShared(meta, e.pool),

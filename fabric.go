@@ -20,7 +20,7 @@ package wasabi
 //	fab.Close()                              // flush + end of stream
 //
 // Backpressure is per subscription. The stream's policy (StreamBackpressure,
-// engine default WithBackpressure) is the default, and SubscribeBackpressure
+// default BackpressureBlock) is the default, and SubscribeBackpressure
 // overrides it: a Block subscription is lossless — once its queue is full
 // the instrumented program stalls until it catches up — and a Drop
 // subscription loses batches for itself only when its queue is full
@@ -33,8 +33,7 @@ import (
 )
 
 // DefaultSubscriberQueue is the default per-subscriber queue depth, in
-// batches (override engine-wide with WithSubscriberQueue, per subscriber
-// with SubscribeQueue).
+// batches (override per subscriber with SubscribeQueue).
 const DefaultSubscriberQueue = 8
 
 // Subscription is one subscriber's end of a Fabric: Next/Serve like a
@@ -49,7 +48,6 @@ type Subscription = wruntime.Subscription
 type Fabric struct {
 	em           *wruntime.Emitter
 	tbl          *analysis.EventTable
-	queue        int          // default queue depth of new subscriptions
 	backpressure Backpressure // default policy of new subscriptions
 }
 
@@ -94,7 +92,7 @@ func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
 // batches flushed from now on); subscribing after the stream ended fails
 // with ErrFabricClosed.
 func (f *Fabric) Subscribe(opts ...SubscribeOption) (*Subscription, error) {
-	cfg := subscribeConfig{queue: f.queue, backpressure: f.backpressure}
+	cfg := subscribeConfig{queue: DefaultSubscriberQueue, backpressure: f.backpressure}
 	for _, o := range opts {
 		o(&cfg)
 	}

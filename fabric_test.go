@@ -337,12 +337,6 @@ func TestFanoutLifecycleErrors(t *testing.T) {
 			t.Fatalf("SubscribeQueue(0) = %v, want ErrBadOption", err)
 		}
 	})
-
-	t.Run("BadSubscriberQueueOption", func(t *testing.T) {
-		if _, err := wasabi.NewEngine(wasabi.WithSubscriberQueue(0)); !errors.Is(err, wasabi.ErrBadOption) {
-			t.Fatalf("WithSubscriberQueue(0) = %v, want ErrBadOption", err)
-		}
-	})
 }
 
 // TestFanoutSessionCloseTeardown: closing the session with a subscriber that

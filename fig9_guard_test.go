@@ -18,7 +18,6 @@ import (
 	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/polybench"
 )
@@ -89,7 +88,11 @@ func TestFig9BaselineGuard(t *testing.T) {
 			t.Errorf("BENCH_fig9.json has no recorded %q ratio", cfg.name)
 			continue
 		}
-		sess, err := wasabi.AnalyzeWithOptions(k.Module(16), &analyses.Empty{}, core.Options{Hooks: cfg.set})
+		compiled, err := mustEngine(t).InstrumentHooks(k.Module(16), cfg.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := compiled.NewSession(&analyses.Empty{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,9 +151,13 @@ func (r *recordingAnalysis) Start(loc wasabi.Location) { r.counts["start"]++ }
 
 func runMain(t *testing.T, m *wasm.Module, a any, n int32) int32 {
 	t.Helper()
-	sess, err := wasabi.Analyze(m, a)
+	compiled, err := mustEngine(t).Instrument(m, wasabi.CapsOf(a))
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("Instrument: %v", err)
+	}
+	sess, err := compiled.NewSession(a)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
 	}
 	if err := validate.Module(sess.Module()); err != nil {
 		t.Fatalf("instrumented module invalid: %v", err)

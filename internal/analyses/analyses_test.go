@@ -12,14 +12,29 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// runOn instruments m for the analysis and invokes entry(arg).
-func runOn(t *testing.T, m *wasm.Module, a any, entry string, arg int32) {
+// newSession instruments m on a fresh engine for the hooks the analysis
+// implements and binds a session for it.
+func newSession(t *testing.T, m *wasm.Module, a any) *wasabi.Session {
 	t.Helper()
-	sess, err := wasabi.Analyze(m, a)
+	engine, err := wasabi.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sess.Instantiate("", nil)
+	compiled, err := engine.Instrument(m, wasabi.CapsOf(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := compiled.NewSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// runOn instruments m for the analysis and invokes entry(arg).
+func runOn(t *testing.T, m *wasm.Module, a any, entry string, arg int32) {
+	t.Helper()
+	inst, err := newSession(t, m, a).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +108,46 @@ func TestInstructionMixCounts(t *testing.T) {
 	}
 }
 
+// TestInstructionMixZeroAllocs pins every InstructionMix hook at 0
+// allocations per event once its count key exists: the mix runs on the
+// program's hot path, once per executed instruction.
+func TestInstructionMixZeroAllocs(t *testing.T) {
+	mix := analyses.NewInstructionMix()
+	var l analysis.Location
+	v := analysis.Value{Type: wasm.F64}
+	var m analysis.MemArg
+	bt := analysis.BranchTarget{}
+	for _, h := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Nop", func() { mix.Nop(l) }},
+		{"Unreachable", func() { mix.Unreachable(l) }},
+		{"If", func() { mix.If(l, true) }},
+		{"Br", func() { mix.Br(l, bt) }},
+		{"BrIf", func() { mix.BrIf(l, bt, true) }},
+		{"BrTable", func() { mix.BrTable(l, nil, bt, 0) }},
+		{"Const", func() { mix.Const(l, v) }},
+		{"Drop", func() { mix.Drop(l, v) }},
+		{"Select", func() { mix.Select(l, true, v, v) }},
+		{"Unary", func() { mix.Unary(l, "f64.neg", v, v) }},
+		{"Binary", func() { mix.Binary(l, "f64.add", v, v, v) }},
+		{"Local", func() { mix.Local(l, "local.get", 0, v) }},
+		{"Global", func() { mix.Global(l, "global.get", 0, v) }},
+		{"Load", func() { mix.Load(l, "f64.load", m, v) }},
+		{"Store", func() { mix.Store(l, "f64.store", m, v) }},
+		{"MemorySize", func() { mix.MemorySize(l, 1) }},
+		{"MemoryGrow", func() { mix.MemoryGrow(l, 1, 1) }},
+		{"CallPre", func() { mix.CallPre(l, 0, nil, -1) }},
+		{"Return", func() { mix.Return(l, nil) }},
+	} {
+		h.fn() // first event of a kind inserts its key
+		if n := testing.AllocsPerRun(100, h.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", h.name, n)
+		}
+	}
+}
+
 func TestBlockProfileHotLoop(t *testing.T) {
 	prof := analyses.NewBlockProfile()
 	runOn(t, loopModule(), prof, "main", 25)
@@ -113,11 +168,7 @@ func TestBlockProfileHotLoop(t *testing.T) {
 func TestInstructionCoverageGrows(t *testing.T) {
 	cov := analyses.NewInstructionCoverage()
 	m := loopModule()
-	sess, err := wasabi.Analyze(m, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, m, cov).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +198,7 @@ func TestInstructionCoverageGrows(t *testing.T) {
 func TestBranchCoverageDirections(t *testing.T) {
 	cov := analyses.NewBranchCoverage()
 	m := loopModule()
-	sess, err := wasabi.Analyze(m, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, m, cov).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +273,7 @@ func TestTaintThroughMemoryAndCalls(t *testing.T) {
 	taint.Sources[int(src)] = true
 	taint.Sinks[int(sink)] = true
 
-	sess, err := wasabi.Analyze(m, taint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", interp.Imports{"env": {
+	inst, err := newSession(t, m, taint).Instantiate("", interp.Imports{"env": {
 		"source": &interp.HostFunc{Type: builder.Sig(nil, builder.V(wasm.I32)),
 			Fn: func(*interp.Instance, []interp.Value) ([]interp.Value, error) {
 				return []interp.Value{interp.I32(99)}, nil

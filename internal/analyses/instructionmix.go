@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"wasabi/internal/analysis"
+	"wasabi/internal/wasm"
 )
 
 // InstructionMix counts how often each kind of instruction executes, a basis
@@ -22,6 +23,15 @@ func NewInstructionMix() *InstructionMix {
 
 func (a *InstructionMix) bump(key string) { a.Counts[key]++ }
 
+// constKeys maps every value type byte to its count key ("i32.const", ...),
+// so counting a const event allocates nothing.
+var constKeys = func() (keys [256]string) {
+	for t := range keys {
+		keys[t] = wasm.ValType(t).String() + ".const"
+	}
+	return keys
+}()
+
 func (a *InstructionMix) Nop(analysis.Location)                               { a.bump("nop") }
 func (a *InstructionMix) Unreachable(analysis.Location)                       { a.bump("unreachable") }
 func (a *InstructionMix) If(analysis.Location, bool)                          { a.bump("if") }
@@ -31,7 +41,7 @@ func (a *InstructionMix) BrTable(analysis.Location, []analysis.BranchTarget, ana
 	a.bump("br_table")
 }
 func (a *InstructionMix) Const(_ analysis.Location, v analysis.Value) {
-	a.bump(v.Type.String() + ".const")
+	a.bump(constKeys[v.Type])
 }
 func (a *InstructionMix) Drop(analysis.Location, analysis.Value) { a.bump("drop") }
 func (a *InstructionMix) Select(analysis.Location, bool, analysis.Value, analysis.Value) {

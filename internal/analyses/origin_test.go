@@ -3,7 +3,6 @@ package analyses_test
 import (
 	"testing"
 
-	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
 	"wasabi/internal/builder"
@@ -28,11 +27,7 @@ func TestOriginOfZero(t *testing.T) {
 	m := b.Build()
 
 	o := analyses.NewOrigin()
-	sess, err := wasabi.Analyze(m, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, m, o).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +62,7 @@ func TestOriginThroughCall(t *testing.T) {
 	m := b.Build()
 
 	o := analyses.NewOrigin()
-	sess, err := wasabi.Analyze(m, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, m, o).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func (a *StreamInstructionMix) Events(batch []analysis.Event) {
 		case analysis.KindBrTable:
 			a.Counts["br_table"]++
 		case analysis.KindConst:
-			a.Counts[a.tbl.Spec(e).Types[0].String()+".const"]++
+			a.Counts[constKeys[a.tbl.Spec(e).Types[0]]]++
 		case analysis.KindDrop:
 			a.Counts["drop"]++
 		case analysis.KindSelect:

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
 	"wasabi/internal/builder"
@@ -31,11 +30,7 @@ func TestTraceGoldenOrdering(t *testing.T) {
 	f.Done()                    // 7 implicit-return end
 
 	tr := analyses.NewTracer()
-	sess, err := wasabi.Analyze(b.Build(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, b.Build(), tr).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +82,7 @@ func TestTraceNotTakenBranch(t *testing.T) {
 	f.Done()
 
 	tr := analyses.NewTracer()
-	sess, err := wasabi.Analyze(b.Build(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := newSession(t, b.Build(), tr).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

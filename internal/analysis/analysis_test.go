@@ -127,3 +127,19 @@ func TestModuleInfoFuncName(t *testing.T) {
 		t.Error("FuncName fallback wrong")
 	}
 }
+
+// TestBlockKindCodes pins Code and BlockKindOf as inverses over the dense
+// code range, so the Code switch cannot drift from the code table.
+func TestBlockKindCodes(t *testing.T) {
+	seen := map[BlockKind]bool{}
+	for c := range uint32(NumBlockKinds) {
+		k := BlockKindOf(c)
+		if seen[k] {
+			t.Errorf("code %d: block kind %q already has a code", c, k)
+		}
+		seen[k] = true
+		if got := k.Code(); got != c {
+			t.Errorf("%q.Code() = %d, want %d", k, got, c)
+		}
+	}
+}

@@ -139,12 +139,22 @@ func PackSlots(ts ...wasm.ValType) uint8 {
 // EventSynth).
 var blockKindCodes = [...]BlockKind{BlockFunction, BlockBlock, BlockLoop, BlockIf, BlockElse}
 
-// Code returns the stable numeric code of a block kind.
+// NumBlockKinds is the number of block kinds, whose codes are dense in
+// [0, NumBlockKinds).
+const NumBlockKinds = len(blockKindCodes)
+
+// Code returns the stable numeric code of a block kind: its index in
+// blockKindCodes (a switch, since end-record encoding calls it per event).
 func (k BlockKind) Code() uint32 {
-	for i, b := range blockKindCodes {
-		if b == k {
-			return uint32(i)
-		}
+	switch k {
+	case BlockBlock:
+		return 1
+	case BlockLoop:
+		return 2
+	case BlockIf:
+		return 3
+	case BlockElse:
+		return 4
 	}
 	return 0
 }

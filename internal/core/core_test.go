@@ -95,7 +95,7 @@ func TestIndexRemapping(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	m := buildCallModule()
 	enc := func(par int) []byte {
-		out, _, err := Instrument(m, Options{Hooks: analysis.AllHooks, Parallelism: par})
+		out, _, err := instrument(m, Options{Hooks: analysis.AllHooks}, par)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 func TestInstrumentDeterministic(t *testing.T) {
 	m := synthapp.Generate(synthapp.Config{TargetBytes: 64 << 10, Seed: 7})
 	enc := func(par int) []byte {
-		out, _, err := Instrument(m, Options{Hooks: analysis.AllHooks, Parallelism: par})
+		out, _, err := instrument(m, Options{Hooks: analysis.AllHooks}, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,14 +56,14 @@ func TestInstrumentDeterministic(t *testing.T) {
 // per-instruction allocation pattern could return.
 func TestInstrumentAllocs(t *testing.T) {
 	m := synthapp.Generate(synthapp.Config{TargetBytes: 8 << 10, Seed: 3})
-	opts := Options{Hooks: analysis.AllHooks, SkipValidation: true, Parallelism: 1}
+	opts := Options{Hooks: analysis.AllHooks, SkipValidation: true}
 	// Warm the pools and capture the output structure for the budget.
-	_, md, err := Instrument(m, opts)
+	_, md, err := instrument(m, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, _, err := Instrument(m, opts); err != nil {
+		if _, _, err := instrument(m, opts, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

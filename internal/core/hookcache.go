@@ -5,25 +5,6 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// numBlockKinds is the number of distinct analysis.BlockKind values.
-const numBlockKinds = 5
-
-// blockKindIdx maps a BlockKind to a dense index 0..numBlockKinds-1.
-func blockKindIdx(k analysis.BlockKind) int {
-	switch k {
-	case analysis.BlockFunction:
-		return 0
-	case analysis.BlockBlock:
-		return 1
-	case analysis.BlockLoop:
-		return 2
-	case analysis.BlockIf:
-		return 3
-	default: // analysis.BlockElse
-		return 4
-	}
-}
-
 // fixedHook enumerates the hooks with exactly one monomorphic instance, so
 // their cache slot is a plain array element.
 type fixedHook uint8
@@ -81,8 +62,8 @@ type hookIdxCache struct {
 	consts [numValTypes]uint32
 	drop   [numValTypes]uint32
 	sel    [numValTypes]uint32
-	begin  [numBlockKinds]uint32
-	end    [numBlockKinds]uint32
+	begin  [analysis.NumBlockKinds]uint32
+	end    [analysis.NumBlockKinds]uint32
 	fixed  [numFixedHooks]uint32
 	// Call-related hooks are monomorphized on function signatures; the cache
 	// key is the module type index. Distinct type indices with identical
@@ -102,8 +83,8 @@ func (c *hookIdxCache) reset(numTypes int) {
 	c.consts = [numValTypes]uint32{}
 	c.drop = [numValTypes]uint32{}
 	c.sel = [numValTypes]uint32{}
-	c.begin = [numBlockKinds]uint32{}
-	c.end = [numBlockKinds]uint32{}
+	c.begin = [analysis.NumBlockKinds]uint32{}
+	c.end = [analysis.NumBlockKinds]uint32{}
 	c.fixed = [numFixedHooks]uint32{}
 	c.callPre = resetIdxSlice(c.callPre, numTypes)
 	c.callPreInd = resetIdxSlice(c.callPreInd, numTypes)
@@ -202,7 +183,7 @@ func (fi *funcInstrumenter) emitSelectHook(t wasm.ValType) {
 }
 
 func (fi *funcInstrumenter) emitBeginHook(kind analysis.BlockKind) {
-	slot := &fi.cache.begin[blockKindIdx(kind)]
+	slot := &fi.cache.begin[kind.Code()]
 	if *slot != 0 {
 		fi.emitCall(wasm.Call(*slot - 1))
 		return
@@ -211,7 +192,7 @@ func (fi *funcInstrumenter) emitBeginHook(kind analysis.BlockKind) {
 }
 
 func (fi *funcInstrumenter) emitEndHookCall(kind analysis.BlockKind) {
-	slot := &fi.cache.end[blockKindIdx(kind)]
+	slot := &fi.cache.end[kind.Code()]
 	if *slot != 0 {
 		fi.emitCall(wasm.Call(*slot - 1))
 		return

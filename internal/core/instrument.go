@@ -24,12 +24,6 @@ type Options struct {
 	// derive the set from an analysis value.
 	Hooks analysis.HookSet
 
-	// Parallelism bounds the number of goroutines instrumenting function
-	// bodies concurrently (paper §3). 0 means GOMAXPROCS; 1 disables
-	// parallelism. It bounds this instrumenter only: decode, validation,
-	// static analysis and encode each fan out over GOMAXPROCS workers.
-	Parallelism int
-
 	// SkipValidation skips validating the input module first. The
 	// instrumenter assumes a valid module; only skip for trusted inputs.
 	SkipValidation bool
@@ -44,13 +38,20 @@ type Options struct {
 // Instrument rewrites m into an instrumented module that calls imported
 // low-level hooks (module name HookModule) around the selected instruction
 // classes. The input module is not modified. The returned Metadata carries
-// everything the runtime dispatcher needs.
+// everything the runtime dispatcher needs. Function bodies are instrumented
+// on GOMAXPROCS workers (paper §3), like every other per-function stage.
 //
 // Options carry only the mechanical instrumentation parameters; deriving a
 // hook set from an analysis value is the analysis package's job
 // (analysis.HooksOf / analysis.Cap.HookSet), wired up by the public wasabi
 // layer.
 func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
+	return instrument(m, opts, 0)
+}
+
+// instrument is Instrument with the function bodies on par workers (0 means
+// GOMAXPROCS).
+func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata, error) {
 	if !opts.SkipValidation {
 		if err := validate.Module(m); err != nil {
 			return nil, nil, fmt.Errorf("core: input module invalid: %w", err)
@@ -99,7 +100,7 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	// across all functions it processes. Results are written by function
 	// index and hook ordering is finalized by name below, so the output is
 	// byte-identical regardless of scheduling (including par == 1).
-	err := parallel.For(len(m.Funcs), opts.Parallelism,
+	err := parallel.For(len(m.Funcs), par,
 		func() *funcInstrumenter { return acquireInstrumenter(m, opts.Hooks, hooks) },
 		releaseInstrumenter,
 		func(fi *funcInstrumenter, i int) error {

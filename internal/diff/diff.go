@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"wasabi"
+	"wasabi/internal/analyses"
 	"wasabi/internal/builder"
 	"wasabi/internal/interp"
 	"wasabi/internal/refinterp"
@@ -239,7 +240,7 @@ func runConfig(name string, m *wasm.Module, opts Options) (runResult, error) {
 		case "fuel":
 			engOpts = append(engOpts, wasabi.WithFuel(ampleFuel))
 		}
-		sess, i, err := newHookedInstance(m, imports, &nopHooks{}, engOpts...)
+		sess, i, err := newHookedInstance(m, imports, &analyses.Empty{}, engOpts...)
 		if err != nil {
 			return runResult{instErr: err.Error()}, nil
 		}

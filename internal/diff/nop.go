@@ -2,42 +2,6 @@ package diff
 
 import "wasabi"
 
-// nopHooks implements every analysis callback as a no-op, so the hooked
-// configurations exercise the full trampoline dispatch path (argument
-// marshalling, borrowed value buffers, location decoding) without the
-// analysis itself perturbing anything.
-type nopHooks struct{}
-
-func (nopHooks) Nop(wasabi.Location)                             {}
-func (nopHooks) Unreachable(wasabi.Location)                     {}
-func (nopHooks) If(wasabi.Location, bool)                        {}
-func (nopHooks) Br(wasabi.Location, wasabi.BranchTarget)         {}
-func (nopHooks) BrIf(wasabi.Location, wasabi.BranchTarget, bool) {}
-func (nopHooks) BrTable(wasabi.Location, []wasabi.BranchTarget, wasabi.BranchTarget, uint32) {
-}
-func (nopHooks) Begin(wasabi.Location, wasabi.BlockKind)                  {}
-func (nopHooks) End(wasabi.Location, wasabi.BlockKind, wasabi.Location)   {}
-func (nopHooks) Const(wasabi.Location, wasabi.Value)                      {}
-func (nopHooks) Drop(wasabi.Location, wasabi.Value)                       {}
-func (nopHooks) Select(wasabi.Location, bool, wasabi.Value, wasabi.Value) {}
-func (nopHooks) Unary(wasabi.Location, string, wasabi.Value, wasabi.Value) {
-}
-func (nopHooks) Binary(wasabi.Location, string, wasabi.Value, wasabi.Value, wasabi.Value) {
-}
-func (nopHooks) Local(wasabi.Location, string, uint32, wasabi.Value)  {}
-func (nopHooks) Global(wasabi.Location, string, uint32, wasabi.Value) {}
-func (nopHooks) Load(wasabi.Location, string, wasabi.MemArg, wasabi.Value) {
-}
-func (nopHooks) Store(wasabi.Location, string, wasabi.MemArg, wasabi.Value) {
-}
-func (nopHooks) MemorySize(wasabi.Location, uint32)         {}
-func (nopHooks) MemoryGrow(wasabi.Location, uint32, uint32) {}
-func (nopHooks) CallPre(wasabi.Location, int, []wasabi.Value, int64) {
-}
-func (nopHooks) CallPost(wasabi.Location, []wasabi.Value) {}
-func (nopHooks) Return(wasabi.Location, []wasabi.Value)   {}
-func (nopHooks) Start(wasabi.Location)                    {}
-
 // nopStream consumes every event class and discards the records, so the
 // stream configuration exercises the full record-encoding and batching path.
 type nopStream struct{}

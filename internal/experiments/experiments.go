@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"wasabi/internal/analyses"
@@ -199,7 +200,7 @@ func Table5(w io.Writer, cfg Config) error {
 	// PolyBench row: mean over the 30 programs.
 	var sizes, times []float64
 	for _, wl := range poly {
-		t, _ := timeInstrument(wl.Mod, cfg.Reps, 0)
+		t, _ := timeInstrument(wl.Mod, cfg.Reps)
 		sizes = append(sizes, float64(len(wl.Bytes)))
 		times = append(times, t.Seconds())
 	}
@@ -211,7 +212,7 @@ func Table5(w io.Writer, cfg Config) error {
 	for _, wl := range []Workload{pspdf, unreal} {
 		var ts []float64
 		for r := 0; r < cfg.Reps; r++ {
-			t, _ := timeInstrument(wl.Mod, 1, 0)
+			t, _ := timeInstrument(wl.Mod, 1)
 			ts = append(ts, t.Seconds())
 		}
 		mt, st := meanStd(ts)
@@ -219,9 +220,12 @@ func Table5(w io.Writer, cfg Config) error {
 			wl.Name, len(wl.Bytes), mt*1e3, st*1e3, float64(len(wl.Bytes))/mt/1e6)
 	}
 
-	// Parallelization ratio on the largest binary (paper: 15.5/26.5 ≈ 0.58).
-	tPar, _ := timeInstrument(unreal.Mod, 1, 0)
-	tSeq, _ := timeInstrument(unreal.Mod, 1, 1)
+	// Parallelization ratio on the largest binary (paper: 15.5/26.5 ≈ 0.58);
+	// GOMAXPROCS=1 gives the single-threaded path.
+	tPar, _ := timeInstrument(unreal.Mod, 1)
+	procs := runtime.GOMAXPROCS(1)
+	tSeq, _ := timeInstrument(unreal.Mod, 1)
+	runtime.GOMAXPROCS(procs)
 	fmt.Fprintf(w, "parallel/single-threaded on %s: %.2f (paper: ~0.58 on 2 cores)\n",
 		unreal.Name, tPar.Seconds()/tSeq.Seconds())
 	return nil
@@ -407,13 +411,11 @@ func instantiateWithEmpty(m *wasm.Module, md *core.Metadata, extra interp.Import
 	return interp.Instantiate(m, merged)
 }
 
-func timeInstrument(m *wasm.Module, reps, parallelism int) (time.Duration, error) {
+func timeInstrument(m *wasm.Module, reps int) (time.Duration, error) {
 	best := time.Duration(math.MaxInt64)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		_, _, err := core.Instrument(m, core.Options{
-			Hooks: analysis.AllHooks, Parallelism: parallelism, SkipValidation: true,
-		})
+		_, _, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks, SkipValidation: true})
 		if err != nil {
 			return 0, err
 		}

@@ -13,14 +13,28 @@ import (
 	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/polybench"
 	"wasabi/internal/synthapp"
 	"wasabi/internal/validate"
+	"wasabi/internal/wasm"
 )
 
 const problemSize = 10
+
+// analyze instruments m for hooks on a fresh engine and binds a session for
+// the analysis a.
+func analyze(m *wasm.Module, hooks analysis.HookSet, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentHooks(m, hooks)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
 
 // TestPolyBenchFaithfulness runs all 30 kernels original vs fully
 // instrumented and compares checksums bit-for-bit (and against the Go
@@ -40,7 +54,7 @@ func TestPolyBenchFaithfulness(t *testing.T) {
 				t.Fatalf("original checksum %v != reference %v", orig, want)
 			}
 
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: analysis.AllHooks})
+			sess, err := analyze(m, analysis.AllHooks, &analyses.Empty{})
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}
@@ -84,8 +98,7 @@ func TestPolyBenchPerHookFaithfulness(t *testing.T) {
 			continue // probes need a static plan; exercised just below
 		}
 		t.Run(kind.String(), func(t *testing.T) {
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{},
-				core.Options{Hooks: analysis.Set(kind)})
+			sess, err := analyze(m, analysis.Set(kind), &analyses.Empty{})
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}
@@ -150,7 +163,7 @@ func TestSynthAppFaithfulness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: original: %v", seed, err)
 		}
-		sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: analysis.AllHooks})
+		sess, err := analyze(m, analysis.AllHooks, &analyses.Empty{})
 		if err != nil {
 			t.Fatalf("seed %d: instrument: %v", seed, err)
 		}
@@ -185,7 +198,7 @@ func TestRealAnalysesPreserveBehavior(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := wasabi.Analyze(m, a)
+			sess, err := analyze(m, wasabi.CapsOf(a).HookSet(), a)
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}

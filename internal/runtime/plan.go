@@ -81,7 +81,7 @@ type hookPlan struct {
 	live    analysis.Cap // the hook is live when the analysis has any of these
 	op      string       // interned instruction name, read by op-carrying hooks
 	block   analysis.BlockKind
-	endHook [5]uint16 // br_table: end hook per BlockKind.Code, or EventSynth
+	endHook [analysis.NumBlockKinds]uint16 // br_table: end hook per BlockKind.Code, or EventSynth
 }
 
 // auxValue returns which payload value of a hook kind its record carries in
@@ -104,7 +104,7 @@ func auxValue(spec *core.HookSpec) int {
 
 // newPlan derives the plan of spec, the hookIdx-th hook of its metadata.
 // endHook maps block kind codes to the metadata's end hooks.
-func newPlan(spec *core.HookSpec, hookIdx int, endHook [5]uint16) hookPlan {
+func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]uint16) hookPlan {
 	lay := spec.Layout()
 	p := hookPlan{
 		arity: lay.Arity,

@@ -42,7 +42,7 @@ func NewShared(meta *core.Metadata, pool *ValuePool) *Shared {
 	// one was generated; when the module was instrumented without end hooks
 	// (the replay data lives in the br_table metadata either way) they carry
 	// the EventSynth sentinel and decode by Kind and block kind code.
-	var endHook [5]uint16
+	var endHook [analysis.NumBlockKinds]uint16
 	for i := range endHook {
 		endHook[i] = analysis.EventSynth
 	}

@@ -27,7 +27,8 @@
 // whole. A watermark pointing past the records actually in the file means
 // committed data is missing (a truncated copy, or writeback reordering
 // across a hard crash) and fails replay with a *CorruptError instead of
-// returning a silently short stream.
+// returning a silently short stream. So does a committed record replay could
+// not decode through the recorded table (see checkRecords).
 package sink
 
 import (
@@ -65,9 +66,10 @@ var hostBigEndian = func() bool {
 }()
 
 // ErrCorrupt reports a segment file replay cannot trust: bad magic or
-// version, a truncated header or event table, a foreign byte order, or a
-// watermark promising more records than the file holds. Matched with
-// errors.Is; errors.As with *CorruptError recovers where and why.
+// version, a truncated or undecodable event table, a foreign byte order, a
+// watermark promising more records than the file holds, or a committed
+// record that does not match the table. Matched with errors.Is; errors.As
+// with *CorruptError recovers where and why.
 var ErrCorrupt = errors.New("wasabi: corrupt event-log segment")
 
 // ErrSinkClosed reports Writer.Events after Close: the records have nowhere
@@ -144,14 +146,31 @@ func encodeTable(tbl *analysis.EventTable) ([]byte, error) {
 	return out, nil
 }
 
-// decodeTable is the inverse of encodeTable; any bounds violation reports
-// the blob as corrupt (via the returned error's text — Open wraps it).
+// minSpecSize is the encoding of a spec with no types and empty strings:
+// kind, flags, type count and three string lengths.
+const minSpecSize = 3 + 3*2
+
+// payloadTypes is, per hook kind, how many Types the decoding of its records
+// indexes (see the analysis.Event layout table). A call_pre spec also needs
+// Types[0], the target slot EventSpec.ValueTypes skips.
+var payloadTypes = [analysis.NumKinds]int{
+	analysis.KindSelect: 3, analysis.KindDrop: 1, analysis.KindLoad: 3,
+	analysis.KindStore: 3, analysis.KindConst: 1, analysis.KindUnary: 2,
+	analysis.KindBinary: 3, analysis.KindGlobal: 2, analysis.KindLocal: 2,
+}
+
+// decodeTable is the inverse of encodeTable; any bounds violation, unknown
+// hook kind or type list too short for its kind's records reports the blob
+// as corrupt (via the returned error's text — Open wraps it).
 func decodeTable(b []byte) (*analysis.EventTable, error) {
 	if len(b) < 4 {
 		return nil, errors.New("event table shorter than its count field")
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	if uint64(n)*minSpecSize > uint64(len(b)) {
+		return nil, fmt.Errorf("%d specs cannot fit in %d bytes", n, len(b))
+	}
 	specs := make([]analysis.EventSpec, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 3 {
@@ -159,6 +178,16 @@ func decodeTable(b []byte) (*analysis.EventTable, error) {
 		}
 		kind, flags, nt := analysis.HookKind(b[0]), b[1], int(b[2])
 		b = b[3:]
+		if int(kind) >= analysis.NumKinds {
+			return nil, fmt.Errorf("spec %d: unknown hook kind %d", i, kind)
+		}
+		need := payloadTypes[kind]
+		if kind == analysis.KindCall && flags&2 == 0 {
+			need = 1
+		}
+		if nt < need {
+			return nil, fmt.Errorf("spec %d: %s spec has %d types, its records need %d", i, kind, nt, need)
+		}
 		if len(b) < nt {
 			return nil, fmt.Errorf("spec %d: truncated type list", i)
 		}
@@ -392,39 +421,49 @@ type Reader struct {
 	recs   []analysis.Event
 }
 
-// Open validates path's header and table and prepares the committed region
-// for replay. Damage is reported as a *CorruptError (errors.Is ErrCorrupt);
-// a torn tail past the watermark is crash debris, silently dropped.
+// Open validates path's header, table and committed records and prepares
+// them for replay. Damage is reported as a *CorruptError (errors.Is
+// ErrCorrupt); a torn tail past the watermark is crash debris, silently
+// dropped.
 func Open(path string) (*Reader, error) {
 	r := &Reader{path: path}
-	if err := r.load(); err != nil {
+	if err := r.open(); err != nil {
 		r.Close()
 		return nil, err
 	}
+	return r, nil
+}
+
+// open is Open on r, which the caller closes on failure.
+func (r *Reader) open() error {
+	if err := r.load(); err != nil {
+		return err
+	}
+	path := r.path
 	hdr := r.data
 	if len(hdr) < headerSize {
-		return nil, corrupt(path, 0, fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(hdr), headerSize))
+		return corrupt(path, 0, fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(hdr), headerSize))
 	}
 	if [8]byte(hdr[:8]) != magic {
-		return nil, corrupt(path, 0, "bad magic (not an event-log segment)")
+		return corrupt(path, 0, "bad magic (not an event-log segment)")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return nil, corrupt(path, 8, fmt.Sprintf("format version %d, this build reads %d", v, formatVersion))
+		return corrupt(path, 8, fmt.Sprintf("format version %d, this build reads %d", v, formatVersion))
 	}
 	if rs := binary.LittleEndian.Uint32(hdr[12:]); rs != eventSize {
-		return nil, corrupt(path, 12, fmt.Sprintf("record size %d, want %d", rs, eventSize))
+		return corrupt(path, 12, fmt.Sprintf("record size %d, want %d", rs, eventSize))
 	}
 	flags := binary.LittleEndian.Uint32(hdr[24:])
 	if big := flags&flagBigEndian != 0; big != hostBigEndian {
-		return nil, corrupt(path, 24, "records were written on a host with different endianness")
+		return corrupt(path, 24, "records were written on a host with different endianness")
 	}
 	tableLen := int64(binary.LittleEndian.Uint32(hdr[28:]))
 	if headerSize+tableLen > int64(len(r.data)) {
-		return nil, corrupt(path, 28, "event table extends past the end of the file")
+		return corrupt(path, 28, "event table extends past the end of the file")
 	}
 	tbl, err := decodeTable(r.data[headerSize : headerSize+tableLen])
 	if err != nil {
-		return nil, corrupt(path, headerSize, "event table: "+err.Error())
+		return corrupt(path, headerSize, "event table: "+err.Error())
 	}
 	r.tbl = tbl
 	watermark := binary.LittleEndian.Uint64(hdr[16:])
@@ -434,7 +473,7 @@ func Open(path string) (*Reader, error) {
 		whole = uint64(int64(len(r.data))-dataOff) / eventSize
 	}
 	if watermark > whole {
-		return nil, corrupt(path, 16, fmt.Sprintf("watermark commits %d records but the file holds %d — committed data is missing", watermark, whole))
+		return corrupt(path, 16, fmt.Sprintf("watermark commits %d records but the file holds %d — committed data is missing", watermark, whole))
 	}
 	if watermark > 0 {
 		region := r.data[dataOff : dataOff+int64(watermark)*eventSize]
@@ -447,7 +486,54 @@ func Open(path string) (*Reader, error) {
 			copy(eventBytes(r.recs), region)
 		}
 	}
-	return r, nil
+	if i, reason := checkRecords(tbl, r.recs); reason != "" {
+		return corrupt(path, dataOff+int64(i)*eventSize, reason)
+	}
+	return nil
+}
+
+// checkRecords walks the records the way replay decodes them and returns
+// the index of the first one a consumer could not decode through tbl, and
+// why: a hook index past the table, a kind other than its spec's, a
+// synthesized record that is not an end, a continuation without a primary,
+// or a call/return group with fewer continuations than
+// EventTable.AppendValues reads.
+func checkRecords(tbl *analysis.EventTable, recs []analysis.Event) (int, string) {
+	for i := 0; i < len(recs); i++ {
+		e := &recs[i]
+		switch {
+		case e.Hook == analysis.EventCont:
+			return i, "continuation record without a primary"
+		case e.Hook == analysis.EventSynth:
+			if e.Kind != analysis.KindEnd {
+				return i, fmt.Sprintf("synthesized %s record; only end records are synthesized", e.Kind)
+			}
+			continue
+		case int(e.Hook) >= len(tbl.Specs):
+			return i, fmt.Sprintf("hook %d is past the %d-spec table", e.Hook, len(tbl.Specs))
+		}
+		spec := &tbl.Specs[e.Hook]
+		if e.Kind != spec.Kind {
+			return i, fmt.Sprintf("%s record of hook %d, a %s spec", e.Kind, e.Hook, spec.Kind)
+		}
+		if spec.Kind != analysis.KindCall && spec.Kind != analysis.KindReturn {
+			continue
+		}
+		// A value vector fills the primary's three slots after call_pre's
+		// table index, then three slots per continuation record.
+		slots := len(spec.ValueTypes())
+		if spec.Kind == analysis.KindCall && !spec.Post {
+			slots++
+		}
+		conts := (max(slots, 1) - 1) / len(e.Vals)
+		for j := 1; j <= conts; j++ {
+			if i+j == len(recs) || recs[i+j].Hook != analysis.EventCont {
+				return i, fmt.Sprintf("%s group has %d of its %d continuation records", spec.Kind, j-1, conts)
+			}
+		}
+		i += conts
+	}
+	return 0, ""
 }
 
 // load maps (or reads) the whole file.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
 	"wasabi/internal/builder"
 	"wasabi/internal/core"
@@ -197,6 +198,7 @@ func TestCorruptHeaders(t *testing.T) {
 		{"foreign endianness", func(b []byte) []byte { b[24] ^= flagBigEndian; return b }},
 		{"table past EOF", func(b []byte) []byte { b[28] = 0xFF; b[29] = 0xFF; b[30] = 0xFF; return b }},
 		{"truncated table", func(b []byte) []byte { b[28]++; return b }},
+		{"spec count past table", func(b []byte) []byte { copy(b[headerSize:], []byte{0xFF, 0xFF, 0xFF, 0xFF}); return b }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,4 +340,136 @@ func TestCreateRefusesUnrecordableTable(t *testing.T) {
 			t.Errorf("%s: refused Create left a file behind (stat: %v)", name, serr)
 		}
 	}
+}
+
+// craftedSegment is a segment Create writes without complaint but whose
+// table or records replay could not decode.
+type craftedSegment struct {
+	name string
+	tbl  *analysis.EventTable
+	recs []analysis.Event
+}
+
+// return4Table holds one return hook with four results: a primary record
+// and one continuation record per event.
+func return4Table() *analysis.EventTable {
+	return &analysis.EventTable{Specs: []analysis.EventSpec{{
+		Kind: analysis.KindReturn, Name: "return_i32_i32_i32_i32",
+		Types: []wasm.ValType{wasm.I32, wasm.I32, wasm.I32, wasm.I32},
+	}}}
+}
+
+// craftedSegments covers each rule Open checks beyond the header: the
+// table's kinds and type lists, and each record's hook, kind and
+// continuation group.
+func craftedSegments() []craftedSegment {
+	nopConst := &analysis.EventTable{Specs: []analysis.EventSpec{
+		{Kind: analysis.KindNop, Name: "nop"},
+		{Kind: analysis.KindConst, Name: "const_i32", Types: []wasm.ValType{wasm.I32}},
+	}}
+	ret4 := return4Table()
+	nop := analysis.Event{Hook: 0, Kind: analysis.KindNop}
+	return []craftedSegment{
+		{"unknown kind", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: 200, Name: "x"}}}, nil},
+		{"const spec without types", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: analysis.KindConst, Name: "const"}}}, nil},
+		{"binary spec with two types", &analysis.EventTable{Specs: []analysis.EventSpec{
+			{Kind: analysis.KindBinary, Name: "binary", Op: "i32.add", Types: []wasm.ValType{wasm.I32, wasm.I32}},
+		}}, nil},
+		{"call_pre spec without types", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: analysis.KindCall, Name: "call_pre"}}}, nil},
+		{"hook past table", nopConst, []analysis.Event{nop, {Hook: 7, Kind: analysis.KindNop}}},
+		{"kind differs from spec", nopConst, []analysis.Event{{Hook: 0, Kind: analysis.KindConst}}},
+		{"synthesized non-end", nopConst, []analysis.Event{{Hook: analysis.EventSynth, Kind: analysis.KindConst}}},
+		{"continuation without primary", nopConst, []analysis.Event{{Hook: analysis.EventCont, Kind: analysis.KindCall}, nop}},
+		{"continuation after a nop", nopConst, []analysis.Event{nop, {Hook: analysis.EventCont, Kind: analysis.KindNop}}},
+		{"return group cut at the end", ret4, []analysis.Event{{Hook: 0, Kind: analysis.KindReturn, Pack: 3}}},
+		{"return group cut by a primary", ret4, []analysis.Event{
+			{Hook: 0, Kind: analysis.KindReturn, Pack: 3}, {Hook: 0, Kind: analysis.KindReturn, Pack: 3},
+		}},
+		{"call_pre group cut", fixtureTable(), fixtureBatches()[0][:2]},
+	}
+}
+
+// writeCrafted writes c with Create, which records any table and records.
+func writeCrafted(tb testing.TB, dir string, c craftedSegment) string {
+	tb.Helper()
+	path := filepath.Join(dir, "crafted.evlog")
+	w, err := Create(path, c.tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Events(c.recs)
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenRejectsUndecodableSegments pins that Open fails every crafted
+// segment with a *CorruptError instead of handing replay a table or records
+// that StreamTracer and StreamInstructionMix would index out of range on.
+func TestOpenRejectsUndecodableSegments(t *testing.T) {
+	for _, c := range craftedSegments() {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := Open(writeCrafted(t, t.TempDir(), c))
+			if err == nil {
+				r.Close()
+				t.Fatal("Open accepted the segment")
+			}
+			var ce *CorruptError
+			if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
+				t.Fatalf("Open = %v, want a *CorruptError", err)
+			}
+		})
+	}
+
+	// The shapes those rules bound still open: a synthesized end record and
+	// a whole return group.
+	ok := craftedSegment{"decodable", return4Table(), []analysis.Event{
+		{Hook: analysis.EventSynth, Kind: analysis.KindEnd},
+		{Hook: 0, Kind: analysis.KindReturn, Pack: 3},
+		{Hook: analysis.EventCont, Kind: analysis.KindReturn, Pack: 1},
+	}}
+	r, err := Open(writeCrafted(t, t.TempDir(), ok))
+	if err != nil {
+		t.Fatalf("Open of a decodable segment: %v", err)
+	}
+	r.Close()
+}
+
+// FuzzOpen feeds arbitrary bytes to Open: it either reports ErrCorrupt or
+// returns a reader whose records replay through both stream analyses the
+// wasabi-replay CLI runs, without panicking.
+func FuzzOpen(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.evlog"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, c := range craftedSegments() {
+		data, err := os.ReadFile(writeCrafted(f, f.TempDir(), c))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.evlog")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		defer r.Close()
+		tr := analyses.NewStreamTracer()
+		tr.SetEventTable(r.Table())
+		r.Serve(tr, 0)
+		mix := analyses.NewStreamInstructionMix()
+		mix.SetEventTable(r.Table())
+		r.Serve(mix, 1)
+	})
 }

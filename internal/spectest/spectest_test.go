@@ -7,10 +7,23 @@ import (
 	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/validate"
 )
+
+// instrumented instruments the case's module for hooks on a fresh engine
+// and binds a session for the empty analysis.
+func instrumented(c Case, hooks analysis.HookSet) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentHooks(c.Module(), hooks)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(&analyses.Empty{})
+}
 
 // sortedInputs returns the case's inputs in ascending order so stateful
 // modules (globals) behave deterministically.
@@ -61,8 +74,7 @@ func TestCorpusInstrumented(t *testing.T) {
 	for _, c := range Corpus() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			sess, err := wasabi.AnalyzeWithOptions(c.Module(), &analyses.Empty{},
-				core.Options{Hooks: analysis.AllHooks})
+			sess, err := instrumented(c, analysis.AllHooks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,8 +118,7 @@ func TestCorpusPerHookInstrumented(t *testing.T) {
 					// top-level static elision tests.
 					continue
 				}
-				sess, err := wasabi.AnalyzeWithOptions(c.Module(), &analyses.Empty{},
-					core.Options{Hooks: analysis.Set(kind)})
+				sess, err := instrumented(c, analysis.Set(kind))
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

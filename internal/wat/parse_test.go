@@ -90,7 +90,15 @@ func TestParsedModuleInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := analyses.NewInstructionMix()
-	sess, err := wasabi.Analyze(m, mix)
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := engine.Instrument(m, wasabi.CapsOf(mix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := compiled.NewSession(mix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,17 +19,8 @@ func TestEngineOptionValidation(t *testing.T) {
 		opt    wasabi.EngineOption
 		option string // expected BadOptionError.Option; "" means valid
 	}{
-		{"parallelism negative", wasabi.WithParallelism(-1), "WithParallelism"},
-		{"parallelism zero ok", wasabi.WithParallelism(0), ""},
-		{"parallelism positive ok", wasabi.WithParallelism(8), ""},
 		{"cache limit negative", wasabi.WithCompiledCacheLimit(-5), "WithCompiledCacheLimit"},
 		{"cache limit zero ok", wasabi.WithCompiledCacheLimit(0), ""},
-		{"backpressure unknown", wasabi.WithBackpressure(wasabi.Backpressure(42)), "WithBackpressure"},
-		{"backpressure block ok", wasabi.WithBackpressure(wasabi.BackpressureBlock), ""},
-		{"backpressure drop ok", wasabi.WithBackpressure(wasabi.BackpressureDrop), ""},
-		{"batch size zero", wasabi.WithStreamBatchSize(0), "WithStreamBatchSize"},
-		{"batch size negative", wasabi.WithStreamBatchSize(-4096), "WithStreamBatchSize"},
-		{"batch size one ok", wasabi.WithStreamBatchSize(1), ""},
 		{"fuel negative", wasabi.WithFuel(-1), "WithFuel"},
 		{"fuel zero ok", wasabi.WithFuel(0), ""},
 		{"fuel positive ok", wasabi.WithFuel(1 << 40), ""},
@@ -79,7 +70,7 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 
 	// The first invalid option wins, even with valid ones around it.
-	_, err := wasabi.NewEngine(wasabi.WithParallelism(2), wasabi.WithFuel(-7), wasabi.WithStreamBatchSize(0))
+	_, err := wasabi.NewEngine(wasabi.WithCompiledCacheLimit(2), wasabi.WithFuel(-7), wasabi.WithDeadline(0))
 	var bad *wasabi.BadOptionError
 	if !errors.As(err, &bad) || bad.Option != "WithFuel" {
 		t.Errorf("first bad option not reported: %v", err)

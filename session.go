@@ -79,7 +79,7 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 		merged[mod] = fields
 	}
 	s.instantiated = true
-	inst, err := interp.InstantiateWith(s.compiled.reg, name, s.compiled.module, merged, s.compiled.engine.exec)
+	inst, err := interp.InstantiateWith(s.compiled.engine.reg, name, s.compiled.module, merged, s.compiled.engine.exec)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	for _, name := range s.names {
-		s.compiled.reg.Remove(name)
+		s.compiled.engine.reg.Remove(name)
 	}
 	s.names = nil
 	if s.stream != nil {

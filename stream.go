@@ -73,7 +73,8 @@ type (
 // EventCont marks continuation records of multi-record events.
 const EventCont = analysis.EventCont
 
-// StreamOption configures one stream, overriding the engine defaults.
+// StreamOption configures one stream, overriding the defaults
+// (DefaultStreamBatchSize, BackpressureBlock).
 type StreamOption func(*streamConfig)
 
 type streamConfig struct {
@@ -151,15 +152,10 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Fabric, error
 				caps.HookSet().String(), s.compiled.meta.HookSet.String()),
 		}
 	}
-	cfg := streamConfig{
-		batchSize:    s.compiled.engine.streamBatch,
-		backpressure: s.compiled.engine.backpressure,
-	}
+	cfg := streamConfig{batchSize: DefaultStreamBatchSize, backpressure: BackpressureBlock}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// Per-stream overrides validate like the engine-wide options (the engine
-	// defaults were already checked at NewEngine).
 	if cfg.batchSize < 1 {
 		return nil, badOption("StreamBatchSize", cfg.batchSize, "a batch holds at least one record")
 	}
@@ -172,7 +168,7 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Fabric, error
 	if recv, ok := s.analysis.(analysis.EventTableReceiver); ok {
 		recv.SetEventTable(tbl)
 	}
-	s.stream = &Fabric{em: em, tbl: tbl, queue: s.compiled.engine.subQueue, backpressure: cfg.backpressure}
+	s.stream = &Fabric{em: em, tbl: tbl, backpressure: cfg.backpressure}
 	return s.stream, nil
 }
 
