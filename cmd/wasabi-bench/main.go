@@ -1,6 +1,7 @@
 // Command wasabi-bench regenerates the tables and figures of the paper's
 // evaluation section. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records a paper-vs-measured comparison.
+// reports; BENCH_instrument.json and BENCH_fig9.json record the measured
+// figures, and README's "Benchmarks" section describes them.
 //
 // Usage:
 //

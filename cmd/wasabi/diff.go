@@ -3,8 +3,8 @@ package main
 // The -diff mode: run a module through the differential-execution oracle —
 // the tree-walking reference interpreter against every production execution
 // configuration (plain, all-hooks trampolines, static elision, stream mode,
-// fuel-guarded) — and print a per-config verdict. Exit status 1 on any
-// divergence, so the mode works as a faithfulness gate in scripts.
+// fuel-guarded, relinked) — and print a per-config verdict. Exit status 1 on
+// any divergence, so the mode works as a faithfulness gate in scripts.
 
 import (
 	"fmt"

@@ -19,9 +19,9 @@
 //
 // With -diff the module is run through the differential-execution oracle:
 // the reference interpreter against every production configuration (plain,
-// hooked, static-elided, stream, fuel-guarded), invoking entry (default
-// "run") over a small argument sweep and comparing results, traps, and a
-// final memory+globals digest. Exit status 1 on divergence.
+// hooked, static-elided, stream, fuel-guarded, relinked), invoking entry
+// (default "run") over a small argument sweep and comparing results, traps,
+// and a final memory+globals digest. Exit status 1 on divergence.
 //
 // With -gen a seeded structurally-valid random module (the differential
 // harness's generator; deterministic per seed, entry "run") is written to

@@ -367,6 +367,7 @@ func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*Compile
 		module: instrumented,
 		meta:   meta,
 		shared: wruntime.NewShared(meta, e.pool),
+		code:   interp.NewCompiledModule(instrumented, e.exec),
 	}, nil
 }
 

@@ -12,8 +12,9 @@
 // self-checking client against it: a well-behaved tenant whose results are
 // asserted in detail (also under 8 concurrent analyses of the same module),
 // a runaway tenant (infinite loop) that the fuel budget must contain without
-// taking the service down, and a module over the memory cap that must be
-// refused — with no segment file left behind by any of them.
+// taking the service down, an upload over the size cap and a module over the
+// memory cap that must both be refused — with no segment file left behind by
+// any of them.
 //
 // Run with:
 //
@@ -51,6 +52,11 @@ const fuelBudget = 1 << 16
 
 // traceHead bounds the per-request trace excerpt.
 const traceHead = 8
+
+// maxUploadBytes caps one module upload. The service reads the body before
+// decoding it, so without a cap one request could make it buffer any
+// amount of memory.
+const maxUploadBytes = 1 << 20
 
 // service is the shared state: one engine (so every tenant benefits from
 // the same instrumentation cache and containment config) and the uploaded
@@ -107,8 +113,13 @@ func (c *funcCoverage) Events(batch []analysis.Event) {
 }
 
 func (s *service) handleUpload(w http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(req.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxUploadBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("upload exceeds the %d-byte cap", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -314,6 +325,23 @@ func spinModule() []byte {
 	return data
 }
 
+// newService returns the routes of a service over a fresh engine, writing
+// its segment files under dir.
+func newService(dir string) (http.Handler, error) {
+	engine, err := wasabi.NewEngine(
+		wasabi.WithFuel(fuelBudget),
+		wasabi.WithMemoryLimitPages(4),
+	)
+	if err != nil {
+		return nil, err
+	}
+	svc := &service{engine: engine, dir: dir, modules: map[string]*wasabi.CompiledAnalysis{}}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /modules", svc.handleUpload)
+	mux.HandleFunc("POST /modules/{id}/analyze", svc.handleAnalyze)
+	return mux, nil
+}
+
 func main() {
 	dir, err := os.MkdirTemp("", "analysis-service")
 	if err != nil {
@@ -321,17 +349,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	engine, err := wasabi.NewEngine(
-		wasabi.WithFuel(fuelBudget),
-		wasabi.WithMemoryLimitPages(4),
-	)
+	mux, err := newService(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc := &service{engine: engine, dir: dir, modules: map[string]*wasabi.CompiledAnalysis{}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /modules", svc.handleUpload)
-	mux.HandleFunc("POST /modules/{id}/analyze", svc.handleAnalyze)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -454,8 +475,23 @@ func main() {
 	fmt.Printf("tenant %s: %d concurrent analyses each recorded and replayed %d records\n",
 		work.ID, concurrent, wr.Recorded)
 
+	// An upload over the size cap is refused before it is decoded, and
+	// registers nothing: the next upload gets the next id.
+	resp, err := http.Post(base+"/modules", "application/wasm", bytes.NewReader(make([]byte, maxUploadBytes+1)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		log.Fatalf("oversized upload: %s, want %d", resp.Status, http.StatusRequestEntityTooLarge)
+	}
+
 	// A module over the memory cap uploads, but its analysis is refused.
 	big := upload(bigMemoryModule())
+	if big.ID != "m3" {
+		log.Fatalf("upload after the oversized one got id %s, want m3: the refused upload registered a module", big.ID)
+	}
+	fmt.Printf("oversized upload refused (HTTP %d, cap %d bytes); nothing registered\n", resp.StatusCode, maxUploadBytes)
 	_, status, _ := request(big.ID, "entry=main")
 	if status == http.StatusOK {
 		log.Fatalf("module %s over the memory cap was analyzed", big.ID)

@@ -61,6 +61,7 @@ func TestExamples(t *testing.T) {
 			"durable replay matches (285 records)",
 			"runaway tenant contained: fuel exhausted",
 			"tenant m1: 8 concurrent analyses each recorded and replayed 285 records",
+			"oversized upload refused (HTTP 413, cap 1048576 bytes); nothing registered",
 			"analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP",
 			"no segment file left behind",
 		}},
@@ -99,7 +100,7 @@ func TestWasabiDiffCLI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wasabi -diff: %v\n%s", err, out)
 	}
-	for _, config := range []string{"plain", "hooked", "static", "stream", "fuel"} {
+	for _, config := range []string{"plain", "hooked", "static", "stream", "fuel", "relinked"} {
 		if !strings.Contains(string(out), config+" ") && !strings.Contains(string(out), config+"\t") {
 			t.Errorf("verdict for %q missing\n--- full output ---\n%s", config, out)
 		}

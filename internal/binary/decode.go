@@ -255,6 +255,12 @@ func decodeTypes(r *reader, m *wasm.Module) error {
 
 func decodeImports(r *reader, m *wasm.Module) error {
 	n := r.u32()
+	if n > 0 {
+		// Allocate once for the whole section, as far as the bytes left can
+		// back the count up: an import takes two name lengths, a kind and a
+		// descriptor, four bytes at least.
+		m.Imports = make([]wasm.Import, 0, min(int(n), (len(r.data)-r.pos)/4))
+	}
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		var imp wasm.Import
 		imp.Module = r.name()

@@ -77,7 +77,7 @@ func (a *scratchAlloc) release() {
 // few functions, so the per-function hot path allocates only the exact-size
 // copies that escape into the instrumented module.
 type funcInstrumenter struct {
-	mod     *wasm.Module
+	ix      *wasm.Index // the input module and its index spaces
 	hooks   *hookRegistry
 	set     analysis.HookSet
 	funcIdx int    // original function index
@@ -120,21 +120,21 @@ type funcInstrumenter struct {
 var instrPool = sync.Pool{New: func() any { return new(funcInstrumenter) }}
 
 // acquireInstrumenter prepares a pooled instrumenter for one run.
-func acquireInstrumenter(mod *wasm.Module, set analysis.HookSet, hooks *hookRegistry) *funcInstrumenter {
+func acquireInstrumenter(ix *wasm.Index, set analysis.HookSet, hooks *hookRegistry) *funcInstrumenter {
 	fi := instrPool.Get().(*funcInstrumenter)
-	fi.mod = mod
+	fi.ix = ix
 	fi.hooks = hooks
 	fi.set = set
-	fi.cache.reset(len(mod.Types)) // hook indices are per-run; never leak across runs
+	fi.cache.reset(len(ix.Module().Types)) // hook indices are per-run; never leak across runs
 	return fi
 }
 
 // releaseInstrumenter drops the per-run references — everything that could
-// keep the instrumented module reachable, including the tracker's module
-// pointer and the signature slices — and returns the instrumenter (with its
+// keep the instrumented module reachable, including the tracker's index
+// and the signature slices — and returns the instrumenter (with its
 // grown buffers) to the pool.
 func releaseInstrumenter(fi *funcInstrumenter) {
-	fi.mod = nil
+	fi.ix = nil
 	fi.hooks = nil
 	fi.sig = wasm.FuncType{}
 	fi.body = nil
@@ -153,19 +153,20 @@ func releaseInstrumenter(fi *funcInstrumenter) {
 // returned slices are exact-size copies owned by the caller; the
 // instrumenter's internal buffers are reused for the next function.
 func (fi *funcInstrumenter) instrumentFunc(definedIdx int, isStart bool, brTableBase int, plan *Plan) (body []wasm.Instr, extraLocals []wasm.ValType, brTables []BrTableInfo, callSites []uint32, err error) {
-	f := &fi.mod.Funcs[definedIdx]
+	mod := fi.ix.Module()
+	f := &mod.Funcs[definedIdx]
 	if plan.skip(definedIdx) {
 		return copyUninstrumented(f.Body)
 	}
-	fi.funcIdx = fi.mod.NumImportedFuncs() + definedIdx
+	fi.funcIdx = fi.ix.NumImportedFuncs() + definedIdx
 	fi.typeIdx = f.TypeIdx
-	fi.sig = fi.mod.Types[f.TypeIdx]
+	fi.sig = mod.Types[f.TypeIdx]
 	fi.body = f.Body
 	fi.brPool = f.BrTargets
 	if fi.tr == nil {
-		fi.tr = validate.NewTracker(fi.mod, fi.sig, f.Locals, f.BrTargets)
+		fi.tr = validate.NewTracker(fi.ix, fi.sig, f.Locals, f.BrTargets)
 	} else {
-		fi.tr.Reset(fi.mod, fi.sig, f.Locals, f.BrTargets)
+		fi.tr.Reset(fi.ix, fi.sig, f.Locals, f.BrTargets)
 	}
 	fi.scratch.reset(len(fi.sig.Params) + len(f.Locals))
 	if fi.out == nil {
@@ -568,7 +569,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emitCall(in)
 			return nil
 		}
-		typeIdx, err := fi.mod.FuncTypeIdx(in.Idx)
+		typeIdx, err := fi.ix.FuncTypeIdx(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -579,7 +580,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emit(in)
 			return nil
 		}
-		if int(in.Idx) >= len(fi.mod.Types) {
+		if int(in.Idx) >= len(fi.ix.Module().Types) {
 			return fmt.Errorf("call_indirect type index %d out of range", in.Idx)
 		}
 		fi.emitCallHooks(i, in, in.Idx, true)
@@ -641,7 +642,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emit(in)
 			return nil
 		}
-		gt, err := fi.mod.GlobalType(in.Idx)
+		gt, err := fi.ix.GlobalType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -781,7 +782,7 @@ func (fi *funcInstrumenter) emitReturnHook(i int, implicit bool) {
 // monomorphized call_pre hook, restore the arguments, perform the call, then
 // save/pass/restore the results through the call_post hook.
 func (fi *funcInstrumenter) emitCallHooks(i int, in wasm.Instr, typeIdx uint32, indirect bool) {
-	sig := fi.mod.Types[typeIdx]
+	sig := fi.ix.Module().Types[typeIdx]
 	params := sig.Params
 
 	var tblIdx uint32

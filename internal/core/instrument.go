@@ -66,9 +66,10 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 		}
 	}
 
+	ix := wasm.NewIndex(m)
 	out := copyModule(m)
-	numOldImports := m.NumImportedFuncs()
-	hooks := newHookRegistry(uint32(m.NumFuncs()))
+	numOldImports := ix.NumImportedFuncs()
+	hooks := newHookRegistry(uint32(ix.NumFuncs()))
 
 	// Pre-pass: assign deterministic br_table metadata index ranges per
 	// function so parallel workers need no coordination.
@@ -101,7 +102,7 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 	// index and hook ordering is finalized by name below, so the output is
 	// byte-identical regardless of scheduling (including par == 1).
 	err := parallel.For(len(m.Funcs), par,
-		func() *funcInstrumenter { return acquireInstrumenter(m, opts.Hooks, hooks) },
+		func() *funcInstrumenter { return acquireInstrumenter(ix, opts.Hooks, hooks) },
 		releaseInstrumenter,
 		func(fi *funcInstrumenter, i int) error {
 			body, locals, brs, calls, err := fi.instrumentFunc(i, i == startDefined, brBase[i], opts.Plan)
@@ -138,7 +139,7 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 	// the end, which keeps all original import indices stable.
 	out.Imports = append(out.Imports, hookImports...)
 
-	base := uint32(m.NumFuncs())
+	base := uint32(ix.NumFuncs())
 	remap := func(idx uint32) uint32 {
 		switch {
 		case idx >= base: // hook placeholder
@@ -193,29 +194,30 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 		HookSet:          opts.Hooks,
 		NumImportedFuncs: numOldImports,
 		NumHooks:         k,
-		Info:             buildModuleInfo(m),
+		Info:             buildModuleInfo(ix),
 	}
 	return out, md, nil
 }
 
 // buildModuleInfo extracts the static module information analyses receive,
 // expressed in the ORIGINAL function index space.
-func buildModuleInfo(m *wasm.Module) analysis.ModuleInfo {
-	n := m.NumFuncs()
+func buildModuleInfo(ix *wasm.Index) analysis.ModuleInfo {
+	m := ix.Module()
+	n := ix.NumFuncs()
 	info := analysis.ModuleInfo{
 		FuncTypes:        make([]wasm.FuncType, n),
 		FuncNames:        make([]string, n),
-		NumImportedFuncs: m.NumImportedFuncs(),
-		NumGlobals:       m.NumImportedGlobals() + len(m.Globals),
+		NumImportedFuncs: ix.NumImportedFuncs(),
+		NumGlobals:       ix.NumGlobals(),
 		Exports:          make(map[string]uint32),
 		Start:            -1,
 	}
 	for i := 0; i < n; i++ {
-		ft, err := m.FuncType(uint32(i))
+		ft, err := ix.FuncType(uint32(i))
 		if err == nil {
 			info.FuncTypes[i] = ft
 		}
-		info.FuncNames[i] = m.FuncName(uint32(i))
+		info.FuncNames[i] = ix.FuncName(uint32(i))
 	}
 	for _, e := range m.Exports {
 		if e.Kind == wasm.ExternFunc {

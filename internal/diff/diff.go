@@ -13,11 +13,14 @@
 //
 // The matrix:
 //
-//	plain   — uninstrumented threaded interpreter
-//	hooked  — all-hooks trampoline instrumentation, no-op callback analysis
-//	static  — same, on a WithStaticAnalysis engine (hook elision active)
-//	stream  — all-event record encoding into a served stream
-//	fuel    — fuel-guarded execution with an ample budget
+//	plain    — uninstrumented threaded interpreter
+//	hooked   — all-hooks trampoline instrumentation, no-op callback analysis
+//	static   — same, on a WithStaticAnalysis engine (hook elision active)
+//	stream   — all-event record encoding into a served stream
+//	fuel     — fuel-guarded execution with an ample budget
+//	relinked — "hooked" on threaded code an earlier instance of the same
+//	           CompiledAnalysis compiled and ran, so no state may leak
+//	           through code shared between instances
 package diff
 
 import (
@@ -58,7 +61,9 @@ type Options struct {
 }
 
 // AllConfigs lists the production configurations in matrix order.
-func AllConfigs() []string { return []string{"plain", "hooked", "static", "stream", "fuel"} }
+func AllConfigs() []string {
+	return []string{"plain", "hooked", "static", "stream", "fuel", "relinked"}
+}
 
 // ampleFuel is the fuel budget for the fuel-guarded config: far beyond any
 // corpus module's needs, so the guard instructions execute but never fire.
@@ -242,6 +247,39 @@ func runConfig(name string, m *wasm.Module, opts Options) (runResult, error) {
 		}
 		sess, i, err := newHookedInstance(m, imports, &analyses.Empty{}, engOpts...)
 		if err != nil {
+			return runResult{instErr: err.Error()}, nil
+		}
+		inst = i
+		cleanup = func() { sess.Close() }
+	case "relinked":
+		eng, err := wasabi.NewEngine()
+		if err != nil {
+			return runResult{}, err
+		}
+		ca, err := eng.Instrument(m, wasabi.AllCaps)
+		if err != nil {
+			return runResult{instErr: err.Error()}, nil
+		}
+		// The first instance compiles the code and runs every invocation
+		// on it; the measured second instance links that code.
+		first, err := ca.NewSession(&analyses.Empty{})
+		if err != nil {
+			return runResult{instErr: err.Error()}, nil
+		}
+		if i, err := first.Instantiate("", imports); err == nil {
+			for _, inv := range opts.Invocations {
+				i.Invoke(inv.Entry, inv.Args...)
+			}
+		}
+		first.Close()
+		printed = nil
+		sess, err := ca.NewSession(&analyses.Empty{})
+		if err != nil {
+			return runResult{instErr: err.Error()}, nil
+		}
+		i, err := sess.Instantiate("", imports)
+		if err != nil {
+			sess.Close()
 			return runResult{instErr: err.Error()}, nil
 		}
 		inst = i

@@ -216,11 +216,16 @@ func (fr *cframe) branchArity() int {
 	return fr.arity
 }
 
+// compiler lowers the defined functions of one module. It is reused across
+// every function of a compile run: code, brPool and ctrl are scratch buffers
+// that keep their capacity from one body to the next, and each finished body
+// is copied out at its exact length (compileFunc), so the compiled form
+// carries no slack capacity.
 type compiler struct {
-	m        *wasm.Module
+	ix       *wasm.Index
+	shape    []hostCall // call lowering per imported function; nil lowers every host call plain
 	f        *wasm.Func
-	hosts    []*HostFunc // resolved imported functions, indexed by function index
-	nLocals  int         // params + declared locals
+	nLocals  int // params + declared locals
 	code     []instr
 	brPool   []brEntry
 	ctrl     []cframe
@@ -241,39 +246,56 @@ type compiler struct {
 	guardCost uint32 // source instructions charged to the pending guard
 }
 
-// compileFunc lowers one function body into the threaded-code form. It
+// lower compiles one function body into the compiler's scratch buffers. It
 // rejects structurally broken bodies (unbalanced control, operand underflow,
 // out-of-range indices), so a malformed module fails at instantiation
-// instead of corrupting the interpreter mid-run. hosts is the resolved
-// imported-function vector (may be nil when compiling without an instance);
-// it lets the pass pick the Fast host-call convention and elide calls to
-// no-op hooks together with their argument lowering.
-func compileFunc(m *wasm.Module, sig wasm.FuncType, f *wasm.Func, hosts []*HostFunc, cfg *Config) (*compiledFunc, error) {
-	c := &compiler{
-		m: m, f: f, hosts: hosts,
-		nLocals:  len(sig.Params) + len(f.Locals),
-		guarded:  cfg.Guarded,
-		guardIdx: -1,
-	}
-	c.ctrl = append(c.ctrl, cframe{op: wasm.OpCall, arity: len(sig.Results), elseJump: -1})
+// instead of corrupting the interpreter mid-run. The shape lets the pass
+// pick the Fast or Emit host-call convention and elide calls to no-op hooks
+// together with their argument lowering.
+func (c *compiler) lower(sig wasm.FuncType, f *wasm.Func) error {
+	c.f = f
+	c.nLocals = len(sig.Params) + len(f.Locals)
+	c.code = c.code[:0]
+	c.brPool = c.brPool[:0]
+	c.ctrl = append(c.ctrl[:0], cframe{op: wasm.OpCall, arity: len(sig.Results), elseJump: -1})
+	c.height, c.maxStack, c.barrier = 0, 0, 0
+	c.dead, c.deadSkip = false, 0
+	c.guardIdx, c.guardCost = -1, 0
 	for pc := range f.Body {
 		c.srcPC = pc
 		if err := c.step(f.Body[pc]); err != nil {
-			return nil, fmt.Errorf("pc %d (%s): %w", pc, f.Body[pc].Op, err)
+			return fmt.Errorf("pc %d (%s): %w", pc, f.Body[pc].Op, err)
 		}
 	}
 	if len(c.ctrl) != 0 {
-		return nil, fmt.Errorf("%d unclosed blocks", len(c.ctrl))
+		return fmt.Errorf("%d unclosed blocks", len(c.ctrl))
 	}
-	if max := cfg.maxFuncStack(); c.maxStack > max {
-		return nil, fmt.Errorf("%w: operand-stack high-water mark %d exceeds limit %d", ErrLimit, c.maxStack, max)
+	return nil
+}
+
+// compileFunc lowers one function body into the threaded-code form and
+// copies it out of the scratch buffers at its exact length. Bodies whose
+// operand-stack high-water mark exceeds maxStack fail with ErrLimit.
+func (c *compiler) compileFunc(sig wasm.FuncType, f *wasm.Func, maxStack int) (*compiledFunc, error) {
+	if err := c.lower(sig, f); err != nil {
+		return nil, err
+	}
+	if c.maxStack > maxStack {
+		return nil, fmt.Errorf("%w: operand-stack high-water mark %d exceeds limit %d", ErrLimit, c.maxStack, maxStack)
+	}
+	code := make([]instr, len(c.code))
+	copy(code, c.code)
+	var brPool []brEntry
+	if len(c.brPool) > 0 {
+		brPool = make([]brEntry, len(c.brPool))
+		copy(brPool, c.brPool)
 	}
 	return &compiledFunc{
 		sig:       sig,
 		numParams: len(sig.Params),
-		numLocals: len(sig.Params) + len(f.Locals),
-		code:      c.code,
-		brPool:    c.brPool,
+		numLocals: c.nLocals,
+		code:      code,
+		brPool:    brPool,
 		maxStack:  c.maxStack,
 	}, nil
 }
@@ -430,7 +452,7 @@ func (c *compiler) step(in wasm.Instr) error {
 		c.markDead()
 
 	case wasm.OpCall:
-		ft, err := c.m.FuncType(in.Idx)
+		ft, err := c.ix.FuncType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -440,34 +462,34 @@ func (c *compiler) step(in wasm.Instr) error {
 		c.push(len(ft.Results))
 		// Host calls (hook dispatch in the instrumented setting) are resolved
 		// at compile time: the function index space puts imports first. With
-		// the resolved import vector in hand the pass goes further: no-op
-		// hooks are not called at all — their argument lowering is unwound —
-		// and Fast-convention hooks get the zero-copy stack-window opcode.
+		// the host shape in hand the pass goes further: no-op hooks are not
+		// called at all — their argument lowering is unwound — and
+		// Fast-convention hooks get the zero-copy stack-window opcode.
 		callOp := iCall
-		if int(in.Idx) < c.m.NumImportedFuncs() {
+		if int(in.Idx) < c.ix.NumImportedFuncs() {
 			callOp = iCallHost
-			if int(in.Idx) < len(c.hosts) && c.hosts[in.Idx] != nil && len(ft.Results) == 0 {
-				hf := c.hosts[in.Idx]
-				if hf.NoOp {
+			if int(in.Idx) < len(c.shape) {
+				switch c.shape[in.Idx] {
+				case hostNoOp:
 					c.elideArgs(len(ft.Params))
 					return nil
-				}
-				if hf.Emit != nil {
+				case hostEmit:
 					// Record encoders (the stream dispatch pipeline): same
 					// stack-window convention as Fast, but the callee cannot
 					// return an error, so the exec case skips the error check.
 					callOp = iCallHostEmit
-				} else if hf.Fast != nil {
+				case hostFast:
 					callOp = iCallHostFast
 				}
 			}
 		}
 		c.emit(instr{op: callOp, a: in.Idx, b: uint32(len(ft.Params))})
 	case wasm.OpCallIndirect:
-		if int(in.Idx) >= len(c.m.Types) {
+		types := c.ix.Module().Types
+		if int(in.Idx) >= len(types) {
 			return fmt.Errorf("call_indirect type index %d out of range", in.Idx)
 		}
-		ft := c.m.Types[in.Idx]
+		ft := types[in.Idx]
 		if err := c.popN(1 + len(ft.Params)); err != nil {
 			return fmt.Errorf("call_indirect: %w", err)
 		}
@@ -548,13 +570,13 @@ func (c *compiler) step(in wasm.Instr) error {
 		}
 		c.emit(instr{op: iLocalTee, a: in.Idx})
 	case wasm.OpGlobalGet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		c.push(1)
 		c.emit(instr{op: iGlobalGet, a: in.Idx})
 	case wasm.OpGlobalSet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		if err := c.popN(1); err != nil {

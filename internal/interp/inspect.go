@@ -14,18 +14,18 @@ import (
 // It exists so the static dataflow pass (internal/static) can be asserted
 // equal to the interpreter's own height tracking, and for inspection tooling.
 func StackHighWater(m *wasm.Module) ([]int, error) {
-	cfg := Config{}
+	ix := wasm.NewIndex(m)
+	c := &compiler{ix: ix}
 	out := make([]int, len(m.Funcs))
 	for di := range m.Funcs {
 		f := &m.Funcs[di]
 		if int(f.TypeIdx) >= len(m.Types) {
-			return nil, fmt.Errorf("interp: func %d: type index %d out of range", m.NumImportedFuncs()+di, f.TypeIdx)
+			return nil, fmt.Errorf("interp: func %d: type index %d out of range", ix.NumImportedFuncs()+di, f.TypeIdx)
 		}
-		cf, err := compileFunc(m, m.Types[f.TypeIdx], f, nil, &cfg)
-		if err != nil {
-			return nil, fmt.Errorf("interp: func %d: %w", m.NumImportedFuncs()+di, err)
+		if err := c.lower(m.Types[f.TypeIdx], f); err != nil {
+			return nil, fmt.Errorf("interp: func %d: %w", ix.NumImportedFuncs()+di, err)
 		}
-		out[di] = cf.maxStack
+		out[di] = c.maxStack
 	}
 	return out, nil
 }

@@ -189,7 +189,21 @@ func InstantiateIn(reg *Registry, name string, m *wasm.Module, imports Imports) 
 // recursion bounds. Limit violations at instantiation time (a declared
 // memory or table minimum beyond the configured cap, a function body whose
 // operand stack exceeds MaxFuncStack) fail with errors wrapping ErrLimit.
-func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports, cfg Config) (inst *Instance, err error) {
+// It compiles m afresh; embedders that instantiate one module many times
+// keep a CompiledModule instead, which compiles each host shape once.
+func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports, cfg Config) (*Instance, error) {
+	return NewCompiledModule(m, cfg).Instantiate(reg, name, imports)
+}
+
+// Instantiate allocates and initializes an instance: resolves imports,
+// links the compiled code of their host shape (compiling it on first use),
+// allocates table/memory/globals, applies element and data segments, and
+// runs the start function. Imports resolve first from the explicit Imports
+// map and then — when the import module name matches an instance registered
+// in reg — from that instance's exports. On success the new instance is
+// registered in reg under name (name "" stays anonymous). Limit violations
+// fail with errors wrapping ErrLimit (see InstantiateWith).
+func (cm *CompiledModule) Instantiate(reg *Registry, name string, imports Imports) (inst *Instance, err error) {
 	if name != "" && reg == nil {
 		return nil, fmt.Errorf("interp: named instantiation %q requires a registry", name)
 	}
@@ -208,11 +222,13 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 		}()
 	}
 
+	m, cfg := cm.m, &cm.cfg
 	inst = &Instance{
 		Module:   m,
 		maxDepth: cfg.maxCallDepth(),
 		guarded:  cfg.Guarded,
 		fuel:     cfg.initialFuel(),
+		funcs:    make([]funcInst, 0, cm.ix.NumFuncs()),
 	}
 
 	lookup := func(mod, name string) (any, error) {
@@ -236,6 +252,7 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 		return nil, fmt.Errorf("interp: unknown import module %q", mod)
 	}
 
+	shape := make([]hostCall, 0, cm.ix.NumImportedFuncs())
 	for _, imp := range m.Imports {
 		v, err := lookup(imp.Module, imp.Name)
 		if err != nil {
@@ -261,6 +278,7 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 				return nil, fmt.Errorf("interp: import %q.%q: Fast/Emit-only host functions must be result-less", imp.Module, imp.Name)
 			}
 			inst.funcs = append(inst.funcs, funcInst{typeIdx: imp.TypeIdx, host: hf})
+			shape = append(shape, hostCallOf(hf))
 		case wasm.ExternMemory:
 			mem, ok := v.(*Memory)
 			if !ok {
@@ -282,23 +300,15 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 		}
 	}
 
-	// Defined functions. The compile pass sees the already-resolved host
-	// imports so it can specialize host calls: Fast-convention targets get
-	// the zero-copy opcode and calls to no-op hooks are elided outright.
-	hosts := make([]*HostFunc, len(inst.funcs))
-	for i := range inst.funcs {
-		hosts[i] = inst.funcs[i].host
+	// Defined functions: the code compiled for this host shape, so calls to
+	// Fast-convention imports take the zero-copy opcode and calls to no-op
+	// hooks are elided outright.
+	code, err := cm.code(shape)
+	if err != nil {
+		return nil, err
 	}
 	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		if int(f.TypeIdx) >= len(m.Types) {
-			return nil, fmt.Errorf("interp: function %d type index out of range", i)
-		}
-		cf, err := compileFunc(m, m.Types[f.TypeIdx], f, hosts, &cfg)
-		if err != nil {
-			return nil, fmt.Errorf("interp: function %d: %w", i, err)
-		}
-		inst.funcs = append(inst.funcs, funcInst{typeIdx: f.TypeIdx, code: cf})
+		inst.funcs = append(inst.funcs, funcInst{typeIdx: m.Funcs[i].TypeIdx, code: code[i]})
 	}
 
 	// Defined table and memory, bounded by the configured caps: a declared

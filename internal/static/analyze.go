@@ -21,6 +21,8 @@ type ModuleAnalysis struct {
 	Mod   *wasm.Module
 	Graph *CallGraph
 	Funcs []FuncAnalysis // indexed by DEFINED function index
+
+	ix *wasm.Index // Mod's index spaces
 }
 
 // Analyze runs the whole static-analysis pipeline over a decoded module. It
@@ -33,12 +35,13 @@ func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
 // analyze is Analyze with the per-function passes on par workers (0 means
 // GOMAXPROCS).
 func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
-	cg, err := BuildCallGraph(m)
+	ix := wasm.NewIndex(m)
+	cg, err := BuildCallGraph(ix)
 	if err != nil {
 		return nil, err
 	}
-	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs))}
-	numImports := m.NumImportedFuncs()
+	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs)), ix: ix}
+	numImports := ix.NumImportedFuncs()
 	err = parallel.Each(len(m.Funcs), par, func(di int) error {
 		f := &m.Funcs[di]
 		if int(f.TypeIdx) >= len(m.Types) {
@@ -48,7 +51,7 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 		if err != nil {
 			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
-		facts, err := FuncDataflow(m, m.Types[f.TypeIdx], f, g)
+		facts, err := FuncDataflow(ix, m.Types[f.TypeIdx], f, g)
 		if err != nil {
 			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
@@ -66,7 +69,7 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 // analysis.KindBlockProbe every CFG-reachable basic block of the remaining
 // functions gets one probe.
 func (ma *ModuleAnalysis) Plan(hooks analysis.HookSet) *core.Plan {
-	numImports := ma.Mod.NumImportedFuncs()
+	numImports := ma.ix.NumImportedFuncs()
 	p := &core.Plan{SkipFunc: make([]bool, len(ma.Funcs))}
 	for di := range ma.Funcs {
 		p.SkipFunc[di] = !ma.Graph.Reachable[numImports+di]
@@ -128,9 +131,9 @@ type Profile struct {
 
 // Profile assembles the report-surface view of the analysis.
 func (ma *ModuleAnalysis) Profile() *Profile {
-	numImports := ma.Mod.NumImportedFuncs()
+	numImports := ma.ix.NumImportedFuncs()
 	p := &Profile{
-		NumFuncs:   ma.Mod.NumFuncs(),
+		NumFuncs:   ma.ix.NumFuncs(),
 		NumImports: numImports,
 		DeadFuncs:  ma.Graph.DeadFuncs(),
 		TableFuncs: len(ma.Graph.TableFuncs),
@@ -140,7 +143,7 @@ func (ma *ModuleAnalysis) Profile() *Profile {
 		fa := &ma.Funcs[di]
 		p.Funcs = append(p.Funcs, FuncProfile{
 			Idx:       idx,
-			Name:      ma.Mod.FuncName(uint32(idx)),
+			Name:      ma.ix.FuncName(uint32(idx)),
 			Dead:      !ma.Graph.Reachable[idx],
 			Blocks:    len(fa.CFG.Blocks),
 			Reachable: fa.CFG.NumReachable(),

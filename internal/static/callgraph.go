@@ -31,11 +31,13 @@ type CallGraph struct {
 	Reachable []bool
 }
 
-// BuildCallGraph computes the call graph and its reachability from
-// exports/start. Malformed call instructions surface as errors.
-func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
-	n := m.NumFuncs()
-	numImports := m.NumImportedFuncs()
+// BuildCallGraph computes the call graph of the indexed module and its
+// reachability from exports/start. Malformed call instructions surface as
+// errors.
+func BuildCallGraph(ix *wasm.Index) (*CallGraph, error) {
+	m := ix.Module()
+	n := ix.NumFuncs()
+	numImports := ix.NumImportedFuncs()
 	cg := &CallGraph{
 		Callees:       make([][]uint32, n),
 		IndirectSites: make([][]int, n),
@@ -66,7 +68,7 @@ func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
 		want := m.Types[ti]
 		var out []uint32
 		for _, f := range cg.TableFuncs {
-			ft, err := m.FuncType(f)
+			ft, err := ix.FuncType(f)
 			if err != nil {
 				return nil, err
 			}

@@ -26,27 +26,27 @@ func module(m *wasm.Module, par int) error {
 	if err := checkTablesAndMemories(m); err != nil {
 		return err
 	}
-	if err := checkGlobals(m); err != nil {
+	ix := wasm.NewIndex(m)
+	if err := checkGlobals(ix); err != nil {
 		return err
 	}
-	if err := checkExports(m); err != nil {
+	if err := checkExports(ix); err != nil {
 		return err
 	}
-	if err := checkStart(m); err != nil {
+	if err := checkStart(ix); err != nil {
 		return err
 	}
-	if err := checkElems(m); err != nil {
+	if err := checkElems(ix); err != nil {
 		return err
 	}
-	if err := checkDatas(m); err != nil {
+	if err := checkDatas(ix); err != nil {
 		return err
 	}
-	numImports := m.NumImportedFuncs()
 	return parallel.For(len(m.Funcs), par, func() *Tracker { return new(Tracker) }, nil,
 		func(tr *Tracker, i int) error {
-			if err := checkFunc(tr, m, i); err != nil {
-				idx := numImports + i
-				return annotateFunc(err, idx, m.FuncName(uint32(idx)))
+			if err := checkFunc(tr, ix, i); err != nil {
+				idx := ix.NumImportedFuncs() + i
+				return annotateFunc(err, idx, ix.FuncName(uint32(idx)))
 			}
 			return nil
 		})
@@ -54,7 +54,7 @@ func module(m *wasm.Module, par int) error {
 
 // Func validates a single defined function body.
 func Func(m *wasm.Module, definedIdx int) error {
-	return checkFunc(new(Tracker), m, definedIdx)
+	return checkFunc(new(Tracker), wasm.NewIndex(m), definedIdx)
 }
 
 func checkTypes(m *wasm.Module) error {
@@ -116,9 +116,9 @@ func checkTablesAndMemories(m *wasm.Module) error {
 	return nil
 }
 
-func checkGlobals(m *wasm.Module) error {
-	for i, g := range m.Globals {
-		t, err := constExprType(m, g.Init, true)
+func checkGlobals(ix *wasm.Index) error {
+	for i, g := range ix.Module().Globals {
+		t, err := constExprType(ix, g.Init, true)
 		if err != nil {
 			return fmt.Errorf("validate: global %d init: %w", i, err)
 		}
@@ -129,7 +129,8 @@ func checkGlobals(m *wasm.Module) error {
 	return nil
 }
 
-func checkExports(m *wasm.Module) error {
+func checkExports(ix *wasm.Index) error {
+	m := ix.Module()
 	seen := make(map[string]bool, len(m.Exports))
 	for _, e := range m.Exports {
 		if seen[e.Name] {
@@ -138,11 +139,11 @@ func checkExports(m *wasm.Module) error {
 		seen[e.Name] = true
 		switch e.Kind {
 		case wasm.ExternFunc:
-			if int(e.Idx) >= m.NumFuncs() {
+			if int(e.Idx) >= ix.NumFuncs() {
 				return fmt.Errorf("validate: export %q: function index %d out of range", e.Name, e.Idx)
 			}
 		case wasm.ExternGlobal:
-			if _, err := m.GlobalType(e.Idx); err != nil {
+			if _, err := ix.GlobalType(e.Idx); err != nil {
 				return fmt.Errorf("validate: export %q: %w", e.Name, err)
 			}
 		case wasm.ExternTable, wasm.ExternMemory:
@@ -155,11 +156,12 @@ func checkExports(m *wasm.Module) error {
 	return nil
 }
 
-func checkStart(m *wasm.Module) error {
+func checkStart(ix *wasm.Index) error {
+	m := ix.Module()
 	if m.Start == nil {
 		return nil
 	}
-	ft, err := m.FuncType(*m.Start)
+	ft, err := ix.FuncType(*m.Start)
 	if err != nil {
 		return fmt.Errorf("validate: start: %w", err)
 	}
@@ -169,12 +171,12 @@ func checkStart(m *wasm.Module) error {
 	return nil
 }
 
-func checkElems(m *wasm.Module) error {
-	for i, e := range m.Elems {
+func checkElems(ix *wasm.Index) error {
+	for i, e := range ix.Module().Elems {
 		if e.TableIdx != 0 {
 			return fmt.Errorf("validate: elem %d: table index %d out of range", i, e.TableIdx)
 		}
-		t, err := constExprType(m, e.Offset, true)
+		t, err := constExprType(ix, e.Offset, true)
 		if err != nil {
 			return fmt.Errorf("validate: elem %d offset: %w", i, err)
 		}
@@ -182,7 +184,7 @@ func checkElems(m *wasm.Module) error {
 			return fmt.Errorf("validate: elem %d offset must be i32, is %s", i, t)
 		}
 		for _, f := range e.Funcs {
-			if int(f) >= m.NumFuncs() {
+			if int(f) >= ix.NumFuncs() {
 				return fmt.Errorf("validate: elem %d references function %d out of range", i, f)
 			}
 		}
@@ -190,12 +192,12 @@ func checkElems(m *wasm.Module) error {
 	return nil
 }
 
-func checkDatas(m *wasm.Module) error {
-	for i, d := range m.Datas {
+func checkDatas(ix *wasm.Index) error {
+	for i, d := range ix.Module().Datas {
 		if d.MemIdx != 0 {
 			return fmt.Errorf("validate: data %d: memory index %d out of range", i, d.MemIdx)
 		}
-		t, err := constExprType(m, d.Offset, true)
+		t, err := constExprType(ix, d.Offset, true)
 		if err != nil {
 			return fmt.Errorf("validate: data %d offset: %w", i, err)
 		}
@@ -209,7 +211,7 @@ func checkDatas(m *wasm.Module) error {
 // constExprType checks a constant expression and returns its result type.
 // Constant expressions are a single const or global.get of an (imported,
 // immutable) global, terminated by end.
-func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.ValType, error) {
+func constExprType(ix *wasm.Index, expr []wasm.Instr, importedOnly bool) (wasm.ValType, error) {
 	if len(expr) != 2 || expr[1].Op != wasm.OpEnd {
 		return 0, fmt.Errorf("must be a single constant instruction followed by end")
 	}
@@ -224,10 +226,10 @@ func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.V
 	case wasm.OpF64Const:
 		return wasm.F64, nil
 	case wasm.OpGlobalGet:
-		if importedOnly && int(in.Idx) >= m.NumImportedGlobals() {
+		if importedOnly && int(in.Idx) >= ix.NumImportedGlobals() {
 			return 0, fmt.Errorf("global.get in constant expression may only reference imported globals")
 		}
-		gt, err := m.GlobalType(in.Idx)
+		gt, err := ix.GlobalType(in.Idx)
 		if err != nil {
 			return 0, err
 		}
@@ -240,12 +242,13 @@ func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.V
 }
 
 // checkFunc type-checks one defined function body, resetting tr for it.
-func checkFunc(tr *Tracker, m *wasm.Module, defined int) error {
+func checkFunc(tr *Tracker, ix *wasm.Index, defined int) error {
+	m := ix.Module()
 	f := &m.Funcs[defined]
 	if int(f.TypeIdx) >= len(m.Types) {
 		return fmt.Errorf("validate: type index %d out of range", f.TypeIdx)
 	}
-	tr.Reset(m, m.Types[f.TypeIdx], f.Locals, f.BrTargets)
+	tr.Reset(ix, m.Types[f.TypeIdx], f.Locals, f.BrTargets)
 	for i := range f.Body {
 		if name, proposal, ok := wasm.UnsupportedInfo(f.Body[i]); ok {
 			return &Error{FuncIdx: -1, Instr: i, Op: f.Body[i].Op,

@@ -267,7 +267,7 @@ func TestModuleLevelChecks(t *testing.T) {
 // depends on.
 func TestTrackerTopAndUnreachable(t *testing.T) {
 	m := mod(wasm.LocalGet(0), wasm.End())
-	tr := NewTracker(m, m.Types[0], m.Funcs[0].Locals, m.Funcs[0].BrTargets)
+	tr := NewTracker(wasm.NewIndex(m), m.Types[0], m.Funcs[0].Locals, m.Funcs[0].BrTargets)
 	step := func(in wasm.Instr) {
 		t.Helper()
 		if err := tr.Step(in); err != nil {

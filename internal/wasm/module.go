@@ -112,54 +112,31 @@ func (m *Module) NumImportedGlobals() int {
 // NumFuncs returns the total size of the function index space.
 func (m *Module) NumFuncs() int { return m.NumImportedFuncs() + len(m.Funcs) }
 
-// FuncTypeIdx returns the type index of the function at the given index in
-// the function index space (imports first, then defined functions).
-func (m *Module) FuncTypeIdx(funcIdx uint32) (uint32, error) {
+// FuncType returns the signature of the function at funcIdx, scanning the
+// imports. Callers that resolve many indices build an Index instead.
+func (m *Module) FuncType(funcIdx uint32) (FuncType, error) {
 	i := funcIdx
+	ti, found := uint32(0), false
 	for _, imp := range m.Imports {
 		if imp.Kind != ExternFunc {
 			continue
 		}
 		if i == 0 {
-			return imp.TypeIdx, nil
+			ti, found = imp.TypeIdx, true
+			break
 		}
 		i--
 	}
-	if int(i) < len(m.Funcs) {
-		return m.Funcs[i].TypeIdx, nil
-	}
-	return 0, fmt.Errorf("wasm: function index %d out of range (have %d)", funcIdx, m.NumFuncs())
-}
-
-// FuncType returns the signature of the function at funcIdx.
-func (m *Module) FuncType(funcIdx uint32) (FuncType, error) {
-	ti, err := m.FuncTypeIdx(funcIdx)
-	if err != nil {
-		return FuncType{}, err
+	if !found {
+		if int(i) >= len(m.Funcs) {
+			return FuncType{}, fmt.Errorf("wasm: function index %d out of range (have %d)", funcIdx, m.NumFuncs())
+		}
+		ti = m.Funcs[i].TypeIdx
 	}
 	if int(ti) >= len(m.Types) {
 		return FuncType{}, fmt.Errorf("wasm: type index %d out of range (have %d)", ti, len(m.Types))
 	}
 	return m.Types[ti], nil
-}
-
-// GlobalType returns the type of the global at the given index in the global
-// index space (imported globals first, then defined ones).
-func (m *Module) GlobalType(globalIdx uint32) (GlobalType, error) {
-	i := globalIdx
-	for _, imp := range m.Imports {
-		if imp.Kind != ExternGlobal {
-			continue
-		}
-		if i == 0 {
-			return imp.Global, nil
-		}
-		i--
-	}
-	if int(i) < len(m.Globals) {
-		return m.Globals[i].Type, nil
-	}
-	return GlobalType{}, fmt.Errorf("wasm: global index %d out of range", globalIdx)
 }
 
 // AddType returns the index of ft in the type section, appending it if not

@@ -141,19 +141,51 @@ func TestModuleIndexSpaces(t *testing.T) {
 	if _, err := m.FuncType(3); err == nil {
 		t.Error("FuncType(3) should fail")
 	}
-	gt, err := m.GlobalType(0) // imported
-	if err != nil || gt.Type != I64 {
-		t.Errorf("GlobalType(0) = %v, %v", gt, err)
-	}
-	gt, err = m.GlobalType(1) // defined
-	if err != nil || gt.Type != F32 || !gt.Mutable {
-		t.Errorf("GlobalType(1) = %v, %v", gt, err)
-	}
 	if name := m.FuncName(0); name != "env.f" {
 		t.Errorf("FuncName(0) = %q", name)
 	}
 	if name := m.FuncName(2); name != "func2" {
 		t.Errorf("FuncName(2) = %q", name)
+	}
+
+	// The Index resolves the same spaces once.
+	ix := NewIndex(m)
+	if ix.NumImportedFuncs() != 2 || ix.NumFuncs() != 3 || ix.NumImportedGlobals() != 1 || ix.NumGlobals() != 2 {
+		t.Errorf("Index counts: %d imported funcs of %d, %d imported globals of %d",
+			ix.NumImportedFuncs(), ix.NumFuncs(), ix.NumImportedGlobals(), ix.NumGlobals())
+	}
+	for f := uint32(0); f < 3; f++ {
+		want, _ := m.FuncType(f)
+		if got, err := ix.FuncType(f); err != nil || !got.Equal(want) {
+			t.Errorf("Index.FuncType(%d) = %v, %v; Module.FuncType gives %v", f, got, err, want)
+		}
+		if got, want := ix.FuncName(f), m.FuncName(f); got != want {
+			t.Errorf("Index.FuncName(%d) = %q, Module.FuncName gives %q", f, got, want)
+		}
+	}
+	if ti, err := ix.FuncTypeIdx(1); err != nil || ti != 1 {
+		t.Errorf("Index.FuncTypeIdx(1) = %d, %v", ti, err)
+	}
+	if _, err := ix.FuncType(3); err == nil {
+		t.Error("Index.FuncType(3) should fail")
+	}
+	gt, err := ix.GlobalType(0) // imported
+	if err != nil || gt.Type != I64 {
+		t.Errorf("GlobalType(0) = %v, %v", gt, err)
+	}
+	gt, err = ix.GlobalType(1) // defined
+	if err != nil || gt.Type != F32 || !gt.Mutable {
+		t.Errorf("GlobalType(1) = %v, %v", gt, err)
+	}
+	if _, err := ix.GlobalType(2); err == nil {
+		t.Error("GlobalType(2) should fail")
+	}
+	if ix.HasTable() || ix.HasMemory() {
+		t.Error("module has neither table nor memory")
+	}
+	m.Imports = append(m.Imports, Import{Module: "env", Name: "mem", Kind: ExternMemory})
+	if ix := NewIndex(m); !ix.HasMemory() || ix.HasTable() {
+		t.Error("imported memory not indexed")
 	}
 }
 

@@ -41,7 +41,10 @@ type Session struct {
 // exports), and — when name is non-empty — the new instance is registered
 // under name for later instantiations to link against (Session.Close, or
 // Engine.RemoveInstance manually, unregisters it). Call it repeatedly for
-// multiple instances of the same instrumented module.
+// multiple instances of the same instrumented module. The first instance of
+// a host shape compiles the module's threaded code; every later one, of
+// this or any session of the CompiledAnalysis, links it (see
+// CompiledAnalysis).
 func (s *Session) Instantiate(name string, programImports interp.Imports) (*interp.Instance, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: Instantiate", ErrSessionClosed)
@@ -79,7 +82,7 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 		merged[mod] = fields
 	}
 	s.instantiated = true
-	inst, err := interp.InstantiateWith(s.compiled.engine.reg, name, s.compiled.module, merged, s.compiled.engine.exec)
+	inst, err := s.compiled.code.Instantiate(s.compiled.engine.reg, name, merged)
 	if err != nil {
 		return nil, err
 	}
