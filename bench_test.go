@@ -74,9 +74,12 @@ func BenchmarkTable5_InstrumentApp(b *testing.B) {
 }
 
 // BenchmarkTable5_InstrumentAppStatic is BenchmarkTable5_InstrumentApp with
-// the static-analysis pass in the loop: CFG + call-graph construction and
-// plan computation, then plan-guided instrumentation. The gap to the plain
-// Table 5 row is the cost of analysis-aware elision (kept within 5%).
+// the static plan in the loop: static.PlanFor (call graph and CFGs), then
+// plan-guided instrumentation. The row measures elision, not the cost of the
+// static pass: the plan skips every function the call graph cannot reach, so
+// the row is faster than the plain one. On a 2-core linux/amd64 VM (-cpu 2,
+// 20 iterations, 3 counts) it took 11.5–12.6 ms and about 13,700 allocs/op,
+// against 43–51 ms for the plain row.
 func BenchmarkTable5_InstrumentAppStatic(b *testing.B) {
 	m, size := appModule(b, 1<<20)
 	b.SetBytes(int64(size))

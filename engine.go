@@ -166,15 +166,16 @@ func WithMaxCallDepth(n int) EngineOption {
 }
 
 // WithStaticAnalysis enables analysis-aware instrumentation: before
-// instrumenting, the engine runs the static-analysis pipeline
-// (internal/static: call graph, per-function CFGs, dataflow) and elides hooks
-// its results prove unobservable — functions unreachable from the module's
-// exports and start function are copied through uninstrumented, and
-// InstrumentFor collapses coverage-class analyses (those implementing
-// BlockCoverageHooker) from per-instruction hooks to one probe per CFG basic
-// block. The elision is exact for reachability (an unreachable function can
-// never fire a hook); block-probe collapse changes the event vocabulary the
-// analysis sees, which is why it is gated on the analysis opting in. See
+// instrumenting, the engine computes a static plan (internal/static's
+// PlanFor: the call graph and per-function CFGs) and elides hooks it proves
+// unobservable — functions unreachable from the module's exports and start
+// function are copied through uninstrumented, and InstrumentFor collapses
+// coverage-class analyses (those implementing BlockCoverageHooker) from
+// per-instruction hooks to one probe per CFG basic block. The elision is
+// exact for reachability (an unreachable function can never fire a hook);
+// block-probe collapse changes the event vocabulary the analysis sees, which
+// is why it is gated on the analysis opting in. The plan checks the
+// structure of function bodies only; validation is the type gate. See
 // README "Static analysis".
 func WithStaticAnalysis() EngineOption {
 	return func(e *Engine) error {

@@ -13,8 +13,9 @@ type NegativeCase struct {
 	Module func() *wasm.Module
 	// CFGMustErr marks cases whose malformation is structural (unbalanced
 	// control, out-of-range labels, bad br_table spans, missing bodies):
-	// static.Analyze must fail on these. Pure type errors (the rest) are
-	// out of the CFG builder's scope — it must merely not panic on them.
+	// the CFG builder, and so static.Analyze and static.PlanFor, must fail
+	// on these. Pure type errors (the rest) are out of its scope — it must
+	// merely not panic on them.
 	CFGMustErr bool
 }
 

@@ -69,3 +69,23 @@ func TestNegativeCorpusEngine(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeCorpusStaticEngine: a static-analysis engine that waives
+// validation never panics on an invalid module, and its static pass, which
+// checks structure only, rejects every structurally malformed one. Type-only
+// malformations get WithoutValidation's undefined behaviour.
+func TestNegativeCorpusStaticEngine(t *testing.T) {
+	eng, err := wasabi.NewEngine(wasabi.WithoutValidation(), wasabi.WithStaticAnalysis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range NegativeCorpus() {
+		c := c
+		t.Run(c.Name, func(t *testing.T) {
+			_, err := eng.Instrument(c.Module(), wasabi.AllCaps)
+			if c.CFGMustErr && err == nil {
+				t.Error("structurally malformed module instrumented without error")
+			}
+		})
+	}
+}

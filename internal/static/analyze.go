@@ -12,11 +12,13 @@ import (
 // FuncAnalysis bundles the per-function results.
 type FuncAnalysis struct {
 	CFG   *CFG
+	Idom  []int32 // immediate dominator of each block; Idom[0] = 0, -1 if unreachable
 	Facts *FuncFacts
 }
 
-// ModuleAnalysis is the full static profile of a module: one CFG + dataflow
-// result per defined function, and the module-level call graph.
+// ModuleAnalysis is the full static profile of a module: one CFG, dominator
+// tree and dataflow result per defined function, and the module-level call
+// graph.
 type ModuleAnalysis struct {
 	Mod   *wasm.Module
 	Graph *CallGraph
@@ -27,9 +29,9 @@ type ModuleAnalysis struct {
 
 // Analyze runs the whole static-analysis pipeline over a decoded module. It
 // assumes a structurally decodable module but not a validated one: malformed
-// bodies fail with positioned errors, never panics. The per-function CFG and
-// dataflow passes run on GOMAXPROCS workers; the error reported is the
-// lowest-index failing function's, as in a sequential pass.
+// bodies fail with positioned errors, never panics. The per-function CFG,
+// dominator and dataflow passes run on GOMAXPROCS workers; the error
+// reported is the lowest-index failing function's, as in a sequential pass.
 func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
 
 // analyze is Analyze with the per-function passes on par workers (0 means
@@ -43,19 +45,17 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs)), ix: ix}
 	numImports := ix.NumImportedFuncs()
 	err = parallel.Each(len(m.Funcs), par, func(di int) error {
+		var b builder // one per function, so that the graph owns its memory
+		if err := b.buildFunc(m, numImports, di); err != nil {
+			return err
+		}
+		g := b.g
 		f := &m.Funcs[di]
-		if int(f.TypeIdx) >= len(m.Types) {
-			return fmt.Errorf("static: func %d: type index %d out of range", numImports+di, f.TypeIdx)
-		}
-		g, err := FuncCFG(f)
+		facts, err := FuncDataflow(ix, m.Types[f.TypeIdx], f, &g)
 		if err != nil {
 			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
-		facts, err := FuncDataflow(ix, m.Types[f.TypeIdx], f, g)
-		if err != nil {
-			return fmt.Errorf("static: func %d: %w", numImports+di, err)
-		}
-		ma.Funcs[di] = FuncAnalysis{CFG: g, Facts: facts}
+		ma.Funcs[di] = FuncAnalysis{CFG: &g, Idom: dominators(&g), Facts: facts}
 		return nil
 	})
 	if err != nil {
@@ -64,43 +64,72 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 	return ma, nil
 }
 
+// newPlan returns a plan that skips every function the call graph cannot
+// reach and, when hooks selects analysis.KindBlockProbe, has room for the
+// probe spans of each function.
+func newPlan(cg *CallGraph, numImports, numDefined int, hooks analysis.HookSet) *core.Plan {
+	p := &core.Plan{SkipFunc: make([]bool, numDefined)}
+	for di := range p.SkipFunc {
+		p.SkipFunc[di] = !cg.Reachable[numImports+di]
+	}
+	if hooks.Has(analysis.KindBlockProbe) {
+		p.Blocks = make([][]core.BlockSpan, numDefined)
+	}
+	return p
+}
+
 // Plan derives the instrumentation plan: functions unreachable from
 // exports/start are skipped outright, and when hooks selects
 // analysis.KindBlockProbe every CFG-reachable basic block of the remaining
 // functions gets one probe.
 func (ma *ModuleAnalysis) Plan(hooks analysis.HookSet) *core.Plan {
-	numImports := ma.ix.NumImportedFuncs()
-	p := &core.Plan{SkipFunc: make([]bool, len(ma.Funcs))}
-	for di := range ma.Funcs {
-		p.SkipFunc[di] = !ma.Graph.Reachable[numImports+di]
-	}
-	if hooks.Has(analysis.KindBlockProbe) {
-		p.Blocks = make([][]core.BlockSpan, len(ma.Funcs))
+	p := newPlan(ma.Graph, ma.ix.NumImportedFuncs(), len(ma.Funcs), hooks)
+	if p.Blocks != nil {
 		for di := range ma.Funcs {
-			if p.SkipFunc[di] {
-				continue
+			if !p.SkipFunc[di] {
+				p.Blocks[di] = ma.Funcs[di].CFG.spans()
 			}
-			g := ma.Funcs[di].CFG
-			spans := make([]core.BlockSpan, 0, len(g.Blocks))
-			for b := range g.Blocks {
-				if g.Reachable[b] {
-					spans = append(spans, g.Blocks[b].Span())
-				}
-			}
-			p.Blocks[di] = spans
 		}
 	}
 	return p
 }
 
-// PlanFor is the one-call path the engine uses: analyze m and derive the
-// elision plan for the given hook set.
+// PlanFor is the path the engine uses: it computes the plan
+// Analyze(m).Plan(hooks) would, but only what the plan holds — the call
+// graph and every function's CFG, without dominators or dataflow — and it
+// fails only where the call graph or a CFG does. The CFGs are built on
+// GOMAXPROCS workers, each reusing one builder's buffers from function to
+// function; the error reported is the lowest-index failing function's.
 func PlanFor(m *wasm.Module, hooks analysis.HookSet) (*core.Plan, error) {
-	ma, err := Analyze(m)
+	return planFor(m, hooks, 0)
+}
+
+// planFor is PlanFor with the CFGs built on par workers (0 means
+// GOMAXPROCS).
+func planFor(m *wasm.Module, hooks analysis.HookSet, par int) (*core.Plan, error) {
+	ix := wasm.NewIndex(m)
+	cg, err := BuildCallGraph(ix)
 	if err != nil {
 		return nil, err
 	}
-	return ma.Plan(hooks), nil
+	numImports := ix.NumImportedFuncs()
+	p := newPlan(cg, numImports, len(m.Funcs), hooks)
+	// Every CFG is built, even where no span is read, so that the plan
+	// fails on exactly the bodies Analyze's CFG builder rejects.
+	err = parallel.For(len(m.Funcs), par, func() *builder { return new(builder) }, nil,
+		func(b *builder, di int) error {
+			if err := b.buildFunc(m, numImports, di); err != nil {
+				return err
+			}
+			if p.Blocks != nil && !p.SkipFunc[di] {
+				p.Blocks[di] = b.g.spans()
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // FuncProfile is one function's row in the module profile.

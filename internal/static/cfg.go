@@ -1,11 +1,18 @@
-// Package static is the module-level static-analysis layer: control-flow
-// graphs over decoded function bodies, reachability and dominators, a static
-// call graph, and per-block dataflow (operand-stack heights, local
-// liveness). Its consumers are analysis-aware instrumentation (hook elision
-// via core.Plan), exact compile-time operand-stack sizing (asserted against
-// the interpreter's own height tracking), and the `wasabi -inspect` report.
-// Everything here works on ORIGINAL instruction indices of uninstrumented
-// bodies; malformed bodies surface as errors, never panics.
+// Package static is the module-level static-analysis layer over decoded
+// function bodies: control-flow graphs with block reachability, a static
+// call graph, and, for the full profile, dominators and per-block dataflow
+// (operand-stack heights, local liveness).
+//
+// It has two entry points. PlanFor computes only what core.Plan holds —
+// call-graph reachability and the spans of each function's reachable
+// blocks — building every CFG in buffers its workers reuse from function to
+// function. Analyze builds each CFG in memory of its own and adds
+// dominators and dataflow on top; its consumers are exact compile-time
+// operand-stack sizing (asserted against the interpreter's own height
+// tracking) and the `wasabi -inspect` report. Both share one CFG builder,
+// and so the same structural checks: everything here works on ORIGINAL
+// instruction indices of uninstrumented bodies, and malformed bodies
+// surface as errors, never panics.
 package static
 
 import (
@@ -17,29 +24,23 @@ import (
 
 // Block is one basic block of a function body: a maximal straight-line run
 // of instructions [Start, End] (closed range of original instruction
-// indices) entered only at Start and left only after End.
-type Block struct {
-	Start int
-	End   int
-	Succs []int // successor block ids, deduplicated, in discovery order
-	Preds []int
-	Exits bool // has an edge to the function exit (return, final end, br to the function label)
-}
-
-// Span returns the block as the instrumentation-plan span type.
-func (b *Block) Span() core.BlockSpan { return core.BlockSpan{Start: b.Start, End: b.End} }
+// indices) entered only at Start and left only after End. It is the span
+// type the instrumentation plan places probes by.
+type Block = core.BlockSpan
 
 // CFG is the control-flow graph of one function body. Block 0 is the entry
-// block; Reachable marks blocks reachable from it; Idom holds immediate
-// dominators (Idom[0] = 0; -1 for unreachable blocks).
+// block, and Reachable marks the blocks reachable from it. Block ids are
+// int32.
 type CFG struct {
 	Blocks    []Block
 	Reachable []bool
-	Idom      []int
 
 	// blockAt maps an original instruction index to the id of the block
-	// containing it (internal; kept for dataflow and probe planning).
-	blockAt []int
+	// containing it. The successors of block b are
+	// succ[succOff[b]:succOff[b+1]], deduplicated, in discovery order.
+	blockAt []int32
+	succOff []int32
+	succ    []int32
 }
 
 // BlockOf returns the id of the block containing instruction i, or -1.
@@ -47,8 +48,12 @@ func (g *CFG) BlockOf(i int) int {
 	if i < 0 || i >= len(g.blockAt) {
 		return -1
 	}
-	return g.blockAt[i]
+	return int(g.blockAt[i])
 }
+
+// Succs returns the ids of block b's successors, deduplicated, in
+// discovery order. The slice aliases the graph; do not modify it.
+func (g *CFG) Succs(b int) []int32 { return g.succ[g.succOff[b]:g.succOff[b+1]] }
 
 // NumReachable counts the blocks reachable from the entry.
 func (g *CFG) NumReachable() int {
@@ -59,6 +64,18 @@ func (g *CFG) NumReachable() int {
 		}
 	}
 	return n
+}
+
+// spans returns the spans of the reachable blocks, in block order, in a
+// slice of exactly their number.
+func (g *CFG) spans() []core.BlockSpan {
+	spans := make([]core.BlockSpan, 0, g.NumReachable())
+	for b, r := range g.Reachable {
+		if r {
+			spans = append(spans, g.Blocks[b])
+		}
+	}
+	return spans
 }
 
 // ctrl kinds of the frame stack used while resolving branches.
@@ -78,54 +95,82 @@ type frame struct {
 	end   int // matching end instruction index
 }
 
-// matches computes, for every block/loop/if/else instruction, the index of
-// its matching end (and for ifs the else). It mirrors the instrumenter's
-// control-match pass but reports positions in its errors so negative-corpus
-// inputs fail with context.
-func matches(body []wasm.Instr) (matchEnd, matchElse []int32, err error) {
-	matchEnd = make([]int32, len(body))
-	matchElse = make([]int32, len(body))
-	for i := range body {
-		matchEnd[i], matchElse[i] = -1, -1
+// opener is an open block/loop/if while matching ends: its index and that
+// of its else, or -1.
+type opener struct{ pc, elsePC int32 }
+
+// builder builds control-flow graphs one function body at a time. Every
+// slice it holds, the graph's own included, is reused by the next build,
+// so a worker that builds many graphs allocates only when a body outgrows
+// its buffers. A graph that must outlive the next build comes from a
+// builder of its own.
+type builder struct {
+	g CFG
+
+	matchEnd, matchElse []int32 // see matches
+	openers             []opener
+	ctrl                []frame
+	work                []int32
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+// The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	type opener struct{ pc, elsePC int }
-	var stack []opener
+	return s[:n]
+}
+
+// matches computes, for every block/loop/if/else instruction, the index of
+// its matching end (and for ifs the else) into b.matchEnd and b.matchElse,
+// -1 elsewhere. It mirrors the instrumenter's control-match pass but
+// reports positions in its errors so negative-corpus inputs fail with
+// context.
+func (b *builder) matches(body []wasm.Instr) error {
+	b.matchEnd = resize(b.matchEnd, len(body))
+	b.matchElse = resize(b.matchElse, len(body))
+	for i := range body {
+		b.matchEnd[i], b.matchElse[i] = -1, -1
+	}
+	stack := b.openers[:0]
 	sawFuncEnd := false
 	for pc, in := range body {
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			stack = append(stack, opener{pc: pc, elsePC: -1})
+			stack = append(stack, opener{pc: int32(pc), elsePC: -1})
 		case wasm.OpElse:
 			if len(stack) == 0 || body[stack[len(stack)-1].pc].Op != wasm.OpIf ||
 				stack[len(stack)-1].elsePC >= 0 {
-				return nil, nil, fmt.Errorf("static: else without open if at instr %d", pc)
+				return fmt.Errorf("static: else without open if at instr %d", pc)
 			}
 			top := &stack[len(stack)-1]
-			top.elsePC = pc
-			matchElse[top.pc] = int32(pc)
+			top.elsePC = int32(pc)
+			b.matchElse[top.pc] = int32(pc)
 		case wasm.OpEnd:
 			if len(stack) == 0 {
 				if pc != len(body)-1 {
-					return nil, nil, fmt.Errorf("static: function-level end at instr %d is not final", pc)
+					return fmt.Errorf("static: function-level end at instr %d is not final", pc)
 				}
 				sawFuncEnd = true
 				continue
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			matchEnd[top.pc] = int32(pc)
+			b.matchEnd[top.pc] = int32(pc)
 			if top.elsePC >= 0 {
-				matchEnd[top.elsePC] = int32(pc)
+				b.matchEnd[top.elsePC] = int32(pc)
 			}
 		}
 	}
+	b.openers = stack
 	if len(stack) != 0 {
-		return nil, nil, fmt.Errorf("static: %d unclosed blocks at end of body", len(stack))
+		return fmt.Errorf("static: %d unclosed blocks at end of body", len(stack))
 	}
 	if !sawFuncEnd {
-		return nil, nil, fmt.Errorf("static: missing function-level end")
+		return fmt.Errorf("static: missing function-level end")
 	}
-	return matchEnd, matchElse, nil
+	return nil
 }
 
 // endsBlock reports whether the instruction at an index terminates a basic
@@ -141,75 +186,77 @@ func endsBlock(op wasm.Opcode) bool {
 	return false
 }
 
-// FuncCFG builds the control-flow graph of one decoded function body.
-// Malformed bodies (unbalanced control, out-of-range labels, bad br_table
-// spans, empty bodies) return an error.
-func FuncCFG(f *wasm.Func) (*CFG, error) {
-	body := f.Body
-	if len(body) == 0 {
-		return nil, fmt.Errorf("static: empty function body")
+// addEdge adds an edge from the block whose successors are being collected
+// (the last one opened in succOff) to block to, unless it is there already.
+func (b *builder) addEdge(to int32) {
+	g := &b.g
+	for _, s := range g.succ[g.succOff[len(g.succOff)-1]:] {
+		if s == to {
+			return
+		}
 	}
-	matchEnd, matchElse, err := matches(body)
-	if err != nil {
-		return nil, err
+	g.succ = append(g.succ, to)
+}
+
+// resolve adds the edge of a branch with the given relative label, which
+// lands exactly where the instrumenter's resolveTarget does: loops branch
+// back to begin+1, the function label means return (no edge), everything
+// else lands after the frame's matching end.
+func (b *builder) resolve(label uint32, n int) error {
+	if int(label) >= len(b.ctrl) {
+		return fmt.Errorf("branch label %d exceeds control depth %d", label, len(b.ctrl))
+	}
+	fr := b.ctrl[len(b.ctrl)-1-int(label)]
+	switch fr.kind {
+	case frLoop:
+		if fr.begin+1 >= n {
+			return fmt.Errorf("loop at %d has no body", fr.begin)
+		}
+		b.addEdge(b.g.blockAt[fr.begin+1])
+	case frFunc:
+	default:
+		if fr.end+1 >= n {
+			return fmt.Errorf("frame end %d has no continuation", fr.end)
+		}
+		b.addEdge(b.g.blockAt[fr.end+1])
+	}
+	return nil
+}
+
+// build builds the control-flow graph of one decoded function body into
+// b.g. Malformed bodies (unbalanced control, out-of-range labels, bad
+// br_table spans, empty bodies) return an error.
+func (b *builder) build(f *wasm.Func) error {
+	body := f.Body
+	n := len(body)
+	if n == 0 {
+		return fmt.Errorf("static: empty function body")
+	}
+	if err := b.matches(body); err != nil {
+		return err
 	}
 
-	// Leaders: instruction 0, and every instruction following a
-	// block-terminating one. Blocks are the maximal leader-to-leader runs.
-	leader := make([]bool, len(body))
-	leader[0] = true
-	for i := 0; i < len(body)-1; i++ {
-		if endsBlock(body[i].Op) {
-			leader[i+1] = true
-		}
-	}
-	g := &CFG{blockAt: make([]int, len(body))}
+	// Blocks are the maximal runs that start at instruction 0 or after a
+	// block-terminating instruction.
+	g := &b.g
+	g.Blocks = g.Blocks[:0]
+	g.blockAt = resize(g.blockAt, n)
 	for i := range body {
-		if leader[i] {
-			g.Blocks = append(g.Blocks, Block{Start: i, End: i})
+		if i == 0 || endsBlock(body[i-1].Op) {
+			g.Blocks = append(g.Blocks, Block{Start: i})
 		}
-		b := len(g.Blocks) - 1
-		g.Blocks[b].End = i
-		g.blockAt[i] = b
+		last := len(g.Blocks) - 1
+		g.Blocks[last].End = i
+		g.blockAt[i] = int32(last)
 	}
 
 	// Edge pass: scan linearly, maintaining the frame stack so branch labels
-	// resolve exactly like the instrumenter's resolveTarget — loops branch
-	// back to begin+1, the function label means return, everything else
-	// lands after the frame's matching end.
-	ctrl := []frame{{kind: frFunc, begin: -1, end: len(body) - 1}}
-	addEdge := func(from int, to int) {
-		b := &g.Blocks[from]
-		for _, s := range b.Succs {
-			if s == to {
-				return
-			}
-		}
-		b.Succs = append(b.Succs, to)
-	}
-	// resolve appends the edge for a branch with the given relative label.
-	resolve := func(from int, label uint32) error {
-		if int(label) >= len(ctrl) {
-			return fmt.Errorf("branch label %d exceeds control depth %d", label, len(ctrl))
-		}
-		fr := ctrl[len(ctrl)-1-int(label)]
-		switch fr.kind {
-		case frLoop:
-			if fr.begin+1 >= len(body) {
-				return fmt.Errorf("loop at %d has no body", fr.begin)
-			}
-			addEdge(from, g.blockAt[fr.begin+1])
-		case frFunc:
-			g.Blocks[from].Exits = true
-		default:
-			if fr.end+1 >= len(body) {
-				return fmt.Errorf("frame end %d has no continuation", fr.end)
-			}
-			addEdge(from, g.blockAt[fr.end+1])
-		}
-		return nil
-	}
-
+	// resolve like the instrumenter's. Each block's edges leave from its
+	// last instruction, so the blocks' successor runs are appended in block
+	// order.
+	g.succOff = append(g.succOff[:0], 0)
+	g.succ = g.succ[:0]
+	b.ctrl = append(b.ctrl[:0], frame{kind: frFunc, begin: -1, end: n - 1})
 	for i, in := range body {
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop:
@@ -217,120 +264,124 @@ func FuncCFG(f *wasm.Func) (*CFG, error) {
 			if in.Op == wasm.OpLoop {
 				kind = frLoop
 			}
-			ctrl = append(ctrl, frame{kind: kind, begin: i, end: int(matchEnd[i])})
+			b.ctrl = append(b.ctrl, frame{kind: kind, begin: i, end: int(b.matchEnd[i])})
 		case wasm.OpIf:
-			ctrl = append(ctrl, frame{kind: frIf, begin: i, end: int(matchEnd[i])})
+			b.ctrl = append(b.ctrl, frame{kind: frIf, begin: i, end: int(b.matchEnd[i])})
 		case wasm.OpElse:
-			top := &ctrl[len(ctrl)-1]
+			top := &b.ctrl[len(b.ctrl)-1]
 			if top.kind != frIf {
-				return nil, fmt.Errorf("static: instr %d: else without if", i)
+				return fmt.Errorf("static: instr %d: else without if", i)
 			}
 			top.kind = frElse
 			top.begin = i
 		case wasm.OpEnd:
-			if len(ctrl) == 0 {
-				return nil, fmt.Errorf("static: instr %d: end without open frame", i)
+			if len(b.ctrl) == 0 {
+				return fmt.Errorf("static: instr %d: end without open frame", i)
 			}
-			ctrl = ctrl[:len(ctrl)-1]
+			b.ctrl = b.ctrl[:len(b.ctrl)-1]
 		}
 
-		if !endsBlock(in.Op) && i != len(body)-1 {
+		if !endsBlock(in.Op) && i != n-1 {
 			continue // mid-block instruction
 		}
-		b := g.blockAt[i]
 		switch op := in.Op; op {
 		case wasm.OpLoop:
-			addEdge(b, g.blockAt[i+1]) // fallthrough into the loop body
+			b.addEdge(g.blockAt[i+1]) // fallthrough into the loop body
 		case wasm.OpIf:
 			// True edge: the then arm. False edge: the else arm when present,
 			// otherwise past the matching end.
-			addEdge(b, g.blockAt[i+1])
-			if matchEnd[i] < 0 {
-				return nil, fmt.Errorf("static: instr %d: if without matching end", i)
+			b.addEdge(g.blockAt[i+1])
+			if b.matchEnd[i] < 0 {
+				return fmt.Errorf("static: instr %d: if without matching end", i)
 			}
-			if elsePC := matchElse[i]; elsePC >= 0 {
-				addEdge(b, g.blockAt[elsePC+1])
+			if elsePC := b.matchElse[i]; elsePC >= 0 {
+				b.addEdge(g.blockAt[elsePC+1])
 			} else {
-				if int(matchEnd[i])+1 >= len(body) {
-					return nil, fmt.Errorf("static: instr %d: if end has no continuation", i)
+				if int(b.matchEnd[i])+1 >= n {
+					return fmt.Errorf("static: instr %d: if end has no continuation", i)
 				}
-				addEdge(b, g.blockAt[matchEnd[i]+1])
+				b.addEdge(g.blockAt[b.matchEnd[i]+1])
 			}
 		case wasm.OpElse:
 			// Reached by then-arm fallthrough: jump past the if's end.
-			if matchEnd[i] < 0 || int(matchEnd[i])+1 >= len(body) {
-				return nil, fmt.Errorf("static: instr %d: else has no continuation", i)
+			if b.matchEnd[i] < 0 || int(b.matchEnd[i])+1 >= n {
+				return fmt.Errorf("static: instr %d: else has no continuation", i)
 			}
-			addEdge(b, g.blockAt[matchEnd[i]+1])
+			b.addEdge(g.blockAt[b.matchEnd[i]+1])
 		case wasm.OpEnd:
-			if i == len(body)-1 {
-				g.Blocks[b].Exits = true // implicit return
-			} else {
-				addEdge(b, g.blockAt[i+1])
+			if i != n-1 { // the final end is the implicit return
+				b.addEdge(g.blockAt[i+1])
 			}
 		case wasm.OpBr:
-			if err := resolve(b, in.Idx); err != nil {
-				return nil, fmt.Errorf("static: instr %d: %w", i, err)
+			if err := b.resolve(in.Idx, n); err != nil {
+				return fmt.Errorf("static: instr %d: %w", i, err)
 			}
 		case wasm.OpBrIf:
-			if err := resolve(b, in.Idx); err != nil {
-				return nil, fmt.Errorf("static: instr %d: %w", i, err)
+			if err := b.resolve(in.Idx, n); err != nil {
+				return fmt.Errorf("static: instr %d: %w", i, err)
 			}
-			if i+1 >= len(body) {
-				return nil, fmt.Errorf("static: instr %d: br_if has no fallthrough", i)
+			if i+1 >= n {
+				return fmt.Errorf("static: instr %d: br_if has no fallthrough", i)
 			}
-			addEdge(b, g.blockAt[i+1])
+			b.addEdge(g.blockAt[i+1])
 		case wasm.OpBrTable:
 			off, cnt := in.BrTableSpan()
 			if off+cnt > len(f.BrTargets) {
-				return nil, fmt.Errorf("static: instr %d: br_table target span [%d:%d] exceeds pool (%d)", i, off, off+cnt, len(f.BrTargets))
+				return fmt.Errorf("static: instr %d: br_table target span [%d:%d] exceeds pool (%d)", i, off, off+cnt, len(f.BrTargets))
 			}
 			for _, label := range in.BrTargets(f.BrTargets) {
-				if err := resolve(b, label); err != nil {
-					return nil, fmt.Errorf("static: instr %d: %w", i, err)
+				if err := b.resolve(label, n); err != nil {
+					return fmt.Errorf("static: instr %d: %w", i, err)
 				}
 			}
-			if err := resolve(b, in.Idx); err != nil { // default target
-				return nil, fmt.Errorf("static: instr %d: %w", i, err)
+			if err := b.resolve(in.Idx, n); err != nil { // default target
+				return fmt.Errorf("static: instr %d: %w", i, err)
 			}
-		case wasm.OpReturn:
-			g.Blocks[b].Exits = true
-		case wasm.OpUnreachable:
-			// Traps: no successors.
+		case wasm.OpReturn, wasm.OpUnreachable:
+			// Leave the function or trap: no successors.
 		default:
 			// Only the final instruction can end a block without being a
-			// terminator — and matches() already required it to be an end.
-			return nil, fmt.Errorf("static: instr %d: body ends in %s, not end", i, op)
+			// terminator — and matches already required it to be an end.
+			return fmt.Errorf("static: instr %d: body ends in %s, not end", i, op)
 		}
+		g.succOff = append(g.succOff, int32(len(g.succ)))
 	}
-	if len(ctrl) != 0 {
-		return nil, fmt.Errorf("static: %d unclosed frames", len(ctrl))
+	if len(b.ctrl) != 0 {
+		return fmt.Errorf("static: %d unclosed frames", len(b.ctrl))
 	}
-
-	for b := range g.Blocks {
-		for _, s := range g.Blocks[b].Succs {
-			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b)
-		}
-	}
-	g.Reachable = reachableBlocks(g)
-	g.Idom = dominators(g)
-	return g, nil
+	b.markReachable()
+	return nil
 }
 
-// reachableBlocks marks blocks reachable from the entry block.
-func reachableBlocks(g *CFG) []bool {
-	seen := make([]bool, len(g.Blocks))
-	work := []int{0}
-	seen[0] = true
+// markReachable marks the blocks reachable from the entry block.
+func (b *builder) markReachable() {
+	g := &b.g
+	g.Reachable = resize(g.Reachable, len(g.Blocks))
+	clear(g.Reachable)
+	g.Reachable[0] = true
+	work := append(b.work[:0], 0)
 	for len(work) > 0 {
-		b := work[len(work)-1]
+		blk := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, s := range g.Blocks[b].Succs {
-			if !seen[s] {
-				seen[s] = true
+		for _, s := range g.Succs(int(blk)) {
+			if !g.Reachable[s] {
+				g.Reachable[s] = true
 				work = append(work, s)
 			}
 		}
 	}
-	return seen
+	b.work = work
+}
+
+// buildFunc builds the graph of the module's defined function di into b.g,
+// failing with an error that names the function in the whole index space.
+func (b *builder) buildFunc(m *wasm.Module, numImports, di int) error {
+	f := &m.Funcs[di]
+	if int(f.TypeIdx) >= len(m.Types) {
+		return fmt.Errorf("static: func %d: type index %d out of range", numImports+di, f.TypeIdx)
+	}
+	if err := b.build(f); err != nil {
+		return fmt.Errorf("static: func %d: %w", numImports+di, err)
+	}
+	return nil
 }

@@ -432,7 +432,7 @@ func FuncDataflow(ix *wasm.Index, sig wasm.FuncType, f *wasm.Func, g *CFG) (*Fun
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
-			for _, s := range g.Blocks[b].Succs {
+			for _, s := range g.Succs(b) {
 				if ff.LiveOut[b].or(ff.LiveIn[s]) {
 					changed = true
 				}

@@ -4,25 +4,34 @@ package static
 // with the Cooper–Harvey–Kennedy iterative algorithm over a reverse
 // postorder. Idom[0] = 0 (the entry dominates itself by convention);
 // unreachable blocks get -1.
-func dominators(g *CFG) []int {
+func dominators(g *CFG) []int32 {
 	n := len(g.Blocks)
-	idom := make([]int, n)
+	idom := make([]int32, n)
 	for i := range idom {
 		idom[i] = -1
 	}
 	if n == 0 {
 		return idom
 	}
+	preds := make([][]int32, n)
+	for b := range g.Blocks {
+		for _, s := range g.Succs(b) {
+			preds[s] = append(preds[s], int32(b))
+		}
+	}
 
 	// Reverse postorder of the reachable subgraph (iterative DFS).
-	post := make([]int, 0, n)
+	post := make([]int32, 0, n)
 	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	type dfsFrame struct{ b, next int }
+	type dfsFrame struct {
+		b    int32
+		next int
+	}
 	stack := []dfsFrame{{b: 0}}
 	state[0] = 1
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		succs := g.Blocks[top.b].Succs
+		succs := g.Succs(int(top.b))
 		if top.next < len(succs) {
 			s := succs[top.next]
 			top.next++
@@ -36,19 +45,19 @@ func dominators(g *CFG) []int {
 		post = append(post, top.b)
 		stack = stack[:len(stack)-1]
 	}
-	rpo := make([]int, 0, len(post))
+	rpo := make([]int32, 0, len(post))
 	for i := len(post) - 1; i >= 0; i-- {
 		rpo = append(rpo, post[i])
 	}
-	rpoNum := make([]int, n)
+	rpoNum := make([]int32, n)
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
 	for i, b := range rpo {
-		rpoNum[b] = i
+		rpoNum[b] = int32(i)
 	}
 
-	intersect := func(a, b int) int {
+	intersect := func(a, b int32) int32 {
 		for a != b {
 			for rpoNum[a] > rpoNum[b] {
 				a = idom[a]
@@ -64,8 +73,8 @@ func dominators(g *CFG) []int {
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo[1:] {
-			newIdom := -1
-			for _, p := range g.Blocks[b].Preds {
+			newIdom := int32(-1)
+			for _, p := range preds[b] {
 				if rpoNum[p] < 0 || idom[p] < 0 {
 					continue // unreachable or not yet processed
 				}
@@ -84,9 +93,10 @@ func dominators(g *CFG) []int {
 	return idom
 }
 
-// Dominates reports whether block a dominates block b (both must be
-// reachable; every block dominates itself).
-func (g *CFG) Dominates(a, b int) bool {
+// Dominates reports whether block a dominates block b of the function's
+// CFG (both must be reachable; every block dominates itself).
+func (fa *FuncAnalysis) Dominates(a, b int) bool {
+	g := fa.CFG
 	if a < 0 || b < 0 || a >= len(g.Blocks) || b >= len(g.Blocks) ||
 		!g.Reachable[a] || !g.Reachable[b] {
 		return false
@@ -98,7 +108,7 @@ func (g *CFG) Dominates(a, b int) bool {
 		if b == 0 {
 			return false
 		}
-		b = g.Idom[b]
+		b = int(fa.Idom[b])
 		if b < 0 {
 			return false
 		}

@@ -4,29 +4,61 @@ import (
 	"strings"
 	"testing"
 
+	"wasabi/internal/analysis"
 	"wasabi/internal/wasm"
 )
 
-// TestLowestBadFunctionReported checks that, with two malformed bodies, the
-// error names the lower-index function at every worker count.
-func TestLowestBadFunctionReported(t *testing.T) {
+// badModule returns a module of twelve trivial functions, with func 3's body
+// replaced by bad3 and func 8's type index out of range.
+func badModule(bad3 ...wasm.Instr) *wasm.Module {
 	m := &wasm.Module{Types: []wasm.FuncType{{}}}
 	for i := 0; i < 12; i++ {
 		f := wasm.Func{Body: []wasm.Instr{wasm.End()}}
 		switch i {
 		case 3:
-			f.Body = []wasm.Instr{wasm.Op1(wasm.OpDrop), wasm.End()} // underflow
+			f.Body = bad3
 		case 8:
 			f.TypeIdx = 7 // no such type
 		}
 		m.Funcs = append(m.Funcs, f)
 	}
-	for par := 1; par <= 8; par++ {
-		for round := 0; round < 5; round++ {
-			_, err := analyze(m, par)
-			if err == nil || !strings.HasPrefix(err.Error(), "static: func 3:") {
-				t.Fatalf("%d workers: got %v, want func 3's error", par, err)
+	return m
+}
+
+// TestLowestBadFunctionReported checks that, with two malformed bodies, the
+// error names the lower-index function at every worker count, on the
+// analysis path and on the plan path. The plan path builds CFGs only, so a
+// stack underflow, which only dataflow catches, is Analyze's case alone;
+// an else without an if fails both.
+func TestLowestBadFunctionReported(t *testing.T) {
+	underflow := badModule(wasm.Op1(wasm.OpDrop), wasm.End())
+	structural := badModule(wasm.Instr{Op: wasm.OpElse}, wasm.End())
+	runs := []struct {
+		name string
+		run  func(par int) error
+	}{
+		{"analyze/underflow", func(par int) error { _, err := analyze(underflow, par); return err }},
+		{"analyze/structural", func(par int) error { _, err := analyze(structural, par); return err }},
+		{"planFor/structural", func(par int) error {
+			_, err := planFor(structural, analysis.Set(analysis.KindBlockProbe), par)
+			return err
+		}},
+		{"planFor/structural/all-hooks", func(par int) error {
+			_, err := planFor(structural, analysis.AllHooks, par)
+			return err
+		}},
+	}
+	for _, r := range runs {
+		for par := 1; par <= 8; par++ {
+			for round := 0; round < 5; round++ {
+				if err := r.run(par); err == nil || !strings.HasPrefix(err.Error(), "static: func 3:") {
+					t.Fatalf("%s, %d workers: got %v, want func 3's error", r.name, par, err)
+				}
 			}
 		}
+	}
+	// Without func 3's underflow, the plan path reaches func 8's type.
+	if _, err := planFor(underflow, analysis.AllHooks, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
+		t.Fatalf("planFor on the underflow module: got %v, want func 8's error", err)
 	}
 }
