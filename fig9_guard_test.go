@@ -4,7 +4,8 @@ package wasabi_test
 // the Fig 9 baseline (uninstrumented gemm on the interpreter) plus the two
 // headline instrumented configurations (`binary` and `all` hooks, empty
 // analysis) and fails when the baseline ns/op or either hook ratio has
-// regressed more than 2x against the committed BENCH_fig9.json. The 2x
+// regressed more than 2x against BENCH_fig9.json, a frozen record no tool
+// rewrites (the tracked numbers come from perfbench). The 2x
 // margin absorbs runner-to-runner variance while still catching a real
 // dispatch-loop or hook-dispatch regression. Gated behind FIG9_GUARD so
 // ordinary `go test` runs stay timing-independent.
@@ -28,7 +29,7 @@ func TestFig9BaselineGuard(t *testing.T) {
 	}
 	data, err := os.ReadFile("BENCH_fig9.json")
 	if err != nil {
-		t.Fatalf("BENCH_fig9.json missing (regenerate with `go run ./cmd/wasabi-bench -fig9 BENCH_fig9.json`): %v", err)
+		t.Fatalf("BENCH_fig9.json missing (it is frozen history: restore it from git): %v", err)
 	}
 	var report struct {
 		BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
@@ -171,16 +172,17 @@ func TestFig9BaselineGuard(t *testing.T) {
 // numerator and denominator come from the same binary in the same run, so
 // layout and machine drift cancel, while a stray containment check leaking
 // into the disabled dispatch path moves the ratio straight up (unmetered
-// drifts toward metered). Both sides are minimum-of-N measurements
-// (wasabi-bench -fuel records the frozen side the same way). Gated behind
-// FIG9_GUARD like the other timing guards.
+// drifts toward metered). Both sides are minimum-of-N measurements, as the
+// frozen side was when it was recorded. The log line reports the same
+// unmetered/metered ratio and fuel per kernel. Gated behind FIG9_GUARD like
+// the other timing guards.
 func TestFig9FuelOverheadGuard(t *testing.T) {
 	if os.Getenv("FIG9_GUARD") == "" {
 		t.Skip("set FIG9_GUARD=1 to run the fuel-overhead guard")
 	}
 	data, err := os.ReadFile("BENCH_fig9.json")
 	if err != nil {
-		t.Fatalf("BENCH_fig9.json missing (regenerate with `go run ./cmd/wasabi-bench -fig9 BENCH_fig9.json`): %v", err)
+		t.Fatalf("BENCH_fig9.json missing (it is frozen history: restore it from git): %v", err)
 	}
 	var report struct {
 		Fuel struct {
@@ -194,7 +196,7 @@ func TestFig9FuelOverheadGuard(t *testing.T) {
 		t.Fatalf("BENCH_fig9.json: %v", err)
 	}
 	if report.Fuel.UnmeteredNsPerOp <= 0 || report.Fuel.MeteredNsPerOp <= 0 {
-		t.Fatal("BENCH_fig9.json has no recorded fuel section (regenerate with `go run ./cmd/wasabi-bench -fig9 BENCH_fig9.json`)")
+		t.Fatal("BENCH_fig9.json has no recorded fuel section (it is frozen history: restore it from git)")
 	}
 
 	k, ok := polybench.ByName("gemm")
@@ -266,7 +268,8 @@ func TestFig9FuelOverheadGuard(t *testing.T) {
 }
 
 // guardSink is the minimal stream consumer of the events/sec guard: it
-// counts records and nothing else, mirroring wasabi-bench's measurement.
+// counts records and nothing else, as the consumer behind the frozen
+// stream figure did.
 type guardSink struct{ events uint64 }
 
 func (s *guardSink) StreamCaps() wasabi.Cap      { return wasabi.AllCaps }

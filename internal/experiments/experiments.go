@@ -2,9 +2,9 @@
 // evaluation (Section 4): Table 4 (analyses and their size), the RQ2
 // faithfulness check, Table 5 (instrumentation time and throughput),
 // Figure 8 (code-size increase per hook), the §4.5 on-demand
-// monomorphization counts, and Figure 9 (runtime overhead per hook). The
-// cmd/wasabi-bench binary and the repository benchmarks are thin wrappers
-// around this package.
+// monomorphization counts, and Figure 9 (runtime overhead per hook).
+// cmd/wasabi-bench prints them; its timings are best-of-N single runs, not
+// the numbers the repository tracks (those come from perfbench).
 package experiments
 
 import (
@@ -200,7 +200,10 @@ func Table5(w io.Writer, cfg Config) error {
 	// PolyBench row: mean over the 30 programs.
 	var sizes, times []float64
 	for _, wl := range poly {
-		t, _ := timeInstrument(wl.Mod, cfg.Reps)
+		t, err := timeInstrument(wl.Mod, cfg.Reps)
+		if err != nil {
+			return fmt.Errorf("table5: %s: %w", wl.Name, err)
+		}
 		sizes = append(sizes, float64(len(wl.Bytes)))
 		times = append(times, t.Seconds())
 	}
@@ -212,7 +215,10 @@ func Table5(w io.Writer, cfg Config) error {
 	for _, wl := range []Workload{pspdf, unreal} {
 		var ts []float64
 		for r := 0; r < cfg.Reps; r++ {
-			t, _ := timeInstrument(wl.Mod, 1)
+			t, err := timeInstrument(wl.Mod, 1)
+			if err != nil {
+				return fmt.Errorf("table5: %s: %w", wl.Name, err)
+			}
 			ts = append(ts, t.Seconds())
 		}
 		mt, st := meanStd(ts)
@@ -222,10 +228,16 @@ func Table5(w io.Writer, cfg Config) error {
 
 	// Parallelization ratio on the largest binary (paper: 15.5/26.5 ≈ 0.58);
 	// GOMAXPROCS=1 gives the single-threaded path.
-	tPar, _ := timeInstrument(unreal.Mod, 1)
+	tPar, err := timeInstrument(unreal.Mod, 1)
+	if err != nil {
+		return fmt.Errorf("table5: %s: %w", unreal.Name, err)
+	}
 	procs := runtime.GOMAXPROCS(1)
-	tSeq, _ := timeInstrument(unreal.Mod, 1)
+	tSeq, err := timeInstrument(unreal.Mod, 1)
 	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		return fmt.Errorf("table5: %s single-threaded: %w", unreal.Name, err)
+	}
 	fmt.Fprintf(w, "parallel/single-threaded on %s: %.2f (paper: ~0.58 on 2 cores)\n",
 		unreal.Name, tPar.Seconds()/tSeq.Seconds())
 	return nil
@@ -291,33 +303,36 @@ func Mono(w io.Writer, cfg Config) error {
 	}
 	poly := PolyBenchWorkloads(cfg.PolyN)
 	lo, hi := poly[0], poly[0]
-	loMd, _, _ := hookCount(lo)
-	hiMd := loMd
+	loN, err := hookCount(lo)
+	if err != nil {
+		return err
+	}
+	hiN := loN
 	for _, wl := range poly[1:] {
-		n, _, err := hookCount(wl)
+		n, err := hookCount(wl)
 		if err != nil {
 			return err
 		}
-		if n < loMd {
-			lo, loMd = wl, n
+		if n < loN {
+			lo, loN = wl, n
 		}
-		if n > hiMd {
-			hi, hiMd = wl, n
+		if n > hiN {
+			hi, hiN = wl, n
 		}
 	}
-	fmt.Fprintf(w, "PolyBench range: %d (%s) to %d (%s) hooks\n", loMd, lo.Name, hiMd, hi.Name)
+	fmt.Fprintf(w, "PolyBench range: %d (%s) to %d (%s) hooks\n", loN, lo.Name, hiN, hi.Name)
 	if err := report(AppWorkload("pspdfkit-scale", cfg.PSPDFBytes, 11)); err != nil {
 		return err
 	}
 	return report(AppWorkload("unreal-scale", cfg.UnrealBytes, 13))
 }
 
-func hookCount(wl Workload) (int, *core.Metadata, error) {
+func hookCount(wl Workload) (int, error) {
 	_, md, err := core.Instrument(wl.Mod, core.Options{Hooks: analysis.AllHooks})
 	if err != nil {
-		return 0, nil, err
+		return 0, fmt.Errorf("mono: %s: %w", wl.Name, err)
 	}
-	return len(md.Hooks), md, nil
+	return len(md.Hooks), nil
 }
 
 // Fig9 measures the runtime of instrumented programs relative to the
@@ -373,7 +388,7 @@ func Fig9(w io.Writer, cfg Config, kernels []string) error {
 			if err != nil {
 				return err
 			}
-			d, err := timeRunInstrumented(inst, md, tg.run, cfg.Reps)
+			d, err := timeRun(inst, md, tg.run, cfg.Reps)
 			if err != nil {
 				return fmt.Errorf("fig9: %s under %s: %w", tg.name, label, err)
 			}
@@ -397,16 +412,17 @@ func Fig9(w io.Writer, cfg Config, kernels []string) error {
 
 // --- helpers ---
 
-// instantiateWithEmpty instantiates an instrumented module with the empty
-// analysis providing the hook imports, merged with any program imports.
+// instantiateWithEmpty instantiates m with the program imports extra and,
+// when md is not nil, the empty analysis providing its hook imports.
 func instantiateWithEmpty(m *wasm.Module, md *core.Metadata, extra interp.Imports) (*interp.Instance, error) {
-	rt := wruntime.New(md, &analyses.Empty{})
 	merged := interp.Imports{}
 	for k, v := range extra {
 		merged[k] = v
 	}
-	for k, v := range rt.Imports() {
-		merged[k] = v
+	if md != nil {
+		for k, v := range wruntime.New(md, &analyses.Empty{}).Imports() {
+			merged[k] = v
+		}
 	}
 	return interp.Instantiate(m, merged)
 }
@@ -462,29 +478,12 @@ func runInstrumentedApp(m *wasm.Module, md *core.Metadata, n int32) (int32, erro
 	return interp.AsI32(res[0]), nil
 }
 
-func timeRun(m *wasm.Module, _ *core.Metadata, run func(*interp.Instance) error, reps int) (time.Duration, error) {
-	imports := polybench.HostImports(nil)
+// timeRun returns the best of reps runs, each on a fresh instance of m
+// (uninstrumented when md is nil; see instantiateWithEmpty).
+func timeRun(m *wasm.Module, md *core.Metadata, run func(*interp.Instance) error, reps int) (time.Duration, error) {
 	best := time.Duration(math.MaxInt64)
 	// One untimed warmup rep stabilizes CPU frequency and allocator state;
 	// without it the first-measured configuration reads systematically slow.
-	for i := 0; i < reps+1; i++ {
-		inst, err := interp.Instantiate(m, imports)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if err := run(inst); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); i > 0 && d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-func timeRunInstrumented(m *wasm.Module, md *core.Metadata, run func(*interp.Instance) error, reps int) (time.Duration, error) {
-	best := time.Duration(math.MaxInt64)
 	for i := 0; i < reps+1; i++ {
 		inst, err := instantiateWithEmpty(m, md, polybench.HostImports(nil))
 		if err != nil {

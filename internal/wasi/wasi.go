@@ -36,8 +36,6 @@ const (
 	errnoBadf    uint32 = 8
 	errnoFault   uint32 = 21
 	errnoInval   uint32 = 28
-	errnoIO      uint32 = 29
-	errnoNosys   uint32 = 52
 	errnoSpipe   uint32 = 70
 )
 
@@ -178,8 +176,9 @@ func syscall(impl func(inst *interp.Instance, args []interp.Value) uint32) func(
 	}
 }
 
-// mem returns the instance's linear memory bytes; preview1 functions that
-// dereference guest pointers fail with EFAULT when the module has none.
+// mem returns the instance's linear memory bytes, nil when the module has
+// none; preview1 functions that take a guest pointer then fail with EFAULT,
+// even for zero bytes (writeU32, writeU64 and span all refuse a nil m).
 func mem(inst *interp.Instance) []byte {
 	if inst.Memory == nil {
 		return nil
@@ -206,7 +205,7 @@ func writeU64(m []byte, ptr uint32, v uint64) bool {
 }
 
 func span(m []byte, ptr, size uint32) ([]byte, bool) {
-	if uint64(ptr)+uint64(size) > uint64(len(m)) {
+	if m == nil || uint64(ptr)+uint64(size) > uint64(len(m)) {
 		return nil, false
 	}
 	return m[ptr : uint64(ptr)+uint64(size)], true
@@ -278,6 +277,9 @@ func (s *System) sizesGet(inst *interp.Instance, countPtr, bufSizePtr uint32, li
 // are packed NUL-terminated at bufPtr.
 func (s *System) listGet(inst *interp.Instance, ptrsPtr, bufPtr uint32, list []string) uint32 {
 	m := mem(inst)
+	if m == nil {
+		return errnoFault
+	}
 	off := bufPtr
 	for i, a := range list {
 		if !writeU32(m, ptrsPtr+uint32(4*i), off) {
@@ -385,6 +387,12 @@ func (s *System) fdSeek(inst *interp.Instance, args []interp.Value) uint32 {
 	if !e.seekable {
 		return errnoSpipe
 	}
+	// The result pointer is checked before the seek, so a failed call
+	// leaves the position where it was.
+	out, ok := span(mem(inst), newPtr, 8)
+	if !ok {
+		return errnoFault
+	}
 	var base int64
 	switch whence {
 	case 0: // SET
@@ -401,9 +409,7 @@ func (s *System) fdSeek(inst *interp.Instance, args []interp.Value) uint32 {
 		return errnoInval
 	}
 	e.pos = pos
-	if !writeU64(mem(inst), newPtr, uint64(pos)) {
-		return errnoFault
-	}
+	binary.LittleEndian.PutUint64(out, uint64(pos))
 	return errnoSuccess
 }
 

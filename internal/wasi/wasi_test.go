@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"wasabi/internal/builder"
@@ -174,6 +176,17 @@ func TestFdTable(t *testing.T) {
 	if rc := call(t, imp["fd_seek"].(*interp.HostFunc), inst, 3, uint64(neg), 0, 64); rc != errnoInval {
 		t.Errorf("seek(-100) errno %d, want EINVAL", rc)
 	}
+	// A seek whose result pointer faults does not move the position (7,
+	// after the 3-byte read from 4).
+	if rc := call(t, imp["fd_seek"].(*interp.HostFunc), inst, 3, 0, 0, 65536); rc != errnoFault {
+		t.Errorf("seek(0) into OOB result errno %d, want EFAULT", rc)
+	}
+	if rc := call(t, imp["fd_seek"].(*interp.HostFunc), inst, 3, 0, 1, 64); rc != errnoSuccess {
+		t.Fatalf("seek(CUR) errno %d", rc)
+	}
+	if pos := u64(m, 64); pos != 7 {
+		t.Errorf("position after the faulting seek = %d, want 7", pos)
+	}
 
 	// fd_fdstat_get distinguishes stdio streams from regular files.
 	if rc := call(t, imp["fd_fdstat_get"].(*interp.HostFunc), inst, 1, 300); rc != errnoSuccess {
@@ -273,10 +286,118 @@ func TestFailpoint(t *testing.T) {
 	}
 }
 
+// TestNoMemoryIsEfault: without linear memory every call that takes a guest
+// pointer and passes its fd checks is EFAULT — also when it would write
+// nothing (no args or env, zero random bytes) and when another argument is
+// bad too (fd_seek's whence).
 func TestNoMemoryIsEfault(t *testing.T) {
-	s := New(Config{Args: []string{"p"}})
+	s := New(Config{Files: []File{{Name: "data.bin"}}})
+	imp := s.Imports()
 	inst := &interp.Instance{} // module without linear memory
-	if rc := call(t, s.Imports()["args_sizes_get"].(*interp.HostFunc), inst, 0, 4); rc != errnoFault {
-		t.Errorf("errno %d, want EFAULT", rc)
+	for _, c := range []struct {
+		name string
+		args []interp.Value
+	}{
+		{"args_sizes_get", []interp.Value{0, 4}},
+		{"args_get", []interp.Value{0, 0}},
+		{"environ_sizes_get", []interp.Value{0, 4}},
+		{"environ_get", []interp.Value{0, 0}},
+		{"clock_time_get", []interp.Value{0, 0, 0}},
+		{"random_get", []interp.Value{0, 0}},
+		{"fd_write", []interp.Value{1, 0, 0, 0}},
+		{"fd_read", []interp.Value{0, 0, 0, 0}},
+		{"fd_seek", []interp.Value{3, 0, 9, 0}},
+		{"fd_fdstat_get", []interp.Value{1, 0}},
+	} {
+		if rc := call(t, imp[c.name].(*interp.HostFunc), inst, c.args...); rc != errnoFault {
+			t.Errorf("%s%v: errno %d, want EFAULT", c.name, c.args, rc)
+		}
 	}
+}
+
+// FuzzWASIGuestPointers calls one preview1 import (any but proc_exit) with
+// fuzzed i32 arguments and i64, against one zeroed page of memory or none.
+// A call must never panic or fail with a Go error, its errno must be one
+// the provider reports, and without memory every call that takes a pointer
+// and passes its fd checks must be EFAULT.
+func FuzzWASIGuestPointers(f *testing.F) {
+	var names []string
+	for name := range New(Config{}).Imports() {
+		if name != "proc_exit" {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	pick := func(name string) uint8 { return uint8(sort.SearchStrings(names, name)) }
+
+	// In-bounds pointers.
+	f.Add(pick("args_sizes_get"), uint32(0), uint32(4), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("args_get"), uint32(16), uint32(64), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("environ_get"), uint32(16), uint32(128), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("clock_time_get"), uint32(0), uint32(32), uint32(0), uint32(0), uint64(1), true)
+	f.Add(pick("fd_write"), uint32(1), uint32(0), uint32(2), uint32(64), uint64(0), true)
+	f.Add(pick("fd_read"), uint32(0), uint32(0), uint32(2), uint32(64), uint64(0), true)
+	f.Add(pick("fd_seek"), uint32(3), uint32(0), uint32(64), uint32(0), uint64(4), true)
+	f.Add(pick("fd_fdstat_get"), uint32(3), uint32(300), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("fd_close"), uint32(3), uint32(0), uint32(0), uint32(0), uint64(0), true)
+	// Ranges straddling the end of memory.
+	f.Add(pick("random_get"), uint32(65530), uint32(16), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("fd_fdstat_get"), uint32(1), uint32(65520), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("args_get"), uint32(65532), uint32(65534), uint32(0), uint32(0), uint64(0), true)
+	// Pointers that wrap a 32-bit address computation.
+	f.Add(pick("clock_time_get"), uint32(0), uint32(0xFFFFFFF8), uint32(0), uint32(0), uint64(0), true)
+	f.Add(pick("fd_seek"), uint32(3), uint32(0), uint32(0xFFFFFFF8), uint32(0), uint64(0), true)
+	f.Add(pick("environ_sizes_get"), uint32(0xFFFFFFF8), uint32(0), uint32(0), uint32(0), uint64(0), true)
+	// An iovs_len that walks off the end of memory.
+	f.Add(pick("fd_write"), uint32(2), uint32(0), uint32(0xFFFFFFFF), uint32(64), uint64(0), true)
+	f.Add(pick("fd_read"), uint32(3), uint32(8), uint32(0xFFFFFFFF), uint32(64), uint64(0), true)
+	// No memory: zero bytes at address 0 still name memory the module
+	// lacks, and the pointer is checked before fd_seek's whence.
+	f.Add(pick("random_get"), uint32(0), uint32(0), uint32(0), uint32(0), uint64(0), false)
+	f.Add(pick("fd_seek"), uint32(3), uint32(9), uint32(0), uint32(0), uint64(0), false)
+
+	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3 uint32, x uint64, withMem bool) {
+		s := New(Config{
+			Args:  []string{"prog", "-v"},
+			Env:   []string{"A=1"},
+			Stdin: []byte("abcdef"),
+			Files: []File{{Name: "data.bin", Data: []byte("0123456789")}},
+		})
+		name := names[int(which)%len(names)]
+		hf := s.Imports()[name].(*interp.HostFunc)
+		i32s := []uint32{a0, a1, a2, a3}
+		var args []interp.Value
+		for _, p := range hf.Type.Params {
+			if p == wasm.I64 {
+				args = append(args, x)
+				continue
+			}
+			args = append(args, interp.Value(i32s[0]))
+			i32s = i32s[1:]
+		}
+		inst := &interp.Instance{}
+		if withMem {
+			inst = memInstance()
+		}
+		res, err := hf.Fn(inst, args)
+		if err != nil {
+			t.Fatalf("%s%v: Go error %v", name, args, err)
+		}
+		if len(res) != 1 {
+			t.Fatalf("%s%v: %d results, want an errno", name, args, len(res))
+		}
+		rc := uint32(res[0])
+		switch rc {
+		case errnoSuccess, errnoBadf, errnoFault, errnoInval, errnoSpipe:
+		default:
+			t.Fatalf("%s%v: errno %d is not one the provider reports", name, args, rc)
+		}
+		if withMem || name == "fd_close" {
+			return
+		}
+		fdCheckFailed := strings.HasPrefix(name, "fd_") && (rc == errnoBadf || rc == errnoSpipe)
+		if rc != errnoFault && !fdCheckFailed {
+			t.Fatalf("%s%v without memory: errno %d, want EFAULT", name, args, rc)
+		}
+	})
 }
