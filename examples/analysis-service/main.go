@@ -186,8 +186,8 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	tracer.SetEventTable(fab.Table())
 	cov := &funcCoverage{seen: map[int32]bool{}}
 	// Every analysis records into its own segment file, which lives only as
-	// long as the request: concurrent analyses of one module must never share
-	// (and truncate) a file another request still has mapped.
+	// long as the request: two writers on one file would overwrite each
+	// other's records, so concurrent analyses of one module never share one.
 	segment := filepath.Join(s.dir, fmt.Sprintf("%s-%d.evlog", id, s.segments.Add(1)))
 	defer os.Remove(segment)
 	rec, err := sink.Create(segment, fab.Table())

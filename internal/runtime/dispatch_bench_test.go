@@ -147,6 +147,12 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
+// dispatchCalls is how many hook calls one AllocsPerRun run makes.
+// AllocsPerRun truncates its mean to an integer, so at one call per run a
+// hook that allocates on every other call reads 0; at 1,000 calls any rate
+// of 0.001 allocations per call or more reads at least 1.
+const dispatchCalls = 1000
+
 // TestDispatchZeroAllocs is the allocation guard: every hook — including the
 // slice-carrying call/return and br_table hooks, which now fill borrowed,
 // engine-pooled vectors — must dispatch with 0 allocs/op, hooked or not.
@@ -155,25 +161,38 @@ func BenchmarkDispatch(b *testing.B) {
 // per-call decoding buffer, or pool-defeating slice-header boxing fails the
 // guard.
 func TestDispatchZeroAllocs(t *testing.T) {
-	sawSliceCarrying := false
+	sawSliceCarrying, skipped := false, 0
 	for _, set := range paritySets(t) {
 		fx := newDispatchFixture(t, set)
 		for i, spec := range fx.specs {
-			sawSliceCarrying = sawSliceCarrying || sliceCarrying(spec)
+			slices := sliceCarrying(spec)
+			sawSliceCarrying = sawSliceCarrying || slices
 			args := synthArgs(spec, spec.Layout().Arity)
 			for name, fn := range map[string]hookFn{"hooked": fx.hooked[i], "noop": fx.noop[i]} {
-				allocs := testing.AllocsPerRun(200, func() {
-					if err := fn(fx.inst, args); err != nil {
-						t.Fatal(err)
+				if raceEnabled && slices && name == "hooked" {
+					// Under -race sync.Pool drops a random share of the
+					// borrowed vectors (about every other call reallocates),
+					// so only the pooled path goes unchecked there.
+					skipped++
+					continue
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					for n := 0; n < dispatchCalls; n++ {
+						if err := fn(fx.inst, args); err != nil {
+							t.Fatal(err)
+						}
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("%s: hook %s (%s): %.1f allocs/op, want 0", set.name, spec.Name, name, allocs)
+					t.Errorf("%s: hook %s (%s): %.3f allocs per call, want 0", set.name, spec.Name, name, allocs/dispatchCalls)
 				}
 			}
 		}
 	}
 	if !sawSliceCarrying {
 		t.Error("fixture exercised no slice-carrying hook; the borrowed-buffer guard is vacuous")
+	}
+	if skipped > 0 {
+		t.Logf("race detector: %d hooked slice-carrying hooks not checked (sync.Pool drops puts by design)", skipped)
 	}
 }

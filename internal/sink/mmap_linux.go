@@ -2,39 +2,20 @@
 
 package sink
 
-// The mmap fast path: segment writes are plain memory copies into a
-// MAP_SHARED mapping and replay aliases the page cache directly (the
-// zero-copy []Event view in Open). Stdlib-only — raw syscall wrappers, no
-// golang.org/x/sys dependency.
+// Zero-copy replay: the Reader maps a segment read-only and aliases the
+// page cache as its []analysis.Event view (see Reader.load). The Writer
+// does not map; it appends with WriteAt on every platform. Stdlib-only —
+// raw syscall wrappers, no golang.org/x/sys dependency.
 
 import (
 	"os"
 	"syscall"
-	"unsafe"
 )
 
 const haveMmap = true
-
-func mapRW(f *os.File, size int) ([]byte, error) {
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-}
 
 func mapRO(f *os.File, size int) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
 func unmap(b []byte) error { return syscall.Munmap(b) }
-
-// msync flushes the mapping to the file before unmap at Close. The mapping
-// base is page-aligned (mmap returns pages), as MS_SYNC requires.
-func msync(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafe.Pointer(&b[0])), uintptr(len(b)), uintptr(syscall.MS_SYNC))
-	if errno != 0 {
-		return errno
-	}
-	return nil
-}

@@ -2,9 +2,9 @@
 
 package sink
 
-// Portable fallback: no mmap, the Writer appends with WriteAt and the
-// Reader loads the file with os.ReadFile. Same file format, same replay
-// semantics, one extra copy on each side.
+// Portable replay: no mmap, the Reader loads the file with os.ReadFile —
+// same file format, same replay semantics, one extra copy. The Writer is
+// the same WriteAt appender on every platform.
 
 import (
 	"errors"
@@ -15,7 +15,5 @@ const haveMmap = false
 
 var errNoMmap = errors.New("sink: mmap not supported on this platform")
 
-func mapRW(*os.File, int) ([]byte, error) { return nil, errNoMmap }
 func mapRO(*os.File, int) ([]byte, error) { return nil, errNoMmap }
 func unmap([]byte) error                  { return nil }
-func msync([]byte) error                  { return nil }

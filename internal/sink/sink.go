@@ -2,11 +2,11 @@
 //
 // A segment file is the stream API's 40-byte records made durable with zero
 // serialization: the Writer appends raw analysis.Event structs (native
-// endianness, the in-memory layout) to an mmapped file behind a 64-byte
-// header and the stream's encoded EventTable, and the Reader hands the
-// committed region back as a []analysis.Event without decoding — offline
-// analyses consume the exact surface (EventTable + EventSink batches) live
-// ones do.
+// endianness, the in-memory layout) behind a 64-byte header and the
+// stream's encoded EventTable, one positioned write per batch, and the
+// Reader hands the committed region back as a []analysis.Event without
+// decoding — offline analyses consume the exact surface (EventTable +
+// EventSink batches) live ones do.
 //
 // File layout:
 //
@@ -51,10 +51,9 @@ const eventSize = 40
 var _ = [1]struct{}{}[unsafe.Sizeof(analysis.Event{})-eventSize]
 
 const (
-	headerSize     = 64
-	formatVersion  = 1
-	flagBigEndian  = 1 << 0
-	initialDataCap = 256 << 10 // first mmapped data capacity; doubles on growth
+	headerSize    = 64
+	formatVersion = 1
+	flagBigEndian = 1 << 0
 )
 
 var magic = [8]byte{'W', 'S', 'B', 'E', 'V', 'L', 'G', '1'}
@@ -238,13 +237,12 @@ func dataOffset(tableLen int) int64 {
 // Writer appends event batches to a segment file. It implements
 // analysis.EventSink, so it plugs directly into Stream.Serve or a fabric
 // Subscription.Serve; like other sinks it copies out of the borrowed batch
-// (into the file) and retains nothing. Write errors latch into Err — a
-// sink cannot fail the stream it serves, so the stream keeps flowing and
-// the recording is declared failed at Close/Err instead.
+// (into the file, with one WriteAt of its records and one of the
+// watermark) and retains nothing. Write errors latch into Err — a sink
+// cannot fail the stream it serves, so the stream keeps flowing and the
+// recording is declared failed at Close/Err instead.
 type Writer struct {
 	f       *os.File
-	path    string
-	mapped  []byte // nil = portable WriteAt mode
 	dataOff int64
 	count   uint64
 	err     error
@@ -265,7 +263,7 @@ func Create(path string, tbl *analysis.EventTable) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, path: path, dataOff: dataOffset(len(blob))}
+	w := &Writer{f: f, dataOff: dataOffset(len(blob))}
 	hdr := make([]byte, headerSize)
 	copy(hdr, magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
@@ -275,21 +273,6 @@ func Create(path string, tbl *analysis.EventTable) (*Writer, error) {
 		binary.LittleEndian.PutUint32(hdr[24:], flagBigEndian)
 	}
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(blob)))
-	if haveMmap {
-		size := int(w.dataOff) + initialDataCap
-		if err := f.Truncate(int64(size)); err == nil {
-			if m, merr := mapRW(f, size); merr == nil {
-				w.mapped = m
-			}
-		}
-		// On any failure fall through to the portable path: the file was
-		// created, WriteAt works everywhere.
-	}
-	if w.mapped != nil {
-		copy(w.mapped, hdr)
-		copy(w.mapped[headerSize:], blob)
-		return w, nil
-	}
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		f.Close()
 		return nil, err
@@ -316,16 +299,7 @@ func (w *Writer) Events(batch []analysis.Event) {
 		return
 	}
 	off := w.dataOff + int64(w.count)*eventSize
-	src := eventBytes(batch)
-	if w.mapped != nil {
-		if need := off + int64(len(src)); need > int64(len(w.mapped)) {
-			if err := w.grow(need); err != nil {
-				w.err = err
-				return
-			}
-		}
-		copy(w.mapped[off:], src)
-	} else if _, err := w.f.WriteAt(src, off); err != nil {
+	if _, err := w.f.WriteAt(eventBytes(batch), off); err != nil {
 		w.err = err
 		return
 	}
@@ -335,35 +309,9 @@ func (w *Writer) Events(batch []analysis.Event) {
 	w.putWatermark()
 }
 
-// grow remaps the file at least doubled. Only reached in mmap mode.
-func (w *Writer) grow(need int64) error {
-	size := int64(len(w.mapped)) * 2
-	for size < need {
-		size *= 2
-	}
-	if err := unmap(w.mapped); err != nil {
-		w.mapped = nil
-		return err
-	}
-	w.mapped = nil
-	if err := w.f.Truncate(size); err != nil {
-		return err
-	}
-	m, err := mapRW(w.f, int(size))
-	if err != nil {
-		return err
-	}
-	w.mapped = m
-	return nil
-}
-
 func (w *Writer) putWatermark() {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], w.count)
-	if w.mapped != nil {
-		copy(w.mapped[16:24], buf[:])
-		return
-	}
 	if _, err := w.f.WriteAt(buf[:], 16); err != nil {
 		w.err = err
 	}
@@ -384,15 +332,6 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
-	if w.mapped != nil {
-		if err := msync(w.mapped); err != nil && w.err == nil {
-			w.err = err
-		}
-		if err := unmap(w.mapped); err != nil && w.err == nil {
-			w.err = err
-		}
-		w.mapped = nil
-	}
 	if err := w.f.Truncate(w.dataOff + int64(w.count)*eventSize); err != nil && w.err == nil {
 		w.err = err
 	}

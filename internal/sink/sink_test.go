@@ -267,22 +267,27 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
-// TestWriterGrowth crosses the initial mmap capacity to exercise the remap
-// path (a no-op in portable mode, where the test still checks volume).
-func TestWriterGrowth(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "grow.evlog")
+// nopBatch returns n nop records numbered from first, so every record of a
+// recording is distinct and a misplaced batch shows.
+func nopBatch(first, n int) []analysis.Event {
+	batch := make([]analysis.Event, n)
+	for i := range batch {
+		batch[i] = analysis.Event{Hook: 0, Kind: analysis.KindNop, Func: int32(first + i)}
+	}
+	return batch
+}
+
+// TestWriterAppendsManyBatches appends a fixed volume across several
+// batches and checks every record arrives and the last one is intact.
+func TestWriterAppendsManyBatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "many.evlog")
 	w, err := Create(path, fixtureTable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]analysis.Event, 1024)
-	for i := range batch {
-		batch[i] = analysis.Event{Hook: 0, Kind: analysis.KindNop, Func: int32(i)}
-	}
-	// > initialDataCap worth of records.
-	n := initialDataCap/(len(batch)*eventSize) + 3
-	for i := 0; i < n; i++ {
-		w.Events(batch)
+	const batches, size = 9, 1024
+	for i := 0; i < batches; i++ {
+		w.Events(nopBatch(i*size, size))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -292,12 +297,69 @@ func TestWriterGrowth(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	if want := uint64(n * len(batch)); r.Count() != want {
+	if want := uint64(batches * size); r.Count() != want {
 		t.Fatalf("replayed %d records, want %d", r.Count(), want)
 	}
 	recs := r.Records()
-	if recs[len(recs)-1].Func != int32(len(batch)-1) {
-		t.Errorf("last record corrupted across growth: %+v", recs[len(recs)-1])
+	if last := recs[len(recs)-1]; last.Func != batches*size-1 {
+		t.Errorf("last record corrupted: %+v", last)
+	}
+}
+
+// TestWriterCommitsEachBatch is the crash rule for a process that dies
+// between batches: the file of a writer that is never closed replays
+// exactly the records committed so far, after every batch.
+func TestWriterCommitsEachBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.evlog")
+	w, err := Create(path, fixtureTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var want []analysis.Event
+	for i, n := range []int{1, 7, 4096, 3, 300} {
+		batch := nopBatch(len(want), n)
+		w.Events(batch)
+		want = append(want, batch...)
+		if err := w.Err(); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		r, err := Open(path)
+		if err != nil {
+			t.Fatalf("batch %d: Open of the live file: %v", i, err)
+		}
+		if got := r.Records(); !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d: live file replays %d records, want the %d committed", i, len(got), len(want))
+		}
+		r.Close()
+	}
+}
+
+// TestWriterLatchesWriteError closes the writer's file under it: the next
+// batch must fail at once, not be accepted and lost at Close, and the
+// failure must latch — Count stays at the last committed batch and Close
+// reports the same error.
+func TestWriterLatchesWriteError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "failing.evlog")
+	w, err := Create(path, fixtureTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Events(nopBatch(0, 10))
+	if err := w.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Events(nopBatch(10, 10))
+	latched := w.Err()
+	if !errors.Is(latched, os.ErrClosed) {
+		t.Fatalf("Err after writing to a closed file = %v, want os.ErrClosed", latched)
+	}
+	w.Events(nopBatch(20, 10))
+	if w.Count() != 10 {
+		t.Errorf("Count = %d after a failed batch, want the 10 committed", w.Count())
+	}
+	if err := w.Close(); err != latched {
+		t.Errorf("Close = %v, want the latched %v", err, latched)
 	}
 }
 
