@@ -1,9 +1,10 @@
 package main
 
 // The -inspect report surface: instead of writing an instrumented binary,
-// print the module's static profile (dead functions, per-function CFG and
-// dataflow facts, indirect-call fan-out) and the hook-site counts each
-// bundled analysis would cost before and after analysis-aware elision.
+// print the module's static profile (dead functions, per-function block
+// counts and stack high-water marks, indirect-call fan-out) and the
+// hook-site counts each bundled analysis would cost before and after
+// analysis-aware elision.
 
 import (
 	"fmt"

@@ -39,8 +39,6 @@ import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/binary"
 	"wasabi/internal/validate"
-	"wasabi/internal/wasm"
-	"wasabi/internal/wat"
 )
 
 func main() {
@@ -85,21 +83,9 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	var m *wasm.Module
-	if strings.HasSuffix(input, ".wat") {
-		m, err = wat.Parse(string(data))
-		if err != nil {
-			fatal("parse %s: %v", input, err)
-		}
-		// Size comparisons below are against the encoded binary form.
-		if data, err = binary.Encode(m); err != nil {
-			fatal("encode parsed module: %v", err)
-		}
-	} else {
-		m, err = binary.Decode(data)
-		if err != nil {
-			fatal("decode %s: %v", input, err)
-		}
+	m, err := binary.Decode(data)
+	if err != nil {
+		fatal("decode %s: %v", input, err)
 	}
 	if *inspect {
 		if err := runInspect(m, os.Stdout); err != nil {

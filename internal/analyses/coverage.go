@@ -87,18 +87,6 @@ func (a *InstructionCoverage) BlockCovered(loc analysis.Location, end int) {
 	}
 }
 
-// CoveredInFunc returns how many distinct instruction locations were covered
-// in the given function.
-func (a *InstructionCoverage) CoveredInFunc(fn int) int {
-	n := 0
-	for loc := range a.Covered {
-		if loc.Func == fn {
-			n++
-		}
-	}
-	return n
-}
-
 // Report writes per-function coverage counts.
 func (a *InstructionCoverage) Report(w io.Writer) {
 	perFunc := make(map[int]int)

@@ -37,14 +37,10 @@ type Flow struct {
 }
 
 type taintFrame struct {
-	stack   []bool
-	locals  map[uint32]bool
-	retTnt  bool // taint of the returned value(s)
-	calling struct {
-		active bool
-		taints []bool
-		target int
-	}
+	stack  []bool
+	locals map[uint32]bool
+	retTnt bool // taint of the returned value(s)
+	target int  // the called function
 }
 
 // NewTaint returns a taint analysis with no sources or sinks configured.
@@ -194,7 +190,7 @@ func (t *Taint) CallPre(loc analysis.Location, target int, args []analysis.Value
 	for i, tnt := range taints {
 		callee.locals[uint32(i)] = tnt
 	}
-	callee.calling.target = target
+	callee.target = target
 	t.frames = append(t.frames, callee)
 }
 
@@ -213,7 +209,7 @@ func (t *Taint) CallPost(_ analysis.Location, results []analysis.Value) {
 		t.frames = t.frames[:len(t.frames)-1]
 	}
 	f := t.top()
-	tainted := callee.retTnt || t.Sources[callee.calling.target]
+	tainted := callee.retTnt || t.Sources[callee.target]
 	for range results {
 		f.push(tainted)
 	}

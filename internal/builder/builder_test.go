@@ -1,14 +1,12 @@
 package builder_test
 
 import (
-	"strings"
 	"testing"
 
 	"wasabi/internal/builder"
 	"wasabi/internal/interp"
 	"wasabi/internal/validate"
 	"wasabi/internal/wasm"
-	"wasabi/internal/wat"
 )
 
 func TestBuilderProducesValidModules(t *testing.T) {
@@ -83,25 +81,5 @@ func TestForI32Semantics(t *testing.T) {
 		if got := interp.AsI32(res[0]); got != c[1] {
 			t.Errorf("sum(%d) = %d, want %d", c[0], got, c[1])
 		}
-	}
-}
-
-func TestWatPrinter(t *testing.T) {
-	b := builder.New()
-	b.Memory(1)
-	f := b.Func("main", builder.V(wasm.I32), builder.V(wasm.I32))
-	f.Get(0).If().Op(wasm.OpNop).Else().Op(wasm.OpNop).End()
-	f.Get(0)
-	f.Done()
-	text := wat.ToString(b.Build())
-	for _, want := range []string{"(module", "(func 0 (; main ;)", "local.get 0", "if", "else", "(memory 1)", "(export \"main\" (func 0))"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("wat output missing %q:\n%s", want, text)
-		}
-	}
-	// Indentation must return to module level (balanced blocks).
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if lines[len(lines)-1] != ")" {
-		t.Errorf("unbalanced output, last line %q", lines[len(lines)-1])
 	}
 }

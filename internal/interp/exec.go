@@ -26,7 +26,7 @@ func (inst *Instance) exec(cf *compiledFunc, args []Value, fr *frame) []Value {
 	clear(locals[n:])
 
 	// The compile pass knows the exact operand-stack high-water mark (the
-	// static dataflow pass computes the same number independently and a test
+	// static stack simulation computes the same number independently and a test
 	// asserts they agree over the spec corpus), so the stack is a flat buffer
 	// sized to exactly that mark: no append, no growth checks, no slack.
 	if cap(fr.stack) < cf.maxStack {

@@ -11,7 +11,7 @@ import (
 // buffer size exec allocates (there is no slack; see exec.go). The numbers
 // are independent of guard/fusion/host-elision settings, which only rewrite
 // the emitted code, so the plain configuration used here is representative.
-// It exists so the static dataflow pass (internal/static) can be asserted
+// It exists so the static stack simulation (internal/static) can be asserted
 // equal to the interpreter's own height tracking, and for inspection tooling.
 func StackHighWater(m *wasm.Module) ([]int, error) {
 	ix := wasm.NewIndex(m)

@@ -139,13 +139,12 @@ type Instance struct {
 	maxDepth  int
 
 	// Containment state (see Config). fuel is the remaining budget consumed
-	// by the guard instructions of a Guarded instance (MaxInt64 when
+	// by the guard instructions of a Config.Guarded instance (MaxInt64 when
 	// unlimited); intr is the asynchronous interrupt flag those same guards
 	// check — the ONLY Instance field that may be touched from another
 	// goroutine. curFunc/curPC are the best-effort execution context for
 	// RuntimeFault: the innermost active function and the source offset of
 	// the last executed guard.
-	guarded bool
 	fuel    int64
 	intr    atomic.Uint32
 	curFunc uint32
@@ -226,7 +225,6 @@ func (cm *CompiledModule) Instantiate(reg *Registry, name string, imports Import
 	inst = &Instance{
 		Module:   m,
 		maxDepth: cfg.maxCallDepth(),
-		guarded:  cfg.Guarded,
 		fuel:     cfg.initialFuel(),
 		funcs:    make([]funcInst, 0, cm.ix.NumFuncs()),
 	}
@@ -454,10 +452,6 @@ func (inst *Instance) Fuel() uint64 {
 	}
 	return uint64(inst.fuel)
 }
-
-// Guarded reports whether the instance was compiled with containment guards
-// (fuel metering + asynchronous interruption).
-func (inst *Instance) Guarded() bool { return inst.guarded }
 
 // Interrupt requests asynchronous interruption: the next guard instruction
 // the instance executes raises TrapInterrupted. It is the one Instance

@@ -110,15 +110,12 @@ func (c *Ctx) Store(arr *Arr, idx IExpr, val FExpr) {
 // SetF appends v = val.
 func (c *Ctx) SetF(v *FVar, val FExpr) { c.add(&sSetF{v: v, val: val}) }
 
-// SetI appends v = val.
-func (c *Ctx) SetI(v *IVar, val IExpr) { c.add(&sSetI{v: v, val: val}) }
-
 // Integer expression constructors.
 
 type iConst struct{ v int32 }
 type iVar struct{ v *IVar }
 type iBin struct {
-	op   byte // + - * / %
+	op   byte // + - * %
 	a, b IExpr
 }
 
@@ -128,11 +125,10 @@ func CI(v int32) IExpr { return &iConst{v} }
 // VI reads an integer variable (including loop counters).
 func VI(v *IVar) IExpr { return &iVar{v} }
 
-// AddI, SubI, MulI, DivI, ModI build integer arithmetic.
+// AddI, SubI, MulI, ModI build integer arithmetic.
 func AddI(a, b IExpr) IExpr { return &iBin{'+', a, b} }
 func SubI(a, b IExpr) IExpr { return &iBin{'-', a, b} }
 func MulI(a, b IExpr) IExpr { return &iBin{'*', a, b} }
-func DivI(a, b IExpr) IExpr { return &iBin{'/', a, b} }
 func ModI(a, b IExpr) IExpr { return &iBin{'%', a, b} }
 
 // Idx2 computes the linear index i*cols + j.
@@ -197,10 +193,6 @@ type sSetF struct {
 	v   *FVar
 	val FExpr
 }
-type sSetI struct {
-	v   *IVar
-	val IExpr
-}
 
 // --- wasm backend ---
 
@@ -223,8 +215,6 @@ func (x *iBin) emit(g *gen) {
 		g.fb.Op(wasm.OpI32Sub)
 	case '*':
 		g.fb.Op(wasm.OpI32Mul)
-	case '/':
-		g.fb.Op(wasm.OpI32DivS)
 	case '%':
 		g.fb.Op(wasm.OpI32RemS)
 	}
@@ -316,11 +306,6 @@ func (s *sSetF) emitS(g *gen) {
 	g.fb.Set(g.fvars[s.v.id])
 }
 
-func (s *sSetI) emitS(g *gen) {
-	s.val.emit(g)
-	g.fb.Set(g.ivars[s.v.id])
-}
-
 // --- evaluation backend (the Go reference) ---
 
 type env struct {
@@ -340,8 +325,6 @@ func (x *iBin) eval(e *env) int32 {
 		return a - b
 	case '*':
 		return a * b
-	case '/':
-		return a / b
 	default:
 		return a % b
 	}
@@ -382,7 +365,6 @@ func (s *sFor) exec(e *env) {
 
 func (s *sStore) exec(e *env) { e.arrays[s.arr.id][s.idx.eval(e)] = s.val.evalF(e) }
 func (s *sSetF) exec(e *env)  { e.fvals[s.v.id] = s.val.evalF(e) }
-func (s *sSetI) exec(e *env)  { e.ivals[s.v.id] = s.val.eval(e) }
 
 // wasmMin/wasmMax match the interpreter's f64.min/f64.max semantics so both
 // backends agree bit-for-bit.

@@ -11,27 +11,28 @@ import (
 
 // FuncAnalysis bundles the per-function results.
 type FuncAnalysis struct {
-	CFG   *CFG
-	Idom  []int32 // immediate dominator of each block; Idom[0] = 0, -1 if unreachable
-	Facts *FuncFacts
+	CFG *CFG
+	// MaxStack is the operand-stack high-water mark of the body — the exact
+	// value interp's compile pass derives, including its dead-code skipping.
+	MaxStack int
 }
 
-// ModuleAnalysis is the full static profile of a module: one CFG, dominator
-// tree and dataflow result per defined function, and the module-level call
-// graph.
+// ModuleAnalysis is the full static profile of a module: one CFG and stack
+// high-water mark per defined function, and the module-level call graph.
 type ModuleAnalysis struct {
-	Mod   *wasm.Module
 	Graph *CallGraph
 	Funcs []FuncAnalysis // indexed by DEFINED function index
 
-	ix *wasm.Index // Mod's index spaces
+	ix *wasm.Index // the module's index spaces
 }
 
-// Analyze runs the whole static-analysis pipeline over a decoded module. It
-// assumes a structurally decodable module but not a validated one: malformed
-// bodies fail with positioned errors, never panics. The per-function CFG,
-// dominator and dataflow passes run on GOMAXPROCS workers; the error
-// reported is the lowest-index failing function's, as in a sequential pass.
+// Analyze computes a module's call graph with reachability, every defined
+// function's CFG with block reachability, and every body's operand-stack
+// high-water mark, and nothing else. It assumes a structurally decodable
+// module but not a validated one: malformed bodies fail with positioned
+// errors, never panics. The per-function passes run on GOMAXPROCS workers;
+// the error reported is the lowest-index failing function's, as in a
+// sequential pass.
 func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
 
 // analyze is Analyze with the per-function passes on par workers (0 means
@@ -42,7 +43,7 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs)), ix: ix}
+	ma := &ModuleAnalysis{Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs)), ix: ix}
 	numImports := ix.NumImportedFuncs()
 	err = parallel.Each(len(m.Funcs), par, func(di int) error {
 		var b builder // one per function, so that the graph owns its memory
@@ -51,11 +52,11 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 		}
 		g := b.g
 		f := &m.Funcs[di]
-		facts, err := FuncDataflow(ix, m.Types[f.TypeIdx], f, &g)
+		high, err := maxStack(ix, m.Types[f.TypeIdx], f)
 		if err != nil {
 			return fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
-		ma.Funcs[di] = FuncAnalysis{CFG: &g, Idom: dominators(&g), Facts: facts}
+		ma.Funcs[di] = FuncAnalysis{CFG: &g, MaxStack: high}
 		return nil
 	})
 	if err != nil {
@@ -96,8 +97,8 @@ func (ma *ModuleAnalysis) Plan(hooks analysis.HookSet) *core.Plan {
 
 // PlanFor is the path the engine uses: it computes the plan
 // Analyze(m).Plan(hooks) would, but only what the plan holds — the call
-// graph and every function's CFG, without dominators or dataflow — and it
-// fails only where the call graph or a CFG does. The CFGs are built on
+// graph and every function's CFG, without the stack high-water marks — and
+// it fails only where the call graph or a CFG does. The CFGs are built on
 // GOMAXPROCS workers, each reusing one builder's buffers from function to
 // function; the error reported is the lowest-index failing function's.
 func PlanFor(m *wasm.Module, hooks analysis.HookSet) (*core.Plan, error) {
@@ -176,7 +177,7 @@ func (ma *ModuleAnalysis) Profile() *Profile {
 			Dead:      !ma.Graph.Reachable[idx],
 			Blocks:    len(fa.CFG.Blocks),
 			Reachable: fa.CFG.NumReachable(),
-			MaxStack:  fa.Facts.MaxStack,
+			MaxStack:  fa.MaxStack,
 		})
 		for _, fan := range ma.Graph.IndirectSites[idx] {
 			p.IndirectSites = append(p.IndirectSites, IndirectSite{Func: idx, FanOut: fan})

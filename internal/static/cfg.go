@@ -1,18 +1,19 @@
 // Package static is the module-level static-analysis layer over decoded
 // function bodies: control-flow graphs with block reachability, a static
-// call graph, and, for the full profile, dominators and per-block dataflow
-// (operand-stack heights, local liveness).
+// call graph, and, for the full profile, each body's operand-stack
+// high-water mark. It computes only facts that something reads; a new fact
+// lands together with its consumer.
 //
 // It has two entry points. PlanFor computes only what core.Plan holds —
 // call-graph reachability and the spans of each function's reachable
 // blocks — building every CFG in buffers its workers reuse from function to
-// function. Analyze builds each CFG in memory of its own and adds
-// dominators and dataflow on top; its consumers are exact compile-time
-// operand-stack sizing (asserted against the interpreter's own height
-// tracking) and the `wasabi -inspect` report. Both share one CFG builder,
-// and so the same structural checks: everything here works on ORIGINAL
-// instruction indices of uninstrumented bodies, and malformed bodies
-// surface as errors, never panics.
+// function. Analyze builds each CFG in memory of its own and adds the stack
+// high-water mark, which the `wasabi -inspect` report prints and which
+// TestStackHighWaterMatchesInterp checks against the interpreter's exact
+// stack sizing. Both share one CFG builder, and so the same structural
+// checks: everything here works on ORIGINAL instruction indices of
+// uninstrumented bodies, and malformed bodies surface as errors, never
+// panics.
 package static
 
 import (
@@ -41,14 +42,6 @@ type CFG struct {
 	blockAt []int32
 	succOff []int32
 	succ    []int32
-}
-
-// BlockOf returns the id of the block containing instruction i, or -1.
-func (g *CFG) BlockOf(i int) int {
-	if i < 0 || i >= len(g.blockAt) {
-		return -1
-	}
-	return int(g.blockAt[i])
 }
 
 // Succs returns the ids of block b's successors, deduplicated, in

@@ -68,7 +68,7 @@ func FuzzPlanFor(f *testing.F) {
 				t.Fatalf("hooks %s: 4 workers plan differently than 1", hooks)
 			}
 			if analyzeErr != nil {
-				continue // the plan path may accept what dataflow rejects
+				continue // the plan path may accept what the stack simulation rejects
 			}
 			if err != nil {
 				t.Fatalf("hooks %s: PlanFor failed where Analyze succeeded: %v", hooks, err)

@@ -28,8 +28,8 @@ func badModule(bad3 ...wasm.Instr) *wasm.Module {
 // TestLowestBadFunctionReported checks that, with two malformed bodies, the
 // error names the lower-index function at every worker count, on the
 // analysis path and on the plan path. The plan path builds CFGs only, so a
-// stack underflow, which only dataflow catches, is Analyze's case alone;
-// an else without an if fails both.
+// stack underflow, which only the stack simulation catches, is Analyze's
+// case alone; an else without an if fails both.
 func TestLowestBadFunctionReported(t *testing.T) {
 	underflow := badModule(wasm.Op1(wasm.OpDrop), wasm.End())
 	structural := badModule(wasm.Instr{Op: wasm.OpElse}, wasm.End())

@@ -6,85 +6,16 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// BitSet is a dense bitset over local indices.
-type BitSet []uint64
-
-func newBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
-
-// Has reports whether bit i is set.
-func (s BitSet) Has(i int) bool { return i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0 }
-
-// Set sets bit i.
-func (s BitSet) Set(i int) { s[i/64] |= 1 << (i % 64) }
-
-// orAndNot sets s |= a &^ b, reporting whether s changed.
-func (s BitSet) orAndNot(a, b BitSet) bool {
-	changed := false
-	for w := range s {
-		v := s[w] | (a[w] &^ b[w])
-		if v != s[w] {
-			s[w] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// or sets s |= a, reporting whether s changed.
-func (s BitSet) or(a BitSet) bool {
-	changed := false
-	for w := range s {
-		if v := s[w] | a[w]; v != s[w] {
-			s[w] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Count returns the number of set bits.
-func (s BitSet) Count() int {
-	n := 0
-	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// FuncFacts are the per-function dataflow results: the operand-stack
-// high-water mark (computed with exactly the interpreter compiler's height
-// algorithm, so the two agree instruction for instruction), per-block entry
-// heights and high-waters, and local liveness.
-type FuncFacts struct {
-	// MaxStack is the operand-stack high-water mark of the body — the exact
-	// value interp's compile pass derives, including its dead-code skipping.
-	MaxStack int
-
-	// Entry[b] is the operand-stack height when block b is entered; -1 for
-	// blocks whose leader is statically dead. High[b] is the maximum height
-	// reached inside block b (-1 for dead blocks).
-	Entry []int
-	High  []int
-
-	// Local liveness per block: Gen (read before written), Kill (written),
-	// and the fixpoint LiveIn/LiveOut sets. Bit i is local i (params first).
-	Gen, Kill, LiveIn, LiveOut []BitSet
-
-	NumLocals int
-}
-
-// dfFrame mirrors the interpreter compiler's control frame: the operand
+// simFrame mirrors the interpreter compiler's control frame: the operand
 // height at entry and the result arity, plus whether it is a loop (branches
 // to a loop carry no values) or the function frame.
-type dfFrame struct {
+type simFrame struct {
 	op     wasm.Opcode // OpBlock/OpLoop/OpIf/OpElse; OpCall marks the function frame
 	height int
 	arity  int
 }
 
-func (fr *dfFrame) branchArity() int {
+func (fr *simFrame) branchArity() int {
 	if fr.op == wasm.OpLoop {
 		return 0
 	}
@@ -101,7 +32,7 @@ func (fr *dfFrame) branchArity() int {
 type stackSim struct {
 	ix       *wasm.Index
 	nLocals  int
-	ctrl     []dfFrame
+	ctrl     []simFrame
 	height   int
 	maxStack int
 	dead     bool
@@ -203,12 +134,12 @@ func (c *stackSim) step(in wasm.Instr, f *wasm.Func) error {
 		c.markDead()
 
 	case wasm.OpBlock, wasm.OpLoop:
-		c.ctrl = append(c.ctrl, dfFrame{op: op, height: c.height, arity: len(in.Block.Results())})
+		c.ctrl = append(c.ctrl, simFrame{op: op, height: c.height, arity: len(in.Block.Results())})
 	case wasm.OpIf:
 		if err := c.popN(1); err != nil {
 			return fmt.Errorf("if condition: %w", err)
 		}
-		c.ctrl = append(c.ctrl, dfFrame{op: op, height: c.height, arity: len(in.Block.Results())})
+		c.ctrl = append(c.ctrl, simFrame{op: op, height: c.height, arity: len(in.Block.Results())})
 	case wasm.OpElse:
 		return c.beginElse()
 	case wasm.OpEnd:
@@ -371,79 +302,19 @@ func (c *stackSim) checkLocal(idx uint32) error {
 	return nil
 }
 
-// FuncDataflow runs the stack-height simulation and local-liveness analysis
-// over one function body, attributing per-block facts through the CFG. ix
-// is the index of the function's module.
-func FuncDataflow(ix *wasm.Index, sig wasm.FuncType, f *wasm.Func, g *CFG) (*FuncFacts, error) {
-	nLocals := len(sig.Params) + len(f.Locals)
-	nb := len(g.Blocks)
-	ff := &FuncFacts{
-		Entry:     make([]int, nb),
-		High:      make([]int, nb),
-		Gen:       make([]BitSet, nb),
-		Kill:      make([]BitSet, nb),
-		LiveIn:    make([]BitSet, nb),
-		LiveOut:   make([]BitSet, nb),
-		NumLocals: nLocals,
-	}
-	for b := 0; b < nb; b++ {
-		ff.Entry[b], ff.High[b] = -1, -1
-		ff.Gen[b] = newBitSet(nLocals)
-		ff.Kill[b] = newBitSet(nLocals)
-		ff.LiveIn[b] = newBitSet(nLocals)
-		ff.LiveOut[b] = newBitSet(nLocals)
-	}
-
-	sim := &stackSim{ix: ix, nLocals: nLocals}
-	sim.ctrl = append(sim.ctrl, dfFrame{op: wasm.OpCall, arity: len(sig.Results)})
+// maxStack returns the operand-stack high-water mark of one function body:
+// the exact value interp's compile pass derives, including its dead-code
+// skipping. ix is the index of the function's module.
+func maxStack(ix *wasm.Index, sig wasm.FuncType, f *wasm.Func) (int, error) {
+	sim := &stackSim{ix: ix, nLocals: len(sig.Params) + len(f.Locals)}
+	sim.ctrl = append(sim.ctrl, simFrame{op: wasm.OpCall, arity: len(sig.Results)})
 	for pc, in := range f.Body {
-		b := g.blockAt[pc]
-		if g.Blocks[b].Start == pc && !sim.dead {
-			ff.Entry[b] = sim.height
-			ff.High[b] = sim.height
-		}
-		if !sim.dead {
-			// Liveness gen/kill, over statically live code only.
-			switch in.Op {
-			case wasm.OpLocalGet:
-				if int(in.Idx) < nLocals && !ff.Kill[b].Has(int(in.Idx)) {
-					ff.Gen[b].Set(int(in.Idx))
-				}
-			case wasm.OpLocalSet, wasm.OpLocalTee:
-				if int(in.Idx) < nLocals {
-					ff.Kill[b].Set(int(in.Idx))
-				}
-			}
-		}
 		if err := sim.step(in, f); err != nil {
-			return nil, fmt.Errorf("static: instr %d (%s): %w", pc, in.Op, err)
-		}
-		if !sim.dead && ff.High[b] >= 0 && sim.height > ff.High[b] {
-			ff.High[b] = sim.height
+			return 0, fmt.Errorf("static: instr %d (%s): %w", pc, in.Op, err)
 		}
 	}
 	if len(sim.ctrl) != 0 {
-		return nil, fmt.Errorf("static: %d unclosed blocks", len(sim.ctrl))
+		return 0, fmt.Errorf("static: %d unclosed blocks", len(sim.ctrl))
 	}
-	ff.MaxStack = sim.maxStack
-
-	// Backward liveness fixpoint: LiveOut = ∪ LiveIn(succ);
-	// LiveIn = Gen ∪ (LiveOut − Kill).
-	for changed := true; changed; {
-		changed = false
-		for b := nb - 1; b >= 0; b-- {
-			for _, s := range g.Succs(b) {
-				if ff.LiveOut[b].or(ff.LiveIn[s]) {
-					changed = true
-				}
-			}
-			if ff.LiveIn[b].or(ff.Gen[b]) {
-				changed = true
-			}
-			if ff.LiveIn[b].orAndNot(ff.LiveOut[b], ff.Kill[b]) {
-				changed = true
-			}
-		}
-	}
-	return ff, nil
+	return sim.maxStack, nil
 }

@@ -15,7 +15,7 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// checkStackEquality asserts that the static dataflow high-water mark equals
+// checkStackEquality asserts that the static stack high-water mark equals
 // the interpreter compile pass's — the number exec sizes the operand stack
 // to, exactly, with no slack — for every defined function of m.
 func checkStackEquality(t *testing.T, m *wasm.Module) {
@@ -29,7 +29,7 @@ func checkStackEquality(t *testing.T, m *wasm.Module) {
 		t.Fatalf("StackHighWater: %v", err)
 	}
 	for di := range m.Funcs {
-		if got := ma.Funcs[di].Facts.MaxStack; got != want[di] {
+		if got := ma.Funcs[di].MaxStack; got != want[di] {
 			t.Errorf("func %d: static MaxStack %d != interp maxStack %d",
 				m.NumImportedFuncs()+di, got, want[di])
 		}

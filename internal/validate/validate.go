@@ -52,11 +52,6 @@ func module(m *wasm.Module, par int) error {
 		})
 }
 
-// Func validates a single defined function body.
-func Func(m *wasm.Module, definedIdx int) error {
-	return checkFunc(new(Tracker), wasm.NewIndex(m), definedIdx)
-}
-
 func checkTypes(m *wasm.Module) error {
 	for i, ft := range m.Types {
 		if len(ft.Results) > 1 {

@@ -6,13 +6,6 @@ import (
 	"strings"
 )
 
-// MemArg is the immediate of a load or store: an alignment hint (log2 of the
-// natural alignment) and a static byte offset added to the dynamic address.
-type MemArg struct {
-	Align  uint32
-	Offset uint32
-}
-
 // Instr is a single WebAssembly instruction. The struct is a flattened
 // union: which immediate fields are meaningful depends on Op. Structured
 // control flow is kept linear, exactly as in the binary format: block, loop,

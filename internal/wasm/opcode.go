@@ -275,14 +275,6 @@ var opNames = map[Opcode]string{
 	OpI64Extend8S: "i64.extend8_s", OpI64Extend16S: "i64.extend16_s", OpI64Extend32S: "i64.extend32_s",
 }
 
-var opByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(opNames))
-	for op, name := range opNames {
-		m[name] = op
-	}
-	return m
-}()
-
 // opNameTable is opNames as a dense array: String is on the hot path of the
 // runtime's hook dispatch (one call per instrumented instruction executed),
 // where a map lookup per event dominated the per-hook profile.
@@ -296,12 +288,6 @@ var opNameTable = func() [256]string {
 	t[OpMiscPrefix] = "0xfc"
 	return t
 }()
-
-// OpcodeByName returns the opcode with the given text-format name.
-func OpcodeByName(name string) (Opcode, bool) {
-	op, ok := opByName[name]
-	return op, ok
-}
 
 // opKnown is opNames' key set as a dense table: the decoder asks Known once
 // per instruction and the encoder twice (size pass and write pass), so a map

@@ -71,18 +71,6 @@ var miscInstrs = map[uint32]struct {
 	MiscTableCopy:  {"table.copy", "bulk-memory", false},
 }
 
-// MiscKnown reports whether sub is a recognized 0xFC subopcode (implemented
-// or not); unrecognized subopcodes are not WebAssembly and fail at decode.
-func MiscKnown(sub uint32) bool {
-	_, ok := miscInstrs[sub]
-	return ok
-}
-
-// MiscSupported reports whether the runtime implements 0xFC subopcode sub.
-func MiscSupported(sub uint32) bool {
-	return miscInstrs[sub].supported
-}
-
 // MiscName returns the text-format name of a 0xFC subopcode.
 func MiscName(sub uint32) string {
 	if mi, ok := miscInstrs[sub]; ok {
