@@ -50,7 +50,9 @@ func main() {
 		mix := analyses.NewStreamInstructionMix()
 		mix.SetEventTable(r.Table())
 		r.Serve(mix, *batch)
-		reportMix(mix)
+		// The callback analysis's report: descending count, then name.
+		(&analyses.InstructionMix{Counts: mix.Counts}).Report(os.Stdout)
+		fmt.Printf("%12d  (total)\n", mix.Total())
 	default:
 		fatal("unknown -analysis %q (have: stats, trace, instruction-mix)", *analysisName)
 	}
@@ -88,29 +90,6 @@ func stats(path string, r *sink.Reader) {
 	for _, k := range names {
 		fmt.Printf("%12d  %s\n", perKind[k], k)
 	}
-}
-
-// reportMix prints the instruction mix in the callback analysis's format
-// (descending count, then name).
-func reportMix(mix *analyses.StreamInstructionMix) {
-	type kv struct {
-		op string
-		n  uint64
-	}
-	rows := make([]kv, 0, len(mix.Counts))
-	for op, n := range mix.Counts {
-		rows = append(rows, kv{op, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].op < rows[j].op
-	})
-	for _, r := range rows {
-		fmt.Printf("%12d  %s\n", r.n, r.op)
-	}
-	fmt.Printf("%12d  (total)\n", mix.Total())
 }
 
 func fatal(format string, args ...any) {

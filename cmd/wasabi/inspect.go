@@ -2,9 +2,10 @@ package main
 
 // The -inspect report surface: instead of writing an instrumented binary,
 // print the module's static profile (dead functions, per-function block
-// counts and stack high-water marks, indirect-call fan-out) and the
-// hook-site counts each bundled analysis would cost before and after
-// analysis-aware elision.
+// counts, indirect-call fan-out), each function's operand-stack high-water
+// mark as the interpreter's compile pass derives it (the exact size exec
+// gives the function's operand stack), and the hook-site counts each
+// bundled analysis would cost before and after analysis-aware elision.
 
 import (
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"wasabi"
 	"wasabi/internal/analyses"
+	"wasabi/internal/interp"
 	"wasabi/internal/static"
 	"wasabi/internal/wasm"
 )
@@ -24,6 +26,10 @@ func runInspect(m *wasm.Module, w io.Writer) error {
 		return fmt.Errorf("static analysis: %w", err)
 	}
 	p := ma.Profile()
+	maxStack, err := interp.StackHighWater(m)
+	if err != nil {
+		return fmt.Errorf("stack sizing: %w", err)
+	}
 
 	fmt.Fprintf(w, "module: %d funcs (%d imported), %d in table, %d dead\n",
 		p.NumFuncs, p.NumImports, p.TableFuncs, len(p.DeadFuncs))
@@ -36,13 +42,13 @@ func runInspect(m *wasm.Module, w io.Writer) error {
 
 	fmt.Fprintf(w, "functions:\n")
 	fmt.Fprintf(w, "  %4s  %-24s %7s %10s %9s\n", "idx", "name", "blocks", "reachable", "maxstack")
-	for _, fp := range p.Funcs {
+	for di, fp := range p.Funcs {
 		mark := ""
 		if fp.Dead {
 			mark = "  (dead)"
 		}
 		fmt.Fprintf(w, "  %4d  %-24s %7d %10d %9d%s\n",
-			fp.Idx, fp.Name, fp.Blocks, fp.Reachable, fp.MaxStack, mark)
+			fp.Idx, fp.Name, fp.Blocks, fp.Reachable, maxStack[di], mark)
 	}
 
 	if len(p.IndirectSites) > 0 {
@@ -75,12 +81,16 @@ func runInspect(m *wasm.Module, w io.Writer) error {
 			continue
 		}
 		// Signed delta: negative means elision removed sites; block-mode
-		// analyses can gain sites (probes added next to kept hooks).
-		pct := 0.0
-		if before > 0 {
-			pct = 100 * (float64(after)/float64(before) - 1)
+		// analyses can gain sites (probes added next to kept hooks), even
+		// from none, which has no percentage.
+		change := "(new)"
+		switch {
+		case before > 0:
+			change = fmt.Sprintf("(%+.1f%%)", 100*(float64(after)/float64(before)-1))
+		case after == 0:
+			change = "(+0.0%)"
 		}
-		fmt.Fprintf(w, "  %-22s %7d -> %7d  (%+.1f%%)\n", name, before, after, pct)
+		fmt.Fprintf(w, "  %-22s %7d -> %7d  %s\n", name, before, after, change)
 	}
 	return nil
 }

@@ -76,10 +76,11 @@ func runSession(t *testing.T, compiled *wasabi.CompiledAnalysis, kind string) se
 
 // TestSessionsShareCodeOnlyPerShape: sessions of one CompiledAnalysis whose
 // live hooks differ compile different threaded code (a no-op hook's call is
-// elided, a stream hook's is a record encoder), and a later session of the
-// same live hooks links the code an earlier one compiled. Each session,
-// whatever ran on the CompiledAnalysis before it, must observe exactly what
-// the same session observes on a fresh engine.
+// elided), and a later session of the same live hooks links the code an
+// earlier one compiled — the full callback session and the stream session
+// bind every hook through the same Fast convention, so they share one
+// compile. Each session, whatever ran on the CompiledAnalysis before it,
+// must observe exactly what the same session observes on a fresh engine.
 func TestSessionsShareCodeOnlyPerShape(t *testing.T) {
 	m := buildTestModule()
 	kinds := []string{"narrow", "full", "stream"}

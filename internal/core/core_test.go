@@ -318,40 +318,6 @@ func TestInvalidInputRejected(t *testing.T) {
 	}
 }
 
-func TestControlMatches(t *testing.T) {
-	body := []wasm.Instr{
-		wasm.BlockInstr(wasm.BlockEmpty), // 0
-		wasm.LoopInstr(wasm.BlockEmpty),  // 1
-		wasm.I32Const(1),                 // 2
-		wasm.IfInstr(wasm.BlockEmpty),    // 3
-		{Op: wasm.OpElse},                // 4
-		wasm.End(),                       // 5 (if)
-		wasm.End(),                       // 6 (loop)
-		wasm.End(),                       // 7 (block)
-		wasm.End(),                       // 8 (function)
-	}
-	matchEnd, matchElse, err := controlMatches(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matchEnd[0] != 7 || matchEnd[1] != 6 || matchEnd[3] != 5 {
-		t.Errorf("matchEnd: %v", matchEnd)
-	}
-	if matchElse[3] != 4 {
-		t.Errorf("matchElse: %v", matchElse)
-	}
-	if matchEnd[4] != 5 {
-		t.Errorf("else shares the if's end: %v", matchEnd)
-	}
-
-	if _, _, err := controlMatches([]wasm.Instr{wasm.BlockInstr(wasm.BlockEmpty), wasm.End()}); err == nil {
-		t.Error("missing function end not detected")
-	}
-	if _, _, err := controlMatches([]wasm.Instr{{Op: wasm.OpElse}, wasm.End()}); err == nil {
-		t.Error("stray else not detected")
-	}
-}
-
 func TestScratchAllocReuse(t *testing.T) {
 	var a scratchAlloc
 	a.reset(3)

@@ -91,11 +91,8 @@ type funcInstrumenter struct {
 	scratch scratchAlloc
 	out     []wasm.Instr
 
-	// Reusable scratch tables for controlMatches and saved-operand locals.
-	matchEnd  []int32
-	matchElse []int32
-	ctrlPCs   []int
-	savedBuf  []uint32
+	match    wasm.ControlMatch // the current body's end and else tables
+	savedBuf []uint32          // reusable scratch for saved-operand locals
 
 	// callSites records the output-body index of every emitted OpCall
 	// instruction (original calls and hook calls alike), so the final
@@ -349,11 +346,9 @@ func (fi *funcInstrumenter) emitEndHook(info EndInfo) {
 }
 
 func (fi *funcInstrumenter) run() error {
-	matchEnd, matchElse, ctrlPCs, err := controlMatchesInto(fi.body, fi.matchEnd, fi.matchElse, fi.ctrlPCs)
-	if err != nil {
-		return err
+	if err := fi.match.Match(fi.body); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	fi.matchEnd, fi.matchElse, fi.ctrlPCs = matchEnd, matchElse, ctrlPCs
 	fi.ctrl = append(fi.ctrl, ctrlEntry{
 		kind: analysis.BlockFunction, begin: -1, end: len(fi.body) - 1, live: true,
 	})
@@ -384,7 +379,7 @@ func (fi *funcInstrumenter) run() error {
 			}
 			nb++
 		}
-		if err := fi.instr(i, in, reachable, matchEnd, matchElse); err != nil {
+		if err := fi.instr(i, in, reachable); err != nil {
 			return fmt.Errorf("instr %d (%s): %w", i, in.Op, err)
 		}
 		if err := fi.tr.Step(in); err != nil {
@@ -401,7 +396,7 @@ func (fi *funcInstrumenter) run() error {
 // instr emits the instrumented sequence for the original instruction at
 // index i. The original instruction is always preserved; hook calls and
 // operand duplication are interleaved around it (Table 3 in the paper).
-func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd, matchElse []int32) error {
+func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 	op := in.Op
 	switch op {
 	case wasm.OpNop:
@@ -424,7 +419,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 		if op == wasm.OpLoop {
 			kind = analysis.BlockLoop
 		}
-		fi.ctrl = append(fi.ctrl, ctrlEntry{kind: kind, begin: i, end: int(matchEnd[i]), live: reachable})
+		fi.ctrl = append(fi.ctrl, ctrlEntry{kind: kind, begin: i, end: int(fi.match.End[i]), live: reachable})
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindBegin) {
 			// For loops this call sits at the loop header and therefore
@@ -441,7 +436,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emit(wasm.LocalGet(c))
 			fi.emitFixedHook(fhIf)
 		}
-		fi.ctrl = append(fi.ctrl, ctrlEntry{kind: analysis.BlockIf, begin: i, end: int(matchEnd[i]), live: reachable})
+		fi.ctrl = append(fi.ctrl, ctrlEntry{kind: analysis.BlockIf, begin: i, end: int(fi.match.End[i]), live: reachable})
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindBegin) {
 			fi.emitLoc(i)
@@ -859,73 +854,4 @@ func copyUninstrumented(orig []wasm.Instr) (body []wasm.Instr, extraLocals []was
 		}
 	}
 	return body, nil, nil, callSites, nil
-}
-
-// controlMatches computes, for every block/loop/if instruction, the index of
-// its matching end (and else, for ifs). It mirrors the interpreter's
-// compile-time pass but lives here so the instrumenter has no dependency on
-// the interpreter.
-func controlMatches(body []wasm.Instr) (matchEnd, matchElse []int32, err error) {
-	matchEnd, matchElse, _, err = controlMatchesInto(body, nil, nil, nil)
-	return matchEnd, matchElse, err
-}
-
-// controlMatchesInto is controlMatches writing into caller-provided buffers
-// (grown as needed), so a reused instrumenter computes the tables without
-// allocating. stackBuf is scratch for the opener stack; its (possibly grown)
-// backing array is returned for reuse.
-func controlMatchesInto(body []wasm.Instr, endBuf, elseBuf []int32, stackBuf []int) (matchEnd, matchElse []int32, stackOut []int, err error) {
-	if cap(endBuf) < len(body) {
-		endBuf = make([]int32, len(body))
-	}
-	if cap(elseBuf) < len(body) {
-		elseBuf = make([]int32, len(body))
-	}
-	matchEnd = endBuf[:len(body)]
-	matchElse = elseBuf[:len(body)]
-	for i := range body {
-		matchEnd[i] = -1
-		matchElse[i] = -1
-	}
-	stack := stackBuf[:0]
-	sawFuncEnd := false
-	for pc, in := range body {
-		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			stack = append(stack, pc)
-		case wasm.OpElse:
-			if len(stack) == 0 {
-				return nil, nil, nil, fmt.Errorf("core: else without if at instr %d", pc)
-			}
-			entry := stack[len(stack)-1]
-			opener := entry & 0xFFFFFFFF
-			if entry>>32 != 0 || body[opener].Op != wasm.OpIf {
-				return nil, nil, nil, fmt.Errorf("core: else without if at instr %d", pc)
-			}
-			matchElse[opener] = int32(pc)
-			stack[len(stack)-1] = opener | (pc << 32)
-		case wasm.OpEnd:
-			if len(stack) == 0 {
-				if pc != len(body)-1 {
-					return nil, nil, nil, fmt.Errorf("core: function-level end at instr %d is not final", pc)
-				}
-				sawFuncEnd = true
-				continue
-			}
-			entry := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			opener := entry & 0xFFFFFFFF
-			matchEnd[opener] = int32(pc)
-			if elsePC := entry >> 32; elsePC != 0 {
-				matchEnd[elsePC] = int32(pc)
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return nil, nil, nil, fmt.Errorf("core: %d unclosed blocks", len(stack))
-	}
-	if !sawFuncEnd {
-		return nil, nil, nil, fmt.Errorf("core: missing function-level end")
-	}
-	return matchEnd, matchElse, stack, nil
 }

@@ -131,7 +131,7 @@ func coreImports(md *core.Metadata) interp.Imports {
 		spec := &md.Hooks[i]
 		fields[spec.Name] = &interp.HostFunc{
 			Type: spec.WasmType(),
-			Fast: func(*interp.Instance, []interp.Value) error { return nil },
+			Fast: func(*interp.Instance, []interp.Value) {},
 		}
 	}
 	return interp.Imports{core.HookModule: fields}

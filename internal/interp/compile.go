@@ -62,7 +62,6 @@ const (
 	iCall         // a = function index (defined function), b = param count
 	iCallHost     // a = function index (imported host function), b = param count
 	iCallHostFast // iCallHost via the zero-copy Fast convention (result-less)
-	iCallHostEmit // iCallHostFast's record-emit twin (Emit convention: no error path)
 	iCallIndirect // a = type index, b = param count
 
 	iDrop
@@ -250,7 +249,7 @@ type compiler struct {
 // rejects structurally broken bodies (unbalanced control, operand underflow,
 // out-of-range indices), so a malformed module fails at instantiation
 // instead of corrupting the interpreter mid-run. The shape lets the pass
-// pick the Fast or Emit host-call convention and elide calls to no-op hooks
+// pick the Fast host-call convention and elide calls to no-op hooks
 // together with their argument lowering.
 func (c *compiler) lower(sig wasm.FuncType, f *wasm.Func) error {
 	c.f = f
@@ -473,11 +472,6 @@ func (c *compiler) step(in wasm.Instr) error {
 				case hostNoOp:
 					c.elideArgs(len(ft.Params))
 					return nil
-				case hostEmit:
-					// Record encoders (the stream dispatch pipeline): same
-					// stack-window convention as Fast, but the callee cannot
-					// return an error, so the exec case skips the error check.
-					callOp = iCallHostEmit
 				case hostFast:
 					callOp = iCallHostFast
 				}

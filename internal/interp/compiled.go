@@ -16,22 +16,19 @@ const (
 	hostPlain hostCall = iota // iCallHost: the generic host call
 	hostNoOp                  // elided, together with its argument lowering
 	hostFast                  // iCallHostFast: the zero-copy stack window
-	hostEmit                  // iCallHostEmit: Fast's record-emit twin
 )
 
 // hostCallOf reads the call convention of a resolved host function. It is
 // the one place that does: the compile pass lowers calls from it and
 // CompiledModule keys its code cache on it, so the cache cannot hand out
-// code compiled for another convention. NoOp, Emit and Fast are honoured
-// only for result-less signatures; NoOp wins over Emit, Emit over Fast.
+// code compiled for another convention. NoOp and Fast are honoured only for
+// result-less signatures; NoOp wins over Fast.
 func hostCallOf(hf *HostFunc) hostCall {
 	switch {
 	case len(hf.Type.Results) != 0:
 		return hostPlain
 	case hf.NoOp:
 		return hostNoOp
-	case hf.Emit != nil:
-		return hostEmit
 	case hf.Fast != nil:
 		return hostFast
 	}

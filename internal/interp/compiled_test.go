@@ -33,11 +33,9 @@ func hookImports(shape hostCall, calls *int) Imports {
 	case hostPlain:
 		hf.Fn = func(inst *Instance, args []Value) ([]Value, error) { count(inst, args); return nil, nil }
 	case hostNoOp:
-		hf.Fast, hf.NoOp = func(inst *Instance, args []Value) error { count(inst, args); return nil }, true
+		hf.Fast, hf.NoOp = count, true
 	case hostFast:
-		hf.Fast = func(inst *Instance, args []Value) error { count(inst, args); return nil }
-	case hostEmit:
-		hf.Emit = count
+		hf.Fast = count
 	}
 	return Imports{"env": {"hook": hf}}
 }
@@ -56,8 +54,8 @@ func definedCode(inst *Instance) []*compiledFunc {
 
 func TestCompiledModuleSharesCodePerShape(t *testing.T) {
 	cm := NewCompiledModule(hookedModule(), Config{})
-	shapes := []hostCall{hostPlain, hostNoOp, hostFast, hostEmit}
-	wantCalls := map[hostCall]int{hostPlain: 1, hostNoOp: 0, hostFast: 1, hostEmit: 1}
+	shapes := []hostCall{hostPlain, hostNoOp, hostFast}
+	wantCalls := map[hostCall]int{hostPlain: 1, hostNoOp: 0, hostFast: 1}
 	first := map[hostCall]*compiledFunc{}
 	// Two passes: the first compiles each shape, the second links it.
 	for pass := 0; pass < 2; pass++ {
@@ -103,16 +101,15 @@ func TestHostCallOfHonoursOnlyResultless(t *testing.T) {
 	withResult := wasm.FuncType{Results: []wasm.ValType{wasm.I32}}
 	for _, hf := range []*HostFunc{
 		{Type: withResult, NoOp: true},
-		{Type: withResult, Fast: func(*Instance, []Value) error { return nil }},
-		{Type: withResult, Emit: func(*Instance, []Value) {}},
+		{Type: withResult, Fast: func(*Instance, []Value) {}},
 	} {
 		if got := hostCallOf(hf); got != hostPlain {
 			t.Errorf("hostCallOf(%+v) = %d, want plain", hf, got)
 		}
 	}
-	noop := &HostFunc{NoOp: true, Fast: func(*Instance, []Value) error { return nil }, Emit: func(*Instance, []Value) {}}
+	noop := &HostFunc{NoOp: true, Fast: func(*Instance, []Value) {}}
 	if got := hostCallOf(noop); got != hostNoOp {
-		t.Errorf("NoOp with Fast and Emit: hostCallOf = %d, want NoOp", got)
+		t.Errorf("NoOp with Fast: hostCallOf = %d, want NoOp", got)
 	}
 }
 

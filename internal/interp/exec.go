@@ -25,10 +25,10 @@ func (inst *Instance) exec(cf *compiledFunc, args []Value, fr *frame) []Value {
 	n := copy(locals, args)
 	clear(locals[n:])
 
-	// The compile pass knows the exact operand-stack high-water mark (the
-	// static stack simulation computes the same number independently and a test
-	// asserts they agree over the spec corpus), so the stack is a flat buffer
-	// sized to exactly that mark: no append, no growth checks, no slack.
+	// The compile pass knows the exact operand-stack high-water mark
+	// (StackHighWater reports it; TestExactSizingObserved runs the spec
+	// corpus against it), so the stack is a flat buffer sized to exactly
+	// that mark: no append, no growth checks, no slack.
 	if cap(fr.stack) < cf.maxStack {
 		fr.stack = make([]Value, cf.maxStack)
 	}
@@ -180,19 +180,12 @@ func (inst *Instance) exec(cf *compiledFunc, args []Value, fr *frame) []Value {
 		case iCallHostFast:
 			// Zero-copy host call (the hook-call fast path of the
 			// instrumented setting): the callee receives a read-only window
-			// of the operand stack and returns no results, so there is no
-			// argument copy and no result handling. The compile pass proved
-			// the target result-less and Fast-capable.
+			// of the operand stack, returns no results and fails only by a
+			// trap panic, so there is no argument copy, no result handling
+			// and no error check. The compile pass proved the target
+			// result-less and Fast-capable.
 			np := int(in.b)
-			hostErr(inst.funcs[in.a].host.Fast(inst, stack[sp-np:sp]))
-			sp -= np
-		case iCallHostEmit:
-			// Record-emit twin of iCallHostFast: the encoder appends one
-			// packed event record (or a short group of them) to the session's
-			// batch buffer and signals failure only via a trap panic, so the
-			// hot loop has no error check here at all.
-			np := int(in.b)
-			inst.funcs[in.a].host.Emit(inst, stack[sp-np:sp])
+			inst.funcs[in.a].host.Fast(inst, stack[sp-np:sp])
 			sp -= np
 		case iCallIndirect:
 			sp--

@@ -17,10 +17,7 @@ import (
 func hostCounter(calls *int, params ...wasm.ValType) *interp.HostFunc {
 	return &interp.HostFunc{
 		Type: wasm.FuncType{Params: params},
-		Fast: func(_ *interp.Instance, _ []interp.Value) error {
-			*calls++
-			return nil
-		},
+		Fast: func(*interp.Instance, []interp.Value) { *calls++ },
 	}
 }
 
@@ -122,10 +119,9 @@ func TestFastConventionReceivesStackWindow(t *testing.T) {
 	var got [][2]uint64
 	hf := &interp.HostFunc{
 		Type: wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}},
-		Fast: func(_ *interp.Instance, args []interp.Value) error {
+		Fast: func(_ *interp.Instance, args []interp.Value) {
 			// The window aliases the operand stack: copy, never retain.
 			got = append(got, [2]uint64{args[0], args[1]})
-			return nil
 		},
 	}
 	inst, err := interp.Instantiate(b.Build(), interp.Imports{"env": {"sink": hf}})
@@ -158,7 +154,7 @@ func TestFastOnlyHostWithResultsRejected(t *testing.T) {
 	f.Done()
 	hf := &interp.HostFunc{
 		Type: wasm.FuncType{Results: []wasm.ValType{wasm.I32}},
-		Fast: func(*interp.Instance, []interp.Value) error { return nil },
+		Fast: func(*interp.Instance, []interp.Value) {},
 	}
 	if _, err := interp.Instantiate(b.Build(), interp.Imports{"env": {"bad": hf}}); err == nil {
 		t.Fatal("expected instantiation error for Fast-only host with results")

@@ -11,8 +11,8 @@ import (
 // buffer size exec allocates (there is no slack; see exec.go). The numbers
 // are independent of guard/fusion/host-elision settings, which only rewrite
 // the emitted code, so the plain configuration used here is representative.
-// It exists so the static stack simulation (internal/static) can be asserted
-// equal to the interpreter's own height tracking, and for inspection tooling.
+// It is the one source of operand-stack heights: `wasabi -inspect` prints
+// its numbers in the maxstack column.
 func StackHighWater(m *wasm.Module) ([]int, error) {
 	ix := wasm.NewIndex(m)
 	c := &compiler{ix: ix}

@@ -48,28 +48,24 @@ func AsF64(v Value) float64 { return math.Float64frombits(v) }
 // the paper's setting). The Wasabi runtime's low-level hooks are HostFuncs.
 //
 // At least one of Fn and Fast must be set. Fast is the zero-copy hook-call
-// convention: the interpreter's direct host-call opcode passes it a window
-// of the operand stack (args aliases stack[sp-n:sp]) instead of copying the
-// arguments into a fresh slice. The aliasing rules for Fast implementations:
-// args is read-only, only valid for the duration of the call, and must not
-// be retained or mutated — the same backing array is reused by the very next
-// instruction. Fast is only consulted for result-less signatures; functions
-// with results always go through Fn.
+// convention, which both of the Wasabi runtime's dispatch backends use
+// (callback trampolines and stream record encoders): the interpreter's
+// direct host-call opcode passes it a window of the operand stack (args
+// aliases stack[sp-n:sp]) instead of copying the arguments into a fresh
+// slice. The aliasing rules for Fast implementations: args is read-only,
+// only valid for the duration of the call, and must not be retained or
+// mutated — the same backing array is reused by the very next instruction.
+// Fast has no error result: it reports failure by panicking with a *Trap,
+// as the interpreter's own traps do, and the invocation root recovers it
+// into the error Invoke returns. Fast is only consulted for
+// result-less signatures; functions with results always go through Fn.
 type HostFunc struct {
 	Type wasm.FuncType
 	Fn   func(inst *Instance, args []Value) ([]Value, error)
 
 	// Fast, when non-nil, is preferred by the threaded-code host-call path
-	// for result-less signatures. See the aliasing rules above.
-	Fast func(inst *Instance, args []Value) error
-
-	// Emit, when non-nil, takes precedence over Fast: it is the record-emit
-	// twin of the zero-copy convention, used by the Wasabi runtime's stream
-	// encoders. Same stack-window aliasing rules as Fast, but the callee
-	// reports failure only by panicking with a *Trap (record encoders have
-	// no error path), so the dispatch opcode skips the per-call error check.
-	// Only honored for result-less signatures.
-	Emit func(inst *Instance, args []Value)
+	// for result-less signatures. See the aliasing and trap rules above.
+	Fast func(inst *Instance, args []Value)
 
 	// NoOp declares the function observably side-effect free (the runtime
 	// sets it for hooks the analysis does not implement). Calls to a no-op
@@ -269,11 +265,11 @@ func (cm *CompiledModule) Instantiate(reg *Registry, name string, imports Import
 			if !hf.Type.Equal(want) {
 				return nil, fmt.Errorf("interp: import %q.%q type mismatch: want %s, have %s", imp.Module, imp.Name, want, hf.Type)
 			}
-			if hf.Fn == nil && hf.Fast == nil && hf.Emit == nil {
-				return nil, fmt.Errorf("interp: import %q.%q has neither Fn, Fast, nor Emit", imp.Module, imp.Name)
+			if hf.Fn == nil && hf.Fast == nil {
+				return nil, fmt.Errorf("interp: import %q.%q has neither Fn nor Fast", imp.Module, imp.Name)
 			}
 			if hf.Fn == nil && len(hf.Type.Results) != 0 {
-				return nil, fmt.Errorf("interp: import %q.%q: Fast/Emit-only host functions must be result-less", imp.Module, imp.Name)
+				return nil, fmt.Errorf("interp: import %q.%q: Fast-only host functions must be result-less", imp.Module, imp.Name)
 			}
 			inst.funcs = append(inst.funcs, funcInst{typeIdx: imp.TypeIdx, host: hf})
 			shape = append(shape, hostCallOf(hf))
@@ -546,19 +542,14 @@ func (inst *Instance) invoke(idx uint32, args []Value) []Value {
 }
 
 // callHost invokes a host function, converting its error into a trap panic.
-// Shared by invoke and exec's generic host-call opcode (iCallHost). Fast- and
-// Emit-only host functions (no Fn) are result-less by the Instantiate-time
-// check.
+// Shared by invoke and exec's generic host-call opcode (iCallHost). Fast-only
+// host functions (no Fn) are result-less by the Instantiate-time check.
 func (inst *Instance) callHost(hf *HostFunc, args []Value) []Value {
 	// Fault-injection seam for the host-call boundary: an injected fault is
 	// indistinguishable from the host function failing, i.e. a typed trap.
 	hostErr(failpoint.Inject(failpoint.HostCall))
 	if hf.Fn == nil {
-		if hf.Emit != nil {
-			hf.Emit(inst, args)
-			return nil
-		}
-		hostErr(hf.Fast(inst, args))
+		hf.Fast(inst, args)
 		return nil
 	}
 	res, err := hf.Fn(inst, args)

@@ -11,10 +11,12 @@ package runtime
 // lowered words), a record group (return, call_post, direct call_pre), an
 // indirect call_pre group, and br_table.
 //
-// Encoders use the interpreter's Emit host-call convention (the record-emit
-// twin of Fast, see iCallHostEmit): args is a read-only stack window, never
-// retained, and failure is reported only by a trap panic — the hot loop has
-// no error check.
+// Encoders use the interpreter's zero-copy host-call convention
+// (interp.HostFunc.Fast), as trampolines do: args is a read-only stack
+// window, never retained, and failure is reported only by a trap panic — the
+// hot loop has no error check. A stream session and a callback session with
+// the same live hooks therefore have the same host shape and link one
+// compile of the threaded code.
 //
 // Flush points, per the stream contract: batch-full (Emitter.emit),
 // top-level call completion (the session installs Emitter.Flush as the
@@ -26,12 +28,8 @@ import (
 	"wasabi/internal/interp"
 )
 
-// emitFn is the compiled record encoder of one low-level hook; it matches
-// interp.HostFunc.Emit.
-type emitFn = func(inst *interp.Instance, args []interp.Value)
-
 // compileEncoder builds the record encoder of a live hook.
-func (r *Runtime) compileEncoder(p *hookPlan) emitFn {
+func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 	em := r.emitter
 	switch {
 	case p.tmpl.Kind == analysis.KindBrTable:
@@ -127,7 +125,7 @@ func (p *hookPlan) emitGroup(em *Emitter, e analysis.Event, args []interp.Value)
 // leaves (when end events are streamed) and then emits the br_table record
 // itself (when br_table events are streamed) — the event order of the
 // callback trampoline.
-func (r *Runtime) brTableEncoder(p *hookPlan) emitFn {
+func (r *Runtime) brTableEncoder(p *hookPlan) hookFn {
 	em := r.emitter
 	emitEnds := r.streamCaps.Has(analysis.CapEnd)
 	emitTable := r.streamCaps.Has(analysis.CapBrTable)

@@ -178,6 +178,22 @@ func hostFuncs(rt *Runtime) []*interp.HostFunc {
 	return hfs
 }
 
+// callFast calls hf's Fast entry and returns the trap it panics with, or
+// nil when it returns.
+func callFast(hf *interp.HostFunc, inst *interp.Instance, args []interp.Value) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			trap, ok := r.(*interp.Trap)
+			if !ok {
+				panic(r)
+			}
+			err = trap
+		}
+	}()
+	hf.Fast(inst, args)
+	return nil
+}
+
 // synthArgs builds a deterministic lowered argument vector for a spec: every
 // word gets a distinctive pattern so wrong offsets or a missed i64 re-join
 // change the observed events.
@@ -240,7 +256,7 @@ func TestTrampolineParityWithGenericDispatch(t *testing.T) {
 			}
 			for vi, args := range vectors {
 				recT.events, recG.events = nil, nil
-				errT := hf.Fast(inst, args)
+				errT := callFast(hf, inst, args)
 				errG := ref.dispatch(spec, args)
 				if (errT == nil) != (errG == nil) {
 					t.Errorf("%s: hook %s vector %d: trampoline err %v, reference err %v", set.name, spec.Name, vi, errT, errG)

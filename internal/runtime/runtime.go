@@ -194,9 +194,9 @@ func (r *Runtime) SetEmitter(em *Emitter, caps analysis.Cap) {
 }
 
 // Imports returns the host imports providing every generated low-level hook
-// under the core.HookModule namespace, each bound to its compiled trampoline
-// (zero-copy Fast convention) — or, in stream mode, to its compiled record
-// encoder (Emit convention). A hook none of whose callbacks (or stream
+// under the core.HookModule namespace, each bound through the zero-copy Fast
+// convention to its compiled trampoline — or, in stream mode, to its
+// compiled record encoder. A hook none of whose callbacks (or stream
 // capabilities) is present binds to the shared no-op and is marked NoOp, so
 // the interpreter elides its call sites. Merge the imports with the
 // program's own before instantiation. The dispatchers are compiled on the
@@ -216,7 +216,7 @@ func (r *Runtime) Imports() interp.Imports {
 			case !caps.HasAny(p.live):
 				hf.Fast, hf.NoOp = nopHook, true
 			case r.emitter != nil:
-				hf.Emit = r.compileEncoder(p)
+				hf.Fast = r.compileEncoder(p)
 			default:
 				hf.Fast = r.compileTrampoline(p)
 			}

@@ -10,25 +10,28 @@ package runtime
 // only in their plans.
 //
 // Trampolines use the interpreter's zero-copy host-call convention
-// (interp.HostFunc.Fast): args is a read-only window aliasing the caller's
-// operand stack. Trampolines therefore never retain args; everything they
-// hand to the analysis is either a scalar or a borrowed, engine-pooled
-// vector (the call/return value vectors and br_table's resolved-target
-// table) that is valid only for the duration of the callback — analyses use
-// analysis.Values.Clone to retain one. Filling a pooled buffer instead of
-// allocating keeps slice-carrying hook dispatch at 0 allocs/op.
+// (interp.HostFunc.Fast), as record encoders do: args is a read-only window
+// aliasing the caller's operand stack, and failure (an arity mismatch, a
+// br_table metadata index out of range) is a panic with an *interp.Trap,
+// which the interpreter's invocation root recovers. Trampolines therefore
+// never retain args; everything they hand to the analysis is either a
+// scalar or a borrowed, engine-pooled vector (the call/return value vectors
+// and br_table's resolved-target table) that is valid only for the duration
+// of the callback — analyses use analysis.Values.Clone to retain one.
+// Filling a pooled buffer instead of allocating keeps slice-carrying hook
+// dispatch at 0 allocs/op.
 
 import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/interp"
 )
 
-// hookFn is the compiled fast-path entry of one low-level hook; it matches
-// interp.HostFunc.Fast.
-type hookFn = func(inst *interp.Instance, args []interp.Value) error
+// hookFn is the compiled entry of one low-level hook, a trampoline or a
+// record encoder; it matches interp.HostFunc.Fast.
+type hookFn = func(inst *interp.Instance, args []interp.Value)
 
 // nopHook is the shared entry of every hook the analysis does not observe.
-func nopHook(*interp.Instance, []interp.Value) error { return nil }
+func nopHook(*interp.Instance, []interp.Value) {}
 
 // at is the location of instruction instr in loc's function.
 func at(loc analysis.Location, instr int) analysis.Location {
@@ -43,146 +46,130 @@ func (r *Runtime) compileTrampoline(p *hookPlan) hookFn {
 	// Every live kind but br_table has exactly one callback bit.
 	switch cb := r.cbs[capIndex(p.live)].(type) {
 	case func(analysis.Location): // nop, unreachable, start
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args))
-			return nil
 		}
 	case func(analysis.Location, bool): // if
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), uint32(args[p.aux]) != 0)
-			return nil
 		}
 	case func(analysis.Location, analysis.BranchTarget): // br
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			loc := hookLoc(args)
 			cb(loc, analysis.BranchTarget{Label: uint32(args[p.aux]), Location: at(loc, int(int32(uint32(args[p.vals[0].off]))))})
-			return nil
 		}
 	case func(analysis.Location, analysis.BranchTarget, bool): // br_if
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			loc := hookLoc(args)
 			cb(loc, analysis.BranchTarget{Label: uint32(args[p.vals[0].off]), Location: at(loc, int(int32(uint32(args[p.vals[1].off]))))},
 				uint32(args[p.aux]) != 0)
-			return nil
 		}
 	case func(analysis.Location, analysis.BlockKind): // begin
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.block)
-			return nil
 		}
 	case func(analysis.Location, analysis.BlockKind, analysis.Location): // end
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			loc := hookLoc(args)
 			cb(loc, p.block, at(loc, int(int32(uint32(args[p.aux])))))
-			return nil
 		}
 	case func(analysis.Location, analysis.Value): // const, drop
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.vals[0].value(args))
-			return nil
 		}
 	case func(analysis.Location, bool, analysis.Value, analysis.Value): // select
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), uint32(args[p.aux]) != 0, p.vals[0].value(args), p.vals[1].value(args))
-			return nil
 		}
 	case func(analysis.Location, string, analysis.Value, analysis.Value): // unary
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.op, p.vals[0].value(args), p.vals[1].value(args))
-			return nil
 		}
 	case func(analysis.Location, string, analysis.Value, analysis.Value, analysis.Value): // binary
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.op, p.vals[0].value(args), p.vals[1].value(args), p.vals[2].value(args))
-			return nil
 		}
 	case func(analysis.Location, string, uint32, analysis.Value): // local, global
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.op, uint32(args[p.aux]), p.vals[0].value(args))
-			return nil
 		}
 	case func(analysis.Location, string, analysis.MemArg, analysis.Value): // load, store
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), p.op, analysis.MemArg{Addr: uint32(args[p.vals[0].off]), Offset: uint32(args[p.aux])},
 				p.vals[1].value(args))
-			return nil
 		}
 	case func(analysis.Location, uint32): // memory_size
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), uint32(args[p.aux]))
-			return nil
 		}
 	case func(analysis.Location, uint32, uint32): // memory_grow
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), uint32(args[p.aux]), uint32(args[p.vals[0].off]))
-			return nil
 		}
 	case func(analysis.Location, int): // block_probe
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			cb(hookLoc(args), int(int32(uint32(args[p.aux]))))
-			return nil
 		}
 	case func(analysis.Location, []analysis.Value): // call_post, return
 		pool := r.shared.Pool
-		return func(_ *interp.Instance, args []interp.Value) error {
+		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
 				cb(hookLoc(args), vs)
 			})
-			return nil
 		}
 	case func(analysis.Location, int, []analysis.Value, int64): // call_pre
 		pool := r.shared.Pool
-		return func(inst *interp.Instance, args []interp.Value) error {
+		return func(inst *interp.Instance, args []interp.Value) {
 			if len(args) != p.arity {
-				return p.arityTrap(len(args))
+				panic(p.arityTrap(len(args)))
 			}
 			w := uint32(args[p.aux]) // the target function, or the table index of an indirect call
 			target, tblIdx := int(int32(w)), int64(-1)
@@ -192,7 +179,6 @@ func (r *Runtime) compileTrampoline(p *hookPlan) hookFn {
 			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
 				cb(hookLoc(args), target, vs, tblIdx)
 			})
-			return nil
 		}
 	}
 	// Unreachable: every callback signature has a case above.
@@ -224,13 +210,13 @@ func (r *Runtime) brTableTrampoline(p *hookPlan) hookFn {
 	endCb, _ := r.cbs[capIndex(analysis.CapEnd)].(func(analysis.Location, analysis.BlockKind, analysis.Location))
 	tableCb, _ := r.cbs[capIndex(analysis.CapBrTable)].(func(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32))
 	pool := r.shared.Pool
-	return func(_ *interp.Instance, args []interp.Value) error {
+	return func(_ *interp.Instance, args []interp.Value) {
 		if len(args) != p.arity {
-			return p.arityTrap(len(args))
+			panic(p.arityTrap(len(args)))
 		}
 		info, taken := r.brTaken(p, args)
 		if info == nil {
-			return r.brTableTrap(p, args)
+			panic(r.brTableTrap(p, args))
 		}
 		loc := hookLoc(args)
 		if endCb != nil {
@@ -247,6 +233,5 @@ func (r *Runtime) brTableTrampoline(p *hookPlan) hookFn {
 			tableCb(loc, buf.ts, deflt, uint32(args[p.aux]))
 			pool.putTargets(buf)
 		}
-		return nil
 	}
 }

@@ -1,8 +1,6 @@
 package static
 
 import (
-	"fmt"
-
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
 	"wasabi/internal/parallel"
@@ -12,13 +10,10 @@ import (
 // FuncAnalysis bundles the per-function results.
 type FuncAnalysis struct {
 	CFG *CFG
-	// MaxStack is the operand-stack high-water mark of the body — the exact
-	// value interp's compile pass derives, including its dead-code skipping.
-	MaxStack int
 }
 
-// ModuleAnalysis is the full static profile of a module: one CFG and stack
-// high-water mark per defined function, and the module-level call graph.
+// ModuleAnalysis is the full static profile of a module: one CFG per
+// defined function and the module-level call graph.
 type ModuleAnalysis struct {
 	Graph *CallGraph
 	Funcs []FuncAnalysis // indexed by DEFINED function index
@@ -26,16 +21,16 @@ type ModuleAnalysis struct {
 	ix *wasm.Index // the module's index spaces
 }
 
-// Analyze computes a module's call graph with reachability, every defined
-// function's CFG with block reachability, and every body's operand-stack
-// high-water mark, and nothing else. It assumes a structurally decodable
-// module but not a validated one: malformed bodies fail with positioned
-// errors, never panics. The per-function passes run on GOMAXPROCS workers;
-// the error reported is the lowest-index failing function's, as in a
-// sequential pass.
+// Analyze computes a module's call graph with reachability and every
+// defined function's CFG with block reachability, and nothing else. It
+// assumes a structurally decodable module but not a validated one, and it
+// checks structure only, exactly like PlanFor: it fails on the same modules
+// with the same errors, positioned and never panics. The CFGs are built on
+// GOMAXPROCS workers; the error reported is the lowest-index failing
+// function's, as in a sequential pass.
 func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
 
-// analyze is Analyze with the per-function passes on par workers (0 means
+// analyze is Analyze with the CFGs built on par workers (0 means
 // GOMAXPROCS).
 func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 	ix := wasm.NewIndex(m)
@@ -51,12 +46,7 @@ func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
 			return err
 		}
 		g := b.g
-		f := &m.Funcs[di]
-		high, err := maxStack(ix, m.Types[f.TypeIdx], f)
-		if err != nil {
-			return fmt.Errorf("static: func %d: %w", numImports+di, err)
-		}
-		ma.Funcs[di] = FuncAnalysis{CFG: &g, MaxStack: high}
+		ma.Funcs[di] = FuncAnalysis{CFG: &g}
 		return nil
 	})
 	if err != nil {
@@ -96,11 +86,10 @@ func (ma *ModuleAnalysis) Plan(hooks analysis.HookSet) *core.Plan {
 }
 
 // PlanFor is the path the engine uses: it computes the plan
-// Analyze(m).Plan(hooks) would, but only what the plan holds — the call
-// graph and every function's CFG, without the stack high-water marks — and
-// it fails only where the call graph or a CFG does. The CFGs are built on
-// GOMAXPROCS workers, each reusing one builder's buffers from function to
-// function; the error reported is the lowest-index failing function's.
+// Analyze(m).Plan(hooks) would, and fails where Analyze does, but keeps
+// only what the plan holds. The CFGs are built on GOMAXPROCS workers, each
+// reusing one builder's buffers from function to function; the error
+// reported is the lowest-index failing function's.
 func PlanFor(m *wasm.Module, hooks analysis.HookSet) (*core.Plan, error) {
 	return planFor(m, hooks, 0)
 }
@@ -140,7 +129,6 @@ type FuncProfile struct {
 	Dead      bool   `json:"dead,omitempty"`
 	Blocks    int    `json:"blocks"`
 	Reachable int    `json:"reachable_blocks"`
-	MaxStack  int    `json:"max_stack"`
 }
 
 // IndirectSite is one call_indirect instruction's static fan-out.
@@ -177,7 +165,6 @@ func (ma *ModuleAnalysis) Profile() *Profile {
 			Dead:      !ma.Graph.Reachable[idx],
 			Blocks:    len(fa.CFG.Blocks),
 			Reachable: fa.CFG.NumReachable(),
-			MaxStack:  fa.MaxStack,
 		})
 		for _, fan := range ma.Graph.IndirectSites[idx] {
 			p.IndirectSites = append(p.IndirectSites, IndirectSite{Func: idx, FanOut: fan})

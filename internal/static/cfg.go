@@ -1,19 +1,19 @@
 // Package static is the module-level static-analysis layer over decoded
-// function bodies: control-flow graphs with block reachability, a static
-// call graph, and, for the full profile, each body's operand-stack
-// high-water mark. It computes only facts that something reads; a new fact
+// function bodies: control-flow graphs with block reachability and a static
+// call graph. It computes only facts that something reads; a new fact
 // lands together with its consumer.
 //
-// It has two entry points. PlanFor computes only what core.Plan holds —
-// call-graph reachability and the spans of each function's reachable
-// blocks — building every CFG in buffers its workers reuse from function to
-// function. Analyze builds each CFG in memory of its own and adds the stack
-// high-water mark, which the `wasabi -inspect` report prints and which
-// TestStackHighWaterMatchesInterp checks against the interpreter's exact
-// stack sizing. Both share one CFG builder, and so the same structural
-// checks: everything here works on ORIGINAL instruction indices of
-// uninstrumented bodies, and malformed bodies surface as errors, never
-// panics.
+// It has two entry points, and both check structure only, so they accept
+// and reject the same modules with the same errors. PlanFor computes only
+// what core.Plan holds — call-graph reachability and the spans of each
+// function's reachable blocks — building every CFG in buffers its workers
+// reuse from function to function. Analyze builds each CFG in memory of its
+// own, for the `wasabi -inspect` report. Both share one CFG builder, which
+// pairs each body's blocks with their ends through wasm.ControlMatch:
+// everything here works on ORIGINAL instruction indices of uninstrumented
+// bodies, and malformed bodies surface as errors, never panics. Operand
+// stack heights are not a static fact here: the interpreter's compile pass
+// computes them (interp.StackHighWater).
 package static
 
 import (
@@ -71,15 +71,15 @@ func (g *CFG) spans() []core.BlockSpan {
 	return spans
 }
 
-// ctrl kinds of the frame stack used while resolving branches.
+// ctrl kinds of the frame stack used while resolving branches: a branch to
+// a loop lands at its body, one to the function frame returns, and one to
+// any other frame (block, if or else) lands after its end.
 type frameKind uint8
 
 const (
 	frFunc frameKind = iota
 	frBlock
 	frLoop
-	frIf
-	frElse
 )
 
 type frame struct {
@@ -87,10 +87,6 @@ type frame struct {
 	begin int // opener instruction index; -1 for the function frame
 	end   int // matching end instruction index
 }
-
-// opener is an open block/loop/if while matching ends: its index and that
-// of its else, or -1.
-type opener struct{ pc, elsePC int32 }
 
 // builder builds control-flow graphs one function body at a time. Every
 // slice it holds, the graph's own included, is reused by the next build,
@@ -100,10 +96,9 @@ type opener struct{ pc, elsePC int32 }
 type builder struct {
 	g CFG
 
-	matchEnd, matchElse []int32 // see matches
-	openers             []opener
-	ctrl                []frame
-	work                []int32
+	match wasm.ControlMatch
+	ctrl  []frame
+	work  []int32
 }
 
 // resize returns s with length n, reusing its array when it is big enough.
@@ -113,57 +108,6 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// matches computes, for every block/loop/if/else instruction, the index of
-// its matching end (and for ifs the else) into b.matchEnd and b.matchElse,
-// -1 elsewhere. It mirrors the instrumenter's control-match pass but
-// reports positions in its errors so negative-corpus inputs fail with
-// context.
-func (b *builder) matches(body []wasm.Instr) error {
-	b.matchEnd = resize(b.matchEnd, len(body))
-	b.matchElse = resize(b.matchElse, len(body))
-	for i := range body {
-		b.matchEnd[i], b.matchElse[i] = -1, -1
-	}
-	stack := b.openers[:0]
-	sawFuncEnd := false
-	for pc, in := range body {
-		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			stack = append(stack, opener{pc: int32(pc), elsePC: -1})
-		case wasm.OpElse:
-			if len(stack) == 0 || body[stack[len(stack)-1].pc].Op != wasm.OpIf ||
-				stack[len(stack)-1].elsePC >= 0 {
-				return fmt.Errorf("static: else without open if at instr %d", pc)
-			}
-			top := &stack[len(stack)-1]
-			top.elsePC = int32(pc)
-			b.matchElse[top.pc] = int32(pc)
-		case wasm.OpEnd:
-			if len(stack) == 0 {
-				if pc != len(body)-1 {
-					return fmt.Errorf("static: function-level end at instr %d is not final", pc)
-				}
-				sawFuncEnd = true
-				continue
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			b.matchEnd[top.pc] = int32(pc)
-			if top.elsePC >= 0 {
-				b.matchEnd[top.elsePC] = int32(pc)
-			}
-		}
-	}
-	b.openers = stack
-	if len(stack) != 0 {
-		return fmt.Errorf("static: %d unclosed blocks at end of body", len(stack))
-	}
-	if !sawFuncEnd {
-		return fmt.Errorf("static: missing function-level end")
-	}
-	return nil
 }
 
 // endsBlock reports whether the instruction at an index terminates a basic
@@ -225,8 +169,8 @@ func (b *builder) build(f *wasm.Func) error {
 	if n == 0 {
 		return fmt.Errorf("static: empty function body")
 	}
-	if err := b.matches(body); err != nil {
-		return err
+	if err := b.match.Match(body); err != nil {
+		return fmt.Errorf("static: %w", err)
 	}
 
 	// Blocks are the maximal runs that start at instruction 0 or after a
@@ -252,25 +196,13 @@ func (b *builder) build(f *wasm.Func) error {
 	b.ctrl = append(b.ctrl[:0], frame{kind: frFunc, begin: -1, end: n - 1})
 	for i, in := range body {
 		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop:
+		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
 			kind := frBlock
 			if in.Op == wasm.OpLoop {
 				kind = frLoop
 			}
-			b.ctrl = append(b.ctrl, frame{kind: kind, begin: i, end: int(b.matchEnd[i])})
-		case wasm.OpIf:
-			b.ctrl = append(b.ctrl, frame{kind: frIf, begin: i, end: int(b.matchEnd[i])})
-		case wasm.OpElse:
-			top := &b.ctrl[len(b.ctrl)-1]
-			if top.kind != frIf {
-				return fmt.Errorf("static: instr %d: else without if", i)
-			}
-			top.kind = frElse
-			top.begin = i
+			b.ctrl = append(b.ctrl, frame{kind: kind, begin: i, end: int(b.match.End[i])})
 		case wasm.OpEnd:
-			if len(b.ctrl) == 0 {
-				return fmt.Errorf("static: instr %d: end without open frame", i)
-			}
 			b.ctrl = b.ctrl[:len(b.ctrl)-1]
 		}
 
@@ -284,23 +216,23 @@ func (b *builder) build(f *wasm.Func) error {
 			// True edge: the then arm. False edge: the else arm when present,
 			// otherwise past the matching end.
 			b.addEdge(g.blockAt[i+1])
-			if b.matchEnd[i] < 0 {
+			if b.match.End[i] < 0 {
 				return fmt.Errorf("static: instr %d: if without matching end", i)
 			}
-			if elsePC := b.matchElse[i]; elsePC >= 0 {
+			if elsePC := b.match.Else[i]; elsePC >= 0 {
 				b.addEdge(g.blockAt[elsePC+1])
 			} else {
-				if int(b.matchEnd[i])+1 >= n {
+				if int(b.match.End[i])+1 >= n {
 					return fmt.Errorf("static: instr %d: if end has no continuation", i)
 				}
-				b.addEdge(g.blockAt[b.matchEnd[i]+1])
+				b.addEdge(g.blockAt[b.match.End[i]+1])
 			}
 		case wasm.OpElse:
 			// Reached by then-arm fallthrough: jump past the if's end.
-			if b.matchEnd[i] < 0 || int(b.matchEnd[i])+1 >= n {
+			if b.match.End[i] < 0 || int(b.match.End[i])+1 >= n {
 				return fmt.Errorf("static: instr %d: else has no continuation", i)
 			}
-			b.addEdge(g.blockAt[b.matchEnd[i]+1])
+			b.addEdge(g.blockAt[b.match.End[i]+1])
 		case wasm.OpEnd:
 			if i != n-1 { // the final end is the implicit return
 				b.addEdge(g.blockAt[i+1])
@@ -334,13 +266,10 @@ func (b *builder) build(f *wasm.Func) error {
 			// Leave the function or trap: no successors.
 		default:
 			// Only the final instruction can end a block without being a
-			// terminator — and matches already required it to be an end.
+			// terminator — and the match already required it to be an end.
 			return fmt.Errorf("static: instr %d: body ends in %s, not end", i, op)
 		}
 		g.succOff = append(g.succOff, int32(len(g.succ)))
-	}
-	if len(b.ctrl) != 0 {
-		return fmt.Errorf("static: %d unclosed frames", len(b.ctrl))
 	}
 	b.markReachable()
 	return nil

@@ -37,12 +37,13 @@ func planSeeds() ([][]byte, error) {
 
 // FuzzPlanFor checks the plan path on every module the decoder accepts: it
 // never panics, it gives the same plan, or fails with the same error, at
-// one worker as at four, and wherever Analyze succeeds its plan is
-// Analyze's, and one builder taken through every function builds the CFGs
-// Analyze builds. Analyze builds each CFG in memory of its own, so the last
-// two checks catch a reused builder buffer that carries state from one
-// function to the next. Run with `go test -fuzz=FuzzPlanFor`; the seed
-// corpus alone runs as a regular test.
+// one worker as at four, it fails exactly where Analyze fails and with the
+// same error, and where both succeed its plan is Analyze's and one builder
+// taken through every function builds the CFGs Analyze builds. Analyze
+// builds each CFG in memory of its own, so the last two checks catch a
+// reused builder buffer that carries state from one function to the next.
+// Run with `go test -fuzz=FuzzPlanFor`; the seed corpus alone runs as a
+// regular test.
 func FuzzPlanFor(f *testing.F) {
 	seeds, err := planSeeds()
 	if err != nil {
@@ -67,11 +68,11 @@ func FuzzPlanFor(f *testing.F) {
 			if !reflect.DeepEqual(p, seq) {
 				t.Fatalf("hooks %s: 4 workers plan differently than 1", hooks)
 			}
-			if analyzeErr != nil {
-				continue // the plan path may accept what the stack simulation rejects
+			if (err == nil) != (analyzeErr == nil) || err != nil && err.Error() != analyzeErr.Error() {
+				t.Fatalf("hooks %s: PlanFor: %v; Analyze: %v", hooks, err, analyzeErr)
 			}
 			if err != nil {
-				t.Fatalf("hooks %s: PlanFor failed where Analyze succeeded: %v", hooks, err)
+				continue
 			}
 			if want := ma.Plan(hooks); !reflect.DeepEqual(p, want) {
 				t.Fatalf("hooks %s: PlanFor differs from Analyze(m).Plan", hooks)

@@ -27,9 +27,9 @@ func badModule(bad3 ...wasm.Instr) *wasm.Module {
 
 // TestLowestBadFunctionReported checks that, with two malformed bodies, the
 // error names the lower-index function at every worker count, on the
-// analysis path and on the plan path. The plan path builds CFGs only, so a
-// stack underflow, which only the stack simulation catches, is Analyze's
-// case alone; an else without an if fails both.
+// analysis path and on the plan path. Both check structure only: an else
+// without an if fails func 3, while a stack underflow there is left to
+// validation, so both paths reach func 8's bad type index.
 func TestLowestBadFunctionReported(t *testing.T) {
 	underflow := badModule(wasm.Op1(wasm.OpDrop), wasm.End())
 	structural := badModule(wasm.Instr{Op: wasm.OpElse}, wasm.End())
@@ -37,7 +37,6 @@ func TestLowestBadFunctionReported(t *testing.T) {
 		name string
 		run  func(par int) error
 	}{
-		{"analyze/underflow", func(par int) error { _, err := analyze(underflow, par); return err }},
 		{"analyze/structural", func(par int) error { _, err := analyze(structural, par); return err }},
 		{"planFor/structural", func(par int) error {
 			_, err := planFor(structural, analysis.Set(analysis.KindBlockProbe), par)
@@ -57,7 +56,9 @@ func TestLowestBadFunctionReported(t *testing.T) {
 			}
 		}
 	}
-	// Without func 3's underflow, the plan path reaches func 8's type.
+	if _, err := analyze(underflow, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
+		t.Fatalf("analyze on the underflow module: got %v, want func 8's error", err)
+	}
 	if _, err := planFor(underflow, analysis.AllHooks, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
 		t.Fatalf("planFor on the underflow module: got %v, want func 8's error", err)
 	}

@@ -1,6 +1,9 @@
 package wasm
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestOpcodeClassification(t *testing.T) {
 	// Every known opcode must fall into exactly one instrumentation class
@@ -261,5 +264,48 @@ func TestKnownMatchesNames(t *testing.T) {
 	}
 	if OpMiscPrefix.Known() {
 		t.Error("0xfc prefix reported as a known opcode")
+	}
+}
+
+func TestControlMatches(t *testing.T) {
+	body := []Instr{
+		BlockInstr(BlockEmpty), // 0
+		LoopInstr(BlockEmpty),  // 1
+		I32Const(1),            // 2
+		IfInstr(BlockEmpty),    // 3
+		{Op: OpElse},           // 4
+		End(),                  // 5 (if)
+		End(),                  // 6 (loop)
+		End(),                  // 7 (block)
+		End(),                  // 8 (function)
+	}
+	var cm ControlMatch
+	// A longer body first, so the second match reuses buffers that hold
+	// its stale entries.
+	if err := cm.Match(append(append([]Instr(nil), body[:8]...), IfInstr(BlockEmpty), End(), End())); err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.Match(body); err != nil {
+		t.Fatal(err)
+	}
+	wantEnd := []int32{7, 6, -1, 5, 5, -1, -1, -1, -1}
+	wantElse := []int32{-1, -1, -1, 4, -1, -1, -1, -1, -1}
+	if !reflect.DeepEqual(cm.End, wantEnd) || !reflect.DeepEqual(cm.Else, wantElse) {
+		t.Errorf("End = %v, want %v; Else = %v, want %v", cm.End, wantEnd, cm.Else, wantElse)
+	}
+
+	for _, c := range []struct {
+		body []Instr
+		err  string
+	}{
+		{[]Instr{BlockInstr(BlockEmpty), End()}, "missing function-level end"},
+		{[]Instr{{Op: OpElse}, End()}, "else without open if at instr 0"},
+		{[]Instr{IfInstr(BlockEmpty), {Op: OpElse}, {Op: OpElse}, End(), End()}, "else without open if at instr 2"},
+		{[]Instr{End(), {Op: OpNop}, End()}, "function-level end at instr 0 is not final"},
+		{[]Instr{BlockInstr(BlockEmpty), BlockInstr(BlockEmpty), End()}, "1 unclosed blocks at end of body"},
+	} {
+		if err := cm.Match(c.body); err == nil || err.Error() != c.err {
+			t.Errorf("Match(%v) = %v, want %q", c.body, err, c.err)
+		}
 	}
 }
