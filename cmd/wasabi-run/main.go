@@ -155,9 +155,10 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	var args []interp.Value
+	// One argument per parameter: -arg for an (i32) entry, else zeros.
+	args := make([]interp.Value, len(ft.Params))
 	if len(ft.Params) == 1 && ft.Params[0] == wasm.I32 {
-		args = append(args, interp.I32(int32(*arg)))
+		args[0] = interp.I32(int32(*arg))
 	}
 	res, err := inst.Invoke(entry, args...)
 	exitCode := 0

@@ -19,27 +19,30 @@ import (
 )
 
 // diffArgs is the argument sweep each entry is invoked with: the boundary
-// values the generators and the spectest corpus lean on. Missing parameters
-// read as zero and extras are ignored, so one scalar works for any arity.
+// values the generators and the spectest corpus lean on. Each invocation
+// passes one argument per parameter of the entry: the sweep value in the
+// first, 0 in the others (an entry without parameters gets none).
 var diffArgs = []uint64{0, 1, 2, 0xFFFF_FFFF, 1 << 31}
 
 // runDiff executes the differential matrix for one exported entry of m and
 // writes the per-config verdicts to w. It reports whether every config
 // matched the reference.
 func runDiff(m *wasm.Module, entry string, w io.Writer) (bool, error) {
-	found := false
-	for _, exp := range m.Exports {
-		if exp.Name == entry && exp.Kind == wasm.ExternFunc {
-			found = true
-			break
-		}
-	}
-	if !found {
+	idx, ok := m.ExportedFunc(entry)
+	if !ok {
 		return false, fmt.Errorf("module exports no function %q", entry)
+	}
+	ft, err := m.FuncType(idx)
+	if err != nil {
+		return false, err
 	}
 	var invs []diff.Invocation
 	for _, a := range diffArgs {
-		invs = append(invs, diff.Invocation{Entry: entry, Args: []uint64{a}})
+		args := make([]uint64, len(ft.Params))
+		if len(args) > 0 {
+			args[0] = a
+		}
+		invs = append(invs, diff.Invocation{Entry: entry, Args: args})
 	}
 	report, err := diff.Run(m, diff.Options{
 		Invocations: invs,

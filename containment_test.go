@@ -89,7 +89,7 @@ func TestContainmentThreeWays(t *testing.T) {
 	})
 	t.Run("cancel", func(t *testing.T) {
 		a := &brCounter{}
-		sess, inst := spinSession(t, mustEngine(t, wasabi.WithInterruption()), a)
+		sess, inst := spinSession(t, mustEngine(t, wasabi.WithFuel(0)), a)
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(10 * time.Millisecond)

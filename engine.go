@@ -86,8 +86,9 @@ func WithCompiledCacheLimit(n int) EngineOption {
 // source instruction; 0 means unlimited but still guarded). A guest that
 // exhausts its budget fails with ErrFuelExhausted; Instance.SetFuel tops the
 // budget up between invocations. Guarded compilation also makes instances
-// interruptible (Session.InvokeContext). See README "Containment & limits"
-// for the overhead (one fused check per basic block).
+// interruptible (Session.InvokeContext), so WithFuel(0) is interruption
+// without a budget. See README "Containment & limits" for the overhead (one
+// fused check per basic block).
 func WithFuel(budget int64) EngineOption {
 	return func(e *Engine) error {
 		if budget < 0 {
@@ -95,17 +96,6 @@ func WithFuel(budget int64) EngineOption {
 		}
 		e.exec.Guarded = true
 		e.exec.Fuel = uint64(budget)
-		return nil
-	}
-}
-
-// WithInterruption enables asynchronous interruption without fuel metering:
-// instances compile with containment guards (unlimited fuel) so
-// Session.InvokeContext can stop them on context cancellation or deadline
-// expiry. Implied by WithFuel and WithDeadline.
-func WithInterruption() EngineOption {
-	return func(e *Engine) error {
-		e.exec.Guarded = true
 		return nil
 	}
 }

@@ -143,3 +143,59 @@ func TestBlockKindCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestCallbackTable pins each row of the callback table to its Cap
+// constant: an analysis implementing exactly one hook interface has exactly
+// that interface's bit, which selects exactly the kind the callback
+// observes. Swapping two rows keeps Bind and the runtime consistent with
+// each other, but not with the named constants that StreamCaps, Instrument
+// and the runtime's call and br_table plans use.
+func TestCallbackTable(t *testing.T) {
+	for _, tc := range []struct {
+		a    any
+		cap  Cap
+		kind HookKind
+	}{
+		{struct{ NopHooker }{}, CapNop, KindNop},
+		{struct{ UnreachableHooker }{}, CapUnreachable, KindUnreachable},
+		{struct{ IfHooker }{}, CapIf, KindIf},
+		{struct{ BrHooker }{}, CapBr, KindBr},
+		{struct{ BrIfHooker }{}, CapBrIf, KindBrIf},
+		{struct{ BrTableHooker }{}, CapBrTable, KindBrTable},
+		{struct{ BeginHooker }{}, CapBegin, KindBegin},
+		{struct{ EndHooker }{}, CapEnd, KindEnd},
+		{struct{ ConstHooker }{}, CapConst, KindConst},
+		{struct{ DropHooker }{}, CapDrop, KindDrop},
+		{struct{ SelectHooker }{}, CapSelect, KindSelect},
+		{struct{ UnaryHooker }{}, CapUnary, KindUnary},
+		{struct{ BinaryHooker }{}, CapBinary, KindBinary},
+		{struct{ LocalHooker }{}, CapLocal, KindLocal},
+		{struct{ GlobalHooker }{}, CapGlobal, KindGlobal},
+		{struct{ LoadHooker }{}, CapLoad, KindLoad},
+		{struct{ StoreHooker }{}, CapStore, KindStore},
+		{struct{ MemorySizeHooker }{}, CapMemorySize, KindMemorySize},
+		{struct{ MemoryGrowHooker }{}, CapMemoryGrow, KindMemoryGrow},
+		{struct{ CallPreHooker }{}, CapCallPre, KindCall},
+		{struct{ CallPostHooker }{}, CapCallPost, KindCall},
+		{struct{ ReturnHooker }{}, CapReturn, KindReturn},
+		{struct{ StartHooker }{}, CapStart, KindStart},
+		{struct{ BlockCoverageHooker }{}, CapBlockCoverage, KindBlockProbe},
+	} {
+		cbs, caps := Bind(tc.a)
+		if caps != tc.cap {
+			t.Errorf("%T: caps %b, want %b", tc.a, caps, tc.cap)
+		}
+		if cbs.Of(tc.cap) == nil {
+			t.Errorf("%T: no callback bound for its bit", tc.a)
+		}
+		if got := caps.HookSet(); got != Set(tc.kind) {
+			t.Errorf("%T: hook set %s, want %s", tc.a, got, tc.kind)
+		}
+		if !tc.kind.Caps().Has(tc.cap) {
+			t.Errorf("%s: caps %b lack %b", tc.kind, tc.kind.Caps(), tc.cap)
+		}
+	}
+	if AllCaps|CapBlockCoverage != 1<<NumCaps-1 {
+		t.Errorf("AllCaps|CapBlockCoverage = %b, want all %d table bits", AllCaps|CapBlockCoverage, NumCaps)
+	}
+}

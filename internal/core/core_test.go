@@ -340,7 +340,7 @@ func TestScratchAllocReuse(t *testing.T) {
 }
 
 func TestHookRegistryConcurrency(t *testing.T) {
-	r := newHookRegistry(100)
+	r := newHookRegistry(100, 0)
 	done := make(chan map[string]uint32, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -348,7 +348,7 @@ func TestHookRegistryConcurrency(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				for _, op := range []wasm.Opcode{wasm.OpI32Add, wasm.OpF64Mul, wasm.OpI64Xor} {
 					s := specBinary(op)
-					got[s.Name] = r.get(s)
+					got[s.Name] = r.get(keyOp+int(op), func() HookSpec { return s })
 				}
 			}
 			done <- got
@@ -371,5 +371,16 @@ func TestHookRegistryConcurrency(t *testing.T) {
 		if specs[i-1].Name > specs[i].Name {
 			t.Error("finalize must sort by name")
 		}
+	}
+
+	// Two type indices with one signature are two keys but one hook.
+	r = newHookRegistry(100, 2)
+	sig := wasm.FuncType{Params: []wasm.ValType{wasm.I64, wasm.F32}}
+	pre := func() HookSpec { return specCallPre(sig, false) }
+	if a, b := r.get(callKey(0, callPre), pre), r.get(callKey(1, callPre), pre); a != b {
+		t.Errorf("type indices 0 and 1 share a signature but got hooks %d and %d", a, b)
+	}
+	if specs, _ := r.finalize(); len(specs) != 1 {
+		t.Errorf("finalize: %d specs, want 1", len(specs))
 	}
 }

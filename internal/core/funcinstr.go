@@ -100,11 +100,6 @@ type funcInstrumenter struct {
 	// rescanning every body.
 	callSites []uint32
 
-	// cache resolves hook indices by cheap integer keys so only the first
-	// use of a hook per run constructs a HookSpec and hits the shared
-	// (locked) registry. Valid for the lifetime of one Instrument run.
-	cache hookIdxCache
-
 	isStart     bool
 	brTableBase int
 	brTables    []BrTableInfo
@@ -122,7 +117,6 @@ func acquireInstrumenter(ix *wasm.Index, set analysis.HookSet, hooks *hookRegist
 	fi.ix = ix
 	fi.hooks = hooks
 	fi.set = set
-	fi.cache.reset(len(ix.Module().Types)) // hook indices are per-run; never leak across runs
 	return fi
 }
 
@@ -342,7 +336,7 @@ func (fi *funcInstrumenter) emitEndHooksFor(label uint32) {
 func (fi *funcInstrumenter) emitEndHook(info EndInfo) {
 	fi.emitLoc(info.End)
 	fi.emit(wasm.I32Const(int32(info.Begin)))
-	fi.emitEndHookCall(info.Kind)
+	fi.emitHook(keyEnd+int(info.Kind.Code()), func() HookSpec { return specEnd(info.Kind) })
 }
 
 func (fi *funcInstrumenter) run() error {
@@ -356,11 +350,11 @@ func (fi *funcInstrumenter) run() error {
 	// Module start function: the start hook fires before anything else.
 	if fi.isStart && fi.has(analysis.KindStart) {
 		fi.emitLoc(-1)
-		fi.emitFixedHook(fhStart)
+		fi.emitHook(int(analysis.KindStart), specStart)
 	}
 	if fi.has(analysis.KindBegin) {
 		fi.emitLoc(-1)
-		fi.emitBeginHook(analysis.BlockFunction)
+		fi.emitHook(keyBegin+int(analysis.BlockFunction.Code()), func() HookSpec { return specBegin(analysis.BlockFunction) })
 	}
 
 	nb := 0
@@ -375,7 +369,7 @@ func (fi *funcInstrumenter) run() error {
 			if reachable {
 				fi.emitLoc(i)
 				fi.emit(wasm.I32Const(int32(fi.probeBlocks[nb].End)))
-				fi.emitFixedHook(fhBlockProbe)
+				fi.emitHook(int(analysis.KindBlockProbe), specBlockProbe)
 			}
 			nb++
 		}
@@ -403,14 +397,14 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindNop) {
 			fi.emitLoc(i)
-			fi.emitFixedHook(fhNop)
+			fi.emitHook(int(analysis.KindNop), specNop)
 		}
 
 	case wasm.OpUnreachable:
 		// The hook must run before the trap.
 		if reachable && fi.has(analysis.KindUnreachable) {
 			fi.emitLoc(i)
-			fi.emitFixedHook(fhUnreachable)
+			fi.emitHook(int(analysis.KindUnreachable), specUnreachable)
 		}
 		fi.emit(in)
 
@@ -425,7 +419,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			// For loops this call sits at the loop header and therefore
 			// fires once per iteration, as the paper specifies.
 			fi.emitLoc(i)
-			fi.emitBeginHook(kind)
+			fi.emitHook(keyBegin+int(kind.Code()), func() HookSpec { return specBegin(kind) })
 		}
 
 	case wasm.OpIf:
@@ -434,13 +428,13 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emit(wasm.LocalTee(c))
 			fi.emitLoc(i)
 			fi.emit(wasm.LocalGet(c))
-			fi.emitFixedHook(fhIf)
+			fi.emitHook(int(analysis.KindIf), specIf)
 		}
 		fi.ctrl = append(fi.ctrl, ctrlEntry{kind: analysis.BlockIf, begin: i, end: int(fi.match.End[i]), live: reachable})
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindBegin) {
 			fi.emitLoc(i)
-			fi.emitBeginHook(analysis.BlockIf)
+			fi.emitHook(keyBegin+int(analysis.BlockIf.Code()), func() HookSpec { return specBegin(analysis.BlockIf) })
 		}
 
 	case wasm.OpElse:
@@ -455,7 +449,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(in)
 		if live && fi.has(analysis.KindBegin) {
 			fi.emitLoc(i)
-			fi.emitBeginHook(analysis.BlockElse)
+			fi.emitHook(keyBegin+int(analysis.BlockElse.Code()), func() HookSpec { return specBegin(analysis.BlockElse) })
 		}
 
 	case wasm.OpEnd:
@@ -483,7 +477,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 				}
 				fi.emitLoc(i)
 				fi.emit(wasm.I32Const(int32(in.Idx)), wasm.I32Const(int32(target)))
-				fi.emitFixedHook(fhBr)
+				fi.emitHook(int(analysis.KindBr), specBr)
 			}
 			if fi.has(analysis.KindEnd) {
 				fi.emitEndHooksFor(in.Idx)
@@ -502,7 +496,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			if fi.has(analysis.KindBrIf) {
 				fi.emitLoc(i)
 				fi.emit(wasm.I32Const(int32(in.Idx)), wasm.I32Const(int32(target)), wasm.LocalGet(c))
-				fi.emitFixedHook(fhBrIf)
+				fi.emitHook(int(analysis.KindBrIf), specBrIf)
 			}
 			if fi.has(analysis.KindEnd) {
 				// End hooks fire only if the branch is taken (paper §2.4.5).
@@ -543,7 +537,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emit(wasm.LocalSet(idx))
 			fi.emitLoc(i)
 			fi.emit(wasm.I32Const(int32(metaIdx)), wasm.LocalGet(idx))
-			fi.emitFixedHook(fhBrTable)
+			fi.emitHook(int(analysis.KindBrTable), specBrTable)
 			fi.emit(wasm.LocalGet(idx))
 		}
 		fi.emit(in)
@@ -592,7 +586,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(wasm.LocalSet(v))
 		fi.emitLoc(i)
 		fi.emitLowerLocal(t, v)
-		fi.emitDropHook(t)
+		fi.emitHook(typedKey(op, t), func() HookSpec { return specDrop(t) })
 
 	case wasm.OpSelect:
 		t := fi.tr.Top(1)
@@ -611,7 +605,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(wasm.LocalGet(c))
 		fi.emitLowerLocal(t, first)
 		fi.emitLowerLocal(t, second)
-		fi.emitSelectHook(t)
+		fi.emitHook(typedKey(op, t), func() HookSpec { return specSelect(t) })
 		fi.emit(wasm.LocalGet(first), wasm.LocalGet(second), wasm.LocalGet(c), in)
 
 	case wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee:
@@ -630,7 +624,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emitLoc(i)
 		fi.emit(wasm.I32Const(int32(in.Idx)))
 		fi.emitLowerLocal(t, in.Idx)
-		fi.emitLocalHook(op, t)
+		fi.emitHook(typedKey(op, t), func() HookSpec { return specLocal(op, t) })
 
 	case wasm.OpGlobalGet, wasm.OpGlobalSet:
 		if !reachable || !fi.has(analysis.KindGlobal) {
@@ -645,7 +639,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emitLoc(i)
 		fi.emit(wasm.I32Const(int32(in.Idx)))
 		fi.emitLowerGlobal(gt.Type, in.Idx)
-		fi.emitGlobalHook(op, gt.Type)
+		fi.emitHook(typedKey(op, gt.Type), func() HookSpec { return specGlobal(op, gt.Type) })
 
 	case wasm.OpMemorySize:
 		fi.emit(in)
@@ -654,7 +648,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emit(wasm.LocalTee(r))
 			fi.emitLoc(i)
 			fi.emit(wasm.LocalGet(r))
-			fi.emitFixedHook(fhMemorySize)
+			fi.emitHook(int(analysis.KindMemorySize), specMemorySize)
 		}
 
 	case wasm.OpMemoryGrow:
@@ -667,15 +661,17 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(wasm.LocalTee(d), in, wasm.LocalTee(r))
 		fi.emitLoc(i)
 		fi.emit(wasm.LocalGet(d), wasm.LocalGet(r))
-		fi.emitFixedHook(fhMemoryGrow)
+		fi.emitHook(int(analysis.KindMemoryGrow), specMemoryGrow)
 
 	case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindConst) {
 			fi.emitLoc(i)
 			fi.emitLowerConst(in)
-			t, _, _ := constTypeOf(in.Op)
-			fi.emitConstHook(t)
+			fi.emitHook(keyOp+int(op), func() HookSpec {
+				t, _, _ := constTypeOf(op)
+				return specConst(t)
+			})
 		}
 
 	default:
@@ -692,7 +688,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emit(wasm.I32Const(int32(in.MemOffset())), wasm.LocalGet(addr))
 			fi.emitLowerLocal(t, val)
-			fi.emitOpHook(op)
+			fi.emitHook(keyOp+int(op), func() HookSpec { return specLoad(op) })
 
 		case op.IsStore():
 			if !reachable || !fi.has(analysis.KindStore) {
@@ -706,7 +702,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emit(wasm.I32Const(int32(in.MemOffset())), wasm.LocalGet(addr))
 			fi.emitLowerLocal(t, val)
-			fi.emitOpHook(op)
+			fi.emitHook(keyOp+int(op), func() HookSpec { return specStore(op) })
 
 		case op.IsUnary():
 			if !reachable || !fi.has(analysis.KindUnary) {
@@ -720,7 +716,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emitLowerLocal(ins[0], input)
 			fi.emitLowerLocal(outs[0], result)
-			fi.emitOpHook(op)
+			fi.emitHook(keyOp+int(op), func() HookSpec { return specUnary(op) })
 
 		case op.IsBinary():
 			if !reachable || !fi.has(analysis.KindBinary) {
@@ -736,7 +732,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLowerLocal(ins[0], a)
 			fi.emitLowerLocal(ins[1], b)
 			fi.emitLowerLocal(outs[0], r)
-			fi.emitOpHook(op)
+			fi.emitHook(keyOp+int(op), func() HookSpec { return specBinary(op) })
 
 		case op == wasm.OpMiscPrefix:
 			// 0xFC instructions (saturating truncation, memory.copy/fill)
@@ -767,7 +763,7 @@ func (fi *funcInstrumenter) emitReturnHook(i int, implicit bool) {
 	for k, t := range results {
 		fi.emitLowerLocal(t, saved[k])
 	}
-	fi.emitReturnHookCall()
+	fi.emitHook(callKey(fi.typeIdx, callReturn), func() HookSpec { return specReturn(results) })
 	for k := range results {
 		fi.emit(wasm.LocalGet(saved[k]))
 	}
@@ -801,7 +797,11 @@ func (fi *funcInstrumenter) emitCallHooks(i int, in wasm.Instr, typeIdx uint32, 
 	for k, t := range params {
 		fi.emitLowerLocal(t, saved[k])
 	}
-	fi.emitCallPreHook(typeIdx, sig, indirect)
+	pre := callPre
+	if indirect {
+		pre = callPreIndirect
+	}
+	fi.emitHook(callKey(typeIdx, pre), func() HookSpec { return specCallPre(sig, indirect) })
 
 	// Restore arguments and perform the original call.
 	for k := range params {
@@ -827,7 +827,7 @@ func (fi *funcInstrumenter) emitCallHooks(i int, in wasm.Instr, typeIdx uint32, 
 	for k, t := range results {
 		fi.emitLowerLocal(t, savedR[k])
 	}
-	fi.emitCallPostHook(typeIdx, results)
+	fi.emitHook(callKey(typeIdx, callPost), func() HookSpec { return specCallPost(results) })
 	for k := range results {
 		fi.emit(wasm.LocalGet(savedR[k]))
 	}

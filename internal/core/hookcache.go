@@ -1,234 +1,59 @@
 package core
 
+// Hook keys: every monomorphic hook of a run has one dense integer key, a
+// family offset plus the value that monomorphizes the hook. A hook with one
+// instance is keyed by its kind; the others by their opcode, their opcode
+// and value type, their block-kind code, or the module type index of the
+// signature they carry. The run's registry keeps one slot per key
+// (hookRegistry.get), so emitting a hook the run has seen before costs one
+// atomic load, and the hook's spec — name, payload types — is built only on
+// the first use of its key.
+
 import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/wasm"
 )
 
-// fixedHook enumerates the hooks with exactly one monomorphic instance, so
-// their cache slot is a plain array element.
-type fixedHook uint8
-
+// The key families, laid out back to back. A hook with one instance is
+// keyed by its kind, below keyOp.
 const (
-	fhNop fixedHook = iota
-	fhUnreachable
-	fhStart
-	fhIf
-	fhBr
-	fhBrIf
-	fhBrTable
-	fhMemorySize
-	fhMemoryGrow
-	fhBlockProbe
-	numFixedHooks
+	// keyOp + opcode: const, unary, binary, load and store (disjoint opcodes).
+	keyOp = analysis.NumKinds
+	// keyTyped + typedKey: drop, select, local.get/set/tee, global.get/set.
+	keyTyped = keyOp + 256
+	// keyBegin and keyEnd + block-kind code.
+	keyBegin = keyTyped + int(wasm.OpGlobalSet-wasm.OpDrop+1)*numValTypes
+	keyEnd   = keyBegin + analysis.NumBlockKinds
+	// keyCall + callKey: call_pre, indirect call_pre, call_post and return.
+	keyCall = keyEnd + analysis.NumBlockKinds
 )
 
-func fixedHookSpec(f fixedHook) HookSpec {
-	switch f {
-	case fhNop:
-		return specNop()
-	case fhUnreachable:
-		return specUnreachable()
-	case fhStart:
-		return specStart()
-	case fhIf:
-		return specIf()
-	case fhBr:
-		return specBr()
-	case fhBrIf:
-		return specBrIf()
-	case fhBrTable:
-		return specBrTable()
-	case fhMemorySize:
-		return specMemorySize()
-	case fhMemoryGrow:
-		return specMemoryGrow()
-	default:
-		return specBlockProbe()
-	}
+// typedKey is the key offset of a hook monomorphized on an opcode between
+// drop and global.set and a value type.
+func typedKey(op wasm.Opcode, t wasm.ValType) int {
+	return keyTyped + int(op-wasm.OpDrop)*numValTypes + vtIdx(t)
 }
 
-// hookIdxCache caches resolved hook function indices for one instrumentation
-// run, keyed by cheap integers (opcode, dense value-type index, block kind,
-// module type index) instead of the hook's monomorphized name. This keeps
-// the per-emitted-hook fast path free of string building, slice literals,
-// and map hashing: a HookSpec is only constructed on the first use of a hook
-// per run, when the shared registry is consulted. Slots store index+1; 0
-// means unset.
-type hookIdxCache struct {
-	byOp   [256]uint32            // unary/binary/load/store hooks (disjoint opcode ranges)
-	local  [3][numValTypes]uint32 // local.get/set/tee × value type
-	global [2][numValTypes]uint32 // global.get/set × value type
-	consts [numValTypes]uint32
-	drop   [numValTypes]uint32
-	sel    [numValTypes]uint32
-	begin  [analysis.NumBlockKinds]uint32
-	end    [analysis.NumBlockKinds]uint32
-	fixed  [numFixedHooks]uint32
-	// Call-related hooks are monomorphized on function signatures; the cache
-	// key is the module type index. Distinct type indices with identical
-	// lowered signatures are deduplicated by the registry, so the cached
-	// indices agree.
-	callPre    []uint32
-	callPreInd []uint32
-	callPost   []uint32
-	ret        []uint32
+// The hooks carrying a signature, keyed by module type index: calls by the
+// callee's, return by the returning function's.
+const (
+	callPre = iota
+	callPreIndirect
+	callPost
+	callReturn
+	numCallFamilies
+)
+
+// callKey is the key offset of the call-family hook for module type typeIdx.
+func callKey(typeIdx uint32, family int) int {
+	return keyCall + int(typeIdx)*numCallFamilies + family
 }
 
-// reset clears the cache for a run over a module with numTypes types.
-func (c *hookIdxCache) reset(numTypes int) {
-	c.byOp = [256]uint32{}
-	c.local = [3][numValTypes]uint32{}
-	c.global = [2][numValTypes]uint32{}
-	c.consts = [numValTypes]uint32{}
-	c.drop = [numValTypes]uint32{}
-	c.sel = [numValTypes]uint32{}
-	c.begin = [analysis.NumBlockKinds]uint32{}
-	c.end = [analysis.NumBlockKinds]uint32{}
-	c.fixed = [numFixedHooks]uint32{}
-	c.callPre = resetIdxSlice(c.callPre, numTypes)
-	c.callPreInd = resetIdxSlice(c.callPreInd, numTypes)
-	c.callPost = resetIdxSlice(c.callPost, numTypes)
-	c.ret = resetIdxSlice(c.ret, numTypes)
-}
+// numKeys is the size of the key space for a module with numTypes types.
+func numKeys(numTypes int) int { return keyCall + numTypes*numCallFamilies }
 
-func resetIdxSlice(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// The emit helpers below resolve a hook through the cache and emit the call
-// instruction. Each constructs the HookSpec only on a cache miss.
-
-func (fi *funcInstrumenter) emitCached(slot *uint32, spec HookSpec) {
-	*slot = fi.hooks.get(spec) + 1
-	fi.emitCall(wasm.Call(*slot - 1))
-}
-
-func (fi *funcInstrumenter) emitFixedHook(f fixedHook) {
-	if v := fi.cache.fixed[f]; v != 0 {
-		fi.emitCall(wasm.Call(v - 1))
-		return
-	}
-	fi.emitCached(&fi.cache.fixed[f], fixedHookSpec(f))
-}
-
-// emitOpHook emits the hook for a unary, binary, load, or store opcode.
-func (fi *funcInstrumenter) emitOpHook(op wasm.Opcode) {
-	if v := fi.cache.byOp[op]; v != 0 {
-		fi.emitCall(wasm.Call(v - 1))
-		return
-	}
-	var spec HookSpec
-	switch {
-	case op.IsLoad():
-		spec = specLoad(op)
-	case op.IsStore():
-		spec = specStore(op)
-	case op.IsUnary():
-		spec = specUnary(op)
-	default:
-		spec = specBinary(op)
-	}
-	fi.emitCached(&fi.cache.byOp[op], spec)
-}
-
-func (fi *funcInstrumenter) emitLocalHook(op wasm.Opcode, t wasm.ValType) {
-	slot := &fi.cache.local[op-wasm.OpLocalGet][vtIdx(t)]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specLocal(op, t))
-}
-
-func (fi *funcInstrumenter) emitGlobalHook(op wasm.Opcode, t wasm.ValType) {
-	slot := &fi.cache.global[op-wasm.OpGlobalGet][vtIdx(t)]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specGlobal(op, t))
-}
-
-func (fi *funcInstrumenter) emitConstHook(t wasm.ValType) {
-	slot := &fi.cache.consts[vtIdx(t)]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specConst(t))
-}
-
-func (fi *funcInstrumenter) emitDropHook(t wasm.ValType) {
-	slot := &fi.cache.drop[vtIdx(t)]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specDrop(t))
-}
-
-func (fi *funcInstrumenter) emitSelectHook(t wasm.ValType) {
-	slot := &fi.cache.sel[vtIdx(t)]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specSelect(t))
-}
-
-func (fi *funcInstrumenter) emitBeginHook(kind analysis.BlockKind) {
-	slot := &fi.cache.begin[kind.Code()]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specBegin(kind))
-}
-
-func (fi *funcInstrumenter) emitEndHookCall(kind analysis.BlockKind) {
-	slot := &fi.cache.end[kind.Code()]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specEnd(kind))
-}
-
-func (fi *funcInstrumenter) emitCallPreHook(typeIdx uint32, sig wasm.FuncType, indirect bool) {
-	cache := &fi.cache.callPre
-	if indirect {
-		cache = &fi.cache.callPreInd
-	}
-	slot := &(*cache)[typeIdx]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specCallPre(sig, indirect))
-}
-
-func (fi *funcInstrumenter) emitCallPostHook(typeIdx uint32, results []wasm.ValType) {
-	slot := &fi.cache.callPost[typeIdx]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specCallPost(results))
-}
-
-// emitReturnHookCall emits the return hook for the current function,
-// cached on the function's type index.
-func (fi *funcInstrumenter) emitReturnHookCall() {
-	slot := &fi.cache.ret[fi.typeIdx]
-	if *slot != 0 {
-		fi.emitCall(wasm.Call(*slot - 1))
-		return
-	}
-	fi.emitCached(slot, specReturn(fi.sig.Results))
+// emitHook emits the call of the hook with the given key. spec builds the
+// hook's spec; it runs only on the run's first use of the key.
+func (fi *funcInstrumenter) emitHook(key int, spec func() HookSpec) {
+	fi.emitCall(wasm.Call(fi.hooks.get(key, spec)))
 }

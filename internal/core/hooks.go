@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/wasm"
@@ -12,38 +13,42 @@ import (
 // hooks are generated lazily, only for the instructions and type
 // combinations actually present in the binary. Function bodies are
 // instrumented in parallel (paper §3), so the registry is the single
-// synchronization point, guarded by a readers/writer lock: the common case
-// (hook already generated) takes only the read lock; the slow path upgrades
-// by releasing and re-checking under the write lock.
+// synchronization point. It holds one atomic slot per hook key
+// (hookcache.go): a hook the run has generated costs one load, and only a
+// key's first use takes the mutex.
 type hookRegistry struct {
-	base uint32 // placeholder index of the first hook (original NumFuncs)
+	base  uint32          // placeholder index of the first hook (original NumFuncs)
+	slots []atomic.Uint32 // per hook key: placeholder index + 1, or 0 before its first use
 
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	byName map[string]uint32 // hook name → ordinal k (placeholder = base + k)
 	specs  []HookSpec
 }
 
-func newHookRegistry(base uint32) *hookRegistry {
-	return &hookRegistry{base: base, byName: make(map[string]uint32)}
+// newHookRegistry returns the registry of a run over a module with
+// numTypes types whose hook placeholders start at base.
+func newHookRegistry(base uint32, numTypes int) *hookRegistry {
+	return &hookRegistry{base: base, slots: make([]atomic.Uint32, numKeys(numTypes)), byName: make(map[string]uint32)}
 }
 
-// get returns the placeholder function index for the hook described by
-// spec, generating the hook on first use.
-func (r *hookRegistry) get(spec HookSpec) uint32 {
-	r.mu.RLock()
-	k, ok := r.byName[spec.Name]
-	r.mu.RUnlock()
-	if ok {
-		return r.base + k
+// get returns the placeholder function index of the hook with the given
+// key, generating the hook on the key's first use from the spec built by
+// spec. The hook is looked up by name then, so keys whose specs coincide —
+// two type indices with one signature — share one hook.
+func (r *hookRegistry) get(key int, spec func() HookSpec) uint32 {
+	if v := r.slots[key].Load(); v != 0 {
+		return v - 1
 	}
+	s := spec()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if k, ok := r.byName[spec.Name]; ok {
-		return r.base + k
+	k, ok := r.byName[s.Name]
+	if !ok {
+		k = uint32(len(r.specs))
+		r.byName[s.Name] = k
+		r.specs = append(r.specs, s)
 	}
-	k = uint32(len(r.specs))
-	r.byName[spec.Name] = k
-	r.specs = append(r.specs, spec)
+	r.slots[key].Store(r.base + k + 1)
 	return r.base + k
 }
 

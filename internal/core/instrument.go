@@ -69,7 +69,7 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 	ix := wasm.NewIndex(m)
 	out := copyModule(m)
 	numOldImports := ix.NumImportedFuncs()
-	hooks := newHookRegistry(uint32(ix.NumFuncs()))
+	hooks := newHookRegistry(uint32(ix.NumFuncs()), len(m.Types))
 
 	// Pre-pass: assign deterministic br_table metadata index ranges per
 	// function so parallel workers need no coordination.

@@ -151,9 +151,19 @@ func (r *Report) String() string {
 
 // Run executes the module's invocations under the reference and under each
 // selected configuration, comparing results, traps, and final digests. It
-// returns an error only when the reference itself cannot run the module —
-// in that case there is nothing to arbitrate against.
+// returns an error when an invocation passes a different number of
+// arguments than its entry takes, and when the reference itself cannot run
+// the module — in both cases there is nothing to arbitrate.
 func Run(m *wasm.Module, opts Options) (*Report, error) {
+	for i, inv := range opts.Invocations {
+		idx, ok := m.ExportedFunc(inv.Entry)
+		if !ok {
+			continue // every side reports the missing export alike
+		}
+		if ft, err := m.FuncType(idx); err == nil && len(inv.Args) != len(ft.Params) {
+			return nil, fmt.Errorf("diff: invocation %d: %q called with %d arguments, want %d", i, inv.Entry, len(inv.Args), len(ft.Params))
+		}
+	}
 	ref, err := runReference(m, opts)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 package diff
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wasabi/internal/polybench"
@@ -148,10 +150,24 @@ func TestConfigSubset(t *testing.T) {
 		t.Fatalf("got %+v, want single plain verdict", rep.Configs)
 	}
 	if _, err := Run(spectest.Corpus()[0].Module(), Options{
-		Invocations: []Invocation{{Entry: "run"}},
+		Invocations: []Invocation{{Entry: "run", Args: []uint64{0}}},
 		Configs:     []string{"warp-speed"},
 	}); err == nil {
 		t.Fatal("want error for unknown config name")
+	}
+}
+
+// TestRunRejectsArgumentCount pins that an invocation passes exactly one
+// argument per parameter of its entry: Run refuses any other count before
+// running a side, since no interpreter would run the call.
+func TestRunRejectsArgumentCount(t *testing.T) {
+	for _, args := range [][]uint64{nil, {1, 2}} {
+		_, err := Run(spectest.Corpus()[0].Module(), Options{
+			Invocations: []Invocation{{Entry: "run", Args: []uint64{0}}, {Entry: "run", Args: args}},
+		})
+		if want := fmt.Sprintf(`invocation 1: "run" called with %d arguments, want 1`, len(args)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run%v: err = %v, want it to say %q", args, err, want)
+		}
 	}
 }
 

@@ -312,14 +312,23 @@ func (c *compiler) patch(idx, target int) {
 	}
 }
 
-func (c *compiler) push(n int) {
-	c.height += n
-	if c.height > c.maxStack {
-		c.maxStack = c.height
-	}
+func (c *compiler) push(n int) { c.height += n }
+
+// reach records that the emitted code fills the operand stack to height h.
+// A value counts toward the high-water mark when it leaves the stack —
+// popped, dropped, or cut away by a branch or a frame's end — at the height
+// it leaves from. A value whose push an elision removes never occupies a
+// slot, so it leaves through discard and is not counted.
+func (c *compiler) reach(h int) { c.maxStack = max(c.maxStack, h) }
+
+// popN pops n values the emitted code consumes.
+func (c *compiler) popN(n int) error {
+	c.reach(c.height)
+	return c.discard(n)
 }
 
-func (c *compiler) popN(n int) error {
+// discard pops n values without counting them (see reach).
+func (c *compiler) discard(n int) error {
 	if c.height-n < c.ctrl[len(c.ctrl)-1].height {
 		return fmt.Errorf("operand stack underflow")
 	}
@@ -357,6 +366,7 @@ func (c *compiler) closeGuard() {
 // the enclosing frame is closed (or its else arm begins).
 func (c *compiler) markDead() {
 	c.dead = true
+	c.reach(c.height)
 	c.height = c.ctrl[len(c.ctrl)-1].height
 	c.barrier = len(c.code)
 }
@@ -455,21 +465,21 @@ func (c *compiler) step(in wasm.Instr) error {
 		if err != nil {
 			return err
 		}
-		if err := c.popN(len(ft.Params)); err != nil {
-			return fmt.Errorf("call %d: %w", in.Idx, err)
-		}
-		c.push(len(ft.Results))
 		// Host calls (hook dispatch in the instrumented setting) are resolved
 		// at compile time: the function index space puts imports first. With
-		// the host shape in hand the pass goes further: no-op hooks are not
-		// called at all — their argument lowering is unwound — and
-		// Fast-convention hooks get the zero-copy stack-window opcode.
+		// the host shape in hand the pass goes further: no-op hooks (which
+		// have no results) are not called at all — their argument lowering
+		// is unwound — and Fast-convention hooks get the zero-copy
+		// stack-window opcode.
 		callOp := iCall
 		if int(in.Idx) < c.ix.NumImportedFuncs() {
 			callOp = iCallHost
 			if int(in.Idx) < len(c.shape) {
 				switch c.shape[in.Idx] {
 				case hostNoOp:
+					if err := c.discard(len(ft.Params)); err != nil {
+						return fmt.Errorf("call %d: %w", in.Idx, err)
+					}
 					c.elideArgs(len(ft.Params))
 					return nil
 				case hostFast:
@@ -477,6 +487,10 @@ func (c *compiler) step(in wasm.Instr) error {
 				}
 			}
 		}
+		if err := c.popN(len(ft.Params)); err != nil {
+			return fmt.Errorf("call %d: %w", in.Idx, err)
+		}
+		c.push(len(ft.Results))
 		c.emit(instr{op: callOp, a: in.Idx, b: uint32(len(ft.Params))})
 	case wasm.OpCallIndirect:
 		types := c.ix.Module().Types
@@ -491,11 +505,12 @@ func (c *compiler) step(in wasm.Instr) error {
 		c.emit(instr{op: iCallIndirect, a: in.Idx, b: uint32(len(ft.Params))})
 
 	case wasm.OpDrop:
-		if err := c.popN(1); err != nil {
+		if err := c.discard(1); err != nil {
 			return fmt.Errorf("drop: %w", err)
 		}
 		// Dropping a value some pure instruction just pushed cancels the
-		// push (or peels the newest push off a fused multi-push).
+		// push (or peels the newest push off a fused multi-push), so the
+		// value never occupies a slot.
 		if k := len(c.code); k > c.barrier {
 			switch prev := &c.code[k-1]; prev.op {
 			case iConst, iLocalGet, iGlobalGet:
@@ -512,6 +527,7 @@ func (c *compiler) step(in wasm.Instr) error {
 				return nil
 			}
 		}
+		c.reach(c.height + 1)
 		c.emit(instr{op: iDrop})
 	case wasm.OpSelect:
 		if err := c.popN(3); err != nil {
@@ -731,6 +747,7 @@ func (c *compiler) elideArgs(n int) {
 	}
 done:
 	if n > 0 {
+		c.reach(c.height + n)
 		c.emit(instr{op: iDropN, a: uint32(n)})
 	}
 }
@@ -945,6 +962,7 @@ func (c *compiler) beginElse() error {
 	c.patch(fr.elseJump, len(c.code))
 	fr.elseJump = -1
 	fr.op = wasm.OpElse
+	c.reach(c.height)
 	c.height = fr.height
 	c.barrier = len(c.code)
 	c.dead = false
@@ -972,6 +990,7 @@ func (c *compiler) endFrame() error {
 	for _, idx := range fr.fixPool {
 		c.brPool[idx].target = uint32(end)
 	}
+	c.reach(c.height)
 	c.height = fr.height + fr.arity
 	c.barrier = end
 	c.dead = false

@@ -151,8 +151,10 @@ func TestCompiledModuleConcurrentInstantiate(t *testing.T) {
 func TestCompileErrorNotCached(t *testing.T) {
 	b := builder.New()
 	f := b.Func("deep", nil, nil)
+	// Each value is computed (i32.eqz), so its push survives the drops:
+	// a constant the next instruction drops is never pushed at all.
 	for i := int32(0); i < 40; i++ {
-		f.I32(i)
+		f.I32(i).Op(wasm.OpI32Eqz)
 	}
 	for i := 0; i < 40; i++ {
 		f.Drop()

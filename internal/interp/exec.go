@@ -25,10 +25,10 @@ func (inst *Instance) exec(cf *compiledFunc, args []Value, fr *frame) []Value {
 	n := copy(locals, args)
 	clear(locals[n:])
 
-	// The compile pass knows the exact operand-stack high-water mark
-	// (StackHighWater reports it; TestExactSizingObserved runs the spec
-	// corpus against it), so the stack is a flat buffer sized to exactly
-	// that mark: no append, no growth checks, no slack.
+	// The compile pass knows the operand-stack high-water mark of the code
+	// it emitted (pushes it elided do not count; TestExactSizingObserved
+	// runs the spec corpus against it), so the stack is a flat buffer sized
+	// to exactly that mark: no append, no growth checks.
 	if cap(fr.stack) < cf.maxStack {
 		fr.stack = make([]Value, cf.maxStack)
 	}

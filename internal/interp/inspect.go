@@ -7,12 +7,13 @@ import (
 )
 
 // StackHighWater compiles every defined function of m and returns the compile
-// pass's exact operand-stack high-water mark per defined function — the exact
-// buffer size exec allocates (there is no slack; see exec.go). The numbers
-// are independent of guard/fusion/host-elision settings, which only rewrite
-// the emitted code, so the plain configuration used here is representative.
-// It is the one source of operand-stack heights: `wasabi -inspect` prints
-// its numbers in the maxstack column.
+// pass's operand-stack high-water mark per defined function — the buffer
+// size exec allocates (see exec.go). Guard and fusion settings do not move
+// the mark; a host shape does, where it lets the pass elide calls to no-op
+// hooks together with their argument pushes. StackHighWater compiles
+// without a host shape, so its marks are those of a module whose imports
+// all run. It is the one source of operand-stack heights: `wasabi -inspect`
+// prints its numbers in the maxstack column.
 func StackHighWater(m *wasm.Module) ([]int, error) {
 	ix := wasm.NewIndex(m)
 	c := &compiler{ix: ix}

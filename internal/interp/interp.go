@@ -46,6 +46,10 @@ func AsF64(v Value) float64 { return math.Float64frombits(v) }
 
 // HostFunc is a function provided by the embedder (the "JavaScript side" in
 // the paper's setting). The Wasabi runtime's low-level hooks are HostFuncs.
+// Fn and Fast always receive exactly one argument per parameter of Type:
+// Instantiate checks an import's type before wasm code can call it, and
+// Invoke checks the argument count of an embedder's call, so neither needs
+// a length check of its own.
 //
 // At least one of Fn and Fast must be set. Fast is the zero-copy hook-call
 // convention, which both of the Wasabi runtime's dispatch backends use
@@ -474,7 +478,18 @@ func (inst *Instance) ResolveTable(i uint32) int64 {
 // an interpreter gap fails the call, never the host process). The returned
 // slice is a copy owned by the caller: the internal result buffers live in
 // the frame arena and are reused by later calls.
+//
+// call is the embedder boundary, so it checks the argument count against
+// the callee's signature before any code runs: a defined function would
+// take surplus arguments as the initial values of its declared locals, and
+// a host function would index past a short vector. A mismatch is an error
+// that runs nothing and fires no top-return hook. Calls from wasm code need
+// no check; validation and Instantiate's import check fix their counts.
 func (inst *Instance) call(idx uint32, args []Value) (results []Value, err error) {
+	if sig, err := inst.FuncSig(idx); err == nil && len(args) != len(sig.Params) {
+		return nil, fmt.Errorf("interp: function %d (%s) called with %d arguments, want %d",
+			idx, inst.Module.FuncName(idx), len(args), len(sig.Params))
+	}
 	savedDepth := inst.callDepth
 	// Registered before the trap recovery below, so it runs after it
 	// (LIFO): the hook observes the instance in its settled state. Only the

@@ -198,8 +198,14 @@ func (inst *Instance) Invoke(name string, args ...Value) ([]Value, error) {
 	return inst.InvokeIdx(idx, args...)
 }
 
-// InvokeIdx calls the function at idx in the function index space.
+// InvokeIdx calls the function at idx in the function index space. Like
+// the production interpreter, it rejects an argument count that does not
+// match the callee's signature before any code runs.
 func (inst *Instance) InvokeIdx(idx uint32, args ...Value) (results []Value, err error) {
+	if ft, err := inst.Module.FuncType(idx); err == nil && len(args) != len(ft.Params) {
+		return nil, fmt.Errorf("refinterp: function %d (%s) called with %d arguments, want %d",
+			idx, inst.Module.FuncName(idx), len(args), len(ft.Params))
+	}
 	savedDepth := inst.depth
 	defer func() {
 		r := recover()
@@ -239,9 +245,9 @@ func (inst *Instance) callFunc(idx uint32, args []Value) []Value {
 	f := &inst.Module.Funcs[int(idx)-inst.Module.NumImportedFuncs()]
 	sig := inst.Module.Types[f.TypeIdx]
 
-	// Locals are the parameters followed by the declared locals, all
-	// zero-initialized. Like the production interpreter, missing top-level
-	// arguments read as zero and extras are ignored.
+	// Locals are the parameters, set from args, followed by the declared
+	// locals, zero-initialized. args holds exactly one value per parameter:
+	// InvokeIdx checks a top-level call's count, validation every other.
 	fr := &frame{inst: inst}
 	fr.locals = make([]Value, len(sig.Params)+len(f.Locals))
 	copy(fr.locals, args)

@@ -2,9 +2,12 @@ package refinterp
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"wasabi/internal/builder"
+	"wasabi/internal/interp"
 	"wasabi/internal/spectest"
 	"wasabi/internal/wasm"
 )
@@ -157,5 +160,54 @@ func TestMemoryGrowAndDigestInputs(t *testing.T) {
 	res, err = inst.Invoke("run", 100)
 	if err != nil || int32(uint32(res[0])) != -1 {
 		t.Fatalf("grow(100) = %v, %v; want -1", res, err)
+	}
+}
+
+// TestInvokeArgumentCount pins the embedder boundary of both interpreters:
+// a call passes exactly one argument per parameter, and a wrong count is an
+// error before any code runs. f(i32) -> i32 returns its parameter plus a
+// declared local, so an interpreter that copied a surplus argument into the
+// local would compute f(1, 100) = 101.
+func TestInvokeArgumentCount(t *testing.T) {
+	b := builder.New()
+	f := b.Func("f", builder.V(wasm.I32), builder.V(wasm.I32))
+	l := f.Local(wasm.I32)
+	f.Get(0).Get(l).Op(wasm.OpI32Add)
+	f.Done()
+	m := b.Build()
+
+	ref, err := Instantiate(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := interp.Instantiate(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topReturns := 0
+	prod.SetTopReturnHook(func(error) { topReturns++ })
+	for _, side := range []struct {
+		name   string
+		invoke func(args ...Value) ([]Value, error)
+	}{
+		{"refinterp", func(args ...Value) ([]Value, error) { return ref.Invoke("f", args...) }},
+		{"interp", func(args ...Value) ([]Value, error) { return prod.Invoke("f", args...) }},
+	} {
+		for _, args := range [][]Value{nil, {1, 100}} {
+			res, err := side.invoke(args...)
+			if err == nil {
+				t.Errorf("%s: f%v = %v, want an argument-count error", side.name, args, res)
+				continue
+			}
+			if want := fmt.Sprintf("function 0 (f) called with %d arguments, want 1", len(args)); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: f%v: error %q does not say %q", side.name, args, err, want)
+			}
+		}
+		if res, err := side.invoke(1); err != nil || len(res) != 1 || res[0] != 1 {
+			t.Errorf("%s: f(1) = %v, %v after the mismatches; want [1]", side.name, res, err)
+		}
+	}
+	if topReturns != 1 {
+		t.Errorf("interp fired the top-return hook %d times; want 1, for the well-formed call only", topReturns)
 	}
 }

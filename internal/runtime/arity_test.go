@@ -1,14 +1,16 @@
 package runtime
 
-// Regression test for the argReader bounds-check hole: the old generic
-// dispatcher indexed the lowered argument vector without checking its
-// length, so a corrupted or mismatched instrumented module — or an embedder
-// invoking a hook import directly with the wrong arguments — panicked the
-// host process with index-out-of-range. Trampolines and encoders compute the
-// expected arity once at bind time and trap (TrapInvalidMetadata) on any
-// mismatch.
+// Regression tests for the hook argument vector: the old generic dispatcher
+// indexed the lowered argument vector without checking its length, so an
+// embedder invoking a hook import directly with the wrong arguments panicked
+// the host process with index-out-of-range. interp.Instance.Invoke now
+// checks the argument count of every call against the callee's signature
+// before any code runs, so neither dispatch backend is ever handed a vector
+// of the wrong size.
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,46 +18,65 @@ import (
 	"wasabi/internal/interp"
 )
 
+// invokeHook invokes hook import idx of inst directly and reports a panic
+// escaping the invocation as an error.
+func invokeHook(inst *interp.Instance, idx uint32, args []interp.Value) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("direct hook invocation panicked the host: %v", r)
+		}
+	}()
+	_, err = inst.InvokeIdx(idx, args...)
+	return err
+}
+
+// checkBoundaryError requires err to be the argument-count error of the
+// invocation boundary: not nil, not a panic, not a *RuntimeFault.
+func checkBoundaryError(t *testing.T, what string, err error, got, want int) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s: %d args (want %d): no error", what, got, want)
+		return
+	}
+	var fault *interp.RuntimeFault
+	if errors.As(err, &fault) {
+		t.Errorf("%s: %d args (want %d): runtime fault %v", what, got, want, err)
+		return
+	}
+	if msg := fmt.Sprintf("called with %d arguments, want %d", got, want); !strings.Contains(err.Error(), msg) {
+		t.Errorf("%s: error %q does not say %q", what, err, msg)
+	}
+}
+
+// TestHookArityMismatchTrapsNotPanics sends vectors that are empty, one word
+// short and one word long to every hook import, through the public invoke
+// path, under both dispatch backends; then a correct vector, which must
+// still dispatch.
 func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
 	for _, set := range paritySets(t) {
 		md := set.md
-		rt := New(md, &recorder{})
-		inst, err := interp.Instantiate(set.instrumented, rt.Imports())
-		if err != nil {
-			t.Fatal(err)
-		}
 		rtE := New(md, struct{}{})
 		rtE.SetEmitter(NewEmitter(64), analysis.AllCaps|analysis.CapBlockCoverage)
-		tramps, encs := hostFuncs(rt), hostFuncs(rtE)
-
-		for i := range md.Hooks {
-			spec := &md.Hooks[i]
-			arity := spec.Layout().Arity
-			full := synthArgs(spec, arity)
-			for _, bad := range [][]interp.Value{
-				nil,
-				full[:arity-1],
-				append(append([]interp.Value(nil), full...), 0),
-			} {
-				checkTrap := func(backend string, err any) {
-					trap, ok := err.(*interp.Trap)
-					if !ok {
-						t.Errorf("%s: hook %s: %d lowered args (want %d): %s raised %T, want *interp.Trap",
-							set.name, spec.Name, len(bad), arity, backend, err)
-						return
-					}
-					if trap.Code != TrapInvalidMetadata {
-						t.Errorf("%s: hook %s: %s trap code %q, want %q", set.name, spec.Name, backend, trap.Code, TrapInvalidMetadata)
-					}
+		for backend, rt := range map[string]*Runtime{"trampoline": New(md, &recorder{}), "encoder": rtE} {
+			inst, err := interp.Instantiate(set.instrumented, rt.Imports())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range md.Hooks {
+				spec := &md.Hooks[i]
+				idx := uint32(md.NumImportedFuncs + i)
+				arity := spec.Layout().Arity
+				full := synthArgs(spec, arity)
+				what := fmt.Sprintf("%s: %s: hook %s", set.name, backend, spec.Name)
+				for _, bad := range [][]interp.Value{
+					nil,
+					full[:arity-1],
+					append(append([]interp.Value(nil), full...), 0),
+				} {
+					checkBoundaryError(t, what, invokeHook(inst, idx, bad), len(bad), arity)
 				}
-				// Neither backend has an error path: both panic with the
-				// trap, which the interpreter's invocation root contains
-				// (TestHookImportInvokedDirectlyTraps).
-				for backend, hf := range map[string]*interp.HostFunc{"trampoline": tramps[i], "encoder": encs[i]} {
-					func() {
-						defer func() { checkTrap(backend, recover()) }()
-						hf.Fast(inst, bad)
-					}()
+				if err := invokeHook(inst, idx, full); err != nil {
+					t.Errorf("%s: correct call after the mismatches: %v", what, err)
 				}
 			}
 		}
@@ -64,7 +85,8 @@ func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
 
 // TestHookImportInvokedDirectlyTraps drives the mismatch end-to-end: an
 // embedder calling a hook import through the public invoke path with too few
-// arguments must get an error back, not a crash.
+// arguments must get the boundary's error back, not a crash, and the
+// instance stays usable.
 func TestHookImportInvokedDirectlyTraps(t *testing.T) {
 	for _, set := range paritySets(t) {
 		md := set.md
@@ -73,21 +95,16 @@ func TestHookImportInvokedDirectlyTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("direct hook invocation panicked the host: %v", r)
-			}
-		}()
 		// Hook imports sit at [NumImportedFuncs, NumImportedFuncs+NumHooks) in
 		// the instrumented index space, in metadata order.
 		for k := range md.Hooks {
+			spec := &md.Hooks[k]
 			idx := uint32(md.NumImportedFuncs + k)
-			_, err := inst.InvokeIdx(idx) // zero args; every hook wants >= 2
-			if err == nil {
-				t.Fatalf("%s: hook %s: 0-arg direct invocation must error", set.name, md.Hooks[k].Name)
-			}
-			if !strings.Contains(err.Error(), TrapInvalidMetadata) {
-				t.Errorf("%s: hook %s: error %q does not mention %q", set.name, md.Hooks[k].Name, err, TrapInvalidMetadata)
+			arity := spec.Layout().Arity
+			what := fmt.Sprintf("%s: hook %s", set.name, spec.Name)
+			checkBoundaryError(t, what, invokeHook(inst, idx, nil), 0, arity) // every hook wants >= 2
+			if err := invokeHook(inst, idx, synthArgs(spec, arity)); err != nil {
+				t.Errorf("%s: correct call after the mismatch: %v", what, err)
 			}
 		}
 	}

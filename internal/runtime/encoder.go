@@ -13,8 +13,9 @@ package runtime
 //
 // Encoders use the interpreter's zero-copy host-call convention
 // (interp.HostFunc.Fast), as trampolines do: args is a read-only stack
-// window, never retained, and failure is reported only by a trap panic — the
-// hot loop has no error check. A stream session and a callback session with
+// window of the hook's lowered arity, never retained, and failure is
+// reported only by a trap panic — the hot loop has no error or length
+// check. A stream session and a callback session with
 // the same live hooks therefore have the same host shape and link one
 // compile of the threaded code.
 //
@@ -36,9 +37,6 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 		return r.brTableEncoder(p)
 	case p.indirect:
 		return func(inst *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			tblIdx := e.Aux
@@ -48,9 +46,6 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 		}
 	case p.group:
 		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			p.emitGroup(em, e, args)
@@ -59,18 +54,12 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 	switch p.n {
 	case 0:
 		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			em.emit(e)
 		}
 	case 1:
 		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			e.Vals[0] = p.vals[0].raw(args)
@@ -78,9 +67,6 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 		}
 	case 2:
 		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			e.Vals[0] = p.vals[0].raw(args)
@@ -89,9 +75,6 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 		}
 	default:
 		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != p.arity {
-				panic(p.arityTrap(len(args)))
-			}
 			e := p.tmpl
 			p.fill(&e, args)
 			e.Vals[0] = p.vals[0].raw(args)
@@ -130,9 +113,6 @@ func (r *Runtime) brTableEncoder(p *hookPlan) hookFn {
 	emitEnds := r.streamCaps.Has(analysis.CapEnd)
 	emitTable := r.streamCaps.Has(analysis.CapBrTable)
 	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != p.arity {
-			panic(p.arityTrap(len(args)))
-		}
 		info, taken := r.brTaken(p, args)
 		if info == nil {
 			panic(r.brTableTrap(p, args))

@@ -21,21 +21,6 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// numCaps is the number of analysis.Cap bits: one per hook kind, plus the
-// call_pre/call_post split.
-const numCaps = analysis.NumKinds + 1
-
-// kindCaps inverts analysis.Cap.HookSet: the capability bits whose callbacks
-// observe each hook kind.
-var kindCaps = func() (t [analysis.NumKinds]analysis.Cap) {
-	for c := analysis.Cap(1); c < 1<<numCaps; c <<= 1 {
-		for _, k := range c.HookSet().Kinds() {
-			t[k] |= c
-		}
-	}
-	return t
-}()
-
 // word is one lowered payload value: its offset in the lowered argument
 // vector and its logical type.
 type word struct {
@@ -60,7 +45,6 @@ func (w word) value(args []interp.Value) analysis.Value {
 // hookPlan is the lowering of one core.HookSpec.
 type hookPlan struct {
 	// Read by every call of a compiled hook.
-	arity   int            // lowered words, including the two location words
 	tmpl    analysis.Event // Hook, Kind, Pack and the constant Vals slots
 	aux     int            // lowered offset of the word carried in Aux
 	auxMask uint32         // 0 when the record carries no Aux word
@@ -107,15 +91,12 @@ func auxValue(spec *core.HookSpec) int {
 func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]uint16) hookPlan {
 	lay := spec.Layout()
 	p := hookPlan{
-		arity: lay.Arity,
 		tmpl:  analysis.Event{Hook: uint16(hookIdx), Kind: spec.Kind},
 		name:  spec.Name,
 		typ:   spec.WasmType(),
 		op:    spec.OpName(),
 		block: spec.Block,
-	}
-	if int(spec.Kind) < analysis.NumKinds {
-		p.live = kindCaps[spec.Kind]
+		live:  spec.Kind.Caps(),
 	}
 	aux := auxValue(spec)
 	var ws []word
@@ -181,18 +162,6 @@ func (p *hookPlan) fill(e *analysis.Event, args []interp.Value) {
 	e.Func = int32(uint32(args[0]))
 	e.Instr = int32(uint32(args[1]))
 	e.Aux = uint32(args[p.aux]) & p.auxMask
-}
-
-// arityTrap reports a hook call whose lowered argument vector does not match
-// the spec — possible only when an embedder corrupts or mixes up Metadata,
-// or invokes a hook import directly with the wrong arguments. It surfaces as
-// a trap (returned by trampolines, panicked by encoders), never as an
-// index-out-of-range panic of the host process.
-func (p *hookPlan) arityTrap(got int) *interp.Trap {
-	return &interp.Trap{
-		Code: TrapInvalidMetadata,
-		Info: fmt.Sprintf("hook %s called with %d lowered args, want %d", p.name, got, p.arity),
-	}
 }
 
 // hookLoc decodes the two location words every hook call starts with.

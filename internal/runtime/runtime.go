@@ -15,7 +15,6 @@
 package runtime
 
 import (
-	"math/bits"
 	"sync"
 
 	"wasabi/internal/analysis"
@@ -62,8 +61,9 @@ func NewShared(meta *core.Metadata, pool *ValuePool) *Shared {
 type Runtime struct {
 	meta   *core.Metadata
 	shared *Shared
-	inst   *interp.Instance // bound after instantiation; fallback for table resolution
-	caps   analysis.Cap     // which callbacks the analysis implements
+	inst   *interp.Instance   // bound after instantiation; fallback for table resolution
+	caps   analysis.Cap       // which callbacks the analysis implements
+	cbs    analysis.Callbacks // those callbacks, bound to the analysis
 
 	// Stream mode (SetEmitter): hooks in streamCaps compile to record
 	// encoders writing packed events into emitter instead of callback
@@ -73,10 +73,6 @@ type Runtime struct {
 
 	importsOnce sync.Once
 	imports     interp.Imports // compiled trampolines/encoders, built once per runtime
-
-	// cbs holds the analysis's bound callback per Cap bit (indexed by the
-	// bit's position), nil where it does not implement the interface.
-	cbs [numCaps]any
 }
 
 // New creates a runtime dispatching to the given analysis, with its own
@@ -91,89 +87,13 @@ func New(meta *core.Metadata, a any) *Runtime {
 // against precomputed shared state. If the analysis implements
 // analysis.ModuleInfoReceiver it receives the module info now.
 func NewBound(meta *core.Metadata, a any, shared *Shared) *Runtime {
-	r := &Runtime{meta: meta, shared: shared, caps: analysis.CapsOf(a)}
-	bind := func(c analysis.Cap, cb any) { r.cbs[capIndex(c)] = cb }
-	if v, ok := a.(analysis.NopHooker); ok {
-		bind(analysis.CapNop, v.Nop)
-	}
-	if v, ok := a.(analysis.UnreachableHooker); ok {
-		bind(analysis.CapUnreachable, v.Unreachable)
-	}
-	if v, ok := a.(analysis.IfHooker); ok {
-		bind(analysis.CapIf, v.If)
-	}
-	if v, ok := a.(analysis.BrHooker); ok {
-		bind(analysis.CapBr, v.Br)
-	}
-	if v, ok := a.(analysis.BrIfHooker); ok {
-		bind(analysis.CapBrIf, v.BrIf)
-	}
-	if v, ok := a.(analysis.BrTableHooker); ok {
-		bind(analysis.CapBrTable, v.BrTable)
-	}
-	if v, ok := a.(analysis.BeginHooker); ok {
-		bind(analysis.CapBegin, v.Begin)
-	}
-	if v, ok := a.(analysis.EndHooker); ok {
-		bind(analysis.CapEnd, v.End)
-	}
-	if v, ok := a.(analysis.ConstHooker); ok {
-		bind(analysis.CapConst, v.Const)
-	}
-	if v, ok := a.(analysis.DropHooker); ok {
-		bind(analysis.CapDrop, v.Drop)
-	}
-	if v, ok := a.(analysis.SelectHooker); ok {
-		bind(analysis.CapSelect, v.Select)
-	}
-	if v, ok := a.(analysis.UnaryHooker); ok {
-		bind(analysis.CapUnary, v.Unary)
-	}
-	if v, ok := a.(analysis.BinaryHooker); ok {
-		bind(analysis.CapBinary, v.Binary)
-	}
-	if v, ok := a.(analysis.LocalHooker); ok {
-		bind(analysis.CapLocal, v.Local)
-	}
-	if v, ok := a.(analysis.GlobalHooker); ok {
-		bind(analysis.CapGlobal, v.Global)
-	}
-	if v, ok := a.(analysis.LoadHooker); ok {
-		bind(analysis.CapLoad, v.Load)
-	}
-	if v, ok := a.(analysis.StoreHooker); ok {
-		bind(analysis.CapStore, v.Store)
-	}
-	if v, ok := a.(analysis.MemorySizeHooker); ok {
-		bind(analysis.CapMemorySize, v.MemorySize)
-	}
-	if v, ok := a.(analysis.MemoryGrowHooker); ok {
-		bind(analysis.CapMemoryGrow, v.MemoryGrow)
-	}
-	if v, ok := a.(analysis.CallPreHooker); ok {
-		bind(analysis.CapCallPre, v.CallPre)
-	}
-	if v, ok := a.(analysis.CallPostHooker); ok {
-		bind(analysis.CapCallPost, v.CallPost)
-	}
-	if v, ok := a.(analysis.ReturnHooker); ok {
-		bind(analysis.CapReturn, v.Return)
-	}
-	if v, ok := a.(analysis.StartHooker); ok {
-		bind(analysis.CapStart, v.Start)
-	}
-	if v, ok := a.(analysis.BlockCoverageHooker); ok {
-		bind(analysis.CapBlockCoverage, v.BlockCovered)
-	}
+	r := &Runtime{meta: meta, shared: shared}
+	r.cbs, r.caps = analysis.Bind(a)
 	if v, ok := a.(analysis.ModuleInfoReceiver); ok {
 		v.SetModuleInfo(&meta.Info)
 	}
 	return r
 }
-
-// capIndex is the position of capability bit c, its callback's index in
-// Runtime.cbs.
-func capIndex(c analysis.Cap) int { return bits.TrailingZeros32(uint32(c)) }
 
 // BindInstance gives the runtime access to the most recently instantiated
 // module, used as a fallback to resolve indirect-call table indices when a
@@ -228,7 +148,6 @@ func (r *Runtime) Imports() interp.Imports {
 }
 
 // TrapInvalidMetadata is the trap code reported when an instrumented module
-// references instrumentation metadata that does not exist (corrupted or
-// mismatched core.Metadata), or calls a hook with a mismatched argument
-// vector.
+// references instrumentation metadata that does not exist (a br_table
+// metadata index out of range: corrupted or mismatched core.Metadata).
 const TrapInvalidMetadata = "invalid instrumentation metadata"

@@ -138,23 +138,18 @@ func (b *builder) addEdge(to int32) {
 // resolve adds the edge of a branch with the given relative label, which
 // lands exactly where the instrumenter's resolveTarget does: loops branch
 // back to begin+1, the function label means return (no edge), everything
-// else lands after the frame's matching end.
-func (b *builder) resolve(label uint32, n int) error {
+// else lands after the frame's matching end. Neither lies past the body:
+// the control match puts every end but the function's before the final one.
+func (b *builder) resolve(label uint32) error {
 	if int(label) >= len(b.ctrl) {
 		return fmt.Errorf("branch label %d exceeds control depth %d", label, len(b.ctrl))
 	}
 	fr := b.ctrl[len(b.ctrl)-1-int(label)]
 	switch fr.kind {
 	case frLoop:
-		if fr.begin+1 >= n {
-			return fmt.Errorf("loop at %d has no body", fr.begin)
-		}
 		b.addEdge(b.g.blockAt[fr.begin+1])
 	case frFunc:
 	default:
-		if fr.end+1 >= n {
-			return fmt.Errorf("frame end %d has no continuation", fr.end)
-		}
 		b.addEdge(b.g.blockAt[fr.end+1])
 	}
 	return nil
@@ -209,44 +204,35 @@ func (b *builder) build(f *wasm.Func) error {
 		if !endsBlock(in.Op) && i != n-1 {
 			continue // mid-block instruction
 		}
-		switch op := in.Op; op {
+		// The match made the last instruction the function-level end and
+		// matched every other opener to an end before it, so no successor
+		// below lies past the body.
+		switch in.Op {
 		case wasm.OpLoop:
 			b.addEdge(g.blockAt[i+1]) // fallthrough into the loop body
 		case wasm.OpIf:
 			// True edge: the then arm. False edge: the else arm when present,
 			// otherwise past the matching end.
 			b.addEdge(g.blockAt[i+1])
-			if b.match.End[i] < 0 {
-				return fmt.Errorf("static: instr %d: if without matching end", i)
-			}
 			if elsePC := b.match.Else[i]; elsePC >= 0 {
 				b.addEdge(g.blockAt[elsePC+1])
 			} else {
-				if int(b.match.End[i])+1 >= n {
-					return fmt.Errorf("static: instr %d: if end has no continuation", i)
-				}
 				b.addEdge(g.blockAt[b.match.End[i]+1])
 			}
 		case wasm.OpElse:
 			// Reached by then-arm fallthrough: jump past the if's end.
-			if b.match.End[i] < 0 || int(b.match.End[i])+1 >= n {
-				return fmt.Errorf("static: instr %d: else has no continuation", i)
-			}
 			b.addEdge(g.blockAt[b.match.End[i]+1])
 		case wasm.OpEnd:
 			if i != n-1 { // the final end is the implicit return
 				b.addEdge(g.blockAt[i+1])
 			}
 		case wasm.OpBr:
-			if err := b.resolve(in.Idx, n); err != nil {
+			if err := b.resolve(in.Idx); err != nil {
 				return fmt.Errorf("static: instr %d: %w", i, err)
 			}
 		case wasm.OpBrIf:
-			if err := b.resolve(in.Idx, n); err != nil {
+			if err := b.resolve(in.Idx); err != nil {
 				return fmt.Errorf("static: instr %d: %w", i, err)
-			}
-			if i+1 >= n {
-				return fmt.Errorf("static: instr %d: br_if has no fallthrough", i)
 			}
 			b.addEdge(g.blockAt[i+1])
 		case wasm.OpBrTable:
@@ -255,19 +241,15 @@ func (b *builder) build(f *wasm.Func) error {
 				return fmt.Errorf("static: instr %d: br_table target span [%d:%d] exceeds pool (%d)", i, off, off+cnt, len(f.BrTargets))
 			}
 			for _, label := range in.BrTargets(f.BrTargets) {
-				if err := b.resolve(label, n); err != nil {
+				if err := b.resolve(label); err != nil {
 					return fmt.Errorf("static: instr %d: %w", i, err)
 				}
 			}
-			if err := b.resolve(in.Idx, n); err != nil { // default target
+			if err := b.resolve(in.Idx); err != nil { // default target
 				return fmt.Errorf("static: instr %d: %w", i, err)
 			}
 		case wasm.OpReturn, wasm.OpUnreachable:
 			// Leave the function or trap: no successors.
-		default:
-			// Only the final instruction can end a block without being a
-			// terminator — and the match already required it to be an end.
-			return fmt.Errorf("static: instr %d: body ends in %s, not end", i, op)
 		}
 		g.succOff = append(g.succOff, int32(len(g.succ)))
 	}

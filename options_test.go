@@ -34,7 +34,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"call depth zero", wasabi.WithMaxCallDepth(0), "WithMaxCallDepth"},
 		{"call depth negative", wasabi.WithMaxCallDepth(-1), "WithMaxCallDepth"},
 		{"call depth ok", wasabi.WithMaxCallDepth(100), ""},
-		{"interruption ok", wasabi.WithInterruption(), ""},
 		{"static analysis ok", wasabi.WithStaticAnalysis(), ""},
 		{"without validation ok", wasabi.WithoutValidation(), ""},
 	}

@@ -123,7 +123,7 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 // and ctx carries no earlier deadline, the engine default applies. The
 // instance must belong to this session (its hooks dispatch to the session's
 // analysis); interruption requires the engine to compile guarded code
-// (WithFuel / WithInterruption / WithDeadline).
+// (WithFuel, where WithFuel(0) sets no budget, or WithDeadline).
 func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn string, args ...interp.Value) ([]interp.Value, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: InvokeContext", ErrSessionClosed)

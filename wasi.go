@@ -13,38 +13,15 @@ import (
 )
 
 // WASIConfig configures the deterministic preview1 environment sessions
-// present to guests. The zero value is a valid minimal environment: no
-// args, no env, empty stdin, mock clock from zero, random bytes from seed
-// 0. Determinism is the point — two runs with the same config observe
-// identical clock, random, and fd behavior, which is what makes analysis
-// results reproducible and the differential oracle applicable to WASI
-// binaries.
-type WASIConfig struct {
-	// Args are the program arguments (args_get); Args[0] is conventionally
-	// the program name.
-	Args []string
-	// Env are the environment strings, each "KEY=VALUE" (environ_get).
-	Env []string
-	// Stdin is the byte stream served to fd 0.
-	Stdin []byte
-	// ClockBase is the first clock_time_get value, in nanoseconds.
-	ClockBase uint64
-	// ClockStep is the mock clock's advance per read; 0 means
-	// wasi.DefaultClockStep (1ms).
-	ClockStep uint64
-	// RandomSeed seeds the deterministic random_get stream.
-	RandomSeed int64
-	// Files preopens in-memory regular files at descriptors 3, 4, … in
-	// slice order. The guest can read, seek, and close them; there is no
-	// path namespace, so nothing reaches the host filesystem.
-	Files []WASIFile
-}
+// present to guests (see wasi.Config for the fields). The zero value is a
+// valid minimal environment. Determinism is the point — two runs with the
+// same config observe identical clock, random, and fd behavior, which is
+// what makes analysis results reproducible and the differential oracle
+// applicable to WASI binaries.
+type WASIConfig = wasi.Config
 
-// WASIFile is one preopened in-memory file.
-type WASIFile struct {
-	Name string // diagnostic only
-	Data []byte
-}
+// WASIFile is one preopened in-memory file (WASIConfig.Files).
+type WASIFile = wasi.File
 
 // ExitError reports a guest's proc_exit call: the module requested
 // termination with Code. It comes back from Invoke like a trap (the whole
@@ -103,19 +80,7 @@ func (s *Session) wasiImports() map[string]any {
 		return nil
 	}
 	if s.wasiSys == nil {
-		files := make([]wasi.File, len(cfg.Files))
-		for i, f := range cfg.Files {
-			files[i] = wasi.File{Name: f.Name, Data: f.Data}
-		}
-		s.wasiSys = wasi.New(wasi.Config{
-			Args:       cfg.Args,
-			Env:        cfg.Env,
-			Stdin:      cfg.Stdin,
-			ClockBase:  cfg.ClockBase,
-			ClockStep:  cfg.ClockStep,
-			RandomSeed: cfg.RandomSeed,
-			Files:      files,
-		})
+		s.wasiSys = wasi.New(*cfg)
 	}
 	return s.wasiSys.Imports()
 }
