@@ -1,10 +1,4 @@
-//go:build !race
-
 package wasabi_test
-
-// The race detector makes sync.Pool drop a random share of the buffers put
-// back, so the borrowed hook vectors are reallocated there by design; this
-// guard only holds, and only builds, without it.
 
 import (
 	"testing"
@@ -44,9 +38,10 @@ func (c *callRetObserver) CallPost(analysis.Location, []analysis.Value)         
 func (c *callRetObserver) Return(analysis.Location, []analysis.Value)              { c.calls++ }
 
 // TestCallReturnHooksZeroAllocs: the slice-carrying call/return hooks fill
-// borrowed, engine-pooled vectors, so a call-heavy invoke under call+return
-// instrumentation allocates exactly what the uninstrumented invoke does —
-// 0 allocations per dispatched hook call, end to end through a session.
+// borrowed vectors the session's runtime owns, so a call-heavy invoke under
+// call+return instrumentation allocates exactly what the uninstrumented
+// invoke does — 0 allocations per dispatched hook call, end to end through
+// a session, with and without the race detector.
 func TestCallReturnHooksZeroAllocs(t *testing.T) {
 	const loops = 512
 	m := callHeavyModule()

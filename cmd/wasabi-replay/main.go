@@ -47,11 +47,10 @@ func main() {
 		r.Serve(tr, *batch)
 		tr.Report(os.Stdout)
 	case "instruction-mix":
-		mix := analyses.NewStreamInstructionMix()
-		mix.SetEventTable(r.Table())
-		r.Serve(mix, *batch)
-		// The callback analysis's report: descending count, then name.
-		(&analyses.InstructionMix{Counts: mix.Counts}).Report(os.Stdout)
+		// The callback analysis, fed by the record decoder.
+		mix := analyses.NewInstructionMix()
+		r.Serve(analysis.NewDecoder(r.Table(), mix), *batch)
+		mix.Report(os.Stdout)
 		fmt.Printf("%12d  (total)\n", mix.Total())
 	default:
 		fatal("unknown -analysis %q (have: stats, trace, instruction-mix)", *analysisName)

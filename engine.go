@@ -31,10 +31,10 @@ func CapsOf(a any) Cap { return analysis.CapsOf(a) }
 
 // Engine is the process-wide entry point of the API: it owns the state that
 // is expensive to build and cheap to share — pooled instrumenter workers (in
-// internal/core), the borrowed hook-value buffer pool, the instrumented-
-// module cache, and the named-instance registry that lets instances import
-// each other's exports. One Engine serves many modules, analyses, sessions,
-// and goroutines concurrently; create it once and reuse it.
+// internal/core), the instrumented-module cache, and the named-instance
+// registry that lets instances import each other's exports. One Engine
+// serves many modules, analyses, sessions, and goroutines concurrently;
+// create it once and reuse it.
 //
 // The workflow is compile-once / instrument-many (the paper's
 // instrument-once, analyze-many usage): Instrument produces an immutable
@@ -48,7 +48,6 @@ type Engine struct {
 	noValidate bool          // skip input validation (WithoutValidation)
 	wasiCfg    *WASIConfig   // preview1 host environment (WithWASI); nil = no WASI
 	reg        *interp.Registry
-	pool       *wruntime.ValuePool
 
 	mu         sync.Mutex
 	cache      map[compiledKey]*CompiledAnalysis
@@ -194,7 +193,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e := &Engine{
 		cacheLimit: DefaultCompiledCacheLimit,
 		reg:        interp.NewRegistry(),
-		pool:       &wruntime.ValuePool{},
 		cache:      make(map[compiledKey]*CompiledAnalysis),
 	}
 	for _, o := range opts {
@@ -357,7 +355,7 @@ func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*Compile
 		engine: e,
 		module: instrumented,
 		meta:   meta,
-		shared: wruntime.NewShared(meta, e.pool),
+		shared: wruntime.NewShared(meta),
 		code:   interp.NewCompiledModule(instrumented, e.exec),
 	}, nil
 }

@@ -75,7 +75,7 @@ func (a *CallGraph) name(f int) string {
 	return fmt.Sprintf("func%d", f)
 }
 
-// Report writes the edges sorted by call count.
+// Report writes the edges sorted by call count, then caller, then callee.
 func (a *CallGraph) Report(w io.Writer) {
 	type row struct {
 		e [2]int
@@ -89,7 +89,10 @@ func (a *CallGraph) Report(w io.Writer) {
 		if rows[i].n != rows[j].n {
 			return rows[i].n > rows[j].n
 		}
-		return rows[i].e[0] < rows[j].e[0]
+		if rows[i].e[0] != rows[j].e[0] {
+			return rows[i].e[0] < rows[j].e[0]
+		}
+		return rows[i].e[1] < rows[j].e[1]
 	})
 	for _, r := range rows {
 		kind := ""

@@ -82,13 +82,13 @@ func (v Value) String() string {
 
 // Values is a vector of hook values. The value vectors handed to the
 // call/return hooks (CallPre args, CallPost and Return results) are BORROWED:
-// they alias an engine-pooled buffer that is valid only for the duration of
-// the hook call and is reused by later hook calls. An analysis that wants to
-// keep a vector past its own return must copy it, e.g. with
-// Values(args).Clone(). The same rule applies to the resolved-target table of
-// the BrTable hook (copy with BranchTargets(table).Clone()). Scalar hook
-// arguments (Location, Value, MemArg, ...) are plain copies and may always
-// be kept.
+// they alias a buffer of the session (or of the record decoder) that is
+// valid only for the duration of the hook call and is reused by later hook
+// calls. An analysis that wants to keep a vector past its own return must
+// copy it, e.g. with Values(args).Clone(). The same rule applies to the
+// resolved-target table of the BrTable hook (copy with
+// BranchTargets(table).Clone()). Scalar hook arguments (Location, Value,
+// MemArg, ...) are plain copies and may always be kept.
 type Values []Value
 
 // Clone returns a freshly allocated copy the analysis owns and may retain.
@@ -127,6 +127,42 @@ func (m MemArg) EffAddr() uint64 { return uint64(m.Addr) + uint64(m.Offset) }
 type BranchTarget struct {
 	Label    uint32
 	Location Location
+}
+
+// EndInfo describes one block "traversed" by a branch: the runtime must
+// report an end hook for it (paper §2.4.5).
+type EndInfo struct {
+	Kind  BlockKind `json:"kind"`
+	End   int       `json:"end"`   // instruction index of the block's end
+	Begin int       `json:"begin"` // instruction index of the block's begin (-1 for function)
+}
+
+// ResolvedTarget is a statically resolved branch destination.
+type ResolvedTarget struct {
+	Label uint32    `json:"label"` // raw relative label
+	Instr int       `json:"instr"` // absolute instruction index of the next instruction if taken
+	Ends  []EndInfo `json:"ends"`  // blocks left when this branch is taken
+}
+
+// BrTableInfo is the instrumentation-time record for one br_table
+// instruction. Which entry is taken — and therefore which blocks are left —
+// is only known at runtime, so the low-level br_table hook receives an index
+// into this table and the runtime selects the entry (paper §2.4.5).
+type BrTableInfo struct {
+	Loc     Location         `json:"loc"`
+	Targets []ResolvedTarget `json:"targets"`
+	Default ResolvedTarget   `json:"default"`
+}
+
+// Resolve fills dst (reused, grown as needed) with the BrTable hook's
+// resolved-target table for the br_table in function fn, and returns it
+// with the default target.
+func (b *BrTableInfo) Resolve(dst []BranchTarget, fn int) ([]BranchTarget, BranchTarget) {
+	dst = dst[:0]
+	for _, t := range b.Targets {
+		dst = append(dst, BranchTarget{Label: t.Label, Location: Location{Func: fn, Instr: t.Instr}})
+	}
+	return dst, BranchTarget{Label: b.Default.Label, Location: Location{Func: fn, Instr: b.Default.Instr}}
 }
 
 // BlockKind names the five kinds of blocks observed by begin/end hooks.

@@ -147,6 +147,18 @@ func (c Cap) HookSet() HookSet {
 	return s
 }
 
+// Callback returns the capability bit of the one callback a hook of kind k
+// dispatches to: post selects call_post over call_pre for KindCall.
+func (k HookKind) Callback(post bool) Cap {
+	switch {
+	case k != KindCall:
+		return k.Caps()
+	case post:
+		return CapCallPost
+	}
+	return CapCallPre
+}
+
 // Caps returns the capability bits whose callbacks observe kind k (both
 // call bits for KindCall, since either callback makes the kind live).
 func (k HookKind) Caps() Cap {

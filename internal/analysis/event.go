@@ -191,8 +191,15 @@ func (s *EventSpec) ValueTypes() []wasm.ValType {
 
 // EventTable maps Event.Hook indices back to their specs. It is immutable
 // and shared by every stream of one compiled instrumentation.
+//
+// A table built from the instrumentation metadata also carries what only
+// callbacks receive: the br_table records a br_table event's metadata index
+// (Vals[0]) selects, and the module information. A table read back from a
+// segment file has neither (nil BrTables and Info).
 type EventTable struct {
-	Specs []EventSpec
+	Specs    []EventSpec
+	BrTables []BrTableInfo
+	Info     *ModuleInfo
 }
 
 // Spec returns the spec of an event record. Not valid for EventCont or

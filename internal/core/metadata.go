@@ -68,30 +68,14 @@ func typeSuffix(ts []wasm.ValType) string {
 	return sb.String()
 }
 
-// EndInfo describes one block "traversed" by a branch: the runtime must
-// report an end hook for it (paper §2.4.5).
-type EndInfo struct {
-	Kind  analysis.BlockKind `json:"kind"`
-	End   int                `json:"end"`   // instruction index of the block's end
-	Begin int                `json:"begin"` // instruction index of the block's begin (-1 for function)
-}
-
-// ResolvedTarget is a statically resolved branch destination.
-type ResolvedTarget struct {
-	Label uint32    `json:"label"` // raw relative label
-	Instr int       `json:"instr"` // absolute instruction index of the next instruction if taken
-	Ends  []EndInfo `json:"ends"`  // blocks left when this branch is taken
-}
-
-// BrTableInfo is the instrumentation-time record for one br_table
-// instruction. Which entry is taken — and therefore which blocks are left —
-// is only known at runtime, so the low-level br_table hook receives an index
-// into this table and the runtime selects the entry (paper §2.4.5).
-type BrTableInfo struct {
-	Loc     analysis.Location `json:"loc"`
-	Targets []ResolvedTarget  `json:"targets"`
-	Default ResolvedTarget    `json:"default"`
-}
+// The br_table metadata types live in package analysis, beside the
+// EventTable that hands them to stream consumers; the aliases keep their
+// instrumenter-side names (and the metadata JSON) unchanged.
+type (
+	EndInfo        = analysis.EndInfo
+	ResolvedTarget = analysis.ResolvedTarget
+	BrTableInfo    = analysis.BrTableInfo
+)
 
 // Metadata is everything the Wasabi runtime needs beyond the instrumented
 // binary itself: the generated hook table, br_table records, index-space
@@ -115,8 +99,10 @@ type Metadata struct {
 // EventTable builds the decode table of the event-stream surface: one
 // EventSpec per generated hook, carrying the kind, interned instruction
 // name, block kind, and payload types a stream consumer needs to interpret
-// packed Event records. The result is immutable; callers build it once per
-// instrumentation and share it across streams.
+// packed Event records, plus the br_table records and module information
+// callback analyses receive (the table shares them with md). The result is
+// immutable; callers build it once per instrumentation and share it across
+// streams.
 func (md *Metadata) EventTable() *analysis.EventTable {
 	specs := make([]analysis.EventSpec, len(md.Hooks))
 	for i := range md.Hooks {
@@ -136,7 +122,7 @@ func (md *Metadata) EventTable() *analysis.EventTable {
 		}
 		specs[i] = es
 	}
-	return &analysis.EventTable{Specs: specs}
+	return &analysis.EventTable{Specs: specs, BrTables: md.BrTables, Info: &md.Info}
 }
 
 // OriginalFuncIdx maps a function index of the instrumented index space back

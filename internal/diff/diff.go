@@ -16,7 +16,8 @@
 //	plain    — uninstrumented threaded interpreter
 //	hooked   — all-hooks trampoline instrumentation, no-op callback analysis
 //	static   — same, on a WithStaticAnalysis engine (hook elision active)
-//	stream   — all-event record encoding into a served stream
+//	stream   — all-event record encoding into a served stream, every record
+//	           decoded into a no-op callback analysis
 //	fuel     — fuel-guarded execution with an ample budget
 //	relinked — "hooked" on threaded code an earlier instance of the same
 //	           CompiledAnalysis compiled and ran, so no state may leak
@@ -305,7 +306,7 @@ func runConfig(name string, m *wasm.Module, opts Options) (runResult, error) {
 		if err != nil {
 			return runResult{instErr: err.Error()}, nil
 		}
-		sess, err := ca.NewSession(&nopStream{})
+		sess, err := ca.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
 		if err != nil {
 			return runResult{instErr: err.Error()}, nil
 		}
@@ -317,7 +318,7 @@ func runConfig(name string, m *wasm.Module, opts Options) (runResult, error) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			stream.Serve(&nopStream{})
+			stream.Serve(wasabi.NewDecoder(stream.Table(), &analyses.Empty{}))
 		}()
 		i, err := sess.Instantiate("", imports)
 		if err != nil {

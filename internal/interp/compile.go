@@ -226,6 +226,7 @@ type compiler struct {
 	f        *wasm.Func
 	nLocals  int // params + declared locals
 	code     []instr
+	marks    []int // marks[i]: maxStack just before code[i] was emitted
 	brPool   []brEntry
 	ctrl     []cframe
 	height   int
@@ -299,7 +300,10 @@ func (c *compiler) compileFunc(sig wasm.FuncType, f *wasm.Func, maxStack int) (*
 	}, nil
 }
 
-func (c *compiler) emit(in instr) { c.code = append(c.code, in) }
+func (c *compiler) emit(in instr) {
+	c.marks = append(c.marks[:len(c.code)], c.maxStack)
+	c.code = append(c.code, in)
+}
 
 // patch sets the branch-target field of the instruction at idx. The fused
 // compare-and-branch keeps its target in b (a holds the opcode and local);
@@ -700,13 +704,19 @@ func (c *compiler) step(in wasm.Instr) error {
 }
 
 // elideArgs removes the lowering of the top n operand-stack values, used
-// when a call to a no-op hook is elided (dead-hook elision): the pushes that
-// materialized its arguments are unwound from the emitted suffix as long as
-// they are provably pure — constants, local reads, global reads, and the
-// fused multi-push forms of those (which are peeled value by value). Anything
-// else (a branch target boundary, a value produced by a call or a trapping
-// op) stops the unwind and the residue is discarded with a single iDropN.
+// when a call to a no-op hook is elided (dead-hook elision): the
+// instructions that materialized its arguments are unwound from the emitted
+// suffix as long as they are provably pure — constants, local and global
+// reads, the fused multi-push forms of those (which are peeled value by
+// value), and non-trapping numeric ops of one result (whose operands then
+// take the result's place among the values to unwind, so an i64 argument's
+// lo/hi split goes with it). Anything else (a branch target boundary, a
+// value produced by a call or a trapping op) stops the unwind and the
+// residue is discarded with a single iDropN. The high-water mark returns to
+// what it was before the first unwound instruction: the values those
+// instructions pushed and popped never occupy a slot.
 func (c *compiler) elideArgs(n int) {
+	emitted := len(c.code)
 	for n > 0 && len(c.code) > c.barrier {
 		k := len(c.code)
 		switch prev := &c.code[k-1]; prev.op {
@@ -741,11 +751,25 @@ func (c *compiler) elideArgs(n int) {
 				*prev = instr{op: iGetGet, a: prev.a, b: prev.b}
 				n--
 			}
+		case iUn, iConstBin, iGetBin:
+			// One operand in, one result out: the operand takes the
+			// result's place among the values to unwind.
+			op := wasm.Opcode(prev.a)
+			if prev.op == iGetBin {
+				op = wasm.Opcode(prev.bits)
+			}
+			if trapping(op) {
+				goto done
+			}
+			c.code = c.code[:k-1]
 		default:
 			goto done
 		}
 	}
 done:
+	if len(c.code) < emitted {
+		c.maxStack = c.marks[len(c.code)]
+	}
 	if n > 0 {
 		c.reach(c.height + n)
 		c.emit(instr{op: iDropN, a: uint32(n)})
@@ -759,15 +783,17 @@ func (c *compiler) checkLocal(idx uint32) error {
 	return nil
 }
 
-// trappingBinop reports whether a binary numeric op can trap (and so must
-// not be constant-folded at compile time).
-func trappingBinop(op wasm.Opcode) bool {
+// trapping reports whether a numeric op can trap — integer division and
+// remainder, and the float-to-int truncations (on NaN or an out-of-range
+// input) — and so must not be constant-folded at compile time, nor unwound
+// by elideArgs.
+func trapping(op wasm.Opcode) bool {
 	switch op {
 	case wasm.OpI32DivS, wasm.OpI32DivU, wasm.OpI32RemS, wasm.OpI32RemU,
 		wasm.OpI64DivS, wasm.OpI64DivU, wasm.OpI64RemS, wasm.OpI64RemU:
 		return true
 	}
-	return false
+	return op >= wasm.OpI32TruncF32S && op <= wasm.OpI32TruncF64U || op >= wasm.OpI64TruncF32S && op <= wasm.OpI64TruncF64U
 }
 
 // emitBin emits a binary numeric op, fusing with the values just pushed when
@@ -781,7 +807,7 @@ func (c *compiler) emitBin(op wasm.Opcode) {
 			*prev = instr{op: iConstBin, a: uint32(op), bits: prev.bits}
 			return
 		case iConst2:
-			if !trappingBinop(op) {
+			if !trapping(op) {
 				*prev = instr{op: iConst, bits: binop(op, uint64(prev.a), uint64(prev.b))}
 			} else {
 				rhs := uint64(prev.b)

@@ -2,47 +2,24 @@ package runtime
 
 // Unit parity + allocation guard for the record encoders (the stream
 // siblings of the trampolines): every generated HookSpec is dispatched
-// through the callback trampoline (bound to the callback Tracer) and the
-// record encoder (whose records are decoded by the StreamTracer) on
-// identical lowered argument vectors, and the formatted event lines must
-// match exactly — the strongest available statement that the packed record
-// format carries everything the callbacks carry. The allocation guard is
+// through the callback trampoline into one recorder, and through the record
+// encoder and the record decoder (analysis.NewDecoder) into another, on
+// identical lowered argument vectors, and the recorded callbacks must match
+// exactly — the strongest available statement that the packed record format
+// carries everything the callbacks carry. The allocation guard is
 // TestDispatchZeroAllocs's twin for the stream path.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/wasm"
 )
-
-// probeTracer adds the block-probe callback, which the callback Tracer does
-// not implement (a static engine would collapse its instrumentation to
-// probes), in the format streamLines decodes probe records to.
-type probeTracer struct{ *analyses.Tracer }
-
-func (tr probeTracer) BlockCovered(l analysis.Location, end int) {
-	tr.Events = append(tr.Events, fmt.Sprintf("%v block_probe %d", l, end))
-}
-
-// streamLines decodes a batch through the StreamTracer, formatting the block
-// probe records it does not know like probeTracer.
-func streamLines(st *analyses.StreamTracer, tbl *analysis.EventTable, batch []analysis.Event) {
-	for i := 0; i < len(batch); {
-		next := tbl.Next(batch, i)
-		if e := &batch[i]; e.Kind == analysis.KindBlockProbe {
-			st.Lines = append(st.Lines, fmt.Sprintf("%v block_probe %d", e.Loc(), int(int32(e.Aux))))
-		} else {
-			st.Events(batch[i:next])
-		}
-		i = next
-	}
-}
 
 // checkPacks verifies that the Pack bytes of a batch's call and return
 // groups describe their values: decoding the primary record (after
@@ -76,14 +53,14 @@ func checkPacks(t *testing.T, tbl *analysis.EventTable, batch []analysis.Event) 
 }
 
 // encoderFixture compiles every encoder of one parity spec set against an
-// emitter, next to a trampoline set bound to a callback tracer on the same
+// emitter, next to a trampoline set bound to a recorder on the same
 // metadata.
 type encoderFixture struct {
 	md     *core.Metadata
 	inst   *interp.Instance
 	em     *Emitter
 	sub    *Subscription
-	tracer probeTracer
+	rec    *recorder
 	specs  []*core.HookSpec
 	tramps []hookFn
 	encs   []hookFn
@@ -92,8 +69,8 @@ type encoderFixture struct {
 func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpressure) *encoderFixture {
 	t.Helper()
 	md := set.md
-	tracer := probeTracer{analyses.NewTracer()}
-	rtT := New(md, tracer)
+	rec := &recorder{}
+	rtT := New(md, rec)
 
 	em := NewEmitter(batchSize)
 	sub, err := em.Subscribe(2, mode)
@@ -107,14 +84,13 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpres
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtE.BindInstance(inst)
 
-	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, tracer: tracer}
+	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, rec: rec}
 	tramps, encs := hostFuncs(rtT), hostFuncs(rtE)
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
 		if tramps[i].NoOp {
-			t.Fatalf("hook %s: tracer bound to no-op trampoline", spec.Name)
+			t.Fatalf("hook %s: recorder bound to no-op trampoline", spec.Name)
 		}
 		if encs[i].NoOp {
 			t.Fatalf("hook %s: all-caps stream bound to no-op encoder", spec.Name)
@@ -129,38 +105,47 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpres
 func TestEncoderParityWithTrampolines(t *testing.T) {
 	for _, set := range paritySets(t) {
 		fx := newEncoderFixture(t, set, 1<<14, Block)
-		fx.tracer.Events = nil // drop the start function's events from instantiation
+		fx.rec.events = nil // drop the start function's events from instantiation
 		for i, spec := range fx.specs {
-			args := synthArgs(spec, spec.Layout().Arity)
-			fx.tramps[i](fx.inst, args)
-			fx.encs[i](fx.inst, args)
+			for _, args := range parityVectors(spec) {
+				fx.tramps[i](fx.inst, args)
+				fx.encs[i](fx.inst, args)
+			}
 		}
 		fx.em.Close()
 
-		st := analyses.NewStreamTracer()
 		tbl := fx.md.EventTable()
-		st.SetEventTable(tbl)
+		decoded := &recorder{}
+		dec := analysis.NewDecoder(tbl, decoded)
 		for {
 			batch, ok := fx.sub.Next()
 			if !ok {
 				break
 			}
 			checkPacks(t, tbl, batch)
-			streamLines(st, tbl, batch)
+			dec.Events(batch)
 		}
 
-		// The callback tracer formats location-first; both tracers share the
-		// format strings, so compare line for line.
-		if len(st.Lines) != len(fx.tracer.Events) {
-			t.Fatalf("%s: stream decoded %d events, callbacks dispatched %d", set.name, len(st.Lines), len(fx.tracer.Events))
+		want, got := fx.rec.events, decoded.events
+		if len(got) != len(want) {
+			t.Fatalf("%s: decoder dispatched %d events, trampolines %d", set.name, len(got), len(want))
 		}
-		for i := range st.Lines {
-			if st.Lines[i] != fx.tracer.Events[i] {
-				t.Errorf("%s: event %d:\n  callback: %s\n  stream:   %s", set.name, i, fx.tracer.Events[i], st.Lines[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: event %d:\n  trampoline: %s\n  decoder:    %s", set.name, i, want[i], got[i])
 			}
 		}
-		if len(st.Lines) == 0 {
-			t.Fatalf("%s: parity suite produced no events", set.name)
+		// The suite must reach the shapes the decoder reassembles: br_table
+		// target tables (the default entry too), call vectors spilling into
+		// continuation records, and block probes.
+		joined := strings.Join(got, "\n")
+		for _, shape := range map[string][]string{
+			"all":         {"br_table 3:17 [{", "call_pre 3:17 0 [", "call_post 3:17 ["},
+			"block_probe": {"block_probe 3:17"},
+		}[set.name] {
+			if !strings.Contains(joined, shape) {
+				t.Errorf("%s: no decoded event contains %q", set.name, shape)
+			}
 		}
 	}
 }

@@ -220,6 +220,25 @@ func synthArgs(spec *core.HookSpec, n int) []interp.Value {
 	return args
 }
 
+// parityVectors returns the argument vectors the parity suites dispatch a
+// hook with: synthArgs, plus the default entry of a br_table (an index past
+// its targets) and an unresolvable table index of an indirect call.
+func parityVectors(spec *core.HookSpec) [][]interp.Value {
+	arity := spec.Layout().Arity
+	vectors := [][]interp.Value{synthArgs(spec, arity)}
+	if spec.Kind == analysis.KindBrTable {
+		v := synthArgs(spec, arity)
+		v[3] = 99
+		vectors = append(vectors, v)
+	}
+	if spec.Kind == analysis.KindCall && !spec.Post && spec.Indirect {
+		v := synthArgs(spec, arity)
+		v[2] = 1000
+		vectors = append(vectors, v)
+	}
+	return vectors
+}
+
 func TestTrampolineParityWithGenericDispatch(t *testing.T) {
 	seenKinds := map[analysis.HookKind]bool{}
 	for _, set := range paritySets(t) {
@@ -240,21 +259,7 @@ func TestTrampolineParityWithGenericDispatch(t *testing.T) {
 				t.Errorf("%s: hook %s bound no-op although the analysis implements everything", set.name, spec.Name)
 				continue
 			}
-			arity := spec.Layout().Arity
-			vectors := [][]interp.Value{synthArgs(spec, arity)}
-			if spec.Kind == analysis.KindBrTable {
-				// Also exercise the default entry (index past the table).
-				v := synthArgs(spec, arity)
-				v[3] = 99
-				vectors = append(vectors, v)
-			}
-			if spec.Kind == analysis.KindCall && !spec.Post && spec.Indirect {
-				// Also exercise an unresolvable table index.
-				v := synthArgs(spec, arity)
-				v[2] = 1000
-				vectors = append(vectors, v)
-			}
-			for vi, args := range vectors {
+			for vi, args := range parityVectors(spec) {
 				recT.events, recG.events = nil, nil
 				errT := callFast(hf, inst, args)
 				errG := ref.dispatch(spec, args)
@@ -290,7 +295,6 @@ func TestTrampolineParityWithGenericDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.BindInstance(in2)
 			if _, err := in2.Invoke("f", interp.I32(1)); err != nil {
 				t.Fatal(err)
 			}

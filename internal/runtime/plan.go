@@ -96,7 +96,7 @@ func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]u
 		typ:   spec.WasmType(),
 		op:    spec.OpName(),
 		block: spec.Block,
-		live:  spec.Kind.Caps(),
+		live:  spec.Kind.Callback(spec.Post),
 	}
 	aux := auxValue(spec)
 	var ws []word
@@ -112,13 +112,9 @@ func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]u
 	case analysis.KindCall, analysis.KindReturn:
 		p.group, p.vec = true, ws
 		var head []wasm.ValType
-		switch {
-		case spec.Kind == analysis.KindCall && spec.Post:
-			p.live &= analysis.CapCallPost
-		case spec.Kind == analysis.KindCall:
+		if spec.Kind == analysis.KindCall && !spec.Post {
 			// Vals[0] is the table index as an i64: -1 for a direct call,
 			// which the indirect encoder overwrites.
-			p.live &= analysis.CapCallPre
 			p.indirect = spec.Indirect
 			p.vecStart = 1
 			p.tmpl.Vals[0] = ^uint64(0)
@@ -195,17 +191,12 @@ func (r *Runtime) brTableTrap(p *hookPlan, args []interp.Value) *interp.Trap {
 }
 
 // resolve maps a runtime table index to the function it calls, in the
-// original index space, or -1 (paper §2.3). The instance making the call is
-// preferred over the bound one, so hooks that fire during the start function
-// resolve before BindInstance has run.
+// original index space, or -1 (paper §2.3). inst is the instance making the
+// call, which the interpreter passes to every hook; with several instances
+// per session, each hook resolves against the instance that fired it.
 func (r *Runtime) resolve(inst *interp.Instance, tblIdx uint32) int {
-	if inst == nil {
-		inst = r.inst
-	}
-	if inst != nil {
-		if fidx := inst.ResolveTable(tblIdx); fidx >= 0 {
-			return r.meta.OriginalFuncIdx(int(fidx))
-		}
+	if fidx := inst.ResolveTable(tblIdx); fidx >= 0 {
+		return r.meta.OriginalFuncIdx(int(fidx))
 	}
 	return -1
 }

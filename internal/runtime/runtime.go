@@ -23,20 +23,14 @@ import (
 )
 
 // Shared is the per-instrumentation state every session's runtime reuses:
-// the hook plans and the engine's borrowed-buffer pool. A CompiledAnalysis
-// computes it once; binding a new session then only captures callbacks,
-// never re-derives a hook's lowering.
+// the hook plans. A CompiledAnalysis computes it once; binding a new
+// session then only captures callbacks, never re-derives a hook's lowering.
 type Shared struct {
-	Pool  *ValuePool
 	plans []hookPlan // indexed like Metadata.Hooks
 }
 
-// NewShared derives the hook plans of meta. A nil pool falls back to the
-// process-wide default pool.
-func NewShared(meta *core.Metadata, pool *ValuePool) *Shared {
-	if pool == nil {
-		pool = &defaultPool
-	}
+// NewShared derives the hook plans of meta.
+func NewShared(meta *core.Metadata) *Shared {
 	// br_table end replays reference the end hook of their block kind when
 	// one was generated; when the module was instrumented without end hooks
 	// (the replay data lives in the br_table metadata either way) they carry
@@ -54,16 +48,16 @@ func NewShared(meta *core.Metadata, pool *ValuePool) *Shared {
 	for i := range meta.Hooks {
 		plans[i] = newPlan(&meta.Hooks[i], i, endHook)
 	}
-	return &Shared{Pool: pool, plans: plans}
+	return &Shared{plans: plans}
 }
 
 // Runtime dispatches low-level hook calls to one analysis.
 type Runtime struct {
 	meta   *core.Metadata
 	shared *Shared
-	inst   *interp.Instance   // bound after instantiation; fallback for table resolution
 	caps   analysis.Cap       // which callbacks the analysis implements
 	cbs    analysis.Callbacks // those callbacks, bound to the analysis
+	bufs   buffers            // the borrowed vectors of slice-carrying callbacks
 
 	// Stream mode (SetEmitter): hooks in streamCaps compile to record
 	// encoders writing packed events into emitter instead of callback
@@ -78,9 +72,9 @@ type Runtime struct {
 // New creates a runtime dispatching to the given analysis, with its own
 // freshly derived shared state. Sessions created through the engine API use
 // NewBound instead, so all sessions of one CompiledAnalysis reuse one set of
-// hook plans and one buffer pool.
+// hook plans.
 func New(meta *core.Metadata, a any) *Runtime {
-	return NewBound(meta, a, NewShared(meta, nil))
+	return NewBound(meta, a, NewShared(meta))
 }
 
 // NewBound creates a runtime dispatching to the given analysis, binding it
@@ -94,13 +88,6 @@ func NewBound(meta *core.Metadata, a any, shared *Shared) *Runtime {
 	}
 	return r
 }
-
-// BindInstance gives the runtime access to the most recently instantiated
-// module, used as a fallback to resolve indirect-call table indices when a
-// hook is invoked without an instance (the interpreter always passes the
-// calling instance, which takes precedence — so with multiple instances per
-// session, each hook resolves against the instance that fired it).
-func (r *Runtime) BindInstance(inst *interp.Instance) { r.inst = inst }
 
 // SetEmitter switches the runtime to stream dispatch: Imports() compiles
 // record encoders (encoder.go) for the hooks selected by caps, writing

@@ -18,11 +18,11 @@ package runtime
 // index out of range) is a panic with an *interp.Trap, which the
 // interpreter's invocation root recovers. Trampolines therefore never
 // retain args; everything they hand to the analysis is either a scalar or a
-// borrowed, engine-pooled vector (the call/return value vectors and
-// br_table's resolved-target table) that is valid only for the duration of
-// the callback — analyses use analysis.Values.Clone to retain one. Filling
-// a pooled buffer instead of allocating keeps slice-carrying hook dispatch
-// at 0 allocs/op.
+// borrowed vector of the runtime's buffers (buffers.go: the call/return
+// value vectors and br_table's resolved-target table) that is valid only
+// for the duration of the callback — analyses use analysis.Values.Clone to
+// retain one. Filling a reused buffer instead of allocating keeps
+// slice-carrying hook dispatch at 0 allocs/op.
 
 import (
 	"wasabi/internal/analysis"
@@ -114,21 +114,19 @@ func (r *Runtime) compileTrampoline(p *hookPlan) hookFn {
 			cb(hookLoc(args), int(int32(uint32(args[p.aux]))))
 		}
 	case func(analysis.Location, []analysis.Value): // call_post, return
-		pool := r.shared.Pool
 		return func(_ *interp.Instance, args []interp.Value) {
-			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
+			r.bufs.withValues(p.vec, args, func(vs []analysis.Value) {
 				cb(hookLoc(args), vs)
 			})
 		}
 	case func(analysis.Location, int, []analysis.Value, int64): // call_pre
-		pool := r.shared.Pool
 		return func(inst *interp.Instance, args []interp.Value) {
 			w := uint32(args[p.aux]) // the target function, or the table index of an indirect call
 			target, tblIdx := int(int32(w)), int64(-1)
 			if p.indirect {
 				target, tblIdx = r.resolve(inst, w), int64(w)
 			}
-			borrowValues(pool, p.vec, args, func(vs []analysis.Value) {
+			r.bufs.withValues(p.vec, args, func(vs []analysis.Value) {
 				cb(hookLoc(args), target, vs, tblIdx)
 			})
 		}
@@ -137,31 +135,11 @@ func (r *Runtime) compileTrampoline(p *hookPlan) hookFn {
 	return nopHook
 }
 
-// borrowValues is the single implementation of the borrowed-buffer checkout
-// protocol every slice-carrying trampoline goes through: decode the value
-// vector into a pooled buffer, hand it to dispatch for the duration of the
-// call, put it back. An empty vector dispatches nil without touching the
-// pool. The dispatch closure must not escape (that would re-introduce a
-// per-call allocation — the zero-alloc guard test watches this).
-func borrowValues(pool *ValuePool, vec []word, args []interp.Value, dispatch func(vs []analysis.Value)) {
-	if len(vec) == 0 {
-		dispatch(nil)
-		return
-	}
-	buf := pool.getValues(len(vec))
-	for i, w := range vec {
-		buf.vs[i] = w.value(args)
-	}
-	dispatch(buf.vs)
-	pool.putValues(buf)
-}
-
 // brTableTrampoline fires the end callbacks of the blocks the taken branch
 // leaves, then the br_table callback with the borrowed resolved-target table.
 func (r *Runtime) brTableTrampoline(p *hookPlan) hookFn {
 	endCb, _ := r.cbs.Of(analysis.CapEnd).(func(analysis.Location, analysis.BlockKind, analysis.Location))
 	tableCb, _ := r.cbs.Of(analysis.CapBrTable).(func(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32))
-	pool := r.shared.Pool
 	return func(_ *interp.Instance, args []interp.Value) {
 		info, taken := r.brTaken(p, args)
 		if info == nil {
@@ -174,13 +152,9 @@ func (r *Runtime) brTableTrampoline(p *hookPlan) hookFn {
 			}
 		}
 		if tableCb != nil {
-			buf := pool.getTargets(len(info.Targets))
-			for i, t := range info.Targets {
-				buf.ts[i] = analysis.BranchTarget{Label: t.Label, Location: at(loc, t.Instr)}
-			}
-			deflt := analysis.BranchTarget{Label: info.Default.Label, Location: at(loc, info.Default.Instr)}
-			tableCb(loc, buf.ts, deflt, uint32(args[p.aux]))
-			pool.putTargets(buf)
+			r.bufs.withTargets(info, loc.Func, func(ts []analysis.BranchTarget, deflt analysis.BranchTarget) {
+				tableCb(loc, ts, deflt, uint32(args[p.aux]))
+			})
 		}
 	}
 }

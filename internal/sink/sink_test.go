@@ -468,7 +468,7 @@ func writeCrafted(tb testing.TB, dir string, c craftedSegment) string {
 
 // TestOpenRejectsUndecodableSegments pins that Open fails every crafted
 // segment with a *CorruptError instead of handing replay a table or records
-// that StreamTracer and StreamInstructionMix would index out of range on.
+// that the record decoder would index out of range on.
 func TestOpenRejectsUndecodableSegments(t *testing.T) {
 	for _, c := range craftedSegments() {
 		t.Run(c.name, func(t *testing.T) {
@@ -498,9 +498,16 @@ func TestOpenRejectsUndecodableSegments(t *testing.T) {
 	r.Close()
 }
 
+// everyHook implements every callback: the Tracer's, plus the block probe.
+type everyHook struct{ *analyses.Tracer }
+
+func (everyHook) BlockCovered(analysis.Location, int) {}
+
 // FuzzOpen feeds arbitrary bytes to Open: it either reports ErrCorrupt or
-// returns a reader whose records replay through both stream analyses the
-// wasabi-replay CLI runs, without panicking.
+// returns a reader whose records replay, in default-sized and in
+// one-record batches, through the record decoder into an analysis that
+// implements every callback — so every record kind is decoded — without
+// panicking.
 func FuzzOpen(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden.evlog"))
 	if err != nil {
@@ -527,11 +534,8 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		tr := analyses.NewStreamTracer()
-		tr.SetEventTable(r.Table())
-		r.Serve(tr, 0)
-		mix := analyses.NewStreamInstructionMix()
-		mix.SetEventTable(r.Table())
-		r.Serve(mix, 1)
+		for _, batch := range []int{0, 1} {
+			r.Serve(analysis.NewDecoder(r.Table(), everyHook{analyses.NewTracer()}), batch)
+		}
 	})
 }

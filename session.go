@@ -112,7 +112,6 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 			}
 		})
 	}
-	s.rt.BindInstance(inst)
 	return inst, nil
 }
 

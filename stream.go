@@ -73,6 +73,18 @@ type (
 // EventCont marks continuation records of multi-record events.
 const EventCont = analysis.EventCont
 
+// NewDecoder returns an EventSink that decodes each batch of tbl's records
+// into calls on a's callbacks, so any callback analysis can consume a
+// Stream, a Fanout subscription or a replayed segment:
+//
+//	go sub.Serve(wasabi.NewDecoder(fab.Table(), analyses.NewInstructionMix()))
+//
+// Values and br_table targets handed to the callbacks are borrowed, as on
+// the callback path. With a table read from a segment file BrTable receives
+// a nil table and a zero default, and SetModuleInfo is not called (segments
+// carry neither).
+func NewDecoder(tbl *EventTable, a any) EventSink { return analysis.NewDecoder(tbl, a) }
+
 // StreamOption configures one stream, overriding the defaults
 // (DefaultStreamBatchSize, BackpressureBlock).
 type StreamOption func(*streamConfig)
