@@ -21,11 +21,10 @@ import (
 
 // runInspect prints the static-analysis report for m to w.
 func runInspect(m *wasm.Module, w io.Writer) error {
-	ma, err := static.Analyze(m)
+	p, err := static.Profile(m)
 	if err != nil {
 		return fmt.Errorf("static analysis: %w", err)
 	}
-	p := ma.Profile()
 	maxStack, err := interp.StackHighWater(m)
 	if err != nil {
 		return fmt.Errorf("stack sizing: %w", err)

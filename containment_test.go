@@ -109,8 +109,10 @@ func TestContainmentThreeWays(t *testing.T) {
 	})
 	t.Run("deadline", func(t *testing.T) {
 		a := &brCounter{}
-		sess, inst := spinSession(t, mustEngine(t, wasabi.WithDeadline(15*time.Millisecond)), a)
-		_, err := sess.InvokeContext(context.Background(), inst, "spin")
+		sess, inst := spinSession(t, mustEngine(t, wasabi.WithFuel(0)), a)
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+		defer cancel()
+		_, err := sess.InvokeContext(ctx, inst, "spin")
 		if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, wasabi.ErrInterrupted) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded and ErrInterrupted", err)
 		}
@@ -198,7 +200,7 @@ func TestFuelExhaustionStreamPipeline(t *testing.T) {
 func TestDeadlineDuringBlockedStreamBatch(t *testing.T) {
 	leakcheck.Check(t)
 	a := &brCounter{}
-	engine := mustEngine(t, wasabi.WithDeadline(20*time.Millisecond))
+	engine := mustEngine(t, wasabi.WithFuel(0))
 	compiled, err := engine.InstrumentFor(spinModule(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +220,10 @@ func TestDeadlineDuringBlockedStreamBatch(t *testing.T) {
 	}
 	// No consumer drains: within a few batches the producer wedges inside
 	// Flush. Only the deadline can get it out.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = sess.InvokeContext(context.Background(), inst, "spin")
+	_, err = sess.InvokeContext(ctx, inst, "spin")
 	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, wasabi.ErrInterrupted) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded and ErrInterrupted", err)
 	}

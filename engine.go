@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/binary"
@@ -43,9 +42,7 @@ func CapsOf(a any) Cap { return analysis.CapsOf(a) }
 type Engine struct {
 	cacheLimit int
 	exec       interp.Config // containment config for every instance (see WithFuel etc.)
-	deadline   time.Duration // default InvokeContext deadline (WithDeadline)
 	static     bool          // analysis-aware instrumentation (WithStaticAnalysis)
-	noValidate bool          // skip input validation (WithoutValidation)
 	wasiCfg    *WASIConfig   // preview1 host environment (WithWASI); nil = no WASI
 	reg        *interp.Registry
 
@@ -95,20 +92,6 @@ func WithFuel(budget int64) EngineOption {
 		}
 		e.exec.Guarded = true
 		e.exec.Fuel = uint64(budget)
-		return nil
-	}
-}
-
-// WithDeadline bounds every Session.InvokeContext call whose context has no
-// earlier deadline to d, and enables guarded compilation so the deadline can
-// actually stop a runaway guest. Plain Invoke calls are not affected.
-func WithDeadline(d time.Duration) EngineOption {
-	return func(e *Engine) error {
-		if d <= 0 {
-			return badOption("WithDeadline", d, "deadline must be positive")
-		}
-		e.exec.Guarded = true
-		e.deadline = d
 		return nil
 	}
 }
@@ -169,20 +152,6 @@ func WithMaxCallDepth(n int) EngineOption {
 func WithStaticAnalysis() EngineOption {
 	return func(e *Engine) error {
 		e.static = true
-		return nil
-	}
-}
-
-// WithoutValidation skips validating input modules before instrumentation.
-// By default every Instrument call validates first and rejects malformed
-// modules with a positioned ValidationError; an embedder whose modules are
-// already validated (e.g. straight from a toolchain it trusts) can waive the
-// cost. Instrumenting an invalid module without validation is undefined
-// behavior — typically an instrumenter error, possibly a broken output
-// module.
-func WithoutValidation() EngineOption {
-	return func(e *Engine) error {
-		e.noValidate = true
 		return nil
 	}
 }
@@ -323,13 +292,10 @@ func (e *Engine) InstrumentBytes(wasmBytes []byte, caps Cap) (*CompiledAnalysis,
 // inputs whose module pointer will never be seen again (decoded bytes),
 // caching would retain every module forever.
 func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*CompiledAnalysis, error) {
-	if !e.noValidate {
-		if err := validate.Module(m); err != nil {
-			return nil, validationError(err)
-		}
+	if err := validate.Module(m); err != nil {
+		return nil, validationError(err)
 	}
-	// Validated above (or explicitly waived); don't pay for it again inside
-	// the instrumenter.
+	// Validated above; don't pay for it again inside the instrumenter.
 	opts.SkipValidation = true
 	if e.static {
 		plan, err := static.PlanFor(m, opts.Hooks)

@@ -32,11 +32,10 @@ var ErrNoHooks = errors.New("wasabi: analysis implements no hook interface")
 var ErrHookModuleCollision = errors.New("wasabi: import module name collides with the generated hook imports")
 
 // ErrInvalidModule reports an input module that failed validation before
-// instrumentation. Instrumenting is rejected by default so malformed inputs
-// fail with a positioned diagnostic instead of undefined instrumenter
-// behavior; WithoutValidation waives the check for pre-validated modules.
-// Matched with errors.Is; errors.As with *ValidationError recovers the
-// failure position.
+// instrumentation. Every input is validated, so malformed inputs fail with a
+// positioned diagnostic instead of undefined instrumenter behavior. Matched
+// with errors.Is; errors.As with *ValidationError recovers the failure
+// position.
 var ErrInvalidModule = errors.New("wasabi: input module invalid")
 
 // ErrBadOption reports an engine or stream option constructed with an

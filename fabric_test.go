@@ -394,7 +394,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The producer wedges on the full queue; only the deadline ends the run.
-		if _, err := sess.InvokeContext(context.Background(), inst, "spin"); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := sess.InvokeContext(spinDeadline(t), inst, "spin"); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
 		closed := make(chan struct{})
@@ -417,11 +417,12 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 }
 
 // spinFanout opens a fan-out session over the runaway spin module on an
-// engine whose invocations end on a 20ms deadline. Batches hold 8 records,
-// so an undrained subscription fills within the first loop iterations.
+// engine that compiles interruptible code; invoke it under spinDeadline.
+// Batches hold 8 records, so an undrained subscription fills within the
+// first loop iterations.
 func spinFanout(t *testing.T) (*wasabi.Session, *wasabi.Fabric) {
 	t.Helper()
-	engine := mustEngine(t, wasabi.WithDeadline(20*time.Millisecond))
+	engine := mustEngine(t, wasabi.WithFuel(0))
 	compiled, err := engine.InstrumentFor(spinModule(), &brCounter{})
 	if err != nil {
 		t.Fatal(err)
@@ -438,6 +439,14 @@ func spinFanout(t *testing.T) (*wasabi.Session, *wasabi.Fabric) {
 	return sess, fab
 }
 
+// spinDeadline returns a context that ends a spinFanout invocation after
+// 20ms.
+func spinDeadline(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestFanoutCloseAfterInterrupt is the regression test for interrupting a
 // fan-out session whose Block subscriber stopped draining: the interruption
 // reaches the only place that waits (the emitter's Flush), so Fabric.Close
@@ -452,7 +461,7 @@ func TestFanoutCloseAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.InvokeContext(context.Background(), inst, "spin"); !errors.Is(err, wasabi.ErrInterrupted) {
+	if _, err := sess.InvokeContext(spinDeadline(t), inst, "spin"); !errors.Is(err, wasabi.ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 	closed := make(chan struct{})

@@ -19,9 +19,8 @@ import (
 type Origin struct {
 	// Shadow state: origin (producing location) per local/global/stack slot
 	// and per memory word.
-	frames  []*originFrame
-	globals map[uint32]analysis.Location
-	mem     map[uint64]analysis.Location
+	shadow[analysis.Location]
+	mem map[uint64]analysis.Location
 
 	// ZeroLoads records, for every load that produced a zero, the location
 	// that last stored to the address (the "origin" of the zero), keyed by
@@ -29,99 +28,35 @@ type Origin struct {
 	ZeroLoads map[analysis.Location]analysis.Location
 }
 
-type originFrame struct {
-	stack  []analysis.Location
-	locals map[uint32]analysis.Location
-	ret    analysis.Location
-}
-
 var unknownLoc = analysis.Location{Func: -1, Instr: -1}
 
 // NewOrigin returns an empty origin-tracking analysis.
 func NewOrigin() *Origin {
-	o := &Origin{
-		globals:   make(map[uint32]analysis.Location),
+	return &Origin{
+		shadow:    newShadow(unknownLoc),
 		mem:       make(map[uint64]analysis.Location),
 		ZeroLoads: make(map[analysis.Location]analysis.Location),
 	}
-	o.frames = []*originFrame{newOriginFrame()}
-	return o
 }
 
-func newOriginFrame() *originFrame {
-	return &originFrame{locals: make(map[uint32]analysis.Location)}
-}
+// Constants and the results of operations originate at the instruction
+// itself.
 
-func (o *Origin) top() *originFrame { return o.frames[len(o.frames)-1] }
-
-func (f *originFrame) push(l analysis.Location) { f.stack = append(f.stack, l) }
-
-func (f *originFrame) pop() analysis.Location {
-	if len(f.stack) == 0 {
-		return unknownLoc
-	}
-	l := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return l
-}
-
-func (o *Origin) Const(loc analysis.Location, _ analysis.Value) { o.top().push(loc) }
-
-func (o *Origin) Drop(analysis.Location, analysis.Value) { o.top().pop() }
-
-func (o *Origin) Select(loc analysis.Location, cond bool, _, _ analysis.Value) {
-	f := o.top()
-	f.pop()
-	second := f.pop()
-	first := f.pop()
-	if cond {
-		f.push(first)
-	} else {
-		f.push(second)
-	}
-}
-
-// Results of operations originate at the operation itself.
+func (o *Origin) Const(loc analysis.Location, _ analysis.Value) { o.push(loc) }
 
 func (o *Origin) Unary(loc analysis.Location, _ string, _, _ analysis.Value) {
-	f := o.top()
-	f.pop()
-	f.push(loc)
+	o.pop()
+	o.push(loc)
 }
 
 func (o *Origin) Binary(loc analysis.Location, _ string, _, _, _ analysis.Value) {
-	f := o.top()
-	f.pop()
-	f.pop()
-	f.push(loc)
-}
-
-func (o *Origin) Local(_ analysis.Location, op string, idx uint32, _ analysis.Value) {
-	f := o.top()
-	switch op {
-	case "local.get":
-		f.push(f.locals[idx])
-	case "local.set":
-		f.locals[idx] = f.pop()
-	case "local.tee":
-		if len(f.stack) > 0 {
-			f.locals[idx] = f.stack[len(f.stack)-1]
-		}
-	}
-}
-
-func (o *Origin) Global(_ analysis.Location, op string, idx uint32, _ analysis.Value) {
-	f := o.top()
-	if op == "global.get" {
-		f.push(o.globals[idx])
-	} else {
-		o.globals[idx] = f.pop()
-	}
+	o.pop()
+	o.pop()
+	o.push(loc)
 }
 
 func (o *Origin) Load(loc analysis.Location, _ string, m analysis.MemArg, v analysis.Value) {
-	f := o.top()
-	f.pop() // address
+	o.pop() // address
 	origin, ok := o.mem[m.EffAddr()]
 	if !ok {
 		origin = unknownLoc
@@ -129,67 +64,41 @@ func (o *Origin) Load(loc analysis.Location, _ string, m analysis.MemArg, v anal
 	if v.Bits == 0 {
 		o.ZeroLoads[loc] = origin
 	}
-	f.push(origin)
+	o.push(origin)
 }
 
 func (o *Origin) Store(_ analysis.Location, _ string, m analysis.MemArg, _ analysis.Value) {
-	f := o.top()
-	origin := f.pop() // value origin
-	f.pop()           // address
+	origin := o.pop() // value origin
+	o.pop()           // address
 	o.mem[m.EffAddr()] = origin
 }
 
-func (o *Origin) MemorySize(loc analysis.Location, _ uint32) { o.top().push(loc) }
+func (o *Origin) MemorySize(loc analysis.Location, _ uint32) { o.push(loc) }
 
 func (o *Origin) MemoryGrow(loc analysis.Location, _, _ uint32) {
-	f := o.top()
-	f.pop()
-	f.push(loc)
+	o.pop()
+	o.push(loc)
 }
 
-func (o *Origin) If(analysis.Location, bool)                          { o.top().pop() }
-func (o *Origin) BrIf(analysis.Location, analysis.BranchTarget, bool) { o.top().pop() }
-func (o *Origin) BrTable(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32) {
-	o.top().pop()
-}
-
-func (o *Origin) CallPre(loc analysis.Location, _ int, args []analysis.Value, tableIdx int64) {
-	f := o.top()
-	origins := make([]analysis.Location, len(args))
-	for i := len(args) - 1; i >= 0; i-- {
-		origins[i] = f.pop()
-	}
-	if tableIdx >= 0 {
-		f.pop()
-	}
-	callee := newOriginFrame()
-	for i, or := range origins {
-		callee.locals[uint32(i)] = or
-	}
-	callee.ret = unknownLoc
-	o.frames = append(o.frames, callee)
+func (o *Origin) CallPre(_ analysis.Location, target int, args []analysis.Value, tableIdx int64) {
+	o.enter(target, len(args), tableIdx)
 }
 
 func (o *Origin) Return(_ analysis.Location, results []analysis.Value) {
 	f := o.top()
 	for range results {
-		f.ret = f.pop()
+		f.ret = o.pop()
 	}
 }
 
 func (o *Origin) CallPost(loc analysis.Location, results []analysis.Value) {
-	callee := o.top()
-	if len(o.frames) > 1 {
-		o.frames = o.frames[:len(o.frames)-1]
-	}
-	f := o.top()
-	origin := callee.ret
+	origin := o.leave().ret
 	if origin == unknownLoc {
 		// Host functions (no return hook): the call site is the origin.
 		origin = loc
 	}
 	for range results {
-		f.push(origin)
+		o.push(origin)
 	}
 }
 

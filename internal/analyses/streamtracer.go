@@ -33,10 +33,10 @@ func (tr *StreamTracer) SetEventTable(tbl *analysis.EventTable) {
 }
 
 // Events decodes one borrowed batch into the trace, one record group at a
-// time: once the trace holds MaxEvents lines, later records are not
-// decoded.
+// time: a group is one callback and so one line, and once the trace holds
+// MaxEvents lines, later records are not decoded.
 func (tr *StreamTracer) Events(batch []analysis.Event) {
-	tr.tracer.Events, tr.tracer.MaxEvents = tr.Lines, tr.MaxEvents
+	tr.tracer.Events = tr.Lines
 	for i := 0; i < len(batch) && (tr.MaxEvents <= 0 || len(tr.tracer.Events) < tr.MaxEvents); {
 		next := tr.tbl.Next(batch, i)
 		tr.dec.Events(batch[i:next])

@@ -24,9 +24,8 @@ type Taint struct {
 	// Flows records (source-tainted) values reaching sinks.
 	Flows []Flow
 
-	frames  []*taintFrame
-	globals map[uint32]bool
-	mem     map[uint64]bool // shadow memory, one taint bit per byte
+	shadow[bool]
+	mem map[uint64]bool // shadow memory, one taint bit per byte
 }
 
 // Flow is one detected source→sink flow.
@@ -36,112 +35,44 @@ type Flow struct {
 	Loc    analysis.Location
 }
 
-type taintFrame struct {
-	stack  []bool
-	locals map[uint32]bool
-	retTnt bool // taint of the returned value(s)
-	target int  // the called function
-}
-
 // NewTaint returns a taint analysis with no sources or sinks configured.
 func NewTaint() *Taint {
-	t := &Taint{
+	return &Taint{
 		Sources: make(map[int]bool),
 		Sinks:   make(map[int]bool),
-		globals: make(map[uint32]bool),
+		shadow:  newShadow(false), // a desynced shadow stack reads as clean
 		mem:     make(map[uint64]bool),
 	}
-	t.frames = []*taintFrame{newTaintFrame()}
-	return t
 }
 
-func newTaintFrame() *taintFrame {
-	return &taintFrame{locals: make(map[uint32]bool)}
-}
+// Value rules: a constant is clean, and an operation's result is tainted
+// when an operand is.
 
-func (t *Taint) top() *taintFrame { return t.frames[len(t.frames)-1] }
-
-func (f *taintFrame) push(v bool) { f.stack = append(f.stack, v) }
-
-func (f *taintFrame) pop() bool {
-	if len(f.stack) == 0 {
-		return false // conservative: desynced shadow stack reads as clean
-	}
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return v
-}
-
-// Stack-shape hooks: mirror the operand stack.
-
-func (t *Taint) Const(analysis.Location, analysis.Value) { t.top().push(false) }
-
-func (t *Taint) Drop(analysis.Location, analysis.Value) { t.top().pop() }
-
-func (t *Taint) Select(_ analysis.Location, cond bool, _, _ analysis.Value) {
-	f := t.top()
-	f.pop() // condition
-	second := f.pop()
-	first := f.pop()
-	if cond {
-		f.push(first)
-	} else {
-		f.push(second)
-	}
-}
+func (t *Taint) Const(analysis.Location, analysis.Value) { t.push(false) }
 
 func (t *Taint) Unary(analysis.Location, string, analysis.Value, analysis.Value) {
-	f := t.top()
-	f.push(f.pop())
+	t.push(t.pop())
 }
 
 func (t *Taint) Binary(analysis.Location, string, analysis.Value, analysis.Value, analysis.Value) {
-	f := t.top()
-	b, a := f.pop(), f.pop()
-	f.push(a || b)
-}
-
-// Locals and globals.
-
-func (t *Taint) Local(_ analysis.Location, op string, idx uint32, _ analysis.Value) {
-	f := t.top()
-	switch op {
-	case "local.get":
-		f.push(f.locals[idx])
-	case "local.set":
-		f.locals[idx] = f.pop()
-	case "local.tee":
-		if len(f.stack) > 0 {
-			f.locals[idx] = f.stack[len(f.stack)-1]
-		}
-	}
-}
-
-func (t *Taint) Global(_ analysis.Location, op string, idx uint32, _ analysis.Value) {
-	f := t.top()
-	if op == "global.get" {
-		f.push(t.globals[idx])
-	} else {
-		t.globals[idx] = f.pop()
-	}
+	b, a := t.pop(), t.pop()
+	t.push(a || b)
 }
 
 // Memory shadowing: taints propagate through loads and stores byte-wise.
 
 func (t *Taint) Load(_ analysis.Location, op string, m analysis.MemArg, _ analysis.Value) {
-	f := t.top()
-	f.pop() // address
+	t.pop() // address
 	tainted := false
 	for i := uint64(0); i < accessBytes(op); i++ {
 		tainted = tainted || t.mem[m.EffAddr()+i]
 	}
-	f.push(tainted)
+	t.push(tainted)
 }
 
 func (t *Taint) Store(_ analysis.Location, op string, m analysis.MemArg, _ analysis.Value) {
-	f := t.top()
-	v := f.pop()
-	f.pop() // address
+	v := t.pop()
+	t.pop() // address
 	for i := uint64(0); i < accessBytes(op); i++ {
 		if v {
 			t.mem[m.EffAddr()+i] = true
@@ -151,67 +82,41 @@ func (t *Taint) Store(_ analysis.Location, op string, m analysis.MemArg, _ analy
 	}
 }
 
-func (t *Taint) MemorySize(analysis.Location, uint32) { t.top().push(false) }
+func (t *Taint) MemorySize(analysis.Location, uint32) { t.push(false) }
 
 func (t *Taint) MemoryGrow(analysis.Location, uint32, uint32) {
-	f := t.top()
-	f.pop()
-	f.push(false)
-}
-
-func (t *Taint) If(analysis.Location, bool) { t.top().pop() }
-
-func (t *Taint) BrIf(analysis.Location, analysis.BranchTarget, bool) { t.top().pop() }
-
-func (t *Taint) BrTable(analysis.Location, []analysis.BranchTarget, analysis.BranchTarget, uint32) {
-	t.top().pop()
+	t.pop()
+	t.push(false)
 }
 
 // Calls: argument taints transfer into the callee frame; result taints
 // transfer back at call_post. Sink checking happens at call_pre.
 
 func (t *Taint) CallPre(loc analysis.Location, target int, args []analysis.Value, tableIdx int64) {
-	f := t.top()
-	taints := make([]bool, len(args))
-	for i := len(args) - 1; i >= 0; i-- {
-		taints[i] = f.pop()
-	}
-	if tableIdx >= 0 {
-		f.pop() // the table index operand
-	}
+	callee := t.enter(target, len(args), tableIdx)
 	if t.Sinks[target] {
-		for i, tainted := range taints {
-			if tainted {
+		for i := range args {
+			if callee.locals[uint32(i)] {
 				t.Flows = append(t.Flows, Flow{Sink: target, ArgIdx: i, Loc: loc})
 			}
 		}
 	}
-	callee := newTaintFrame()
-	for i, tnt := range taints {
-		callee.locals[uint32(i)] = tnt
-	}
-	callee.target = target
-	t.frames = append(t.frames, callee)
 }
 
 func (t *Taint) Return(_ analysis.Location, results []analysis.Value) {
-	f := t.top()
 	ret := false
 	for range results {
-		ret = ret || f.pop()
+		ret = ret || t.pop()
 	}
-	f.retTnt = f.retTnt || ret
+	f := t.top()
+	f.ret = f.ret || ret
 }
 
 func (t *Taint) CallPost(_ analysis.Location, results []analysis.Value) {
-	callee := t.top()
-	if len(t.frames) > 1 {
-		t.frames = t.frames[:len(t.frames)-1]
-	}
-	f := t.top()
-	tainted := callee.retTnt || t.Sources[callee.target]
+	callee := t.leave()
+	tainted := callee.ret || t.Sources[callee.target]
 	for range results {
-		f.push(tainted)
+		t.push(tainted)
 	}
 }
 

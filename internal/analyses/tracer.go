@@ -15,17 +15,12 @@ import (
 // begin(function), end hooks of traversed blocks before a taken branch).
 type Tracer struct {
 	Events []string
-	// MaxEvents bounds the trace; 0 means unbounded.
-	MaxEvents int
 }
 
-// NewTracer returns an unbounded tracer.
+// NewTracer returns a tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
 func (tr *Tracer) emit(format string, args ...any) {
-	if tr.MaxEvents > 0 && len(tr.Events) >= tr.MaxEvents {
-		return
-	}
 	tr.Events = append(tr.Events, fmt.Sprintf(format, args...))
 }
 

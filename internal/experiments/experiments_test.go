@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"wasabi/internal/analyses"
 )
 
 // smallConfig keeps the experiment smoke tests fast.
@@ -21,6 +24,24 @@ func TestTable4(t *testing.T) {
 			t.Errorf("Table 4 output missing %q", want)
 		}
 	}
+	// The taint row counts taint.go and the shadow stack it embeds.
+	want := 0
+	for _, file := range []string{"taint.go", "shadow.go"} {
+		n, err := analyses.LinesOfCode(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += n
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "taint" {
+			if got := f[len(f)-1]; got != strconv.Itoa(want) {
+				t.Errorf("taint row counts %s lines, want %d (taint.go + shadow.go):\n%s", got, want, line)
+			}
+			return
+		}
+	}
+	t.Error("Table 4 has no taint row")
 }
 
 func TestRQ2(t *testing.T) {

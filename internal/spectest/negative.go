@@ -13,7 +13,7 @@ type NegativeCase struct {
 	Module func() *wasm.Module
 	// CFGMustErr marks cases whose malformation is structural (unbalanced
 	// control, out-of-range labels, bad br_table spans, missing bodies):
-	// the CFG builder, and so static.Analyze and static.PlanFor, must fail
+	// the CFG builder, and so static.PlanFor and static.Profile, must fail
 	// on these. Pure type errors (the rest) are out of its scope — it must
 	// merely not panic on them.
 	CFGMustErr bool

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wasabi"
+	"wasabi/internal/core"
 	"wasabi/internal/static"
 	"wasabi/internal/validate"
 )
@@ -30,14 +31,15 @@ func TestNegativeCorpusValidate(t *testing.T) {
 	}
 }
 
-// TestNegativeCorpusStatic: the CFG builder survives every invalid module —
-// structural malformations fail with an error, type-only malformations are
-// out of its scope, and nothing panics.
+// TestNegativeCorpusStatic: the module profile (what `wasabi -inspect`
+// prints, on unvalidated input) survives every invalid module — structural
+// malformations fail with an error, type-only malformations are out of its
+// scope, and nothing panics. TestNegativeCorpusStaticEngine covers PlanFor.
 func TestNegativeCorpusStatic(t *testing.T) {
 	for _, c := range NegativeCorpus() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			_, err := static.Analyze(c.Module())
+			_, err := static.Profile(c.Module())
 			if c.CFGMustErr && err == nil {
 				t.Error("structurally malformed module analyzed without error")
 			}
@@ -70,19 +72,21 @@ func TestNegativeCorpusEngine(t *testing.T) {
 	}
 }
 
-// TestNegativeCorpusStaticEngine: a static-analysis engine that waives
-// validation never panics on an invalid module, and its static pass, which
-// checks structure only, rejects every structurally malformed one. Type-only
-// malformations get WithoutValidation's undefined behaviour.
+// TestNegativeCorpusStaticEngine: the instrumenter, run without validation
+// under the static plan, never panics on an invalid module, and the plan,
+// which checks structure only, rejects every structurally malformed one.
+// Type-only malformations reach the instrumenter, whose output is then
+// undefined.
 func TestNegativeCorpusStaticEngine(t *testing.T) {
-	eng, err := wasabi.NewEngine(wasabi.WithoutValidation(), wasabi.WithStaticAnalysis())
-	if err != nil {
-		t.Fatal(err)
-	}
+	hooks := wasabi.AllCaps.HookSet()
 	for _, c := range NegativeCorpus() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			_, err := eng.Instrument(c.Module(), wasabi.AllCaps)
+			m := c.Module()
+			plan, err := static.PlanFor(m, hooks)
+			if err == nil {
+				_, _, err = core.Instrument(m, core.Options{Hooks: hooks, SkipValidation: true, Plan: plan})
+			}
 			if c.CFGMustErr && err == nil {
 				t.Error("structurally malformed module instrumented without error")
 			}

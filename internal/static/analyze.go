@@ -7,89 +7,31 @@ import (
 	"wasabi/internal/wasm"
 )
 
-// FuncAnalysis bundles the per-function results.
-type FuncAnalysis struct {
-	CFG *CFG
-}
-
-// ModuleAnalysis is the full static profile of a module: one CFG per
-// defined function and the module-level call graph.
-type ModuleAnalysis struct {
-	Graph *CallGraph
-	Funcs []FuncAnalysis // indexed by DEFINED function index
-
-	ix *wasm.Index // the module's index spaces
-}
-
-// Analyze computes a module's call graph with reachability and every
-// defined function's CFG with block reachability, and nothing else. It
-// assumes a structurally decodable module but not a validated one, and it
-// checks structure only, exactly like PlanFor: it fails on the same modules
-// with the same errors, positioned and never panics. The CFGs are built on
-// GOMAXPROCS workers; the error reported is the lowest-index failing
-// function's, as in a sequential pass.
-func Analyze(m *wasm.Module) (*ModuleAnalysis, error) { return analyze(m, 0) }
-
-// analyze is Analyze with the CFGs built on par workers (0 means
-// GOMAXPROCS).
-func analyze(m *wasm.Module, par int) (*ModuleAnalysis, error) {
-	ix := wasm.NewIndex(m)
-	cg, err := BuildCallGraph(ix)
-	if err != nil {
-		return nil, err
-	}
-	ma := &ModuleAnalysis{Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs)), ix: ix}
-	numImports := ix.NumImportedFuncs()
-	err = parallel.Each(len(m.Funcs), par, func(di int) error {
-		var b builder // one per function, so that the graph owns its memory
-		if err := b.buildFunc(m, numImports, di); err != nil {
-			return err
-		}
-		g := b.g
-		ma.Funcs[di] = FuncAnalysis{CFG: &g}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ma, nil
-}
-
-// newPlan returns a plan that skips every function the call graph cannot
-// reach and, when hooks selects analysis.KindBlockProbe, has room for the
-// probe spans of each function.
-func newPlan(cg *CallGraph, numImports, numDefined int, hooks analysis.HookSet) *core.Plan {
-	p := &core.Plan{SkipFunc: make([]bool, numDefined)}
-	for di := range p.SkipFunc {
-		p.SkipFunc[di] = !cg.Reachable[numImports+di]
-	}
-	if hooks.Has(analysis.KindBlockProbe) {
-		p.Blocks = make([][]core.BlockSpan, numDefined)
-	}
-	return p
-}
-
-// Plan derives the instrumentation plan: functions unreachable from
-// exports/start are skipped outright, and when hooks selects
-// analysis.KindBlockProbe every CFG-reachable basic block of the remaining
-// functions gets one probe.
-func (ma *ModuleAnalysis) Plan(hooks analysis.HookSet) *core.Plan {
-	p := newPlan(ma.Graph, ma.ix.NumImportedFuncs(), len(ma.Funcs), hooks)
-	if p.Blocks != nil {
-		for di := range ma.Funcs {
-			if !p.SkipFunc[di] {
-				p.Blocks[di] = ma.Funcs[di].CFG.spans()
+// eachCFG builds the CFG of every defined function of the indexed module on
+// par workers (0 means GOMAXPROCS), each reusing one builder's buffers from
+// function to function, and hands it to visit with the function's defined
+// index. visit runs concurrently for different functions and must not keep
+// g: the worker's next build overwrites it. The error reported is the
+// lowest-index failing function's, as in a sequential pass.
+func eachCFG(ix *wasm.Index, par int, visit func(di int, g *CFG)) error {
+	m, numImports := ix.Module(), ix.NumImportedFuncs()
+	return parallel.For(len(m.Funcs), par, func() *builder { return new(builder) }, nil,
+		func(b *builder, di int) error {
+			if err := b.buildFunc(m, numImports, di); err != nil {
+				return err
 			}
-		}
-	}
-	return p
+			visit(di, &b.g)
+			return nil
+		})
 }
 
-// PlanFor is the path the engine uses: it computes the plan
-// Analyze(m).Plan(hooks) would, and fails where Analyze does, but keeps
-// only what the plan holds. The CFGs are built on GOMAXPROCS workers, each
-// reusing one builder's buffers from function to function; the error
-// reported is the lowest-index failing function's.
+// PlanFor derives the instrumentation plan for hooks: functions the call
+// graph cannot reach from exports/start are skipped outright, and when
+// hooks selects analysis.KindBlockProbe every CFG-reachable basic block of
+// the remaining functions gets one probe. It assumes a structurally
+// decodable module but not a validated one, and checks structure only: it
+// fails on the same modules as Profile, with the same errors, positioned,
+// and never panics.
 func PlanFor(m *wasm.Module, hooks analysis.HookSet) (*core.Plan, error) {
 	return planFor(m, hooks, 0)
 }
@@ -103,19 +45,20 @@ func planFor(m *wasm.Module, hooks analysis.HookSet, par int) (*core.Plan, error
 		return nil, err
 	}
 	numImports := ix.NumImportedFuncs()
-	p := newPlan(cg, numImports, len(m.Funcs), hooks)
+	p := &core.Plan{SkipFunc: make([]bool, len(m.Funcs))}
+	for di := range p.SkipFunc {
+		p.SkipFunc[di] = !cg.Reachable[numImports+di]
+	}
+	if hooks.Has(analysis.KindBlockProbe) {
+		p.Blocks = make([][]core.BlockSpan, len(m.Funcs))
+	}
 	// Every CFG is built, even where no span is read, so that the plan
-	// fails on exactly the bodies Analyze's CFG builder rejects.
-	err = parallel.For(len(m.Funcs), par, func() *builder { return new(builder) }, nil,
-		func(b *builder, di int) error {
-			if err := b.buildFunc(m, numImports, di); err != nil {
-				return err
-			}
-			if p.Blocks != nil && !p.SkipFunc[di] {
-				p.Blocks[di] = b.g.spans()
-			}
-			return nil
-		})
+	// fails on exactly the bodies the CFG builder rejects.
+	err = eachCFG(ix, par, func(di int, g *CFG) {
+		if p.Blocks != nil && !p.SkipFunc[di] {
+			p.Blocks[di] = g.spans()
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -124,51 +67,68 @@ func planFor(m *wasm.Module, hooks analysis.HookSet, par int) (*core.Plan, error
 
 // FuncProfile is one function's row in the module profile.
 type FuncProfile struct {
-	Idx       int    `json:"idx"`
-	Name      string `json:"name,omitempty"`
-	Dead      bool   `json:"dead,omitempty"`
-	Blocks    int    `json:"blocks"`
-	Reachable int    `json:"reachable_blocks"`
+	Idx       int
+	Name      string
+	Dead      bool
+	Blocks    int
+	Reachable int
 }
 
 // IndirectSite is one call_indirect instruction's static fan-out.
 type IndirectSite struct {
-	Func   int `json:"func"`
-	FanOut int `json:"fan_out"`
+	Func   int
+	FanOut int
 }
 
-// Profile is the module's static profile, the data behind `wasabi -inspect`.
-type Profile struct {
-	NumFuncs      int            `json:"num_funcs"`
-	NumImports    int            `json:"num_imports"`
-	DeadFuncs     []uint32       `json:"dead_funcs"`
-	TableFuncs    int            `json:"table_funcs"`
-	Funcs         []FuncProfile  `json:"funcs"`
-	IndirectSites []IndirectSite `json:"indirect_sites,omitempty"`
+// ModuleProfile is the module's static profile, the data behind
+// `wasabi -inspect`.
+type ModuleProfile struct {
+	NumFuncs      int
+	NumImports    int
+	DeadFuncs     []uint32
+	TableFuncs    int
+	Funcs         []FuncProfile // indexed by defined function index
+	IndirectSites []IndirectSite
 }
 
-// Profile assembles the report-surface view of the analysis.
-func (ma *ModuleAnalysis) Profile() *Profile {
-	numImports := ma.ix.NumImportedFuncs()
-	p := &Profile{
-		NumFuncs:   ma.ix.NumFuncs(),
-		NumImports: numImports,
-		DeadFuncs:  ma.Graph.DeadFuncs(),
-		TableFuncs: len(ma.Graph.TableFuncs),
+// Profile computes m's static profile: its call graph with reachability,
+// and each defined function's block counts from a CFG walk like PlanFor's,
+// with which it shares every check and error.
+func Profile(m *wasm.Module) (*ModuleProfile, error) { return profile(m, 0) }
+
+// profile is Profile with the CFGs built on par workers (0 means
+// GOMAXPROCS).
+func profile(m *wasm.Module, par int) (*ModuleProfile, error) {
+	ix := wasm.NewIndex(m)
+	cg, err := BuildCallGraph(ix)
+	if err != nil {
+		return nil, err
 	}
-	for di := range ma.Funcs {
+	numImports := ix.NumImportedFuncs()
+	p := &ModuleProfile{
+		NumFuncs:   ix.NumFuncs(),
+		NumImports: numImports,
+		DeadFuncs:  cg.DeadFuncs(),
+		TableFuncs: len(cg.TableFuncs),
+		Funcs:      make([]FuncProfile, len(m.Funcs)),
+	}
+	err = eachCFG(ix, par, func(di int, g *CFG) {
 		idx := numImports + di
-		fa := &ma.Funcs[di]
-		p.Funcs = append(p.Funcs, FuncProfile{
+		p.Funcs[di] = FuncProfile{
 			Idx:       idx,
-			Name:      ma.ix.FuncName(uint32(idx)),
-			Dead:      !ma.Graph.Reachable[idx],
-			Blocks:    len(fa.CFG.Blocks),
-			Reachable: fa.CFG.NumReachable(),
-		})
-		for _, fan := range ma.Graph.IndirectSites[idx] {
+			Name:      ix.FuncName(uint32(idx)),
+			Dead:      !cg.Reachable[idx],
+			Blocks:    len(g.Blocks),
+			Reachable: g.NumReachable(),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for idx := numImports; idx < len(cg.IndirectSites); idx++ {
+		for _, fan := range cg.IndirectSites[idx] {
 			p.IndirectSites = append(p.IndirectSites, IndirectSite{Func: idx, FanOut: fan})
 		}
 	}
-	return p
+	return p, nil
 }

@@ -15,11 +15,10 @@ var sinkProfile string
 func TestProfileSmoke(t *testing.T) {
 	for _, c := range spectest.Corpus() {
 		m := c.Module()
-		ma, err := static.Analyze(m)
+		p, err := static.Profile(m)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		p := ma.Profile()
 		if p.NumFuncs != m.NumFuncs() {
 			t.Fatalf("%s: profile counts %d funcs, module has %d", c.Name, p.NumFuncs, m.NumFuncs())
 		}

@@ -6,14 +6,14 @@
 // It has two entry points, and both check structure only, so they accept
 // and reject the same modules with the same errors. PlanFor computes only
 // what core.Plan holds — call-graph reachability and the spans of each
-// function's reachable blocks — building every CFG in buffers its workers
-// reuse from function to function. Analyze builds each CFG in memory of its
-// own, for the `wasabi -inspect` report. Both share one CFG builder, which
-// pairs each body's blocks with their ends through wasm.ControlMatch:
-// everything here works on ORIGINAL instruction indices of uninstrumented
-// bodies, and malformed bodies surface as errors, never panics. Operand
-// stack heights are not a static fact here: the interpreter's compile pass
-// computes them (interp.StackHighWater).
+// function's reachable blocks — and Profile the counts the `wasabi
+// -inspect` report prints. Both walk the CFGs the same way (eachCFG), in
+// buffers the workers reuse from function to function, with one CFG
+// builder, which pairs each body's blocks with their ends through
+// wasm.ControlMatch: everything here works on ORIGINAL instruction indices
+// of uninstrumented bodies, and malformed bodies surface as errors, never
+// panics. Operand stack heights are not a static fact here: the
+// interpreter's compile pass computes them (interp.StackHighWater).
 package static
 
 import (

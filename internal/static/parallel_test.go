@@ -27,7 +27,7 @@ func badModule(bad3 ...wasm.Instr) *wasm.Module {
 
 // TestLowestBadFunctionReported checks that, with two malformed bodies, the
 // error names the lower-index function at every worker count, on the
-// analysis path and on the plan path. Both check structure only: an else
+// profile path and on the plan path. Both check structure only: an else
 // without an if fails func 3, while a stack underflow there is left to
 // validation, so both paths reach func 8's bad type index.
 func TestLowestBadFunctionReported(t *testing.T) {
@@ -37,7 +37,7 @@ func TestLowestBadFunctionReported(t *testing.T) {
 		name string
 		run  func(par int) error
 	}{
-		{"analyze/structural", func(par int) error { _, err := analyze(structural, par); return err }},
+		{"profile/structural", func(par int) error { _, err := profile(structural, par); return err }},
 		{"planFor/structural", func(par int) error {
 			_, err := planFor(structural, analysis.Set(analysis.KindBlockProbe), par)
 			return err
@@ -56,8 +56,8 @@ func TestLowestBadFunctionReported(t *testing.T) {
 			}
 		}
 	}
-	if _, err := analyze(underflow, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
-		t.Fatalf("analyze on the underflow module: got %v, want func 8's error", err)
+	if _, err := profile(underflow, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
+		t.Fatalf("profile on the underflow module: got %v, want func 8's error", err)
 	}
 	if _, err := planFor(underflow, analysis.AllHooks, 1); err == nil || !strings.HasPrefix(err.Error(), "static: func 8:") {
 		t.Fatalf("planFor on the underflow module: got %v, want func 8's error", err)

@@ -8,7 +8,6 @@ package wasabi_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"wasabi"
 )
@@ -24,9 +23,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"fuel negative", wasabi.WithFuel(-1), "WithFuel"},
 		{"fuel zero ok", wasabi.WithFuel(0), ""},
 		{"fuel positive ok", wasabi.WithFuel(1 << 40), ""},
-		{"deadline zero", wasabi.WithDeadline(0), "WithDeadline"},
-		{"deadline negative", wasabi.WithDeadline(-time.Second), "WithDeadline"},
-		{"deadline positive ok", wasabi.WithDeadline(time.Second), ""},
 		{"memory limit zero", wasabi.WithMemoryLimitPages(0), "WithMemoryLimitPages"},
 		{"memory limit ok", wasabi.WithMemoryLimitPages(16), ""},
 		{"table limit zero", wasabi.WithTableLimit(0), "WithTableLimit"},
@@ -35,7 +31,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"call depth negative", wasabi.WithMaxCallDepth(-1), "WithMaxCallDepth"},
 		{"call depth ok", wasabi.WithMaxCallDepth(100), ""},
 		{"static analysis ok", wasabi.WithStaticAnalysis(), ""},
-		{"without validation ok", wasabi.WithoutValidation(), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,7 +64,7 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 
 	// The first invalid option wins, even with valid ones around it.
-	_, err := wasabi.NewEngine(wasabi.WithCompiledCacheLimit(2), wasabi.WithFuel(-7), wasabi.WithDeadline(0))
+	_, err := wasabi.NewEngine(wasabi.WithCompiledCacheLimit(2), wasabi.WithFuel(-7), wasabi.WithMaxCallDepth(0))
 	var bad *wasabi.BadOptionError
 	if !errors.As(err, &bad) || bad.Option != "WithFuel" {
 		t.Errorf("first bad option not reported: %v", err)

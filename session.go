@@ -118,21 +118,13 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 // InvokeContext is Instance.InvokeContext for an instance of this session:
 // on cancellation or deadline expiry both the instance and the session's
 // event stream (if any) are interrupted, so a Block-mode producer wedged on
-// a lagging consumer unblocks too. When the engine was built WithDeadline
-// and ctx carries no earlier deadline, the engine default applies. The
-// instance must belong to this session (its hooks dispatch to the session's
-// analysis); interruption requires the engine to compile guarded code
-// (WithFuel, where WithFuel(0) sets no budget, or WithDeadline).
+// a lagging consumer unblocks too. The instance must belong to this session
+// (its hooks dispatch to the session's analysis); interruption requires the
+// engine to compile guarded code (WithFuel, where WithFuel(0) sets no
+// budget).
 func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn string, args ...interp.Value) ([]interp.Value, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: InvokeContext", ErrSessionClosed)
-	}
-	if d := s.compiled.engine.deadline; d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
 	}
 	var onInterrupt func()
 	if s.stream != nil {
@@ -168,12 +160,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Analysis returns the analysis value the session dispatches to.
-func (s *Session) Analysis() any { return s.analysis }
-
-// Compiled returns the CompiledAnalysis the session was created from.
-func (s *Session) Compiled() *CompiledAnalysis { return s.compiled }
-
 // Module returns the instrumented module (shared and read-only; see
 // CompiledAnalysis.Module).
 func (s *Session) Module() *wasm.Module { return s.compiled.module }
@@ -183,6 +169,3 @@ func (s *Session) Metadata() *core.Metadata { return s.compiled.meta }
 
 // Info returns the static module information analyses receive.
 func (s *Session) Info() *ModuleInfo { return &s.compiled.meta.Info }
-
-// EncodedModule returns the instrumented module in the binary format.
-func (s *Session) EncodedModule() ([]byte, error) { return s.compiled.Encode() }

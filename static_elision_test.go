@@ -63,9 +63,9 @@ func TestBlockProbeCountMatchesBlocks(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			m := c.Module()
-			ma, err := static.Analyze(m)
+			p, err := static.Profile(m)
 			if err != nil {
-				t.Fatalf("Analyze: %v", err)
+				t.Fatalf("Profile: %v", err)
 			}
 			eng := mustEngine(t, wasabi.WithStaticAnalysis())
 			ca, err := eng.InstrumentFor(m, analyses.NewInstructionCoverage())
@@ -80,8 +80,8 @@ func TestBlockProbeCountMatchesBlocks(t *testing.T) {
 			numImports := m.NumImportedFuncs()
 			for di := range m.Funcs {
 				want := 0
-				if ma.Graph.Reachable[numImports+di] {
-					want = ma.Funcs[di].CFG.NumReachable()
+				if !p.Funcs[di].Dead {
+					want = p.Funcs[di].Reachable
 				}
 				if got[di] != want {
 					t.Errorf("func %d: %d probes, want %d (one per reachable block)",
@@ -268,11 +268,11 @@ func TestDeadFunctionElision(t *testing.T) {
 	m, deadIdx := deadFuncModule()
 	deadDef := deadIdx - m.NumImportedFuncs()
 
-	ma, err := static.Analyze(m)
+	p, err := static.Profile(m)
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("Profile: %v", err)
 	}
-	if ma.Graph.Reachable[deadIdx] {
+	if !p.Funcs[deadDef].Dead {
 		t.Fatalf("func %d should be unreachable from exports/start", deadIdx)
 	}
 
