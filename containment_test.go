@@ -5,7 +5,7 @@ package wasabi_test
 // context cancellation, deadline — each yielding typed errors under
 // errors.Is/errors.As; fuel exhaustion inside hook-instrumented code through
 // BOTH dispatch pipelines (callback trampolines and stream encoders); a
-// deadline firing while a Block-mode stream producer is wedged on a lagging
+// deadline firing while a stream producer is wedged on a lagging
 // consumer; and stream teardown on trap/fault (Stream.Err). Everything here
 // must be race-clean.
 
@@ -192,11 +192,11 @@ func TestFuelExhaustionStreamPipeline(t *testing.T) {
 	}
 }
 
-// TestDeadlineDuringBlockedStreamBatch: a Block-mode producer wedged in a
-// batch hand-off (tiny batches, consumer never draining) must still honor
-// the deadline — the emitter interrupt unwedges the flush, the guest traps
-// at its next guard, and the stream ends with the interruption as its
-// terminal error.
+// TestDeadlineDuringBlockedStreamBatch: a producer wedged in a batch
+// hand-off (tiny batches, consumer never draining) must still honor the
+// deadline — the emitter interrupt unwedges the flush, the guest traps at
+// its next guard, and the stream ends with the interruption as its terminal
+// error.
 func TestDeadlineDuringBlockedStreamBatch(t *testing.T) {
 	leakcheck.Check(t)
 	a := &brCounter{}
@@ -210,7 +210,7 @@ func TestDeadlineDuringBlockedStreamBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	stream, err := sess.Stream(wasabi.StreamBatchSize(8), wasabi.StreamBackpressure(wasabi.BackpressureBlock))
+	stream, err := sess.Stream(wasabi.StreamBatchSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +315,13 @@ func TestStreamErrAfterFault(t *testing.T) {
 	}
 }
 
-// TestEngineResourceLimitOptions: the engine-level limit options reach
-// instantiation — a module whose declared minimums exceed the configured
-// ceilings fails with ErrLimit instead of silently allocating.
+// TestEngineResourceLimitOptions: the resource limits reach instantiation
+// through the engine — a module whose declared minimums exceed the memory
+// cap (WithMemoryLimitPages) or the fixed table bound fails with ErrLimit
+// instead of silently allocating.
 func TestEngineResourceLimitOptions(t *testing.T) {
-	mod := func() *wasm.Module {
-		b := builder.New().Memory(4).Table(8)
+	mod := func(tableMin uint32) *wasm.Module {
+		b := builder.New().Memory(4).Table(tableMin)
 		f := b.Func("spin", nil, nil)
 		f.Loop().Br(0).End()
 		f.Done()
@@ -328,15 +329,16 @@ func TestEngineResourceLimitOptions(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		opt  wasabi.EngineOption
+		opts []wasabi.EngineOption
+		mod  *wasm.Module
 	}{
-		{"memory", wasabi.WithMemoryLimitPages(2)},
-		{"table", wasabi.WithTableLimit(4)},
+		{"memory", []wasabi.EngineOption{wasabi.WithMemoryLimitPages(2)}, mod(8)},
+		{"table", nil, mod(interp.DefaultMaxTableElems + 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := &brCounter{}
-			compiled, err := mustEngine(t, tc.opt).InstrumentFor(mod(), a)
+			compiled, err := mustEngine(t, tc.opts...).InstrumentFor(tc.mod, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,13 +352,10 @@ func TestEngineResourceLimitOptions(t *testing.T) {
 			}
 		})
 	}
-	// Within the ceilings the same module instantiates and runs under a call
-	// -depth cap too.
+	// Within the limits the same module instantiates and runs.
 	a := &brCounter{}
 	compiled, err := mustEngine(t, wasabi.WithMemoryLimitPages(4),
-		wasabi.WithTableLimit(8),
-		wasabi.WithMaxCallDepth(64),
-		wasabi.WithFuel(10_000)).InstrumentFor(mod(), a)
+		wasabi.WithFuel(10_000)).InstrumentFor(mod(8), a)
 	if err != nil {
 		t.Fatal(err)
 	}

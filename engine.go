@@ -111,32 +111,6 @@ func WithMemoryLimitPages(n uint32) EngineOption {
 	}
 }
 
-// WithTableLimit caps table size (initial allocation and host-driven growth)
-// of every instance at n elements, replacing the default
-// interp.DefaultMaxTableElems cap. Violations fail like memory-limit ones.
-func WithTableLimit(n uint32) EngineOption {
-	return func(e *Engine) error {
-		if n == 0 {
-			return badOption("WithTableLimit", n, "a zero-element cap makes every table-carrying module fail; omit the option for the default cap")
-		}
-		e.exec.MaxTableElems = n
-		return nil
-	}
-}
-
-// WithMaxCallDepth caps wasm call recursion of every instance at n frames
-// (default interp.MaxCallDepthDefault); exceeding it traps with "call stack
-// exhausted".
-func WithMaxCallDepth(n int) EngineOption {
-	return func(e *Engine) error {
-		if n < 1 {
-			return badOption("WithMaxCallDepth", n, "recursion cap must allow at least one frame")
-		}
-		e.exec.MaxCallDepth = n
-		return nil
-	}
-}
-
 // WithStaticAnalysis enables analysis-aware instrumentation: before
 // instrumenting, the engine computes a static plan (internal/static's
 // PlanFor: the call graph and per-function CFGs) and elides hooks it proves
@@ -332,10 +306,3 @@ func (e *Engine) Instance(name string) (*interp.Instance, bool) { return e.reg.L
 
 // InstanceNames returns the names of all registered instances, sorted.
 func (e *Engine) InstanceNames() []string { return e.reg.Names() }
-
-// RemoveInstance unregisters a named instance; the instance itself stays
-// usable. This is the manual eviction path for long-running engines —
-// normally Session.Close unregisters every name its session registered, but
-// an embedder that hands instance names across session boundaries (or keeps
-// sessions alive while retiring individual instances) evicts them here.
-func (e *Engine) RemoveInstance(name string) { e.reg.Remove(name) }

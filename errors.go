@@ -39,7 +39,7 @@ var ErrHookModuleCollision = errors.New("wasabi: import module name collides wit
 var ErrInvalidModule = errors.New("wasabi: input module invalid")
 
 // ErrBadOption reports an engine or stream option constructed with an
-// invalid value (negative fuel, zero batch size, zero resource limits, …).
+// invalid value (negative fuel, zero batch size, a zero-page memory cap, …).
 // The misconfiguration fails at construction — NewEngine / Session.Stream —
 // instead of being silently accepted and misbehaving at runtime. Matched
 // with errors.Is; errors.As with *BadOptionError recovers which option and
@@ -113,9 +113,10 @@ var (
 	// InvokeContext error matches the context error too (context.Canceled /
 	// context.DeadlineExceeded), via interp.InterruptError.
 	ErrInterrupted = interp.ErrInterrupted
-	// ErrLimit matches instantiation failures caused by a configured
-	// resource limit (WithMemoryLimitPages, WithTableLimit, per-function
-	// operand-stack bounds).
+	// ErrLimit matches instantiation failures caused by a resource limit:
+	// the memory cap (WithMemoryLimitPages), or the fixed bounds on table
+	// entries (interp.DefaultMaxTableElems) and on a function's operand
+	// stack (interp.DefaultMaxFuncStack).
 	ErrLimit = interp.ErrLimit
 	// ErrRuntimeFault matches any *RuntimeFault — a non-trap panic out of
 	// guest execution converted into an error instead of crashing the host.
@@ -175,15 +176,6 @@ func (e *BadOptionError) Unwrap() error { return ErrBadOption }
 // badOption is the shared BadOptionError construction.
 func badOption(option string, value any, reason string) error {
 	return &BadOptionError{Option: option, Value: fmt.Sprint(value), Reason: reason}
-}
-
-// checkBackpressure rejects a mode that is neither Block nor Drop, naming
-// the option that carried it.
-func checkBackpressure(option string, mode Backpressure) error {
-	if mode != BackpressureBlock && mode != BackpressureDrop {
-		return badOption(option, int(mode), "unknown backpressure mode")
-	}
-	return nil
 }
 
 // UnsupportedError is the typed form of ErrUnsupported: the text name of

@@ -19,21 +19,19 @@ package wasabi
 //	inst.Invoke("main")
 //	fab.Close()                              // flush + end of stream
 //
-// Backpressure is per subscription. The stream's policy (StreamBackpressure,
-// default BackpressureBlock) is the default, and SubscribeBackpressure
-// overrides it: a Block subscription is lossless — once its queue is full
-// the instrumented program stalls until it catches up — and a Drop
-// subscription loses batches for itself only when its queue is full
-// (Subscription.Dropped counts them), never delaying the producer or its
-// peers.
+// Every subscription is lossless: once its queue of DefaultSubscriberQueue
+// batches is full, the instrumented program stalls until it catches up. A
+// subscriber that cannot keep up leaves with Subscription.Close, and
+// Session.InvokeContext unwedges a producer that waits on one.
 
 import (
 	"wasabi/internal/analysis"
 	wruntime "wasabi/internal/runtime"
 )
 
-// DefaultSubscriberQueue is the default per-subscriber queue depth, in
-// batches (override per subscriber with SubscribeQueue).
+// DefaultSubscriberQueue is the queue depth of every Fabric subscription,
+// in batches: how many published batches may wait for its consumer before
+// the producer stalls.
 const DefaultSubscriberQueue = 8
 
 // Subscription is one subscriber's end of a Fabric: Next/Serve like a
@@ -46,32 +44,8 @@ type Subscription = wruntime.Subscription
 // rules as a Stream's: call them only while no instrumented code of the
 // session runs.
 type Fabric struct {
-	em           *wruntime.Emitter
-	tbl          *analysis.EventTable
-	backpressure Backpressure // default policy of new subscriptions
-}
-
-// SubscribeOption configures one Subscription.
-type SubscribeOption func(*subscribeConfig)
-
-type subscribeConfig struct {
-	queue        int
-	backpressure Backpressure
-}
-
-// SubscribeQueue overrides the subscription's queue depth: how many batches
-// may be in flight to this subscriber before its backpressure policy kicks
-// in.
-func SubscribeQueue(n int) SubscribeOption {
-	return func(c *subscribeConfig) { c.queue = n }
-}
-
-// SubscribeBackpressure overrides the subscription's backpressure policy,
-// which defaults to the stream's: BackpressureBlock (lossless — a full queue
-// stalls the producer) or BackpressureDrop (lossy — a full queue skips
-// batches for this subscriber only).
-func SubscribeBackpressure(mode Backpressure) SubscribeOption {
-	return func(c *subscribeConfig) { c.backpressure = mode }
+	em  *wruntime.Emitter
+	tbl *analysis.EventTable
 }
 
 // Fanout switches the session to stream delivery like Session.Stream, but
@@ -87,22 +61,13 @@ func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
 	return s.openStream("Fanout", opts)
 }
 
-// Subscribe adds a subscriber and returns its consumption end. Subscribers
-// added while the producer is already running join mid-stream (they see
-// batches flushed from now on); subscribing after the stream ended fails
-// with ErrFabricClosed.
-func (f *Fabric) Subscribe(opts ...SubscribeOption) (*Subscription, error) {
-	cfg := subscribeConfig{queue: DefaultSubscriberQueue, backpressure: f.backpressure}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.queue < 1 {
-		return nil, badOption("SubscribeQueue", cfg.queue, "a subscription queues at least one batch")
-	}
-	if err := checkBackpressure("SubscribeBackpressure", cfg.backpressure); err != nil {
-		return nil, err
-	}
-	return f.em.Subscribe(cfg.queue, cfg.backpressure)
+// Subscribe adds a subscriber, whose queue holds DefaultSubscriberQueue
+// batches, and returns its consumption end. Subscribers added while the
+// producer is already running join mid-stream (they see batches flushed
+// from now on); subscribing after the stream ended fails with
+// ErrFabricClosed.
+func (f *Fabric) Subscribe() (*Subscription, error) {
+	return f.em.Subscribe(DefaultSubscriberQueue)
 }
 
 // Table returns the decode table shared by every subscription of this
@@ -116,16 +81,17 @@ func (f *Fabric) Flush() { f.em.Flush() }
 // Close flushes pending records and ends the stream: when Close returns,
 // every record is either queued on a subscription or counted dropped, and
 // subscribers' Next/Serve wind down with ok == false once they have drained
-// their queues. Producer-side. Block subscribers must keep draining until
-// their subscription ends, exactly like a single-consumer Block stream.
+// their queues. Producer-side. Subscribers must keep draining until their
+// subscription ends, exactly like a single-consumer stream.
 // After a failed invocation the stream has already ended, and Close returns
 // at once.
 func (f *Fabric) Close() { f.em.Close() }
 
 // Dropped returns the producer-side loss count of the underlying stream
 // (records never published: emitted after the end of the stream, or pending
-// at a fault or teardown). Per-subscriber losses are counted on each
-// Subscription instead.
+// at a fault or teardown). Per-subscriber losses (an interrupted delivery,
+// batches still queued at Subscription.Close or teardown) are counted on
+// each Subscription instead.
 func (f *Fabric) Dropped() uint64 { return f.em.Dropped() }
 
 // Err returns the terminal error of a fabric torn down by a failure, nil

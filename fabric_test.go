@@ -1,11 +1,11 @@
 package wasabi_test
 
 // End-to-end coverage of the fan-out surface: the N-subscriber parity bar
-// (every Block subscriber and a sink replay must observe the exact record
+// (every subscriber and a sink replay must observe the exact record
 // sequence a single-consumer stream produces over the Fig 9 workload),
-// peer isolation (an undrained Drop subscriber cannot stall the producer
-// or its peers), and the fabric lifecycle errors. Everything here must be
-// race-clean and leak-free: subscribers run on their own goroutines.
+// teardown and interruption with a subscriber that stopped draining, and
+// the fabric lifecycle errors. Everything here must be race-clean and
+// leak-free: subscribers run on their own goroutines.
 
 import (
 	"context"
@@ -62,10 +62,9 @@ func collectStreamRecords(t *testing.T, compiled *wasabi.CompiledAnalysis) []was
 	return rec.recs
 }
 
-// TestFanoutParity is the acceptance bar of the fabric: 8 subscribers
-// (5 Block, 3 Drop) plus a durable sink over one execution — every Block
-// subscriber and the sink's replay must yield the single-consumer record
-// sequence exactly.
+// TestFanoutParity is the acceptance bar of the fabric: 8 subscribers plus
+// a durable sink over one execution — every subscriber and the sink's
+// replay must yield the single-consumer record sequence exactly.
 func TestFanoutParity(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, compiled := fig9Workload(t, 12)
@@ -84,37 +83,21 @@ func TestFanoutParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const nBlock, nDrop = 5, 3
+	const subscribers = 8
 	var wg sync.WaitGroup
-	blockSinks := make([]*recordSink, nBlock)
-	for i := range blockSinks {
+	sinks := make([]*recordSink, subscribers)
+	subs := make([]*wasabi.Subscription, subscribers)
+	for i := range sinks {
 		sub, err := fab.Subscribe()
 		if err != nil {
 			t.Fatal(err)
 		}
-		blockSinks[i] = &recordSink{}
+		sinks[i], subs[i] = &recordSink{}, sub
 		wg.Add(1)
 		go func(sub *wasabi.Subscription, rs *recordSink) {
 			defer wg.Done()
 			sub.Serve(rs)
-		}(sub, blockSinks[i])
-	}
-	dropSinks := make([]*recordSink, nDrop)
-	dropSubs := make([]*wasabi.Subscription, nDrop)
-	for i := range dropSinks {
-		sub, err := fab.Subscribe(
-			wasabi.SubscribeBackpressure(wasabi.BackpressureDrop),
-			wasabi.SubscribeQueue(2),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropSinks[i], dropSubs[i] = &recordSink{}, sub
-		wg.Add(1)
-		go func(sub *wasabi.Subscription, rs *recordSink) {
-			defer wg.Done()
-			sub.Serve(rs)
-		}(sub, dropSinks[i])
+		}(sub, sinks[i])
 	}
 
 	evlog := filepath.Join(t.TempDir(), "fanout.evlog")
@@ -156,17 +139,10 @@ func TestFanoutParity(t *testing.T) {
 			}
 		}
 	}
-	for i, rs := range blockSinks {
-		assertSeq("block subscriber "+string(rune('0'+i)), rs.recs)
-	}
-	// Drop subscribers with live consumers may or may not lose batches;
-	// what they did observe must be a prefix-free subset in order — checked
-	// loosely here via counts (loss accounting) since the strict bar is on
-	// Block subscribers.
-	for i, rs := range dropSinks {
-		if uint64(len(rs.recs))+dropSubs[i].Dropped() != uint64(len(want)) {
-			t.Errorf("drop subscriber %d: %d observed + %d dropped != %d produced",
-				i, len(rs.recs), dropSubs[i].Dropped(), len(want))
+	for i, rs := range sinks {
+		assertSeq("subscriber "+string(rune('0'+i)), rs.recs)
+		if d := subs[i].Dropped(); d != 0 {
+			t.Errorf("subscriber %d dropped %d records", i, d)
 		}
 	}
 	if fab.Dropped() != 0 {
@@ -185,72 +161,8 @@ func TestFanoutParity(t *testing.T) {
 	}
 }
 
-// TestFanoutSlowDropPeerIsolation pins the isolation guarantee: a Drop
-// subscriber that never drains must not stall the producer or a Block
-// peer.
-func TestFanoutSlowDropPeerIsolation(t *testing.T) {
-	defer leakcheck.Check(t)
-	_, compiled := fig9Workload(t, 12)
-	sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	fab, err := sess.Fanout(wasabi.StreamBatchSize(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stuck, err := fab.Subscribe(
-		wasabi.SubscribeBackpressure(wasabi.BackpressureDrop),
-		wasabi.SubscribeQueue(1),
-	) // never consumed
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, err := fab.Subscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := &recordSink{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		peer.Serve(rs)
-	}()
-
-	inst, err := sess.Instantiate("", polybench.HostImports(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished := make(chan error, 1)
-	go func() {
-		_, err := inst.Invoke("kernel")
-		fab.Close()
-		finished <- err
-	}()
-	select {
-	case err := <-finished:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("producer stalled behind an undrained Drop subscriber")
-	}
-	<-done
-	if len(rs.recs) == 0 {
-		t.Fatal("block peer observed nothing")
-	}
-	if stuck.Dropped() == 0 {
-		t.Error("undrained 1-deep Drop subscription dropped nothing over a full gemm run")
-	}
-	if err := stuck.Close(); err != nil {
-		t.Fatalf("Close on the stuck subscription: %v", err)
-	}
-}
-
 // TestFanoutLifecycleErrors drives the misuse paths: fabric ordering
-// errors, subscribe-after-close, double subscription close, and option
-// validation.
+// errors, subscribe-after-close, and double subscription close.
 func TestFanoutLifecycleErrors(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, compiled := fig9Workload(t, 4)
@@ -321,39 +233,27 @@ func TestFanoutLifecycleErrors(t *testing.T) {
 		}
 		fab.Close()
 	})
-
-	t.Run("BadSubscribeQueue", func(t *testing.T) {
-		sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		fab, err := sess.Fanout()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fab.Close()
-		if _, err := fab.Subscribe(wasabi.SubscribeQueue(0)); !errors.Is(err, wasabi.ErrBadOption) {
-			t.Fatalf("SubscribeQueue(0) = %v, want ErrBadOption", err)
-		}
-	})
 }
 
 // TestFanoutSessionCloseTeardown: closing the session with a subscriber that
 // stopped draining must not hang (the registry-eviction analogue of the
-// stream teardown bar), and the subscriber must observe end-of-stream.
+// stream teardown bar), the subscriber must observe end-of-stream, and
+// every record it never received counts in its Dropped.
 func TestFanoutSessionCloseTeardown(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, compiled := fig9Workload(t, 8)
+	produced := uint64(len(collectStreamRecords(t, compiled)))
 	sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := sess.Fanout(wasabi.StreamBatchSize(64), wasabi.StreamBackpressure(wasabi.BackpressureDrop))
+	// One batch holds the whole run, so the run completes although nobody
+	// drains the subscription.
+	fab, err := sess.Fanout(wasabi.StreamBatchSize(int(produced)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedged, err := fab.Subscribe(wasabi.SubscribeQueue(1)) // inherits Drop; never drained during the run
+	wedged, err := fab.Subscribe() // never drained
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +261,6 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop subscription: the run completes although its queue stays full.
 	if _, err := inst.Invoke("kernel"); err != nil {
 		t.Fatal(err)
 	}
@@ -373,19 +272,20 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(60 * time.Second):
-		t.Fatal("Session.Close hung on a wedged Block subscriber")
+		t.Fatal("Session.Close hung on an undrained subscriber")
 	}
-	// Teardown discarded what was queued (counted in Dropped); the
-	// subscription ends.
-	for {
-		if _, ok := wedged.Next(); !ok {
-			break
-		}
+	// Teardown discarded what was queued and counted it; the subscription
+	// ends.
+	if _, ok := wedged.Next(); ok {
+		t.Error("the subscription delivered a batch after teardown")
+	}
+	if got := wedged.Dropped(); got != produced {
+		t.Errorf("teardown counted %d dropped records, want all %d produced", got, produced)
 	}
 
 	t.Run("BlockAfterDeadline", func(t *testing.T) {
 		sess, fab := spinFanout(t)
-		wedged, err := fab.Subscribe(wasabi.SubscribeBackpressure(wasabi.BackpressureBlock), wasabi.SubscribeQueue(1)) // never drained
+		wedged, err := fab.Subscribe() // never drained
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +305,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 		select {
 		case <-closed:
 		case <-time.After(5 * time.Second):
-			t.Fatal("Session.Close hung on a wedged Block subscriber")
+			t.Fatal("Session.Close hung on a wedged subscriber")
 		}
 		if _, ok := wedged.Next(); ok {
 			t.Error("the subscription delivered a batch after teardown")
@@ -418,8 +318,8 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 
 // spinFanout opens a fan-out session over the runaway spin module on an
 // engine that compiles interruptible code; invoke it under spinDeadline.
-// Batches hold 8 records, so an undrained subscription fills within the
-// first loop iterations.
+// Batches hold 8 records, so an undrained subscription's queue of
+// DefaultSubscriberQueue batches fills within the first loop iterations.
 func spinFanout(t *testing.T) (*wasabi.Session, *wasabi.Fabric) {
 	t.Helper()
 	engine := mustEngine(t, wasabi.WithFuel(0))
@@ -448,13 +348,13 @@ func spinDeadline(t *testing.T) context.Context {
 }
 
 // TestFanoutCloseAfterInterrupt is the regression test for interrupting a
-// fan-out session whose Block subscriber stopped draining: the interruption
+// fan-out session whose subscriber stopped draining: the interruption
 // reaches the only place that waits (the emitter's Flush), so Fabric.Close
 // returns at once and the fabric ends with the interruption as its error.
 func TestFanoutCloseAfterInterrupt(t *testing.T) {
 	leakcheck.Check(t)
 	sess, fab := spinFanout(t)
-	if _, err := fab.Subscribe(wasabi.SubscribeBackpressure(wasabi.BackpressureBlock)); err != nil { // never drained
+	if _, err := fab.Subscribe(); err != nil { // never drained
 		t.Fatal(err)
 	}
 	inst, err := sess.Instantiate("", nil)

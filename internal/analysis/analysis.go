@@ -52,21 +52,6 @@ func (v Value) F32() float32 { return f32frombits(uint32(v.Bits)) }
 // F64 extracts the f64 payload.
 func (v Value) F64() float64 { return f64frombits(v.Bits) }
 
-// Float returns the value as float64 regardless of type (useful for generic
-// numeric analyses; integers convert exactly up to 2^53).
-func (v Value) Float() float64 {
-	switch v.Type {
-	case wasm.I32:
-		return float64(v.I32())
-	case wasm.I64:
-		return float64(v.I64())
-	case wasm.F32:
-		return float64(v.F32())
-	default:
-		return v.F64()
-	}
-}
-
 func (v Value) String() string {
 	switch v.Type {
 	case wasm.I32:

@@ -23,9 +23,6 @@ func TestValueAccessors(t *testing.T) {
 	if f64v.F64() != -1.25 {
 		t.Errorf("F64: %v", f64v.F64())
 	}
-	if f64v.Float() != -1.25 || I32V(3).Float() != 3 {
-		t.Error("Float() conversion wrong")
-	}
 	if I32V(7).String() != "7:i32" {
 		t.Errorf("String: %s", I32V(7))
 	}

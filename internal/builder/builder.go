@@ -212,11 +212,6 @@ func (fb *FuncBuilder) Store(op wasm.Opcode, offset uint32) *FuncBuilder {
 // Block opens a block with no result.
 func (fb *FuncBuilder) Block() *FuncBuilder { return fb.Emit(wasm.BlockInstr(wasm.BlockEmpty)) }
 
-// BlockT opens a block with one result.
-func (fb *FuncBuilder) BlockT(t wasm.ValType) *FuncBuilder {
-	return fb.Emit(wasm.BlockInstr(wasm.BlockType(t)))
-}
-
 // Loop opens a loop with no result.
 func (fb *FuncBuilder) Loop() *FuncBuilder { return fb.Emit(wasm.LoopInstr(wasm.BlockEmpty)) }
 

@@ -275,13 +275,14 @@ func (c *compiler) lower(sig wasm.FuncType, f *wasm.Func) error {
 
 // compileFunc lowers one function body into the threaded-code form and
 // copies it out of the scratch buffers at its exact length. Bodies whose
-// operand-stack high-water mark exceeds maxStack fail with ErrLimit.
-func (c *compiler) compileFunc(sig wasm.FuncType, f *wasm.Func, maxStack int) (*compiledFunc, error) {
+// operand-stack high-water mark exceeds DefaultMaxFuncStack fail with
+// ErrLimit.
+func (c *compiler) compileFunc(sig wasm.FuncType, f *wasm.Func) (*compiledFunc, error) {
 	if err := c.lower(sig, f); err != nil {
 		return nil, err
 	}
-	if c.maxStack > maxStack {
-		return nil, fmt.Errorf("%w: operand-stack high-water mark %d exceeds limit %d", ErrLimit, c.maxStack, maxStack)
+	if c.maxStack > DefaultMaxFuncStack {
+		return nil, fmt.Errorf("%w: operand-stack high-water mark %d exceeds limit %d", ErrLimit, c.maxStack, DefaultMaxFuncStack)
 	}
 	code := make([]instr, len(c.code))
 	copy(code, c.code)

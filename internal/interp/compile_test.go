@@ -41,7 +41,7 @@ func TestBrTableToFunctionLabel(t *testing.T) {
 	// index leaves the block carrying x+100 and adds 1 on the way out.
 	b := builder.New()
 	f := b.Func("f", builder.V(wasm.I32), builder.V(wasm.I32))
-	f.BlockT(wasm.I32)
+	f.Emit(wasm.BlockInstr(wasm.BlockType(wasm.I32)))
 	f.Get(0).I32(100).Op(wasm.OpI32Add) // carried value
 	f.Get(0)                            // br_table index
 	f.BrTable([]uint32{1}, 0)           // 0 -> function label, default -> block end
@@ -65,7 +65,7 @@ func TestBrTableToFunctionLabel(t *testing.T) {
 func TestBrCarriesValueWithDiscard(t *testing.T) {
 	b := builder.New()
 	f := b.Func("f", builder.V(wasm.I32), builder.V(wasm.I32))
-	f.BlockT(wasm.I32)
+	f.Emit(wasm.BlockInstr(wasm.BlockType(wasm.I32)))
 	f.I32(11).I32(22) // two extra values below the carried one
 	f.I32(33)
 	f.Get(0).BrIf(0) // taken: discard 11/22, carry 33

@@ -95,14 +95,13 @@ func (cm *CompiledModule) code(shape []hostCall) ([]*compiledFunc, error) {
 func (cm *CompiledModule) compile(shape []hostCall) ([]*compiledFunc, error) {
 	m := cm.m
 	c := &compiler{ix: cm.ix, shape: shape, guarded: cm.cfg.Guarded}
-	maxStack := cm.cfg.maxFuncStack()
 	funcs := make([]*compiledFunc, len(m.Funcs))
 	for i := range m.Funcs {
 		f := &m.Funcs[i]
 		if int(f.TypeIdx) >= len(m.Types) {
 			return nil, fmt.Errorf("interp: function %d type index out of range", i)
 		}
-		cf, err := c.compileFunc(m.Types[f.TypeIdx], f, maxStack)
+		cf, err := c.compileFunc(m.Types[f.TypeIdx], f)
 		if err != nil {
 			return nil, fmt.Errorf("interp: function %d: %w", i, err)
 		}

@@ -149,18 +149,7 @@ func TestCompiledModuleConcurrentInstantiate(t *testing.T) {
 // so every Instantiate of it fails the same way instead of linking a stale
 // result.
 func TestCompileErrorNotCached(t *testing.T) {
-	b := builder.New()
-	f := b.Func("deep", nil, nil)
-	// Each value is computed (i32.eqz), so its push survives the drops:
-	// a constant the next instruction drops is never pushed at all.
-	for i := int32(0); i < 40; i++ {
-		f.I32(i).Op(wasm.OpI32Eqz)
-	}
-	for i := 0; i < 40; i++ {
-		f.Drop()
-	}
-	f.Done()
-	cm := NewCompiledModule(b.Build(), Config{MaxFuncStack: 16})
+	cm := NewCompiledModule(deepStackModule(DefaultMaxFuncStack+1), Config{})
 	for i := 0; i < 3; i++ {
 		if _, err := cm.Instantiate(nil, "", nil); !errors.Is(err, ErrLimit) {
 			t.Fatalf("Instantiate %d: err = %v, want ErrLimit", i, err)

@@ -2,28 +2,31 @@ package interp
 
 import "math"
 
-// Default resource limits. Each is the effective bound when the matching
-// Config field is zero; embedders raise or lower them per instance through
-// InstantiateWith (or per engine through the wasabi options).
+// Resource limits. Config.MaxMemoryPages overrides the memory cap; the
+// other three are fixed.
 const (
-	// MaxCallDepthDefault bounds wasm call recursion.
+	// MaxCallDepthDefault bounds wasm call recursion: a call past it traps
+	// with TrapStackExhausted.
 	MaxCallDepthDefault = 8192
-	// DefaultMaxMemoryPages bounds linear-memory growth to 512 MiB.
+	// DefaultMaxMemoryPages bounds linear-memory growth to 512 MiB when
+	// Config.MaxMemoryPages is zero.
 	DefaultMaxMemoryPages = 8192
-	// DefaultMaxTableElems bounds host-driven table growth.
+	// DefaultMaxTableElems bounds a table's declared minimum; a larger one
+	// fails instantiation with ErrLimit.
 	DefaultMaxTableElems = 1 << 20
 	// DefaultMaxFuncStack bounds the per-function operand-stack high-water
 	// mark the compile pass accepts. The threaded form pre-allocates one flat
 	// buffer of this many values per active call, so the bound is what keeps
-	// a hostile function body from demanding an absurd allocation.
+	// a hostile function body from demanding an absurd allocation. Compile
+	// rejects a body beyond it with ErrLimit.
 	DefaultMaxFuncStack = 1 << 16
 )
 
 // Config is the containment configuration of one instance: whether the
-// compile pass weaves fuel/interruption guards into the threaded code, and
-// the resource limits instantiation and execution enforce. The zero value is
-// the permissive default — unguarded code (zero metering overhead, not
-// interruptible) under the package's default limits.
+// compile pass weaves fuel/interruption guards into the threaded code, its
+// fuel budget, and its memory cap. The zero value is the permissive default
+// — unguarded code (zero metering overhead, not interruptible) under the
+// package's limits.
 type Config struct {
 	// Guarded compiles containment guards into the threaded form: one fused
 	// fuel-decrement + interrupt-check instruction per basic block. Required
@@ -41,18 +44,6 @@ type Config struct {
 	// MaxMemoryPages caps linear-memory size in 64 KiB pages, growth and
 	// initial allocation alike. Zero means DefaultMaxMemoryPages.
 	MaxMemoryPages uint32
-
-	// MaxTableElems caps table size, growth and initial allocation alike.
-	// Zero means DefaultMaxTableElems.
-	MaxTableElems uint32
-
-	// MaxCallDepth caps wasm call recursion. Zero means MaxCallDepthDefault.
-	MaxCallDepth int
-
-	// MaxFuncStack caps the operand-stack high-water mark of a single
-	// function body; compile rejects bodies beyond it with ErrLimit. Zero
-	// means DefaultMaxFuncStack.
-	MaxFuncStack int
 }
 
 func (c *Config) maxMemoryPages() uint32 {
@@ -60,27 +51,6 @@ func (c *Config) maxMemoryPages() uint32 {
 		return DefaultMaxMemoryPages
 	}
 	return c.MaxMemoryPages
-}
-
-func (c *Config) maxTableElems() uint32 {
-	if c.MaxTableElems == 0 {
-		return DefaultMaxTableElems
-	}
-	return c.MaxTableElems
-}
-
-func (c *Config) maxCallDepth() int {
-	if c.MaxCallDepth == 0 {
-		return MaxCallDepthDefault
-	}
-	return c.MaxCallDepth
-}
-
-func (c *Config) maxFuncStack() int {
-	if c.MaxFuncStack == 0 {
-		return DefaultMaxFuncStack
-	}
-	return c.MaxFuncStack
 }
 
 // initialFuel maps the configured budget to the runtime representation:

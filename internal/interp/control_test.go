@@ -126,7 +126,7 @@ func TestLoopBackEdgeAndBlockResult(t *testing.T) {
 func TestBrCarriesBlockResult(t *testing.T) {
 	b := builder.New()
 	f := b.Func("f", builder.V(wasm.I32), builder.V(wasm.I32))
-	f.BlockT(wasm.I32)
+	f.Emit(wasm.BlockInstr(wasm.BlockType(wasm.I32)))
 	f.I32(7)
 	f.Get(0).BrIf(0) // carry 7 out if arg != 0
 	f.Drop().I32(13)

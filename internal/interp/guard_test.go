@@ -276,24 +276,21 @@ func TestMemoryLimitConfig(t *testing.T) {
 }
 
 func TestTableLimitConfig(t *testing.T) {
-	mod := func() *wasm.Module {
-		b := builder.New().Table(4)
+	mod := func(min uint32) *wasm.Module {
+		b := builder.New().Table(min)
 		f := b.Func("f", nil, nil)
 		f.Done()
 		return b.Build()
 	}
-	inst, err := InstantiateWith(nil, "", mod(), nil, Config{MaxTableElems: 8})
+	inst, err := InstantiateWith(nil, "", mod(DefaultMaxTableElems), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.Table.Grow(10); got != -1 {
-		t.Errorf("Grow(10) past the 8-elem cap = %d, want -1", got)
+	if got := len(inst.Table.Elems); got != DefaultMaxTableElems {
+		t.Errorf("table at the limit holds %d elems, want %d", got, DefaultMaxTableElems)
 	}
-	if got := inst.Table.Grow(4); got != 4 {
-		t.Errorf("Grow(4) within the cap = %d, want 4", got)
-	}
-	if _, err := InstantiateWith(nil, "", mod(), nil, Config{MaxTableElems: 2}); !errors.Is(err, ErrLimit) {
-		t.Errorf("min 4 elems under cap 2: err = %v, want ErrLimit", err)
+	if _, err := InstantiateWith(nil, "", mod(DefaultMaxTableElems+1), nil, Config{}); !errors.Is(err, ErrLimit) {
+		t.Errorf("min %d elems over the limit: err = %v, want ErrLimit", DefaultMaxTableElems+1, err)
 	}
 }
 
@@ -302,7 +299,7 @@ func TestMaxCallDepthConfig(t *testing.T) {
 	f := b.Func("rec", nil, nil)
 	f.Call(0)
 	f.Done()
-	inst, err := InstantiateWith(nil, "", b.Build(), nil, Config{MaxCallDepth: 64})
+	inst, err := InstantiateWith(nil, "", b.Build(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,26 +310,28 @@ func TestMaxCallDepthConfig(t *testing.T) {
 	}
 }
 
+// deepStackModule exports "deep", whose operand stack peaks at n values.
+func deepStackModule(n int) *wasm.Module {
+	b := builder.New()
+	f := b.Func("deep", nil, nil)
+	// Each value is computed (i32.eqz), so its push survives the drops:
+	// a constant the next instruction drops is never pushed at all.
+	for i := 0; i < n; i++ {
+		f.I32(int32(i)).Op(wasm.OpI32Eqz)
+	}
+	for i := 0; i < n; i++ {
+		f.Drop()
+	}
+	f.Done()
+	return b.Build()
+}
+
 func TestMaxFuncStackLimit(t *testing.T) {
-	mod := func() *wasm.Module {
-		b := builder.New()
-		f := b.Func("deep", nil, nil)
-		// Each value is computed (i32.eqz), so its push survives the drops:
-		// a constant the next instruction drops is never pushed at all.
-		for i := int32(0); i < 40; i++ {
-			f.I32(i).Op(wasm.OpI32Eqz)
-		}
-		for i := 0; i < 40; i++ {
-			f.Drop()
-		}
-		f.Done()
-		return b.Build()
+	if _, err := InstantiateWith(nil, "", deepStackModule(DefaultMaxFuncStack+1), nil, Config{}); !errors.Is(err, ErrLimit) {
+		t.Errorf("%d-deep operand stack over the limit: err = %v, want ErrLimit", DefaultMaxFuncStack+1, err)
 	}
-	if _, err := InstantiateWith(nil, "", mod(), nil, Config{MaxFuncStack: 16}); !errors.Is(err, ErrLimit) {
-		t.Errorf("40-deep operand stack under cap 16: err = %v, want ErrLimit", err)
-	}
-	if _, err := InstantiateWith(nil, "", mod(), nil, Config{MaxFuncStack: 64}); err != nil {
-		t.Errorf("cap 64: %v", err)
+	if _, err := InstantiateWith(nil, "", deepStackModule(DefaultMaxFuncStack), nil, Config{}); err != nil {
+		t.Errorf("%d-deep operand stack at the limit: %v", DefaultMaxFuncStack, err)
 	}
 }
 

@@ -131,12 +131,11 @@ type Instance struct {
 	funcs []funcInst
 
 	// frames is the reusable frame arena, indexed by callDepth-1. It grows
-	// lazily with actual call depth, not to maxDepth.
+	// lazily with actual call depth, not to MaxCallDepthDefault.
 	frames []*frame
 
 	// callDepth guards against runaway recursion.
 	callDepth int
-	maxDepth  int
 
 	// Containment state (see Config). fuel is the remaining budget consumed
 	// by the guard instructions of a Config.Guarded instance (MaxInt64 when
@@ -173,23 +172,19 @@ func Instantiate(m *wasm.Module, imports Imports) (*Instance, error) {
 	return InstantiateWith(nil, "", m, imports, Config{})
 }
 
-// InstantiateIn is Instantiate with cross-instance linking: imports are
-// resolved first from the explicit Imports map and then — when the import
-// module name matches a registered instance — from that instance's exports.
-// On success the new instance is registered in reg under name (name "" stays
-// anonymous). The name is reserved for the duration of the call, so
-// concurrent instantiations cannot claim the same name.
-func InstantiateIn(reg *Registry, name string, m *wasm.Module, imports Imports) (*Instance, error) {
-	return InstantiateWith(reg, name, m, imports, Config{})
-}
-
-// InstantiateWith is InstantiateIn under an explicit containment Config:
-// guarded compilation (fuel metering + interruption), resource limits, and
-// recursion bounds. Limit violations at instantiation time (a declared
-// memory or table minimum beyond the configured cap, a function body whose
-// operand stack exceeds MaxFuncStack) fail with errors wrapping ErrLimit.
-// It compiles m afresh; embedders that instantiate one module many times
-// keep a CompiledModule instead, which compiles each host shape once.
+// InstantiateWith is Instantiate with cross-instance linking under an
+// explicit containment Config (guarded compilation and the memory cap).
+// Imports are resolved first from the explicit Imports map and then — when
+// the import module name matches a registered instance — from that
+// instance's exports. On success the new instance is registered in reg
+// under name (name "" stays anonymous). The name is reserved for the
+// duration of the call, so concurrent instantiations cannot claim the same
+// name. Limit violations at instantiation time (a declared memory minimum
+// beyond the cap, a table minimum beyond DefaultMaxTableElems, a function
+// body whose operand stack exceeds DefaultMaxFuncStack) fail with errors
+// wrapping ErrLimit. It compiles m afresh; embedders that instantiate one
+// module many times keep a CompiledModule instead, which compiles each host
+// shape once.
 func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports, cfg Config) (*Instance, error) {
 	return NewCompiledModule(m, cfg).Instantiate(reg, name, imports)
 }
@@ -223,10 +218,9 @@ func (cm *CompiledModule) Instantiate(reg *Registry, name string, imports Import
 
 	m, cfg := cm.m, &cm.cfg
 	inst = &Instance{
-		Module:   m,
-		maxDepth: cfg.maxCallDepth(),
-		fuel:     cfg.initialFuel(),
-		funcs:    make([]funcInst, 0, cm.ix.NumFuncs()),
+		Module: m,
+		fuel:   cfg.initialFuel(),
+		funcs:  make([]funcInst, 0, cm.ix.NumFuncs()),
 	}
 
 	lookup := func(mod, name string) (any, error) {
@@ -309,15 +303,14 @@ func (cm *CompiledModule) Instantiate(reg *Registry, name string, imports Import
 		inst.funcs = append(inst.funcs, funcInst{typeIdx: m.Funcs[i].TypeIdx, code: code[i]})
 	}
 
-	// Defined table and memory, bounded by the configured caps: a declared
-	// minimum beyond the cap is refused outright, and the caps carry into
-	// Grow so guest- or host-driven growth cannot exceed them either.
+	// Defined table and memory, bounded by their caps: a declared minimum
+	// beyond the cap is refused outright, and the memory cap carries into
+	// Grow so memory.grow cannot exceed it either.
 	for _, t := range m.Tables {
-		if t.Min > cfg.maxTableElems() {
-			return nil, fmt.Errorf("%w: table minimum %d elements exceeds limit %d", ErrLimit, t.Min, cfg.maxTableElems())
+		if t.Min > DefaultMaxTableElems {
+			return nil, fmt.Errorf("%w: table minimum %d elements exceeds limit %d", ErrLimit, t.Min, DefaultMaxTableElems)
 		}
 		inst.Table = NewTable(t)
-		inst.Table.Cap = cfg.MaxTableElems
 	}
 	for _, mem := range m.Memories {
 		if mem.Min > cfg.maxMemoryPages() {
@@ -544,7 +537,7 @@ func (inst *Instance) invoke(idx uint32, args []Value) []Value {
 		return inst.callHost(fi.host, args)
 	}
 	inst.callDepth++
-	if inst.callDepth > inst.maxDepth {
+	if inst.callDepth > MaxCallDepthDefault {
 		trap(TrapStackExhausted)
 	}
 	savedFunc := inst.curFunc

@@ -116,45 +116,15 @@ func (m *Memory) fill(dst uint32, val byte, n uint32) {
 }
 
 // Table is an instantiated funcref table; -1 marks uninitialized slots.
-// Like Memory, HasMax distinguishes a declared maximum of 0 (a real limit)
-// from "no maximum", and Cap is the host-configured element ceiling
-// (Config.MaxTableElems; 0 means DefaultMaxTableElems).
 type Table struct {
-	Elems  []int64
-	Max    uint32 // the declared maximum; meaningful only when HasMax
-	HasMax bool
-	Cap    uint32 // host-configured element ceiling; 0 means DefaultMaxTableElems
+	Elems []int64
 }
 
-// NewTable allocates a table with the given limits.
+// NewTable allocates a table of the declared minimum size.
 func NewTable(l wasm.Limits) *Table {
-	t := &Table{Elems: make([]int64, l.Min), Max: l.Max, HasMax: l.HasMax}
+	t := &Table{Elems: make([]int64, l.Min)}
 	for i := range t.Elems {
 		t.Elems[i] = -1
 	}
 	return t
-}
-
-// Grow adds delta uninitialized slots, returning the previous element count,
-// or -1 when growth would exceed the declared maximum (even a maximum of 0)
-// or the host-configured cap. The MVP has no table.grow instruction; this is
-// the embedder-facing path (reference-types-style semantics).
-func (t *Table) Grow(delta uint32) int32 {
-	old := uint32(len(t.Elems))
-	newLen := uint64(old) + uint64(delta)
-	limit := uint64(DefaultMaxTableElems)
-	if t.Cap != 0 {
-		limit = uint64(t.Cap)
-	}
-	if t.HasMax && uint64(t.Max) < limit {
-		limit = uint64(t.Max)
-	}
-	if newLen > limit {
-		return -1
-	}
-	t.Elems = append(t.Elems, make([]int64, delta)...)
-	for i := old; i < uint32(newLen); i++ {
-		t.Elems[i] = -1
-	}
-	return int32(old)
 }

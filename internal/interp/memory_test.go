@@ -1,6 +1,6 @@
 package interp_test
 
-// Regression tests for the limits semantics of Memory and Table: a declared
+// Regression tests for the limits semantics of Memory: a declared
 // maximum of 0 is a real bound ((memory 0 0) may never grow), distinct from
 // an absent maximum, which is bounded only by the implementation cap.
 
@@ -89,48 +89,6 @@ func mustInvoke(t *testing.T, inst *interp.Instance, name string, args ...interp
 		t.Fatal(err)
 	}
 	return res[0]
-}
-
-func TestTableGrowLimits(t *testing.T) {
-	t.Run("grow to declared max", func(t *testing.T) {
-		tb := interp.NewTable(wasm.Limits{Min: 2, Max: 4, HasMax: true})
-		if got := tb.Grow(2); got != 2 {
-			t.Fatalf("Grow(2) = %d, want previous size 2", got)
-		}
-		if len(tb.Elems) != 4 {
-			t.Fatalf("len = %d, want 4", len(tb.Elems))
-		}
-		if tb.Elems[3] != -1 {
-			t.Fatalf("new slots must be uninitialized, got %d", tb.Elems[3])
-		}
-	})
-	t.Run("grow past declared max fails", func(t *testing.T) {
-		tb := interp.NewTable(wasm.Limits{Min: 2, Max: 3, HasMax: true})
-		if got := tb.Grow(2); got != -1 {
-			t.Fatalf("Grow(2) past max = %d, want -1", got)
-		}
-		if len(tb.Elems) != 2 {
-			t.Fatalf("failed grow must not change size: %d", len(tb.Elems))
-		}
-	})
-	t.Run("declared max of zero is a real bound", func(t *testing.T) {
-		tb := interp.NewTable(wasm.Limits{Min: 0, Max: 0, HasMax: true})
-		if got := tb.Grow(1); got != -1 {
-			t.Fatalf("(table 0 0).Grow(1) = %d, want -1", got)
-		}
-		if got := tb.Grow(0); got != 0 {
-			t.Fatalf("(table 0 0).Grow(0) = %d, want 0", got)
-		}
-	})
-	t.Run("no declared max is capped only by the implementation", func(t *testing.T) {
-		tb := interp.NewTable(wasm.Limits{Min: 0})
-		if got := tb.Grow(8); got != 0 {
-			t.Fatalf("Grow(8) without max = %d, want 0", got)
-		}
-		if got := tb.Grow(1 << 21); got != -1 {
-			t.Fatalf("Grow past the implementation cap = %d, want -1", got)
-		}
-	})
 }
 
 // TestMemoryOOBAfterFailedGrow: a failed grow leaves bounds checking intact.

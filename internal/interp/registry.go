@@ -60,7 +60,7 @@ func (r *Registry) Names() []string {
 }
 
 // reserve claims name for an in-flight instantiation so concurrent
-// InstantiateIn calls cannot race to the same name.
+// instantiations cannot race to the same name.
 func (r *Registry) reserve(name string) error {
 	// Fault-injection seam: a reservation failure must surface as a typed
 	// error before any instance state exists.

@@ -42,7 +42,7 @@ func TestInstantiateInReleasesNameOnPanic(t *testing.T) {
 		},
 	}}}
 
-	_, err := InstantiateIn(reg, "app", m, panicking)
+	_, err := InstantiateWith(reg, "app", m, panicking, Config{})
 	if err == nil {
 		t.Fatal("expected the host panic to fail instantiation")
 	}
@@ -65,7 +65,7 @@ func TestInstantiateInReleasesNameOnPanic(t *testing.T) {
 		Type: wasm.FuncType{},
 		Fn:   func(*Instance, []Value) ([]Value, error) { return nil, nil },
 	}}}
-	if _, err := InstantiateIn(reg, "app", m, ok); err != nil {
+	if _, err := InstantiateWith(reg, "app", m, ok, Config{}); err != nil {
 		t.Fatalf("retry under the same name failed: %v", err)
 	}
 	if _, found := reg.Lookup("app"); !found {
@@ -84,7 +84,7 @@ func TestInstantiateInReleasesNameOnError(t *testing.T) {
 			return nil, &Trap{Code: "boom"}
 		},
 	}}}
-	if _, err := InstantiateIn(reg, "app", m, failing); err == nil {
+	if _, err := InstantiateWith(reg, "app", m, failing, Config{}); err == nil {
 		t.Fatal("expected the start-function trap to fail instantiation")
 	} else if !strings.Contains(err.Error(), "start function") {
 		t.Errorf("unexpected error: %v", err)

@@ -29,21 +29,6 @@ func AppendU32(dst []byte, v uint32) []byte {
 	}
 }
 
-// AppendU64 appends the unsigned LEB128 encoding of v to dst.
-func AppendU64(dst []byte, v uint64) []byte {
-	for {
-		b := byte(v & 0x7f)
-		v >>= 7
-		if v != 0 {
-			b |= 0x80
-		}
-		dst = append(dst, b)
-		if v == 0 {
-			return dst
-		}
-	}
-}
-
 // AppendS32 appends the signed LEB128 encoding of v to dst.
 func AppendS32(dst []byte, v int32) []byte {
 	return AppendS64(dst, int64(v))
@@ -93,20 +78,10 @@ func U32(p []byte) (uint32, int, error) {
 	return uint32(v), n, err
 }
 
-// U64 decodes an unsigned 64-bit varint from p.
-func U64(p []byte) (uint64, int, error) {
-	return decodeUnsigned(p, 64)
-}
-
 // S32 decodes a signed 32-bit varint from p.
 func S32(p []byte) (int32, int, error) {
 	v, n, err := decodeSigned(p, 32)
 	return int32(v), n, err
-}
-
-// S33 decodes a signed 33-bit varint from p (used for block types).
-func S33(p []byte) (int64, int, error) {
-	return decodeSigned(p, 33)
 }
 
 // S64 decodes a signed 64-bit varint from p.

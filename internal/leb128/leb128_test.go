@@ -39,12 +39,6 @@ func TestQuickRoundTrips(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
-	if err := quick.Check(func(v uint64) bool {
-		got, _, err := U64(AppendU64(nil, v))
-		return err == nil && got == v
-	}, nil); err != nil {
-		t.Error(err)
-	}
 	if err := quick.Check(func(v int32) bool {
 		got, _, err := S32(AppendS32(nil, v))
 		return err == nil && got == v
@@ -125,13 +119,5 @@ func TestAppendReusesBuffer(t *testing.T) {
 	}
 	if !bytes.Equal(out, []byte{0xAC, 0x02}) {
 		t.Errorf("encoding of 300 = %x", out)
-	}
-}
-
-func TestS33(t *testing.T) {
-	// Block types use s33; -64 is the common 0x40 (empty) case.
-	v, n, err := S33([]byte{0x40})
-	if err != nil || v != -64 || n != 1 {
-		t.Errorf("S33(0x40) = %d, %d, %v", v, n, err)
 	}
 }

@@ -12,12 +12,12 @@ package runtime
 // into an instance completes (the session installs Flush as the instance's
 // top-return hook), and on explicit Flush/Close.
 //
-// Backpressure is a property of each subscription. When its queue is full,
-// a Block subscription makes Flush wait until the queue has room, the
-// subscriber leaves, or Interrupt fires (lossless — the instrumented program
-// stalls until the consumer catches up, so the consumer must run
-// concurrently). A Drop subscription skips the batch and counts it on itself
-// (lossy — it never stalls the producer or its peers).
+// Delivery is lossless. When a subscription's queue is full, Flush waits
+// until the queue has room, the subscriber leaves (Subscription.Close), or
+// Interrupt fires: the instrumented program stalls until the consumer
+// catches up, so the consumer must run concurrently. Records are lost only
+// where an interruption, a subscriber's Close, a failure or teardown
+// discards them, and each loss is counted (Dropped).
 
 import (
 	"errors"
@@ -27,19 +27,6 @@ import (
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/failpoint"
-)
-
-// Backpressure selects what Flush does for a subscription whose queue is
-// full because its consumer lags.
-type Backpressure int
-
-const (
-	// Block waits for room in the queue. Lossless; requires the consumer to
-	// run concurrently.
-	Block Backpressure = iota
-	// Drop skips the batch for this subscription and counts its records
-	// (Subscription.Dropped). Lossy; never stalls the instrumented program.
-	Drop
 )
 
 // ErrClosed reports Subscribe after the producer side ended the stream
@@ -89,8 +76,9 @@ type Emitter struct {
 	free   []*batchRef     // released batches, reused as cur
 	closed bool            // ended: nothing is published, nobody subscribes
 	err    error           // first terminal error (Fail)
-	// stopc is closed by Interrupt (any goroutine) so that a Block delivery
-	// in Flush gives up; ClearInterrupt re-arms it between invocations.
+	// stopc is closed by Interrupt (any goroutine) so that a delivery
+	// waiting in Flush gives up; ClearInterrupt re-arms it between
+	// invocations.
 	stopc chan struct{}
 }
 
@@ -122,11 +110,11 @@ func (em *Emitter) next() {
 	em.cur = em.ref.buf[:0]
 }
 
-// Subscribe adds a subscription with a queue of up to queue batches and its
-// own backpressure policy. A subscription added while the producer runs
-// joins mid-stream. Fails with ErrClosed once the stream has ended.
-func (em *Emitter) Subscribe(queue int, mode Backpressure) (*Subscription, error) {
-	s := &Subscription{em: em, ch: make(chan *batchRef, max(queue, 1)), drop: mode == Drop, gone: make(chan struct{})}
+// Subscribe adds a subscription with a queue of up to queue batches. A
+// subscription added while the producer runs joins mid-stream. Fails with
+// ErrClosed once the stream has ended.
+func (em *Emitter) Subscribe(queue int) (*Subscription, error) {
+	s := &Subscription{em: em, ch: make(chan *batchRef, max(queue, 1)), gone: make(chan struct{})}
 	em.mu.Lock()
 	defer em.mu.Unlock()
 	if em.closed {
@@ -164,8 +152,8 @@ func (em *Emitter) reserve(n int) {
 	}
 }
 
-// Flush publishes the current batch to every subscription (see the file
-// comment for the backpressure rules). Safe to call with an empty batch
+// Flush publishes the current batch to every subscription, waiting on a
+// full queue as the file comment describes. Safe to call with an empty batch
 // (no-op), and after the stream ended (the records count as dropped).
 // Producer-side: call it only from the goroutine running instrumented code,
 // or while none runs.
@@ -203,9 +191,9 @@ func (em *Emitter) discardCur() {
 	em.cur = em.cur[:0]
 }
 
-// Interrupt makes a Block delivery waiting in Flush give up (the batch counts
-// as dropped on each subscription that did not receive it), and makes later
-// Block deliveries to a full queue do the same until ClearInterrupt. The one
+// Interrupt makes a delivery waiting in Flush give up (the batch counts as
+// dropped on each subscription that did not receive it), and makes later
+// deliveries to a full queue do the same until ClearInterrupt. The one
 // Emitter method safe to call from any goroutine; the session layer pairs it
 // with Instance.Interrupt so a cancelled invocation cannot stay wedged on a
 // lagging consumer. Idempotent.
@@ -219,8 +207,8 @@ func (em *Emitter) Interrupt() {
 	}
 }
 
-// ClearInterrupt re-arms Block backpressure after an Interrupt.
-// Producer-side, like Flush: call it only between invocations.
+// ClearInterrupt makes deliveries wait on a full queue again after an
+// Interrupt. Producer-side, like Flush: call it only between invocations.
 func (em *Emitter) ClearInterrupt() {
 	em.mu.Lock()
 	defer em.mu.Unlock()
@@ -233,8 +221,8 @@ func (em *Emitter) ClearInterrupt() {
 
 // Close publishes the pending batch and ends the stream: subscribers receive
 // what is queued, then Next reports ok == false. Producer-side like Flush.
-// Idempotent. A Block subscription's final delivery waits for room, so keep
-// its consumer draining until the subscription ends.
+// Idempotent. The final delivery waits for room, so keep every consumer
+// draining until its subscription ends.
 func (em *Emitter) Close() {
 	em.Flush()
 	em.end()
@@ -298,40 +286,34 @@ func (em *Emitter) Err() error {
 func (em *Emitter) Dropped() uint64 { return em.dropped.Load() }
 
 // Subscription is one subscriber's end of an Emitter: its own queue and
-// backpressure policy, and the Next/Serve consumption surface. Exactly one
-// goroutine may consume a subscription, and Close belongs to that goroutine
-// too.
+// the Next/Serve consumption surface. Exactly one goroutine may consume a
+// subscription, and Close belongs to that goroutine too.
 type Subscription struct {
 	em      *Emitter
 	ch      chan *batchRef
-	drop    bool
-	gone    chan struct{} // closed by Close; a Block delivery stops waiting
+	gone    chan struct{} // closed by Close; a waiting delivery stops waiting
 	closed  bool
 	prev    *batchRef // batch last handed out by Next
 	dropped atomic.Uint64
 }
 
-// deliver queues ref, or applies the backpressure policy when the queue is
-// full. A batch the subscription does not receive counts on it, unless the
-// subscriber has left.
+// deliver queues ref, waiting while the queue is full. A batch that stop
+// abandons counts on the subscription; one the subscriber left before
+// receiving does not.
 func (s *Subscription) deliver(ref *batchRef, stop <-chan struct{}) {
 	select {
 	case s.ch <- ref:
 		return
 	default:
 	}
-	if !s.drop {
-		select {
-		case s.ch <- ref:
-			return
-		case <-s.gone:
-			ref.release()
-			return
-		case <-stop:
-		}
+	select {
+	case s.ch <- ref:
+	case <-s.gone:
+		ref.release()
+	case <-stop:
+		s.dropped.Add(uint64(len(ref.buf)))
+		ref.release()
 	}
-	s.dropped.Add(uint64(len(ref.buf)))
-	ref.release()
 }
 
 // discard releases every queued batch unseen, counting its records.
@@ -383,8 +365,8 @@ func (s *Subscription) Serve(sink analysis.EventSink) {
 }
 
 // Close unsubscribes: queued batches are released unseen and counted in
-// Dropped, and Flush stops delivering here (a Block subscription stops
-// exerting backpressure). Consumer-side, like Next. A second Close fails
+// Dropped, and Flush stops delivering here (and stops waiting on this
+// queue). Consumer-side, like Next. A second Close fails
 // with ErrSubscriptionClosed. Closing is optional for a subscription consumed
 // to the end of the stream; it lets a subscriber leave early without
 // wedging the producer.
@@ -408,7 +390,6 @@ func (s *Subscription) Close() error {
 	return nil
 }
 
-// Dropped returns how many records this subscription missed: skipped by
-// Drop backpressure, abandoned by Interrupt, or still queued at teardown or
-// Close.
+// Dropped returns how many records this subscription missed: abandoned by
+// Interrupt, or still queued at teardown or Close.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }

@@ -1,10 +1,10 @@
 package runtime
 
 // Unit coverage of the emitter's publication path: broadcast parity across
-// Block subscriptions, isolation from an undrained Drop subscription, the
-// subscription lifecycle, interruption of a blocked delivery, the buffer
-// pool, and the stream half of the accounting test — every published record
-// is either delivered to a subscription or counted on it.
+// subscriptions, the subscription lifecycle, interruption of a blocked
+// delivery, the buffer pool, and the stream half of the accounting test —
+// every published record is either delivered to a subscription or counted
+// on it.
 
 import (
 	"errors"
@@ -41,9 +41,9 @@ func consume(sub *Subscription) func() []analysis.Event {
 	return func() []analysis.Event { return <-done }
 }
 
-func mustSubscribe(t *testing.T, em *Emitter, queue int, mode Backpressure) *Subscription {
+func mustSubscribe(t *testing.T, em *Emitter, queue int) *Subscription {
 	t.Helper()
-	sub, err := em.Subscribe(queue, mode)
+	sub, err := em.Subscribe(queue)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestBroadcastParity(t *testing.T) {
 	subs := make([]*Subscription, subscribers)
 	waits := make([]func() []analysis.Event, subscribers)
 	for i := range subs {
-		subs[i] = mustSubscribe(t, em, 2, Block)
+		subs[i] = mustSubscribe(t, em, 2)
 		waits[i] = consume(subs[i])
 	}
 	emitN(em, 0, n)
@@ -88,7 +88,7 @@ func TestBroadcastParity(t *testing.T) {
 			}
 		}
 		if d := subs[i].Dropped(); d != 0 {
-			t.Errorf("subscriber %d: Dropped() = %d on a Block subscription", i, d)
+			t.Errorf("subscriber %d: Dropped() = %d on a drained subscription", i, d)
 		}
 	}
 	if em.Dropped() != 0 {
@@ -96,39 +96,17 @@ func TestBroadcastParity(t *testing.T) {
 	}
 }
 
-func TestSlowDropSubscriberNeverStalls(t *testing.T) {
-	const n = 32 * 4
-	em := NewEmitter(4)
-	slow := mustSubscribe(t, em, 1, Drop) // never drained
-	fast := mustSubscribe(t, em, 2, Block)
-	wait := consume(fast)
-	withTimeout(t, "producer behind an undrained Drop subscription", func() {
-		emitN(em, 0, n)
-		em.Close()
-	})
-	if got := wait(); len(got) != n {
-		t.Fatalf("block peer saw %d records, want %d", len(got), n)
-	}
-	if slow.Dropped() == 0 {
-		t.Error("undrained 1-deep Drop subscription reported no drops")
-	}
-	// The undrained queue still holds a reference; Close releases it.
-	if err := slow.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 func TestSubscribeAfterCloseFails(t *testing.T) {
 	em := NewEmitter(4)
 	em.Close()
-	if _, err := em.Subscribe(1, Block); !errors.Is(err, ErrClosed) {
+	if _, err := em.Subscribe(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Subscribe after Close = %v, want ErrClosed", err)
 	}
 }
 
 func TestDoubleSubscriptionClose(t *testing.T) {
 	em := NewEmitter(2)
-	sub := mustSubscribe(t, em, 1, Block)
+	sub := mustSubscribe(t, em, 1)
 	emitN(em, 0, 2)
 	em.Flush()
 	if err := sub.Close(); err != nil {
@@ -151,12 +129,11 @@ func TestDoubleSubscriptionClose(t *testing.T) {
 }
 
 // TestInterruptUnwedgesBlockedFlush covers the one place the producer can
-// wait: a Block subscription that stops draining wedges Flush, and
-// Interrupt must unwedge it, counting the abandoned batch on that
-// subscription.
+// wait: a subscription that stops draining wedges Flush, and Interrupt must
+// unwedge it, counting the abandoned batch on that subscription.
 func TestInterruptUnwedgesBlockedFlush(t *testing.T) {
 	em := NewEmitter(2)
-	sub := mustSubscribe(t, em, 1, Block) // never drained
+	sub := mustSubscribe(t, em, 1) // never drained
 	produced := make(chan struct{})
 	go func() {
 		defer close(produced)
@@ -164,7 +141,7 @@ func TestInterruptUnwedgesBlockedFlush(t *testing.T) {
 	}()
 	select {
 	case <-produced:
-		t.Fatal("producer did not block on a full Block queue")
+		t.Fatal("producer did not block on a full queue")
 	case <-time.After(20 * time.Millisecond):
 	}
 	em.Interrupt()
@@ -185,7 +162,7 @@ func TestBufferEconomy(t *testing.T) {
 	for _, r := range em.free {
 		initial[r] = true
 	}
-	wait := consume(mustSubscribe(t, em, 2, Block))
+	wait := consume(mustSubscribe(t, em, 2))
 	emitN(em, 0, 400)
 	em.Close()
 	wait()
@@ -221,39 +198,27 @@ func TestSubscriptionAccounting(t *testing.T) {
 
 	t.Run("DrainedBlock", func(t *testing.T) {
 		em := NewEmitter(4)
-		sub := mustSubscribe(t, em, 2, Block)
+		sub := mustSubscribe(t, em, 2)
 		wait := consume(sub)
 		emitN(em, 0, 103)
 		em.Close()
 		got := wait()
 		check(t, em, 103, 0, []*Subscription{sub}, []int{len(got)})
 		if sub.Dropped() != 0 {
-			t.Errorf("drained Block subscription dropped %d", sub.Dropped())
-		}
-	})
-
-	t.Run("UndrainedDrop", func(t *testing.T) {
-		em := NewEmitter(4)
-		sub := mustSubscribe(t, em, 1, Drop)
-		emitN(em, 0, 103)
-		em.Close()
-		got := consume(sub)() // drains what stayed queued
-		check(t, em, 103, 0, []*Subscription{sub}, []int{len(got)})
-		if sub.Dropped() == 0 {
-			t.Error("undrained Drop subscription dropped nothing")
+			t.Errorf("drained subscription dropped %d", sub.Dropped())
 		}
 	})
 
 	t.Run("TeardownWithQueuedBatches", func(t *testing.T) {
 		em := NewEmitter(4)
-		block := mustSubscribe(t, em, 2, Block)
-		drop := mustSubscribe(t, em, 1, Drop)
+		a := mustSubscribe(t, em, 2)
+		b := mustSubscribe(t, em, 2)
 		emitN(em, 0, 11) // two batches published, 3 records pending
 		em.CloseDiscard()
 		emitN(em, 11, 14) // after teardown: producer-side losses
 		em.Flush()
-		delivered := []int{len(consume(block)()), len(consume(drop)())}
-		check(t, em, 14, 6, []*Subscription{block, drop}, delivered)
+		delivered := []int{len(consume(a)()), len(consume(b)())}
+		check(t, em, 14, 6, []*Subscription{a, b}, delivered)
 		if delivered[0]+delivered[1] != 0 {
 			t.Errorf("teardown left %v records to deliver", delivered)
 		}
@@ -261,8 +226,8 @@ func TestSubscriptionAccounting(t *testing.T) {
 
 	t.Run("InterruptedBlockDelivery", func(t *testing.T) {
 		em := NewEmitter(4)
-		stuck := mustSubscribe(t, em, 1, Block) // never drained
-		peer := mustSubscribe(t, em, 2, Block)
+		stuck := mustSubscribe(t, em, 1) // never drained
+		peer := mustSubscribe(t, em, 2)
 		wait := consume(peer)
 		var wg sync.WaitGroup
 		wg.Add(1)

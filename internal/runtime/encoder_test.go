@@ -34,13 +34,13 @@ func checkPacks(t *testing.T, tbl *analysis.EventTable, batch []analysis.Event) 
 			var got []analysis.Value
 			slot := 0
 			if e.Kind == analysis.KindCall && !tbl.Spec(e).Post {
-				if e.NumVals() == 0 || e.Val(0).Type != wasm.I64 {
+				if e.Pack&3 == 0 || e.Val(0).Type != wasm.I64 {
 					t.Errorf("%s: Pack %#x does not start with the i64 table index", tbl.Spec(e).Name, e.Pack)
 				}
 				slot = 1
 			}
 			for j := i; j < next; j, slot = j+1, 0 {
-				for ; slot < batch[j].NumVals(); slot++ {
+				for ; slot < int(batch[j].Pack&3); slot++ {
 					got = append(got, batch[j].Val(slot))
 				}
 			}
@@ -66,14 +66,14 @@ type encoderFixture struct {
 	encs   []hookFn
 }
 
-func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpressure) *encoderFixture {
+func newEncoderFixture(t testing.TB, set paritySet, batchSize int) *encoderFixture {
 	t.Helper()
 	md := set.md
 	rec := &recorder{}
 	rtT := New(md, rec)
 
 	em := NewEmitter(batchSize)
-	sub, err := em.Subscribe(2, mode)
+	sub, err := em.Subscribe(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int, mode Backpres
 
 func TestEncoderParityWithTrampolines(t *testing.T) {
 	for _, set := range paritySets(t) {
-		fx := newEncoderFixture(t, set, 1<<14, Block)
+		fx := newEncoderFixture(t, set, 1<<14)
 		fx.rec.events = nil // drop the start function's events from instantiation
 		for i, spec := range fx.specs {
 			for _, args := range parityVectors(spec) {
@@ -165,12 +165,24 @@ func TestEncoderDeadHookElision(t *testing.T) {
 }
 
 // TestStreamEmitZeroAllocs is the stream twin of TestDispatchZeroAllocs:
-// steady-state record emission — including batch hand-off and Drop-mode
-// recycling — must not allocate, for every hook kind.
+// steady-state record emission — including the batch hand-off to a
+// concurrent consumer and the recycling of its buffers — must not allocate,
+// for every hook kind.
 func TestStreamEmitZeroAllocs(t *testing.T) {
-	var dropped uint64
+	var flushed int
 	for _, set := range paritySets(t) {
-		fx := newEncoderFixture(t, set, 256, Drop) // small batches: exercise flush/drop inside the measurement
+		fx := newEncoderFixture(t, set, 256) // small batches: flush inside the measurement
+		batches := 0
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				if _, ok := fx.sub.Next(); !ok {
+					return
+				}
+				batches++
+			}
+		}()
 		for i, spec := range fx.specs {
 			args := synthArgs(spec, spec.Layout().Arity)
 			enc := fx.encs[i]
@@ -181,10 +193,12 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 				t.Errorf("%s: hook %s: %.1f allocs/op, want 0", set.name, spec.Name, allocs)
 			}
 		}
-		dropped += fx.sub.Dropped()
+		fx.em.Close()
+		<-done
+		flushed += batches - 1 // every batch but Close's last was flushed by an encoder
 	}
-	if dropped == 0 {
-		t.Error("no batch was dropped; the guard did not exercise the flush path")
+	if flushed == 0 {
+		t.Error("no batch was flushed inside the measurement; the guard did not exercise the flush path")
 	}
 }
 
@@ -192,7 +206,7 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 // consumer sees every emitted record, in order, across many batch cycles.
 func TestEmitterBlockDelivery(t *testing.T) {
 	em := NewEmitter(64)
-	sub, err := em.Subscribe(2, Block)
+	sub, err := em.Subscribe(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +239,17 @@ func TestEmitterBlockDelivery(t *testing.T) {
 		}
 	}
 	if em.Dropped()+sub.Dropped() != 0 {
-		t.Errorf("Block mode dropped %d events", em.Dropped()+sub.Dropped())
+		t.Errorf("lossless delivery dropped %d events", em.Dropped()+sub.Dropped())
 	}
 }
 
-// TestEmitterCloseDiscardNeverBlocks pins the teardown path: with a Block
+// TestEmitterCloseDiscardNeverBlocks pins the teardown path: with a
 // subscription's queue at capacity, a non-empty current batch, and no
 // consumer, CloseDiscard must return (Close's lossless final flush would
 // wait forever here) and account every event as dropped.
 func TestEmitterCloseDiscardNeverBlocks(t *testing.T) {
 	em := NewEmitter(4)
-	sub, err := em.Subscribe(2, Block)
+	sub, err := em.Subscribe(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,38 +273,5 @@ func TestEmitterCloseDiscardNeverBlocks(t *testing.T) {
 	}
 	if _, ok := sub.Next(); ok {
 		t.Error("Next delivered a batch after CloseDiscard")
-	}
-}
-
-// TestEmitterDropBackpressure checks the lossy mode: with no consumer the
-// producer never stalls, the queued batches survive, and the overflow is
-// counted.
-func TestEmitterDropBackpressure(t *testing.T) {
-	em := NewEmitter(8)
-	sub, err := em.Subscribe(2, Drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		em.emit(analysis.Event{Aux: uint32(i)})
-	}
-	em.Close()
-	var got int
-	for {
-		batch, ok := sub.Next()
-		if !ok {
-			break
-		}
-		got += len(batch)
-	}
-	if got == 0 {
-		t.Error("drop mode delivered nothing; the in-flight batches should survive")
-	}
-	if sub.Dropped() == 0 {
-		t.Error("drop mode with no consumer dropped nothing")
-	}
-	if uint64(got)+sub.Dropped() != n {
-		t.Errorf("delivered %d + dropped %d != emitted %d", got, sub.Dropped(), n)
 	}
 }

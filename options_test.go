@@ -25,11 +25,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"fuel positive ok", wasabi.WithFuel(1 << 40), ""},
 		{"memory limit zero", wasabi.WithMemoryLimitPages(0), "WithMemoryLimitPages"},
 		{"memory limit ok", wasabi.WithMemoryLimitPages(16), ""},
-		{"table limit zero", wasabi.WithTableLimit(0), "WithTableLimit"},
-		{"table limit ok", wasabi.WithTableLimit(64), ""},
-		{"call depth zero", wasabi.WithMaxCallDepth(0), "WithMaxCallDepth"},
-		{"call depth negative", wasabi.WithMaxCallDepth(-1), "WithMaxCallDepth"},
-		{"call depth ok", wasabi.WithMaxCallDepth(100), ""},
 		{"static analysis ok", wasabi.WithStaticAnalysis(), ""},
 	}
 	for _, tc := range cases {
@@ -64,7 +59,7 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 
 	// The first invalid option wins, even with valid ones around it.
-	_, err := wasabi.NewEngine(wasabi.WithCompiledCacheLimit(2), wasabi.WithFuel(-7), wasabi.WithMaxCallDepth(0))
+	_, err := wasabi.NewEngine(wasabi.WithCompiledCacheLimit(2), wasabi.WithFuel(-7), wasabi.WithMemoryLimitPages(0))
 	var bad *wasabi.BadOptionError
 	if !errors.As(err, &bad) || bad.Option != "WithFuel" {
 		t.Errorf("first bad option not reported: %v", err)
@@ -85,7 +80,6 @@ func TestStreamOptionValidation(t *testing.T) {
 	}{
 		{"batch size zero", wasabi.StreamBatchSize(0), "StreamBatchSize"},
 		{"batch size negative", wasabi.StreamBatchSize(-1), "StreamBatchSize"},
-		{"backpressure unknown", wasabi.StreamBackpressure(wasabi.Backpressure(7)), "StreamBackpressure"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := compiled.NewSession(faultSink{})
@@ -107,51 +101,6 @@ func TestStreamOptionValidation(t *testing.T) {
 			// The session itself stays usable: a valid Stream call succeeds.
 			if _, err := sess.Stream(wasabi.StreamBatchSize(8)); err != nil {
 				t.Errorf("session unusable after rejected option: %v", err)
-			}
-		})
-	}
-}
-
-// TestSubscribeOptionValidation checks the per-subscription overrides
-// through Fabric.Subscribe, the construction point of a subscription.
-func TestSubscribeOptionValidation(t *testing.T) {
-	compiled, err := mustEngine(t).Instrument(buildTestModule(), wasabi.AllCaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		opt    wasabi.SubscribeOption
-		option string
-	}{
-		{"queue zero", wasabi.SubscribeQueue(0), "SubscribeQueue"},
-		{"queue negative", wasabi.SubscribeQueue(-1), "SubscribeQueue"},
-		{"backpressure unknown", wasabi.SubscribeBackpressure(wasabi.Backpressure(7)), "SubscribeBackpressure"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sess, err := compiled.NewSession(faultSink{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			fab, err := sess.Fanout()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = fab.Subscribe(tc.opt)
-			if err == nil {
-				t.Fatal("invalid subscribe option accepted")
-			}
-			if !errors.Is(err, wasabi.ErrBadOption) {
-				t.Errorf("err = %v, not errors.Is ErrBadOption", err)
-			}
-			var bad *wasabi.BadOptionError
-			if !errors.As(err, &bad) || bad.Option != tc.option {
-				t.Errorf("err = %v, want *BadOptionError for %s", err, tc.option)
-			}
-			// The fabric itself stays usable: a valid Subscribe call succeeds.
-			if _, err := fab.Subscribe(wasabi.SubscribeQueue(1)); err != nil {
-				t.Errorf("fabric unusable after rejected option: %v", err)
 			}
 		})
 	}

@@ -2,9 +2,14 @@ package wasabi_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,5 +95,90 @@ func TestReadmeCitesBenchFigures(t *testing.T) {
 				t.Errorf("%s: README prints %s, but BENCH_fig9.json records %g", c.name, printed, key)
 			}
 		}
+	}
+}
+
+// TestReadmeNamesExist keeps README's API names in step with the code:
+// every wasabi.X it mentions, and every backticked name that starts with
+// With, Stream, Subscribe or Backpressure (the option and stream
+// vocabulary), must be an exported identifier of package wasabi or
+// internal/analyses. A deleted option or type then fails here instead of
+// lingering in the prose.
+func TestReadmeNamesExist(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, dir := range []string{".", "internal/analyses"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						exported[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							exported[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								exported[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bwasabi\.([A-Z]\w*)`).FindAllStringSubmatch(string(readme), -1) {
+		names[m[1]] = true
+	}
+	// Inline code spans only: fenced blocks are covered by the wasabi.X rule.
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	lead := regexp.MustCompile(`^(?:With|Stream|Subscribe|Backpressure)\w*`)
+	for _, m := range regexp.MustCompile("`([^`\n]+)`").FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		if name := lead.FindString(m[1]); name != "" {
+			names[name] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("found no API names in README.md; the patterns are broken")
+	}
+	var missing []string
+	for name := range names {
+		if !ast.IsExported(name) || !exported[name] {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	if len(missing) > 0 {
+		t.Errorf("README.md names %d identifiers that package wasabi and internal/analyses do not export: %s",
+			len(missing), strings.Join(missing, ", "))
 	}
 }

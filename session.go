@@ -39,12 +39,11 @@ type Session struct {
 // imports are merged with the program's own imports, unresolved imports fall
 // back to the engine's named instances (so modules can import each other's
 // exports), and — when name is non-empty — the new instance is registered
-// under name for later instantiations to link against (Session.Close, or
-// Engine.RemoveInstance manually, unregisters it). Call it repeatedly for
-// multiple instances of the same instrumented module. The first instance of
-// a host shape compiles the module's threaded code; every later one, of
-// this or any session of the CompiledAnalysis, links it (see
-// CompiledAnalysis).
+// under name for later instantiations to link against (Session.Close
+// unregisters it). Call it repeatedly for multiple instances of the same
+// instrumented module. The first instance of a host shape compiles the
+// module's threaded code; every later one, of this or any session of the
+// CompiledAnalysis, links it (see CompiledAnalysis).
 func (s *Session) Instantiate(name string, programImports interp.Imports) (*interp.Instance, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: Instantiate", ErrSessionClosed)
@@ -117,11 +116,10 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 
 // InvokeContext is Instance.InvokeContext for an instance of this session:
 // on cancellation or deadline expiry both the instance and the session's
-// event stream (if any) are interrupted, so a Block-mode producer wedged on
-// a lagging consumer unblocks too. The instance must belong to this session
-// (its hooks dispatch to the session's analysis); interruption requires the
-// engine to compile guarded code (WithFuel, where WithFuel(0) sets no
-// budget).
+// event stream (if any) are interrupted, so a producer wedged on a lagging
+// consumer unblocks too. The instance must belong to this session (its hooks
+// dispatch to the session's analysis); interruption requires the engine to
+// compile guarded code (WithFuel, where WithFuel(0) sets no budget).
 func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn string, args ...interp.Value) ([]interp.Value, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: InvokeContext", ErrSessionClosed)

@@ -21,32 +21,16 @@ package wasabi
 // borrowed and valid only until the next batch is requested — the buffers
 // cycle. Copy records (they are plain values) to retain them.
 //
-// Backpressure is explicit: Block (default) stalls the instrumented program
-// when the consumer lags, Drop discards full batches and counts them.
-// Block requires the consumer to run concurrently; a run-first-drain-later
-// loop on one goroutine must use Drop (or a batch budget that fits the
-// queue).
+// Delivery is lossless: when the consumer lags, the instrumented program
+// stalls until it catches up, so the consumer must run concurrently. A
+// run-first-drain-later loop on one goroutine works only while the run's
+// batches fit the queue.
 
 import (
 	"fmt"
 
 	"wasabi/internal/analysis"
 	wruntime "wasabi/internal/runtime"
-)
-
-// Backpressure selects what happens to a batch for a subscription whose
-// queue is full because its consumer lags. See the comment at the top of
-// this file.
-type Backpressure = wruntime.Backpressure
-
-const (
-	// BackpressureBlock stalls event production until the consumer makes
-	// room (lossless).
-	BackpressureBlock = wruntime.Block
-	// BackpressureDrop skips the batch for that subscription and keeps the
-	// program running (lossy; Stream.Dropped and Subscription.Dropped count
-	// the loss).
-	BackpressureDrop = wruntime.Drop
 )
 
 // DefaultStreamBatchSize is the default number of event records per batch.
@@ -85,24 +69,17 @@ const EventCont = analysis.EventCont
 // carry neither).
 func NewDecoder(tbl *EventTable, a any) EventSink { return analysis.NewDecoder(tbl, a) }
 
-// StreamOption configures one stream, overriding the defaults
-// (DefaultStreamBatchSize, BackpressureBlock).
+// StreamOption configures one stream, overriding its default
+// (DefaultStreamBatchSize).
 type StreamOption func(*streamConfig)
 
 type streamConfig struct {
-	batchSize    int
-	backpressure Backpressure
+	batchSize int
 }
 
 // StreamBatchSize overrides the records-per-batch bound of this stream.
 func StreamBatchSize(n int) StreamOption {
 	return func(c *streamConfig) { c.batchSize = n }
-}
-
-// StreamBackpressure overrides the backpressure policy of this stream: the
-// policy of a Stream, and the default of a Fabric's subscriptions.
-func StreamBackpressure(mode Backpressure) StreamOption {
-	return func(c *streamConfig) { c.backpressure = mode }
 }
 
 // streamQueue is a Stream's queue depth in batches. With the batch being
@@ -135,9 +112,8 @@ func (s *Session) Stream(opts ...StreamOption) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A fresh fabric accepts subscribers, and the stream's default policy
-	// was validated by openStream.
-	sub, _ := fab.Subscribe(SubscribeQueue(streamQueue))
+	// A fresh emitter accepts subscribers.
+	sub, _ := fab.em.Subscribe(streamQueue)
 	return &Stream{fab: fab, sub: sub}, nil
 }
 
@@ -164,15 +140,12 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Fabric, error
 				caps.HookSet().String(), s.compiled.meta.HookSet.String()),
 		}
 	}
-	cfg := streamConfig{batchSize: DefaultStreamBatchSize, backpressure: BackpressureBlock}
+	cfg := streamConfig{batchSize: DefaultStreamBatchSize}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.batchSize < 1 {
 		return nil, badOption("StreamBatchSize", cfg.batchSize, "a batch holds at least one record")
-	}
-	if err := checkBackpressure("StreamBackpressure", cfg.backpressure); err != nil {
-		return nil, err
 	}
 	em := wruntime.NewEmitter(cfg.batchSize)
 	s.rt.SetEmitter(em, caps)
@@ -180,7 +153,7 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Fabric, error
 	if recv, ok := s.analysis.(analysis.EventTableReceiver); ok {
 		recv.SetEventTable(tbl)
 	}
-	s.stream = &Fabric{em: em, tbl: tbl, backpressure: cfg.backpressure}
+	s.stream = &Fabric{em: em, tbl: tbl}
 	return s.stream, nil
 }
 
@@ -200,7 +173,7 @@ func streamCapsOf(a any) Cap {
 func (st *Stream) Next() ([]Event, bool) { return st.sub.Next() }
 
 // Serve pulls batches and hands each to sink until the stream ends. Run it
-// on its own goroutine for Block-mode streams.
+// on its own goroutine.
 func (st *Stream) Serve(sink EventSink) { st.sub.Serve(sink) }
 
 // Flush hands the partially filled batch to the consumer now. Producer-side:
@@ -209,17 +182,15 @@ func (st *Stream) Flush() { st.fab.Flush() }
 
 // Close flushes pending records and ends the stream: after the queued
 // batches are drained, Next reports ok == false and Serve returns.
-// Producer-side like Flush. Idempotent. In Block mode the final flush waits
-// for room in the queue, so keep the consumer draining until the stream
-// ends.
+// Producer-side like Flush. Idempotent. The final flush waits for room in
+// the queue, so keep the consumer draining until the stream ends.
 func (st *Stream) Close() { st.fab.Close() }
 
-// Dropped returns the number of event records discarded so far: by
-// BackpressureDrop when the consumer lagged, by an interruption that
-// abandoned a delivery, by events emitted after Close, and by Session.Close's
-// non-waiting teardown. A Block-mode stream that is closed once
-// (Stream.Close) and fully drained before its session closes loses nothing
-// and reports 0.
+// Dropped returns the number of event records discarded so far: by an
+// interruption that abandoned a delivery, by events emitted after Close, by
+// a failure that ended the stream, and by Session.Close's non-waiting
+// teardown. A stream that is closed once (Stream.Close) and fully drained
+// before its session closes loses nothing and reports 0.
 func (st *Stream) Dropped() uint64 { return st.fab.Dropped() + st.sub.Dropped() }
 
 // Table returns the decode table mapping Event.Hook indices back to hook

@@ -3,8 +3,8 @@ package wasabi_test
 // End-to-end coverage of the event-stream surface: stream/callback parity
 // over the Fig 9 workload (the tracer run both ways must produce identical
 // event sequences — the acceptance bar of the stream pipeline), instruction
-// -mix count parity, backpressure modes, the Stream ordering errors, and
-// Session.Close's registry eviction. Everything here must be race-clean:
+// -mix count parity, teardown of an undrained stream, the Stream ordering
+// errors, and Session.Close's registry eviction. Everything here must be race-clean:
 // the stream consumers run on their own goroutines.
 
 import (
@@ -84,7 +84,7 @@ func runStreamTracer(t *testing.T, compiled *wasabi.CompiledAnalysis, opts ...wa
 	stream.Close()
 	<-done
 	if d := stream.Dropped(); d != 0 {
-		t.Fatalf("block-mode stream dropped %d events", d)
+		t.Fatalf("drained stream dropped %d events", d)
 	}
 	return st
 }
@@ -181,49 +181,6 @@ func TestStreamInstructionMixParity(t *testing.T) {
 		if smix.Counts[op] != n {
 			t.Errorf("op %s: stream counted %d, callback %d", op, smix.Counts[op], n)
 		}
-	}
-}
-
-// TestStreamDropMode runs without a concurrent consumer under Drop
-// backpressure: the program must finish (never stall), the in-flight
-// batches must drain afterwards, and the overflow must be counted.
-func TestStreamDropMode(t *testing.T) {
-	leakcheck.Check(t)
-	_, compiled := fig9Workload(t, 8)
-	sink := analyses.NewStreamInstructionMix()
-	sess, err := compiled.NewSession(sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	stream, err := sess.Stream(
-		wasabi.StreamBackpressure(wasabi.BackpressureDrop),
-		wasabi.StreamBatchSize(64),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", polybench.HostImports(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Invoke("kernel"); err != nil {
-		t.Fatal(err)
-	}
-	stream.Close()
-	var delivered int
-	for {
-		batch, ok := stream.Next()
-		if !ok {
-			break
-		}
-		delivered += len(batch)
-	}
-	if delivered == 0 {
-		t.Error("drop mode delivered no events at all")
-	}
-	if stream.Dropped() == 0 {
-		t.Error("drop mode with no concurrent consumer dropped nothing")
 	}
 }
 
@@ -442,7 +399,7 @@ func TestStreamFlushesAtTopLevelReturn(t *testing.T) {
 }
 
 // TestSessionCloseWithUnconsumedStream pins that teardown never waits on a
-// consumer: a Block-mode session whose consumer never ran — with the
+// consumer: a stream session whose consumer never ran — with the
 // in-flight ring completely full — still closes immediately, discarding and
 // counting the undelivered events. (Session.Close is producer-side like
 // Flush: it must not race a running Invoke.)
@@ -463,7 +420,7 @@ func TestSessionCloseWithUnconsumedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := sess.Stream(wasabi.StreamBatchSize(1)) // Block mode, nobody draining
+	stream, err := sess.Stream(wasabi.StreamBatchSize(1)) // nobody draining
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +442,7 @@ func TestSessionCloseWithUnconsumedStream(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Session.Close hung on an unconsumed Block-mode stream")
+		t.Fatal("Session.Close hung on an unconsumed stream")
 	}
 	if got := stream.Dropped(); got != 2 {
 		t.Errorf("teardown discarded %d events, want the 2 undelivered ones", got)
@@ -556,8 +513,7 @@ func TestStreamOrderingErrors(t *testing.T) {
 
 // TestSessionCloseEvictsInstances is the registry-eviction regression test
 // of the instance lifecycle: Session.Close unregisters the session's named
-// instances, the names become claimable again, and Engine.RemoveInstance
-// remains the manual path.
+// instances, and the names become claimable again.
 func TestSessionCloseEvictsInstances(t *testing.T) {
 	leakcheck.Check(t)
 	engine, compiled := fig9Workload(t, 4)
@@ -593,14 +549,13 @@ func TestSessionCloseEvictsInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess2.Close()
 	if _, err := sess2.Instantiate("fig9-a", polybench.HostImports(nil)); err != nil {
 		t.Fatalf("name not reclaimable after Close: %v", err)
 	}
-
-	// Manual eviction path.
-	engine.RemoveInstance("fig9-a")
+	if err := sess2.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := engine.Instance("fig9-a"); ok {
-		t.Error("instance fig9-a still registered after Engine.RemoveInstance")
+		t.Error("reclaimed instance fig9-a still registered after the second Session.Close")
 	}
 }
