@@ -2,7 +2,10 @@ package wasabi_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wasabi"
@@ -10,6 +13,7 @@ import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/interp"
 	"wasabi/internal/polybench"
+	"wasabi/internal/sink"
 	"wasabi/internal/synthapp"
 	"wasabi/internal/wasm"
 )
@@ -170,7 +174,8 @@ func TestDecoderServesEveryAnalysis(t *testing.T) {
 
 // TestDecoderZeroAllocs: once its buffers have grown, the decoder decodes a
 // batch holding every record of a workload's run — call vectors with
-// continuations and br_table target tables included — without allocating.
+// continuations and br_table target tables included — without allocating,
+// into an analysis that ignores the arguments and into one that counts them.
 func TestDecoderZeroAllocs(t *testing.T) {
 	for _, w := range decoderWorkloads(t) {
 		compiled, err := mustEngine(t).Instrument(w.m, wasabi.AllCaps)
@@ -178,9 +183,67 @@ func TestDecoderZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := runFanout(t, compiled, w, nopDecoder)
-		dec := wasabi.NewDecoder(compiled.EventTable(), &analyses.Empty{})
-		if allocs := testing.AllocsPerRun(10, func() { dec.Events(batch) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per %d-record batch, want 0", w.name, allocs, len(batch))
+		for _, a := range []any{&analyses.Empty{}, analyses.NewInstructionMix()} {
+			dec := wasabi.NewDecoder(compiled.EventTable(), a)
+			if allocs := testing.AllocsPerRun(10, func() { dec.Events(batch) }); allocs != 0 {
+				t.Errorf("%s: %T: %.1f allocs per %d-record batch, want 0", w.name, a, allocs, len(batch))
+			}
+		}
+	}
+}
+
+// TestInstructionMixFoldsEqualNames: InstructionMix finds a count by the
+// address of its key string, and a table read from a segment file holds op
+// names of its own, equal to the live table's but elsewhere in memory. One
+// mix fed a live run and then its replayed segment must still report every
+// name once, at twice its live count.
+func TestInstructionMixFoldsEqualNames(t *testing.T) {
+	for _, w := range decoderWorkloads(t) {
+		compiled, err := mustEngine(t).Instrument(w.m, wasabi.AllCaps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := analyses.NewInstructionMix()
+		recs := runFanout(t, compiled, w, func(tbl *wasabi.EventTable) wasabi.EventSink {
+			return wasabi.NewDecoder(tbl, mix)
+		})
+		live := mix.Counts()
+
+		path := filepath.Join(t.TempDir(), w.name+".evlog")
+		rec, err := sink.Create(path, compiled.EventTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Events(recs)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := sink.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Serve(wasabi.NewDecoder(r.Table(), mix), 0)
+		r.Close()
+
+		var out bytes.Buffer
+		mix.Report(&out)
+		seen := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+			var n uint64
+			var op string
+			if _, err := fmt.Sscanf(line, "%d %s", &n, &op); err != nil {
+				t.Fatalf("%s: report line %q: %v", w.name, line, err)
+			}
+			if seen[op] {
+				t.Errorf("%s: %s reported twice", w.name, op)
+			}
+			seen[op] = true
+			if n != 2*live[op] {
+				t.Errorf("%s: %s counted %d, want twice the live %d", w.name, op, n, live[op])
+			}
+		}
+		if len(seen) != len(live) {
+			t.Errorf("%s: report has %d names, live run %d", w.name, len(seen), len(live))
 		}
 	}
 }

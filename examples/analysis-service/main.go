@@ -99,15 +99,18 @@ type analyzeReply struct {
 
 // funcCoverage counts the distinct functions that produced events — the
 // cheapest useful per-tenant subscriber, here to stand for "your own
-// analysis on a subscription".
+// analysis on a subscription". It marks each function by its original
+// index in a slice sized from the module, so a record costs no hashing.
 type funcCoverage struct {
-	seen map[int32]bool
+	seen []bool
+	n    int
 }
 
 func (c *funcCoverage) Events(batch []analysis.Event) {
 	for i := range batch {
-		if batch[i].Hook != analysis.EventCont {
-			c.seen[batch[i].Func] = true
+		if f := batch[i].Func; batch[i].Hook != analysis.EventCont && !c.seen[f] {
+			c.seen[f] = true
+			c.n++
 		}
 	}
 }
@@ -184,7 +187,7 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	tracer := analyses.NewStreamTracer()
 	tracer.MaxEvents = traceHead
 	tracer.SetEventTable(fab.Table())
-	cov := &funcCoverage{seen: map[int32]bool{}}
+	cov := &funcCoverage{seen: make([]bool, len(fab.Table().Info.FuncTypes))}
 	// Every analysis records into its own segment file, which lives only as
 	// long as the request: two writers on one file would overwrite each
 	// other's records, so concurrent analyses of one module never share one.
@@ -230,7 +233,7 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	reply := &analyzeReply{
 		Instructions: mix.Total(),
 		TraceHead:    tracer.Lines,
-		FuncsSeen:    len(cov.seen),
+		FuncsSeen:    cov.n,
 		Recorded:     rec.Count(),
 		FuelUsed:     fuelUsed,
 	}
@@ -247,7 +250,7 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	} else if len(res) == 1 {
 		reply.Return = int64(res[0])
 	}
-	for op, n := range mix.Counts {
+	for op, n := range mix.Counts() {
 		reply.TopOps = append(reply.TopOps, opCount{Op: op, N: n})
 	}
 	sort.Slice(reply.TopOps, func(i, j int) bool {

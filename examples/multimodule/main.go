@@ -88,11 +88,7 @@ func main() {
 	fmt.Printf("app linked against %v\n", engine.InstanceNames())
 	fmt.Printf("main(5) = square(5) + cube(5) = %d (expect 150)\n", interp.AsI32(res[0]))
 
-	var libOps uint64
-	for _, c := range libMix.Counts {
-		libOps += c
-	}
-	fmt.Printf("mathlib session counted %d instructions inside the library\n", libOps)
+	fmt.Printf("mathlib session counted %d instructions inside the library\n", libMix.Total())
 	fmt.Printf("app session recorded %d call edges; library internals stayed in the library's session\n",
 		len(appGraph.Edges))
 	if interp.AsI32(res[0]) != 150 {

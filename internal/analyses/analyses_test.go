@@ -89,16 +89,16 @@ func TestInstructionMixCounts(t *testing.T) {
 	// 10 iterations × 2 adds? i32.add appears twice per iteration (acc+i,
 	// i*4 twice is mul)... count exact: per iter: add ×1 (acc+i), xor ×1,
 	// mul ×2, plus the loop increment add ×1 and bound check ge_s ×1.
-	if got := mix.Counts["i32.xor"]; got != 10 {
+	if got := mix.Counts()["i32.xor"]; got != 10 {
 		t.Errorf("i32.xor = %d, want 10", got)
 	}
-	if got := mix.Counts["i32.mul"]; got != 20 {
+	if got := mix.Counts()["i32.mul"]; got != 20 {
 		t.Errorf("i32.mul = %d, want 20", got)
 	}
-	if got := mix.Counts["i32.store"]; got != 10 {
+	if got := mix.Counts()["i32.store"]; got != 10 {
 		t.Errorf("i32.store = %d, want 10", got)
 	}
-	if mix.Total() == 0 || mix.Counts["i32.const"] == 0 {
+	if mix.Total() == 0 || mix.Counts()["i32.const"] == 0 {
 		t.Error("mix missed basic instructions")
 	}
 	var sb strings.Builder

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unsafe"
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/wasm"
@@ -11,17 +12,84 @@ import (
 
 // InstructionMix counts how often each kind of instruction executes, a basis
 // for performance and security analyses (Table 4 row 1).
+//
+// It runs once per executed instruction, so it never hashes a key's bytes.
+// Every key is a string constant or the one interned name a hook's op
+// carries (wasm.Opcode.String, EventSpec.Op), so a small open-addressing
+// table finds a key's count by the string's address and length. Equal names
+// at other addresses, such as the ones a table read from a segment file
+// holds, get slots of their own; Counts, Total and Report fold them.
 type InstructionMix struct {
 	full
-	Counts map[string]uint64
+	slots []mixSlot // length a power of two, at most half used
+	used  int
+	shift uint // 64 - log2(len(slots))
+}
+
+// mixSlot counts the events of one key string. It holds the string, which
+// keeps the address it is found by live. n == 0 marks an empty slot.
+type mixSlot struct {
+	key string
+	n   uint64
 }
 
 // NewInstructionMix returns an empty instruction-mix analysis.
 func NewInstructionMix() *InstructionMix {
-	return &InstructionMix{Counts: make(map[string]uint64)}
+	const bits = 7 // room for 64 names before the table grows
+	return &InstructionMix{slots: make([]mixSlot, 1<<bits), shift: 64 - bits}
 }
 
-func (a *InstructionMix) bump(key string) { a.Counts[key]++ }
+// home is the slot a probe for a key at address p starts at (Fibonacci
+// hashing of the address).
+func (a *InstructionMix) home(p *byte) int {
+	return int(uint64(uintptr(unsafe.Pointer(p))) * 0x9e3779b97f4a7c15 >> a.shift)
+}
+
+// bump counts one event of key.
+func (a *InstructionMix) bump(key string) {
+	p := unsafe.StringData(key)
+	mask := len(a.slots) - 1
+	for i := a.home(p); ; i = (i + 1) & mask {
+		s := &a.slots[i]
+		switch {
+		case s.n == 0:
+			a.insert(i, key)
+			return
+		case unsafe.StringData(s.key) == p && len(s.key) == len(key):
+			s.n++
+			return
+		}
+	}
+}
+
+// insert counts the first event of key in the empty slot i, growing the
+// table first when it would be more than half used.
+func (a *InstructionMix) insert(i int, key string) {
+	if 2*(a.used+1) > len(a.slots) {
+		a.grow()
+		a.bump(key)
+		return
+	}
+	a.slots[i] = mixSlot{key: key, n: 1}
+	a.used++
+}
+
+// grow doubles the table and moves every used slot into it.
+func (a *InstructionMix) grow() {
+	old := a.slots
+	a.slots, a.shift = make([]mixSlot, 2*len(old)), a.shift-1
+	mask := len(a.slots) - 1
+	for _, s := range old {
+		if s.n == 0 {
+			continue
+		}
+		i := a.home(unsafe.StringData(s.key))
+		for a.slots[i].n != 0 {
+			i = (i + 1) & mask
+		}
+		a.slots[i] = s
+	}
+}
 
 // constKeys maps every value type byte to its count key ("i32.const", ...),
 // so counting a const event allocates nothing.
@@ -74,11 +142,22 @@ func (a *InstructionMix) CallPre(_ analysis.Location, _ int, _ []analysis.Value,
 }
 func (a *InstructionMix) Return(analysis.Location, []analysis.Value) { a.bump("return") }
 
+// Counts returns the count of each instruction name observed.
+func (a *InstructionMix) Counts() map[string]uint64 {
+	counts := make(map[string]uint64, a.used)
+	for _, s := range a.slots {
+		if s.n != 0 {
+			counts[s.key] += s.n
+		}
+	}
+	return counts
+}
+
 // Total returns the total executed-instruction count observed.
 func (a *InstructionMix) Total() uint64 {
 	var t uint64
-	for _, c := range a.Counts {
-		t += c
+	for _, s := range a.slots {
+		t += s.n
 	}
 	return t
 }
@@ -89,8 +168,9 @@ func (a *InstructionMix) Report(w io.Writer) {
 		op string
 		n  uint64
 	}
-	rows := make([]kv, 0, len(a.Counts))
-	for op, n := range a.Counts {
+	counts := a.Counts()
+	rows := make([]kv, 0, len(counts))
+	for op, n := range counts {
 		rows = append(rows, kv{op, n})
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -174,12 +174,13 @@ func TestStreamInstructionMixParity(t *testing.T) {
 	if mix.Total() == 0 {
 		t.Fatal("callback mix observed no events")
 	}
-	if len(smix.Counts) != len(mix.Counts) {
-		t.Fatalf("stream mix has %d distinct ops, callback %d", len(smix.Counts), len(mix.Counts))
+	got, want := smix.Counts(), mix.Counts()
+	if len(got) != len(want) {
+		t.Fatalf("stream mix has %d distinct ops, callback %d", len(got), len(want))
 	}
-	for op, n := range mix.Counts {
-		if smix.Counts[op] != n {
-			t.Errorf("op %s: stream counted %d, callback %d", op, smix.Counts[op], n)
+	for op, n := range want {
+		if got[op] != n {
+			t.Errorf("op %s: stream counted %d, callback %d", op, got[op], n)
 		}
 	}
 }
