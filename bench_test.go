@@ -227,8 +227,8 @@ func BenchmarkMono(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(md.Hooks) < 50 {
-			b.Fatalf("expected substantial hook monomorphization, got %d hooks", len(md.Hooks))
+		if len(md.Specs) < 50 {
+			b.Fatalf("expected substantial hook monomorphization, got %d hooks", len(md.Specs))
 		}
 	}
 }

@@ -145,7 +145,7 @@ func main() {
 	}
 	fmt.Printf("instrumented %s (%d B) -> %s (%d B, +%.1f%%), %d low-level hooks, metadata in %s\n",
 		input, len(data), outPath, len(outData),
-		100*(float64(len(outData))/float64(len(data))-1), len(md.Hooks), metaPath)
+		100*(float64(len(outData))/float64(len(data))-1), len(md.Specs), metaPath)
 }
 
 func fatal(format string, args ...any) {

@@ -38,9 +38,6 @@ type CompiledAnalysis struct {
 	encodeOnce sync.Once
 	encoded    []byte
 	encodeErr  error
-
-	eventsOnce sync.Once
-	events     *analysis.EventTable
 }
 
 // NewSession binds one analysis value to the compiled instrumentation. It
@@ -73,11 +70,8 @@ func (c *CompiledAnalysis) NewSession(a any) (*Session, error) {
 }
 
 // EventTable returns the decode table of the event-stream surface for this
-// instrumentation, built at most once and shared by every stream.
-func (c *CompiledAnalysis) EventTable() *EventTable {
-	c.eventsOnce.Do(func() { c.events = c.meta.EventTable() })
-	return c.events
-}
+// instrumentation: the metadata's own hook table, shared by every stream.
+func (c *CompiledAnalysis) EventTable() *EventTable { return &c.meta.EventTable }
 
 // Module returns the instrumented module. Callers must treat it as
 // read-only: it is shared by every session and instance of this
@@ -89,7 +83,7 @@ func (c *CompiledAnalysis) Module() *wasm.Module { return c.module }
 func (c *CompiledAnalysis) Metadata() *core.Metadata { return c.meta }
 
 // Info returns the static module information analyses receive.
-func (c *CompiledAnalysis) Info() *ModuleInfo { return &c.meta.Info }
+func (c *CompiledAnalysis) Info() *ModuleInfo { return c.meta.Info }
 
 // HookSet returns the hook kinds the module was instrumented for.
 func (c *CompiledAnalysis) HookSet() HookSet { return c.meta.HookSet }

@@ -2,9 +2,12 @@ package wasabi_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"wasabi/internal/interp"
 	"wasabi/internal/polybench"
 	"wasabi/internal/sink"
+	"wasabi/internal/spectest"
 	"wasabi/internal/synthapp"
 	"wasabi/internal/wasm"
 )
@@ -193,10 +197,11 @@ func TestDecoderZeroAllocs(t *testing.T) {
 }
 
 // TestInstructionMixFoldsEqualNames: InstructionMix finds a count by the
-// address of its key string, and a table read from a segment file holds op
-// names of its own, equal to the live table's but elsewhere in memory. One
-// mix fed a live run and then its replayed segment must still report every
-// name once, at twice its live count.
+// address of its key string. A table read from a segment file maps its op
+// names back to opcodes, so a replay counts into the live run's slots, and
+// a copy of a name counts into a slot of its own. One mix fed a live run,
+// its replayed segment and then a copy of each name once must still report
+// every name once, at twice its live count plus one.
 func TestInstructionMixFoldsEqualNames(t *testing.T) {
 	for _, w := range decoderWorkloads(t) {
 		compiled, err := mustEngine(t).Instrument(w.m, wasabi.AllCaps)
@@ -224,6 +229,9 @@ func TestInstructionMixFoldsEqualNames(t *testing.T) {
 		}
 		r.Serve(wasabi.NewDecoder(r.Table(), mix), 0)
 		r.Close()
+		for op := range live {
+			mix.Unary(wasabi.Location{}, strings.Clone(op), wasabi.Value{}, wasabi.Value{})
+		}
 
 		var out bytes.Buffer
 		mix.Report(&out)
@@ -238,12 +246,118 @@ func TestInstructionMixFoldsEqualNames(t *testing.T) {
 				t.Errorf("%s: %s reported twice", w.name, op)
 			}
 			seen[op] = true
-			if n != 2*live[op] {
-				t.Errorf("%s: %s counted %d, want twice the live %d", w.name, op, n, live[op])
+			if n != 2*live[op]+1 {
+				t.Errorf("%s: %s counted %d, want twice the live %d plus one", w.name, op, n, live[op])
 			}
 		}
 		if len(seen) != len(live) {
 			t.Errorf("%s: report has %d names, live run %d", w.name, len(seen), len(live))
+		}
+	}
+}
+
+// TestSegmentTableRoundTrip: a segment written from an instrumentation's
+// EventTable reopens with every spec equal field by field (types by
+// content), for every hook of the spectest corpus, gemm and a synthapp.
+func TestSegmentTableRoundTrip(t *testing.T) {
+	gemm, _ := polybench.ByName("gemm")
+	mods := map[string]*wasm.Module{
+		"gemm":     gemm.Module(8),
+		"synthapp": synthapp.Generate(synthapp.Config{TargetBytes: 100_000, Seed: 1}),
+	}
+	for _, c := range spectest.Corpus() {
+		mods[c.Name] = c.Module()
+	}
+	for name, m := range mods {
+		compiled, err := mustEngine(t).Instrument(m, wasabi.AllCaps)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "table.evlog")
+		w, err := sink.Create(path, compiled.EventTable())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r, err := sink.Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, got := compiled.EventTable().Specs, r.Table().Specs
+		r.Close()
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: %d specs reopened, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Name != w.Name || g.Kind != w.Kind || g.Op != w.Op || g.Block != w.Block ||
+				!slices.Equal(g.Types, w.Types) || g.Indirect != w.Indirect || g.Post != w.Post {
+				t.Errorf("%s: spec %d reopened as %+v, want %+v", name, i, g, w)
+			}
+		}
+	}
+}
+
+// TestRecordingIsDeterministic records the run wasabi-run -workload
+// synthapp -record makes twice: the two segment files must be identical, and
+// the reserved byte 3 of every record zero.
+func TestRecordingIsDeterministic(t *testing.T) {
+	m := synthapp.Generate(synthapp.Config{TargetBytes: 100_000, Seed: 1})
+	var files [2][]byte
+	for i := range files {
+		a := analyses.NewInstructionMix()
+		compiled, err := mustEngine(t).InstrumentFor(m, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := compiled.NewSession(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := sess.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "synthapp.evlog")
+		rec, err := sink.Create(path, stream.Table())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			stream.Serve(rec)
+		}()
+		inst, err := sess.Instantiate("main", polybench.HostImports(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.Invoke("main", interp.I32(32)); err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+		<-done
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two recordings of one run differ (%d and %d bytes)", len(files[0]), len(files[1]))
+	}
+	data := files[0]
+	start := (64 + int(binary.LittleEndian.Uint32(data[28:])) + 63) &^ 63
+	if (len(data)-start)%40 != 0 || len(data)-start < 40*1000 {
+		t.Fatalf("record region of %d bytes from %d", len(data)-start, start)
+	}
+	for off := start; off < len(data); off += 40 {
+		if data[off+3] != 0 {
+			t.Fatalf("record %d: reserved byte is %#x", (off-start)/40, data[off+3])
 		}
 	}
 }

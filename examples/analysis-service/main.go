@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -156,9 +157,12 @@ func (s *service) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	entry := req.URL.Query().Get("entry")
 	var args []interp.Value
 	if v := req.URL.Query().Get("arg"); v != "" {
-		var n int32
-		fmt.Sscanf(v, "%d", &n)
-		args = append(args, interp.I32(n))
+		n, err := strconv.ParseInt(v, 10, 32)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad arg %q: want an int32", v), http.StatusBadRequest)
+			return
+		}
+		args = append(args, interp.I32(int32(n)))
 	}
 	reply, err := s.analyze(compiled, id, entry, args)
 	if err != nil {

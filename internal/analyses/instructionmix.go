@@ -15,10 +15,11 @@ import (
 //
 // It runs once per executed instruction, so it never hashes a key's bytes.
 // Every key is a string constant or the one interned name a hook's op
-// carries (wasm.Opcode.String, EventSpec.Op), so a small open-addressing
-// table finds a key's count by the string's address and length. Equal names
-// at other addresses, such as the ones a table read from a segment file
-// holds, get slots of their own; Counts, Total and Report fold them.
+// carries (wasm.Opcode.String, EventSpec.OpName), live or replayed: a table
+// read from a segment file maps its op names back to opcodes. So a small
+// open-addressing table finds a key's count by the string's address and
+// length. Equal names at other addresses, such as copies a caller passes,
+// get slots of their own; Counts, Total and Report fold them.
 type InstructionMix struct {
 	full
 	slots []mixSlot // length a power of two, at most half used

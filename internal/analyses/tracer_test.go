@@ -117,13 +117,13 @@ func TestStreamTracerStopsAtMaxEvents(t *testing.T) {
 	var batches [2][]analysis.Event
 	for i := 0; i < 10; i++ {
 		b := &batches[i/5]
-		*b = append(*b, analysis.Event{Hook: 0, Kind: analysis.KindConst, Pack: analysis.PackSlots(wasm.I64),
+		*b = append(*b, analysis.Event{Hook: 0, Kind: analysis.KindConst,
 			Func: 1, Instr: int32(i), Vals: [3]uint64{uint64(i) << 40}})
 		if i%3 == 0 {
 			*b = append(*b,
-				analysis.Event{Hook: 1, Kind: analysis.KindReturn, Pack: analysis.PackSlots(i32s[:3]...),
+				analysis.Event{Hook: 1, Kind: analysis.KindReturn,
 					Func: 1, Instr: int32(i), Vals: [3]uint64{1, 2, 3}},
-				analysis.Event{Hook: analysis.EventCont, Kind: analysis.KindReturn, Pack: analysis.PackSlots(wasm.I32),
+				analysis.Event{Hook: analysis.EventCont, Kind: analysis.KindReturn,
 					Func: 1, Instr: int32(i), Vals: [3]uint64{uint64(i)}})
 		}
 	}

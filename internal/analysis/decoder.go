@@ -66,6 +66,57 @@ func (e *Event) at(instr uint64) Location {
 	return Location{Func: int(e.Func), Instr: int(int32(uint32(instr)))}
 }
 
+// The record layout, written by the runtime's encoders and read back here
+// and by sink.Open: which payload value a record carries in Aux, how many
+// types its decoding reads, and how many continuation records a call or
+// return group has (the table on Event).
+
+// AuxValue returns which entry of Types the spec's records carry in Aux, or
+// -1 for none. The other entries fill Vals in order.
+func (s *EventSpec) AuxValue() int {
+	switch s.Kind {
+	case KindConst, KindDrop, KindUnary, KindBinary, KindReturn:
+		return -1
+	case KindCall:
+		if s.Post {
+			return -1
+		}
+	case KindBrIf:
+		return 2 // the condition; label and target fill Vals
+	case KindBrTable:
+		return 1 // the runtime index; the metadata index fills Vals[0]
+	}
+	return 0
+}
+
+// typesRead is, per hook kind, how many Types the decoding of its records
+// indexes.
+var typesRead = [NumKinds]int{
+	KindSelect: 3, KindDrop: 1, KindLoad: 3, KindStore: 3, KindConst: 1,
+	KindUnary: 2, KindBinary: 3, KindGlobal: 2, KindLocal: 2,
+}
+
+// TypesRead returns how many entries of Types the decoding of the spec's
+// records reads; a spec with fewer cannot be decoded. A call_pre spec needs
+// Types[0], the target slot ValueTypes skips. Kind must be below NumKinds.
+func (s *EventSpec) TypesRead() int {
+	if s.Kind == KindCall && !s.Post {
+		return 1
+	}
+	return typesRead[s.Kind]
+}
+
+// Conts returns how many continuation records follow each primary record of
+// the spec. A call or return group fills one slot per entry of Types, three
+// to a record: call_pre's table index takes the slot of the target, which
+// Aux carries.
+func (s *EventSpec) Conts() int {
+	if s.Kind != KindCall && s.Kind != KindReturn {
+		return 0
+	}
+	return (max(len(s.Types), 1) - 1) / len(Event{}.Vals)
+}
+
 // compile builds the closure that decodes the records of spec s. There is
 // one case per callback signature, as in the runtime's compileTrampoline;
 // kinds sharing a signature share the closure. The record layout is the
@@ -115,22 +166,22 @@ func (d *decoder) compile(s *EventSpec, cbs *Callbacks) decodeFn {
 			cb(e.Loc(), e.Aux != 0, Value{Type: t1, Bits: e.Vals[0]}, Value{Type: t2, Bits: e.Vals[1]})
 		}
 	case func(Location, string, Value, Value): // unary
-		op, t0, t1 := s.Op, s.Types[0], s.Types[1]
+		op, t0, t1 := s.OpName(), s.Types[0], s.Types[1]
 		return func(g []Event) {
 			e := &g[0]
 			cb(e.Loc(), op, Value{Type: t0, Bits: e.Vals[0]}, Value{Type: t1, Bits: e.Vals[1]})
 		}
 	case func(Location, string, Value, Value, Value): // binary
-		op, t0, t1, t2 := s.Op, s.Types[0], s.Types[1], s.Types[2]
+		op, t0, t1, t2 := s.OpName(), s.Types[0], s.Types[1], s.Types[2]
 		return func(g []Event) {
 			e := &g[0]
 			cb(e.Loc(), op, Value{Type: t0, Bits: e.Vals[0]}, Value{Type: t1, Bits: e.Vals[1]}, Value{Type: t2, Bits: e.Vals[2]})
 		}
 	case func(Location, string, uint32, Value): // local, global
-		op, t := s.Op, s.Types[1]
+		op, t := s.OpName(), s.Types[1]
 		return func(g []Event) { cb(g[0].Loc(), op, g[0].Aux, Value{Type: t, Bits: g[0].Vals[0]}) }
 	case func(Location, string, MemArg, Value): // load, store
-		op, t := s.Op, s.Types[2]
+		op, t := s.OpName(), s.Types[2]
 		return func(g []Event) {
 			e := &g[0]
 			cb(e.Loc(), op, MemArg{Addr: uint32(e.Vals[0]), Offset: e.Aux}, Value{Type: t, Bits: e.Vals[1]})

@@ -8,11 +8,10 @@ package analysis
 // production from analysis cost (and enabling off-thread consumers).
 //
 // Event is deliberately dumb: 40 bytes, pointer-free, meaningful only
-// together with the instrumentation's hook table. The EventTable (built from
-// core.Metadata) is the decode side: it maps Event.Hook back to the hook's
-// kind, instruction name, block kind, and payload types, exactly the
-// information the per-spec trampolines capture at compile time on the
-// callback path.
+// together with the instrumentation's hook table. The EventTable (the one
+// core.Metadata embeds) is the decode side: it maps Event.Hook back to the
+// hook's spec — kind, opcode, block kind and payload types — the same spec
+// the per-hook trampolines are compiled from on the callback path.
 
 import "wasabi/internal/wasm"
 
@@ -32,7 +31,7 @@ const EventCont = uint16(0xFFFF)
 // EventTable.Spec.
 const EventSynth = uint16(0xFFFE)
 
-// Event is one packed hook-event record: 16 bytes of header plus up to three
+// Event is one packed hook-event record: 16 bytes of header plus three
 // 8-byte value slots. Records are fixed-width so a batch is a flat
 // []Event with no per-event allocation or pointer chasing.
 //
@@ -62,13 +61,16 @@ const EventSynth = uint16(0xFFFE)
 //
 // Value slots hold the raw 64-bit representation of a wasm value (i32/f32
 // zero-extended, floats as IEEE bits — the same representation as
-// Value.Bits); their types are static per hook and recovered through the
-// EventTable. Locations are always in the original (uninstrumented) index
-// space, like the callback API's Location.
+// Value.Bits). A record carries no types: they are static per hook and come
+// from the EventTable (EventSpec.AuxValue and EventSpec.Conts state the rest
+// of the layout). Locations are always in the original (uninstrumented)
+// index space, like the callback API's Location. Byte 3 is reserved: every
+// record is built from a literal, which zeroes it, and copied whole, so a
+// segment file's raw record bytes hold a zero there.
 type Event struct {
 	Hook  uint16   // index into the instrumentation's hook table; EventCont for continuations
 	Kind  HookKind // high-level hook kind (copied from the spec; set on continuations too)
-	Pack  uint8    // bits 0-1: occupied Vals slots; bits 2-3/4-5/6-7: type tags of slots 0/1/2
+	_     uint8    // reserved, zero
 	Func  int32    // location: original function index
 	Instr int32    // location: instruction index (-1 for function-level events)
 	Aux   uint32   // kind-specific scalar, see the table above
@@ -77,59 +79,6 @@ type Event struct {
 
 // Loc returns the event's location.
 func (e *Event) Loc() Location { return Location{Func: int(e.Func), Instr: int(e.Instr)} }
-
-// Val decodes occupied slot i into a typed Value using the record's packed
-// type tag.
-func (e *Event) Val(i int) Value {
-	return Value{Type: TagType(e.Pack >> (2 + 2*uint(i)) & 3), Bits: e.Vals[i]}
-}
-
-// Type tags packed into Event.Pack, 2 bits per value slot.
-const (
-	tagI32 = 0
-	tagI64 = 1
-	tagF32 = 2
-	tagF64 = 3
-)
-
-// TypeTag returns the 2-bit tag of a value type.
-func TypeTag(t wasm.ValType) uint8 {
-	switch t {
-	case wasm.I64:
-		return tagI64
-	case wasm.F32:
-		return tagF32
-	case wasm.F64:
-		return tagF64
-	default:
-		return tagI32
-	}
-}
-
-// TagType is the inverse of TypeTag.
-func TagType(tag uint8) wasm.ValType {
-	switch tag {
-	case tagI64:
-		return wasm.I64
-	case tagF32:
-		return wasm.F32
-	case tagF64:
-		return wasm.F64
-	default:
-		return wasm.I32
-	}
-}
-
-// PackSlots builds an Event.Pack byte for n occupied slots with the given
-// types (len(ts) >= n). Encoders call this once at compile time per record
-// shape, never per event.
-func PackSlots(ts ...wasm.ValType) uint8 {
-	p := uint8(len(ts))
-	for i, t := range ts {
-		p |= TypeTag(t) << (2 + 2*uint(i))
-	}
-	return p
-}
 
 // Block kind codes, carried by end records so they decode without a spec
 // lookup (required for the synthesized br_table end replays, see
@@ -164,17 +113,49 @@ func BlockKindOf(code uint32) BlockKind {
 	return BlockFunction
 }
 
-// EventSpec is the decode-side description of one low-level hook: everything
-// a stream consumer needs to turn the hook's records back into typed,
-// named events. Indexed by Event.Hook in an EventTable.
+// EventSpec describes one generated low-level hook, from the instrumenter
+// that generates it to the consumer that decodes its records: its import
+// name, the high-level hook kind it dispatches to, the opcode of hooks
+// monomorphized per instruction (binary_i32.add), the block kind of
+// begin/end hooks, and the logical payload types that follow the two i32
+// location parameters. Indexed by Event.Hook in an EventTable; the JSON
+// tags are the instrumentation metadata's.
 type EventSpec struct {
-	Kind     HookKind
-	Name     string         // low-level hook name (e.g. "binary_i32.add")
-	Op       string         // instruction name for op-carrying hooks (e.g. "i32.add"), else ""
-	Block    BlockKind      // block kind for begin/end hooks
-	Types    []wasm.ValType // logical payload types, as in the hook spec
-	Indirect bool           // call_pre through a table
-	Post     bool           // call_post (vs call_pre) for KindCall
+	Name     string         `json:"name"`
+	Kind     HookKind       `json:"kind"`
+	Op       wasm.Opcode    `json:"op,omitempty"`
+	Block    BlockKind      `json:"block,omitempty"`
+	Types    []wasm.ValType `json:"types,omitempty"`
+	Indirect bool           `json:"indirect,omitempty"` // call_pre through a table
+	Post     bool           `json:"post,omitempty"`     // call_post (vs call_pre) for KindCall
+}
+
+// WasmType returns the lowered import signature of the hook: two i32
+// location parameters followed by the lowered payload, no results. i32, f32
+// and f64 pass through; i64 is split into two i32 halves (lo, hi) because
+// the host language of the paper (JavaScript) cannot represent 64-bit
+// integers (paper §2.4.6).
+func (s *EventSpec) WasmType() wasm.FuncType {
+	params := []wasm.ValType{wasm.I32, wasm.I32}
+	for _, t := range s.Types {
+		if t == wasm.I64 {
+			params = append(params, wasm.I32, wasm.I32)
+		} else {
+			params = append(params, t)
+		}
+	}
+	return wasm.FuncType{Params: params}
+}
+
+// OpName returns the instruction name of op-carrying hooks (unary, binary,
+// load, store, local, global), or "" when Op is 0. A known opcode's name is
+// interned: its string header points at the opcode name table, so keeping
+// it costs nothing per event.
+func (s *EventSpec) OpName() string {
+	if s.Op == 0 {
+		return ""
+	}
+	return s.Op.String()
 }
 
 // ValueTypes returns the types of the hook's logical value vector (call
@@ -189,14 +170,14 @@ func (s *EventSpec) ValueTypes() []wasm.ValType {
 // EventTable maps Event.Hook indices back to their specs. It is immutable
 // and shared by every stream of one compiled instrumentation.
 //
-// A table built from the instrumentation metadata also carries what only
+// The instrumenter's table (core.Metadata embeds it) also carries what only
 // callbacks receive: the br_table records a br_table event's metadata index
 // (Vals[0]) selects, and the module information. A table read back from a
 // segment file has neither (nil BrTables and Info).
 type EventTable struct {
-	Specs    []EventSpec
-	BrTables []BrTableInfo
-	Info     *ModuleInfo
+	Specs    []EventSpec   `json:"hooks"`
+	BrTables []BrTableInfo `json:"brTables,omitempty"`
+	Info     *ModuleInfo   `json:"-"`
 }
 
 // Spec returns the spec of an event record. Not valid for EventCont or

@@ -151,7 +151,7 @@ func TestSelectivityPerKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	for _, h := range md.Hooks {
+	for _, h := range md.Specs {
 		names = append(names, h.Name)
 	}
 	// call_pre is monomorphized on parameter types only, so the [i32]->[]
@@ -177,10 +177,10 @@ func TestOnDemandMonomorphization(t *testing.T) {
 		t.Fatal(err)
 	}
 	if md.NumHooks != 2 {
-		t.Fatalf("expected 2 monomorphic drop hooks, got %d: %+v", md.NumHooks, md.Hooks)
+		t.Fatalf("expected 2 monomorphic drop hooks, got %d: %+v", md.NumHooks, md.Specs)
 	}
 	seen := map[string]bool{}
-	for _, h := range md.Hooks {
+	for _, h := range md.Specs {
 		seen[h.Name] = true
 	}
 	if !seen["drop_i64"] || !seen["drop_f64"] {
@@ -203,7 +203,7 @@ func TestHookImportSignaturesAreHostCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range md.Hooks {
+	for _, h := range md.Specs {
 		wt := h.WasmType()
 		for _, p := range wt.Params {
 			if p == wasm.I64 {
@@ -348,7 +348,7 @@ func TestHookRegistryConcurrency(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				for _, op := range []wasm.Opcode{wasm.OpI32Add, wasm.OpF64Mul, wasm.OpI64Xor} {
 					s := specBinary(op)
-					got[s.Name] = r.get(keyOp+int(op), func() HookSpec { return s })
+					got[s.Name] = r.get(keyOp+int(op), func() analysis.EventSpec { return s })
 				}
 			}
 			done <- got
@@ -376,7 +376,7 @@ func TestHookRegistryConcurrency(t *testing.T) {
 	// Two type indices with one signature are two keys but one hook.
 	r = newHookRegistry(100, 2)
 	sig := wasm.FuncType{Params: []wasm.ValType{wasm.I64, wasm.F32}}
-	pre := func() HookSpec { return specCallPre(sig, false) }
+	pre := func() analysis.EventSpec { return specCallPre(sig, false) }
 	if a, b := r.get(callKey(0, callPre), pre), r.get(callKey(1, callPre), pre); a != b {
 		t.Errorf("type indices 0 and 1 share a signature but got hooks %d and %d", a, b)
 	}

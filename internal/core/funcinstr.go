@@ -336,7 +336,7 @@ func (fi *funcInstrumenter) emitEndHooksFor(label uint32) {
 func (fi *funcInstrumenter) emitEndHook(info EndInfo) {
 	fi.emitLoc(info.End)
 	fi.emit(wasm.I32Const(int32(info.Begin)))
-	fi.emitHook(keyEnd+int(info.Kind.Code()), func() HookSpec { return specEnd(info.Kind) })
+	fi.emitHook(keyEnd+int(info.Kind.Code()), func() analysis.EventSpec { return specEnd(info.Kind) })
 }
 
 func (fi *funcInstrumenter) run() error {
@@ -354,7 +354,7 @@ func (fi *funcInstrumenter) run() error {
 	}
 	if fi.has(analysis.KindBegin) {
 		fi.emitLoc(-1)
-		fi.emitHook(keyBegin+int(analysis.BlockFunction.Code()), func() HookSpec { return specBegin(analysis.BlockFunction) })
+		fi.emitHook(keyBegin+int(analysis.BlockFunction.Code()), func() analysis.EventSpec { return specBegin(analysis.BlockFunction) })
 	}
 
 	nb := 0
@@ -419,7 +419,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			// For loops this call sits at the loop header and therefore
 			// fires once per iteration, as the paper specifies.
 			fi.emitLoc(i)
-			fi.emitHook(keyBegin+int(kind.Code()), func() HookSpec { return specBegin(kind) })
+			fi.emitHook(keyBegin+int(kind.Code()), func() analysis.EventSpec { return specBegin(kind) })
 		}
 
 	case wasm.OpIf:
@@ -434,7 +434,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(in)
 		if reachable && fi.has(analysis.KindBegin) {
 			fi.emitLoc(i)
-			fi.emitHook(keyBegin+int(analysis.BlockIf.Code()), func() HookSpec { return specBegin(analysis.BlockIf) })
+			fi.emitHook(keyBegin+int(analysis.BlockIf.Code()), func() analysis.EventSpec { return specBegin(analysis.BlockIf) })
 		}
 
 	case wasm.OpElse:
@@ -449,7 +449,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(in)
 		if live && fi.has(analysis.KindBegin) {
 			fi.emitLoc(i)
-			fi.emitHook(keyBegin+int(analysis.BlockElse.Code()), func() HookSpec { return specBegin(analysis.BlockElse) })
+			fi.emitHook(keyBegin+int(analysis.BlockElse.Code()), func() analysis.EventSpec { return specBegin(analysis.BlockElse) })
 		}
 
 	case wasm.OpEnd:
@@ -586,7 +586,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(wasm.LocalSet(v))
 		fi.emitLoc(i)
 		fi.emitLowerLocal(t, v)
-		fi.emitHook(typedKey(op, t), func() HookSpec { return specDrop(t) })
+		fi.emitHook(typedKey(op, t), func() analysis.EventSpec { return specDrop(t) })
 
 	case wasm.OpSelect:
 		t := fi.tr.Top(1)
@@ -605,7 +605,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emit(wasm.LocalGet(c))
 		fi.emitLowerLocal(t, first)
 		fi.emitLowerLocal(t, second)
-		fi.emitHook(typedKey(op, t), func() HookSpec { return specSelect(t) })
+		fi.emitHook(typedKey(op, t), func() analysis.EventSpec { return specSelect(t) })
 		fi.emit(wasm.LocalGet(first), wasm.LocalGet(second), wasm.LocalGet(c), in)
 
 	case wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee:
@@ -624,7 +624,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emitLoc(i)
 		fi.emit(wasm.I32Const(int32(in.Idx)))
 		fi.emitLowerLocal(t, in.Idx)
-		fi.emitHook(typedKey(op, t), func() HookSpec { return specLocal(op, t) })
+		fi.emitHook(typedKey(op, t), func() analysis.EventSpec { return specLocal(op, t) })
 
 	case wasm.OpGlobalGet, wasm.OpGlobalSet:
 		if !reachable || !fi.has(analysis.KindGlobal) {
@@ -639,7 +639,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		fi.emitLoc(i)
 		fi.emit(wasm.I32Const(int32(in.Idx)))
 		fi.emitLowerGlobal(gt.Type, in.Idx)
-		fi.emitHook(typedKey(op, gt.Type), func() HookSpec { return specGlobal(op, gt.Type) })
+		fi.emitHook(typedKey(op, gt.Type), func() analysis.EventSpec { return specGlobal(op, gt.Type) })
 
 	case wasm.OpMemorySize:
 		fi.emit(in)
@@ -668,7 +668,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 		if reachable && fi.has(analysis.KindConst) {
 			fi.emitLoc(i)
 			fi.emitLowerConst(in)
-			fi.emitHook(keyOp+int(op), func() HookSpec {
+			fi.emitHook(keyOp+int(op), func() analysis.EventSpec {
 				t, _, _ := constTypeOf(op)
 				return specConst(t)
 			})
@@ -688,7 +688,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emit(wasm.I32Const(int32(in.MemOffset())), wasm.LocalGet(addr))
 			fi.emitLowerLocal(t, val)
-			fi.emitHook(keyOp+int(op), func() HookSpec { return specLoad(op) })
+			fi.emitHook(keyOp+int(op), func() analysis.EventSpec { return specLoad(op) })
 
 		case op.IsStore():
 			if !reachable || !fi.has(analysis.KindStore) {
@@ -702,7 +702,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emit(wasm.I32Const(int32(in.MemOffset())), wasm.LocalGet(addr))
 			fi.emitLowerLocal(t, val)
-			fi.emitHook(keyOp+int(op), func() HookSpec { return specStore(op) })
+			fi.emitHook(keyOp+int(op), func() analysis.EventSpec { return specStore(op) })
 
 		case op.IsUnary():
 			if !reachable || !fi.has(analysis.KindUnary) {
@@ -716,7 +716,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLoc(i)
 			fi.emitLowerLocal(ins[0], input)
 			fi.emitLowerLocal(outs[0], result)
-			fi.emitHook(keyOp+int(op), func() HookSpec { return specUnary(op) })
+			fi.emitHook(keyOp+int(op), func() analysis.EventSpec { return specUnary(op) })
 
 		case op.IsBinary():
 			if !reachable || !fi.has(analysis.KindBinary) {
@@ -732,7 +732,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool) error {
 			fi.emitLowerLocal(ins[0], a)
 			fi.emitLowerLocal(ins[1], b)
 			fi.emitLowerLocal(outs[0], r)
-			fi.emitHook(keyOp+int(op), func() HookSpec { return specBinary(op) })
+			fi.emitHook(keyOp+int(op), func() analysis.EventSpec { return specBinary(op) })
 
 		case op == wasm.OpMiscPrefix:
 			// 0xFC instructions (saturating truncation, memory.copy/fill)
@@ -763,7 +763,7 @@ func (fi *funcInstrumenter) emitReturnHook(i int, implicit bool) {
 	for k, t := range results {
 		fi.emitLowerLocal(t, saved[k])
 	}
-	fi.emitHook(callKey(fi.typeIdx, callReturn), func() HookSpec { return specReturn(results) })
+	fi.emitHook(callKey(fi.typeIdx, callReturn), func() analysis.EventSpec { return specReturn(results) })
 	for k := range results {
 		fi.emit(wasm.LocalGet(saved[k]))
 	}
@@ -801,7 +801,7 @@ func (fi *funcInstrumenter) emitCallHooks(i int, in wasm.Instr, typeIdx uint32, 
 	if indirect {
 		pre = callPreIndirect
 	}
-	fi.emitHook(callKey(typeIdx, pre), func() HookSpec { return specCallPre(sig, indirect) })
+	fi.emitHook(callKey(typeIdx, pre), func() analysis.EventSpec { return specCallPre(sig, indirect) })
 
 	// Restore arguments and perform the original call.
 	for k := range params {
@@ -827,7 +827,7 @@ func (fi *funcInstrumenter) emitCallHooks(i int, in wasm.Instr, typeIdx uint32, 
 	for k, t := range results {
 		fi.emitLowerLocal(t, savedR[k])
 	}
-	fi.emitHook(callKey(typeIdx, callPost), func() HookSpec { return specCallPost(results) })
+	fi.emitHook(callKey(typeIdx, callPost), func() analysis.EventSpec { return specCallPost(results) })
 	for k := range results {
 		fi.emit(wasm.LocalGet(savedR[k]))
 	}

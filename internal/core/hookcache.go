@@ -54,6 +54,6 @@ func numKeys(numTypes int) int { return keyCall + numTypes*numCallFamilies }
 
 // emitHook emits the call of the hook with the given key. spec builds the
 // hook's spec; it runs only on the run's first use of the key.
-func (fi *funcInstrumenter) emitHook(key int, spec func() HookSpec) {
+func (fi *funcInstrumenter) emitHook(key int, spec func() analysis.EventSpec) {
 	fi.emitCall(wasm.Call(fi.hooks.get(key, spec)))
 }

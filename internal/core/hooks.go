@@ -22,7 +22,7 @@ type hookRegistry struct {
 
 	mu     sync.Mutex
 	byName map[string]uint32 // hook name → ordinal k (placeholder = base + k)
-	specs  []HookSpec
+	specs  []analysis.EventSpec
 }
 
 // newHookRegistry returns the registry of a run over a module with
@@ -35,7 +35,7 @@ func newHookRegistry(base uint32, numTypes int) *hookRegistry {
 // key, generating the hook on the key's first use from the spec built by
 // spec. The hook is looked up by name then, so keys whose specs coincide —
 // two type indices with one signature — share one hook.
-func (r *hookRegistry) get(key int, spec func() HookSpec) uint32 {
+func (r *hookRegistry) get(key int, spec func() analysis.EventSpec) uint32 {
 	if v := r.slots[key].Load(); v != 0 {
 		return v - 1
 	}
@@ -56,15 +56,15 @@ func (r *hookRegistry) get(key int, spec func() HookSpec) uint32 {
 // mapping the ordinal k used in placeholders to the sorted position. Sorting
 // makes the instrumented binary deterministic regardless of the scheduling
 // of the parallel instrumentation goroutines.
-func (r *hookRegistry) finalize() (specs []HookSpec, perm []uint32) {
-	specs = append([]HookSpec(nil), r.specs...)
+func (r *hookRegistry) finalize() (specs []analysis.EventSpec, perm []uint32) {
+	specs = append([]analysis.EventSpec(nil), r.specs...)
 	order := make([]int, len(specs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return specs[order[a]].Name < specs[order[b]].Name })
 	perm = make([]uint32, len(specs))
-	sorted := make([]HookSpec, len(specs))
+	sorted := make([]analysis.EventSpec, len(specs))
 	for newPos, oldK := range order {
 		perm[oldK] = uint32(newPos)
 		sorted[newPos] = specs[oldK]
@@ -75,142 +75,142 @@ func (r *hookRegistry) finalize() (specs []HookSpec, perm []uint32) {
 // Spec constructors, one per hook family. Names are canonical and double as
 // import field names and monomorphization keys.
 
-func specSimple(name string, kind analysis.HookKind, payload ...wasm.ValType) HookSpec {
-	return HookSpec{Name: name, Kind: kind, Types: payload}
+func specSimple(name string, kind analysis.HookKind, payload ...wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{Name: name, Kind: kind, Types: payload}
 }
 
-func specConst(t wasm.ValType) HookSpec {
-	return HookSpec{Name: "const_" + t.String(), Kind: analysis.KindConst, Types: []wasm.ValType{t}}
+func specConst(t wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{Name: "const_" + t.String(), Kind: analysis.KindConst, Types: []wasm.ValType{t}}
 }
 
-func specDrop(t wasm.ValType) HookSpec {
-	return HookSpec{Name: "drop_" + t.String(), Kind: analysis.KindDrop, Types: []wasm.ValType{t}}
+func specDrop(t wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{Name: "drop_" + t.String(), Kind: analysis.KindDrop, Types: []wasm.ValType{t}}
 }
 
-func specSelect(t wasm.ValType) HookSpec {
-	return HookSpec{
+func specSelect(t wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{
 		Name: "select_" + t.String(), Kind: analysis.KindSelect,
 		Types: []wasm.ValType{wasm.I32, t, t}, // cond, first, second
 	}
 }
 
-func specUnary(op wasm.Opcode) HookSpec {
+func specUnary(op wasm.Opcode) analysis.EventSpec {
 	in, out, _ := wasm.NumericSig(op)
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: "unary_" + op.String(), Kind: analysis.KindUnary, Op: op,
 		Types: []wasm.ValType{in[0], out[0]},
 	}
 }
 
-func specBinary(op wasm.Opcode) HookSpec {
+func specBinary(op wasm.Opcode) analysis.EventSpec {
 	in, out, _ := wasm.NumericSig(op)
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: "binary_" + op.String(), Kind: analysis.KindBinary, Op: op,
 		Types: []wasm.ValType{in[0], in[1], out[0]},
 	}
 }
 
-func specLoad(op wasm.Opcode) HookSpec {
+func specLoad(op wasm.Opcode) analysis.EventSpec {
 	t, _ := op.LoadStoreType()
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: "load_" + op.String(), Kind: analysis.KindLoad, Op: op,
 		Types: []wasm.ValType{wasm.I32, wasm.I32, t}, // offset, addr, value
 	}
 }
 
-func specStore(op wasm.Opcode) HookSpec {
+func specStore(op wasm.Opcode) analysis.EventSpec {
 	t, _ := op.LoadStoreType()
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: "store_" + op.String(), Kind: analysis.KindStore, Op: op,
 		Types: []wasm.ValType{wasm.I32, wasm.I32, t},
 	}
 }
 
-func specLocal(op wasm.Opcode, t wasm.ValType) HookSpec {
-	return HookSpec{
+func specLocal(op wasm.Opcode, t wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{
 		Name: op.String() + "_" + t.String(), Kind: analysis.KindLocal, Op: op,
 		Types: []wasm.ValType{wasm.I32, t}, // index, value
 	}
 }
 
-func specGlobal(op wasm.Opcode, t wasm.ValType) HookSpec {
-	return HookSpec{
+func specGlobal(op wasm.Opcode, t wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{
 		Name: op.String() + "_" + t.String(), Kind: analysis.KindGlobal, Op: op,
 		Types: []wasm.ValType{wasm.I32, t},
 	}
 }
 
-func specCallPre(sig wasm.FuncType, indirect bool) HookSpec {
+func specCallPre(sig wasm.FuncType, indirect bool) analysis.EventSpec {
 	name := "call_pre"
 	payload := []wasm.ValType{wasm.I32} // target func idx (direct) or table idx (indirect)
 	if indirect {
 		name = "call_pre_indirect"
 	}
 	payload = append(payload, sig.Params...)
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: name + typeSuffix(sig.Params), Kind: analysis.KindCall,
 		Types: payload, Indirect: indirect,
 	}
 }
 
-func specCallPost(results []wasm.ValType) HookSpec {
-	return HookSpec{
+func specCallPost(results []wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{
 		Name: "call_post" + typeSuffix(results), Kind: analysis.KindCall,
 		Types: results, Post: true,
 	}
 }
 
-func specReturn(results []wasm.ValType) HookSpec {
-	return HookSpec{
+func specReturn(results []wasm.ValType) analysis.EventSpec {
+	return analysis.EventSpec{
 		Name: "return" + typeSuffix(results), Kind: analysis.KindReturn,
 		Types: results,
 	}
 }
 
-func specIf() HookSpec {
+func specIf() analysis.EventSpec {
 	return specSimple("if", analysis.KindIf, wasm.I32)
 }
 
-func specBr() HookSpec {
+func specBr() analysis.EventSpec {
 	// payload: raw label, resolved target instruction index
 	return specSimple("br", analysis.KindBr, wasm.I32, wasm.I32)
 }
 
-func specBrIf() HookSpec {
+func specBrIf() analysis.EventSpec {
 	// payload: raw label, resolved target, condition
 	return specSimple("br_if", analysis.KindBrIf, wasm.I32, wasm.I32, wasm.I32)
 }
 
-func specBrTable() HookSpec {
+func specBrTable() analysis.EventSpec {
 	// payload: metadata table index, runtime branch index
 	return specSimple("br_table", analysis.KindBrTable, wasm.I32, wasm.I32)
 }
 
-func specBegin(kind analysis.BlockKind) HookSpec {
-	return HookSpec{Name: "begin_" + string(kind), Kind: analysis.KindBegin, Block: kind}
+func specBegin(kind analysis.BlockKind) analysis.EventSpec {
+	return analysis.EventSpec{Name: "begin_" + string(kind), Kind: analysis.KindBegin, Block: kind}
 }
 
-func specEnd(kind analysis.BlockKind) HookSpec {
+func specEnd(kind analysis.BlockKind) analysis.EventSpec {
 	// payload: instruction index of the matching begin
-	return HookSpec{
+	return analysis.EventSpec{
 		Name: "end_" + string(kind), Kind: analysis.KindEnd, Block: kind,
 		Types: []wasm.ValType{wasm.I32},
 	}
 }
 
-func specMemorySize() HookSpec {
+func specMemorySize() analysis.EventSpec {
 	return specSimple("memory_size", analysis.KindMemorySize, wasm.I32)
 }
 
-func specMemoryGrow() HookSpec {
+func specMemoryGrow() analysis.EventSpec {
 	return specSimple("memory_grow", analysis.KindMemoryGrow, wasm.I32, wasm.I32)
 }
 
-func specBlockProbe() HookSpec {
+func specBlockProbe() analysis.EventSpec {
 	// payload: instruction index of the block's last original instruction
 	return specSimple("block_probe", analysis.KindBlockProbe, wasm.I32)
 }
 
-func specNop() HookSpec         { return specSimple("nop", analysis.KindNop) }
-func specUnreachable() HookSpec { return specSimple("unreachable", analysis.KindUnreachable) }
-func specStart() HookSpec       { return specSimple("start", analysis.KindStart) }
+func specNop() analysis.EventSpec         { return specSimple("nop", analysis.KindNop) }
+func specUnreachable() analysis.EventSpec { return specSimple("unreachable", analysis.KindUnreachable) }
+func specStart() analysis.EventSpec       { return specSimple("start", analysis.KindStart) }

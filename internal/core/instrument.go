@@ -189,22 +189,20 @@ func instrument(m *wasm.Module, opts Options, par int) (*wasm.Module, *Metadata,
 	}
 
 	md := &Metadata{
-		Hooks:            specs,
-		BrTables:         brTables,
+		EventTable:       analysis.EventTable{Specs: specs, BrTables: brTables, Info: buildModuleInfo(ix)},
 		HookSet:          opts.Hooks,
 		NumImportedFuncs: numOldImports,
 		NumHooks:         k,
-		Info:             buildModuleInfo(ix),
 	}
 	return out, md, nil
 }
 
 // buildModuleInfo extracts the static module information analyses receive,
 // expressed in the ORIGINAL function index space.
-func buildModuleInfo(ix *wasm.Index) analysis.ModuleInfo {
+func buildModuleInfo(ix *wasm.Index) *analysis.ModuleInfo {
 	m := ix.Module()
 	n := ix.NumFuncs()
-	info := analysis.ModuleInfo{
+	info := &analysis.ModuleInfo{
 		FuncTypes:        make([]wasm.FuncType, n),
 		FuncNames:        make([]string, n),
 		NumImportedFuncs: ix.NumImportedFuncs(),

@@ -28,12 +28,12 @@ func TestMetadataJSONRoundTrip(t *testing.T) {
 	if back.NumHooks != md.NumHooks || back.NumImportedFuncs != md.NumImportedFuncs {
 		t.Errorf("counts lost: %+v", back)
 	}
-	if len(back.Hooks) != len(md.Hooks) {
-		t.Fatalf("hooks lost: %d vs %d", len(back.Hooks), len(md.Hooks))
+	if len(back.Specs) != len(md.Specs) {
+		t.Fatalf("hooks lost: %d vs %d", len(back.Specs), len(md.Specs))
 	}
-	for i := range md.Hooks {
-		if !reflect.DeepEqual(md.Hooks[i], back.Hooks[i]) {
-			t.Errorf("hook %d changed: %+v vs %+v", i, md.Hooks[i], back.Hooks[i])
+	for i := range md.Specs {
+		if !reflect.DeepEqual(md.Specs[i], back.Specs[i]) {
+			t.Errorf("hook %d changed: %+v vs %+v", i, md.Specs[i], back.Specs[i])
 		}
 	}
 	if len(back.BrTables) != len(md.BrTables) {
@@ -57,8 +57,8 @@ func TestStartHookFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md.NumHooks != 1 || md.Hooks[0].Name != "start" {
-		t.Fatalf("hooks: %+v", md.Hooks)
+	if md.NumHooks != 1 || md.Specs[0].Name != "start" {
+		t.Fatalf("hooks: %+v", md.Specs)
 	}
 	// The start hook call must be inside the instrumented start function.
 	startDefined := int(*out.Start) - (md.NumImportedFuncs + md.NumHooks)

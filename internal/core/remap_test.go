@@ -126,9 +126,9 @@ func TestRestrictedRemapCoversEveryCallSite(t *testing.T) {
 // coreImports builds no-op hook imports directly from the metadata, without
 // pulling the runtime package into core's tests (import cycle).
 func coreImports(md *core.Metadata) interp.Imports {
-	fields := make(map[string]any, len(md.Hooks))
-	for i := range md.Hooks {
-		spec := &md.Hooks[i]
+	fields := make(map[string]any, len(md.Specs))
+	for i := range md.Specs {
+		spec := &md.Specs[i]
 		fields[spec.Name] = &interp.HostFunc{
 			Type: spec.WasmType(),
 			Fast: func(*interp.Instance, []interp.Value) {},

@@ -304,7 +304,7 @@ func Mono(w io.Writer, cfg Config) error {
 			}
 		}
 		eager := math.Pow(4, float64(maxArgs))
-		fmt.Fprintf(w, "%-18s %12d %14d %22.0f\n", wl.Name, len(md.Hooks), maxArgs, eager)
+		fmt.Fprintf(w, "%-18s %12d %14d %22.0f\n", wl.Name, len(md.Specs), maxArgs, eager)
 		return nil
 	}
 	poly := PolyBenchWorkloads(cfg.PolyN)
@@ -338,7 +338,7 @@ func hookCount(wl Workload) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("mono: %s: %w", wl.Name, err)
 	}
-	return len(md.Hooks), nil
+	return len(md.Specs), nil
 }
 
 // Fig9 measures the runtime of instrumented programs relative to the

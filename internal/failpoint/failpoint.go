@@ -9,9 +9,8 @@
 //
 // Disabled (the default), Inject is a single atomic load of a package
 // counter followed by a predictable branch — no map lookup, no allocation,
-// no per-site state touched. TestArmed pins that shape. Points are armed by
-// tests (Arm/Disarm) or via the WASABI_FAILPOINTS environment variable
-// (comma-separated point names) for whole-process experiments.
+// no per-site state touched. TestArmed pins that shape. Tests arm points
+// with Arm and disarm them with Disarm/DisarmAll.
 //
 // The graceful-degradation invariants every armed point must uphold are
 // asserted by the scheduler suite in the root package (failpoint_test.go):
@@ -23,8 +22,6 @@ package failpoint
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"sync/atomic"
 )
 
@@ -75,7 +72,7 @@ var pointNames = [numPoints]string{
 	WASIHostCall:    "wasi-host-call",
 }
 
-// String returns the point's stable name (also its WASABI_FAILPOINTS token).
+// String returns the point's stable name.
 func (p Point) String() string {
 	if p < 0 || int(p) >= numPoints {
 		return fmt.Sprintf("failpoint(%d)", int(p))
@@ -170,26 +167,5 @@ func Disarm(p Point) {
 func DisarmAll() {
 	for i := range armed {
 		Disarm(Point(i))
-	}
-}
-
-// FromName resolves a point by its stable name.
-func FromName(name string) (Point, bool) {
-	for i, n := range pointNames {
-		if n == name {
-			return Point(i), true
-		}
-	}
-	return -1, false
-}
-
-// init arms points named in WASABI_FAILPOINTS (comma-separated), enabling
-// whole-process fault experiments without code changes. Unknown names are
-// ignored: an experiment must not turn into a crash at import time.
-func init() {
-	for _, name := range strings.Split(os.Getenv("WASABI_FAILPOINTS"), ",") {
-		if p, ok := FromName(strings.TrimSpace(name)); ok {
-			Arm(p)
-		}
 	}
 }

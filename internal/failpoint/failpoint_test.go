@@ -92,8 +92,8 @@ func TestArmDisarmIdempotent(t *testing.T) {
 	}
 }
 
-// TestNames pins the stable names: they are the WASABI_FAILPOINTS vocabulary
-// and the scheduler suite's subtest names.
+// TestNames pins the stable names: they are the scheduler suite's subtest
+// names.
 func TestNames(t *testing.T) {
 	want := map[Point]string{
 		EmitterEmit:     "emitter-emit",
@@ -112,13 +112,6 @@ func TestNames(t *testing.T) {
 		if p.String() != name {
 			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), name)
 		}
-		got, ok := FromName(name)
-		if !ok || got != p {
-			t.Errorf("FromName(%q) = %v, %v, want %v, true", name, got, ok, p)
-		}
-	}
-	if _, ok := FromName("no-such-point"); ok {
-		t.Error("FromName accepted an unknown name")
 	}
 	if s := Point(-3).String(); s != "failpoint(-3)" {
 		t.Errorf("out-of-range String() = %q", s)

@@ -195,7 +195,7 @@ func TestInvokeContextCancelMidLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err = inst.InvokeContext(ctx, "spin")
+	_, err = inst.InvokeInterruptible(ctx, nil, "spin")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -220,7 +220,7 @@ func TestInvokeContextDeadlineMidLoop(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	if _, err := inst.InvokeContext(ctx, "spin"); !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrInterrupted) {
+	if _, err := inst.InvokeInterruptible(ctx, nil, "spin"); !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want DeadlineExceeded and ErrInterrupted", err)
 	}
 }
@@ -234,10 +234,10 @@ func TestInvokeContextDone(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inst.InvokeContext(ctx, "count", I32(10)); !errors.Is(err, context.Canceled) {
+	if _, err := inst.InvokeInterruptible(ctx, nil, "count", I32(10)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	res, err := inst.InvokeContext(context.Background(), "count", I32(10))
+	res, err := inst.InvokeInterruptible(context.Background(), nil, "count", I32(10))
 	if err != nil || len(res) != 1 || AsI32(res[0]) != 10 {
 		t.Fatalf("count(10) under background ctx = %v, %v", res, err)
 	}

@@ -19,33 +19,18 @@ func (e *InterruptError) Error() string { return e.Trap.Error() + " (" + e.Cause
 // Unwrap exposes both sides to errors.Is/errors.As.
 func (e *InterruptError) Unwrap() []error { return []error{e.Trap, e.Cause} }
 
-// InvokeContext is Invoke under a context: when ctx is cancelled or its
-// deadline expires mid-run, the instance is interrupted and the invocation
-// returns an *InterruptError matching both ErrInterrupted and the context
-// error. Interruption requires a Guarded instance — on unguarded code the
-// context is only checked on entry. The interrupt flag is re-armed before
-// returning, so the instance stays usable.
-func (inst *Instance) InvokeContext(ctx context.Context, name string, args ...Value) ([]Value, error) {
-	return inst.invokeInterruptible(ctx, nil, func() ([]Value, error) {
-		return inst.Invoke(name, args...)
-	})
-}
-
-// InvokeInterruptible is InvokeContext with a hook fired on the interrupting
-// goroutine right after the instance's flag is raised — the session layer
-// unwedges its blocked stream producer there. onInterrupt must be safe to
-// call from an arbitrary goroutine; nil means no hook.
+// InvokeInterruptible is Invoke under a context: when ctx is cancelled or
+// its deadline expires mid-run, the instance is interrupted and the
+// invocation returns an *InterruptError matching both ErrInterrupted and the
+// context error. Interruption requires a Guarded instance — on unguarded
+// code the context is only checked on entry. The interrupt flag is re-armed
+// before returning, so the instance stays usable.
+//
+// onInterrupt, when non-nil, runs once on the interrupting goroutine right
+// after the instance's flag is raised — the session layer unwedges its
+// blocked stream producer there — so it must be safe to call from an
+// arbitrary goroutine.
 func (inst *Instance) InvokeInterruptible(ctx context.Context, onInterrupt func(), name string, args ...Value) ([]Value, error) {
-	return inst.invokeInterruptible(ctx, onInterrupt, func() ([]Value, error) {
-		return inst.Invoke(name, args...)
-	})
-}
-
-// invokeInterruptible runs fn with ctx driving the instance's interrupt
-// flag. onInterrupt, when non-nil, runs once right after the flag is raised
-// (the session layer unwedges a blocked stream producer there). It is the
-// shared engine under the Instance- and Session-level InvokeContext.
-func (inst *Instance) invokeInterruptible(ctx context.Context, onInterrupt func(), fn func() ([]Value, error)) ([]Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -61,7 +46,7 @@ func (inst *Instance) invokeInterruptible(ctx context.Context, onInterrupt func(
 		}
 		close(fired)
 	})
-	res, err := fn()
+	res, err := inst.Invoke(name, args...)
 	if !stop() {
 		<-fired
 		inst.ClearInterrupt()

@@ -62,10 +62,10 @@ func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range md.Hooks {
-				spec := &md.Hooks[i]
+			for i := range md.Specs {
+				spec := &md.Specs[i]
 				idx := uint32(md.NumImportedFuncs + i)
-				arity := spec.Layout().Arity
+				arity := len(spec.WasmType().Params)
 				full := synthArgs(spec, arity)
 				what := fmt.Sprintf("%s: %s: hook %s", set.name, backend, spec.Name)
 				for _, bad := range [][]interp.Value{
@@ -97,10 +97,10 @@ func TestHookImportInvokedDirectlyTraps(t *testing.T) {
 		}
 		// Hook imports sit at [NumImportedFuncs, NumImportedFuncs+NumHooks) in
 		// the instrumented index space, in metadata order.
-		for k := range md.Hooks {
-			spec := &md.Hooks[k]
+		for k := range md.Specs {
+			spec := &md.Specs[k]
 			idx := uint32(md.NumImportedFuncs + k)
-			arity := spec.Layout().Arity
+			arity := len(spec.WasmType().Params)
 			what := fmt.Sprintf("%s: hook %s", set.name, spec.Name)
 			checkBoundaryError(t, what, invokeHook(inst, idx, nil), 0, arity) // every hook wants >= 2
 			if err := invokeHook(inst, idx, synthArgs(spec, arity)); err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 )
 
@@ -54,7 +53,7 @@ func (c *counting) BlockCovered(analysis.Location, int)                         
 
 // sliceCarrying reports whether dispatching the hook hands the analysis a
 // borrowed vector (the hooks the pooled-buffer convention exists for).
-func sliceCarrying(spec *core.HookSpec) bool {
+func sliceCarrying(spec *analysis.EventSpec) bool {
 	switch spec.Kind {
 	case analysis.KindBrTable:
 		return true
@@ -73,7 +72,7 @@ func sliceCarrying(spec *core.HookSpec) bool {
 // against a full analysis and against an empty one.
 type dispatchFixture struct {
 	inst   *interp.Instance
-	specs  []*core.HookSpec
+	specs  []*analysis.EventSpec
 	hooked []hookFn
 	noop   []hookFn
 }
@@ -89,8 +88,8 @@ func newDispatchFixture(t testing.TB, set paritySet) *dispatchFixture {
 	}
 	fx := &dispatchFixture{inst: inst}
 	hooked, noop := hostFuncs(full), hostFuncs(empty)
-	for i := range md.Hooks {
-		spec := &md.Hooks[i]
+	for i := range md.Specs {
+		spec := &md.Specs[i]
 		if hooked[i].NoOp {
 			t.Fatalf("hook %s: full analysis bound to no-op", spec.Name)
 		}
@@ -125,7 +124,7 @@ func BenchmarkDispatch(b *testing.B) {
 			continue
 		}
 		spec := fx.specs[i]
-		args := synthArgs(spec, spec.Layout().Arity)
+		args := synthArgs(spec, len(spec.WasmType().Params))
 		b.Run(fmt.Sprintf("%v/hooked", k), func(b *testing.B) {
 			b.ReportAllocs()
 			fn := fx.hooked[i]
@@ -162,7 +161,7 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		fx := newDispatchFixture(t, set)
 		for i, spec := range fx.specs {
 			sawSliceCarrying = sawSliceCarrying || sliceCarrying(spec)
-			args := synthArgs(spec, spec.Layout().Arity)
+			args := synthArgs(spec, len(spec.WasmType().Params))
 			for name, fn := range map[string]hookFn{"hooked": fx.hooked[i], "noop": fx.noop[i]} {
 				allocs := testing.AllocsPerRun(20, func() {
 					for n := 0; n < dispatchCalls; n++ {

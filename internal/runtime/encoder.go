@@ -5,7 +5,7 @@ package runtime
 // and calls analysis Go code, an encoder copies the same words — through the
 // same hook plan — into one packed analysis.Event record and appends it to
 // the session's Emitter. Everything static about a record (hook index, kind,
-// Pack byte, constant slots, continuation plan) is in the plan's template;
+// constant slots, continuation count) is in the plan;
 // the per-event path only copies words. compileEncoder builds one of four
 // shapes: a single record (specialized by how many Vals slots come from
 // lowered words), a record group (return, call_post, direct call_pre), an
@@ -90,13 +90,13 @@ func (r *Runtime) compileEncoder(p *hookPlan) hookFn {
 // rest into continuation records, as one group that never straddles a batch
 // boundary.
 func (p *hookPlan) emitGroup(em *Emitter, e analysis.Event, args []interp.Value) {
-	em.reserve(1 + len(p.contPacks))
-	slot, cont := p.vecStart, 0
+	em.reserve(1 + p.conts)
+	slot := p.vecStart
 	for _, w := range p.vec {
 		if slot == len(e.Vals) {
 			em.emit(e)
-			e = analysis.Event{Hook: analysis.EventCont, Kind: e.Kind, Pack: p.contPacks[cont], Func: e.Func, Instr: e.Instr}
-			slot, cont = 0, cont+1
+			e = analysis.Event{Hook: analysis.EventCont, Kind: e.Kind, Func: e.Func, Instr: e.Instr}
+			slot = 0
 		}
 		e.Vals[slot] = w.raw(args)
 		slot++
@@ -125,7 +125,6 @@ func (r *Runtime) brTableEncoder(p *hookPlan) hookFn {
 				em.emit(analysis.Event{
 					Hook:  p.endHook[code],
 					Kind:  analysis.KindEnd,
-					Pack:  e.Pack, // one i32 slot, like the br_table record
 					Func:  e.Func,
 					Instr: int32(end.End),
 					Aux:   uint32(int32(end.Begin)),

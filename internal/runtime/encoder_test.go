@@ -1,7 +1,7 @@
 package runtime
 
 // Unit parity + allocation guard for the record encoders (the stream
-// siblings of the trampolines): every generated HookSpec is dispatched
+// siblings of the trampolines): every generated EventSpec is dispatched
 // through the callback trampoline into one recorder, and through the record
 // encoder and the record decoder (analysis.NewDecoder) into another, on
 // identical lowered argument vectors, and the recorded callbacks must match
@@ -10,7 +10,6 @@ package runtime
 // TestDispatchZeroAllocs's twin for the stream path.
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -18,39 +17,7 @@ import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
-	"wasabi/internal/wasm"
 )
-
-// checkPacks verifies that the Pack bytes of a batch's call and return
-// groups describe their values: decoding the primary record (after
-// call_pre's i64 table index) and its continuations through Event.Val gives
-// the values EventTable.AppendValues types through the spec.
-func checkPacks(t *testing.T, tbl *analysis.EventTable, batch []analysis.Event) {
-	t.Helper()
-	for i := 0; i < len(batch); {
-		next := tbl.Next(batch, i)
-		if e := &batch[i]; e.Kind == analysis.KindCall || e.Kind == analysis.KindReturn {
-			want, _ := tbl.AppendValues(nil, batch, i)
-			var got []analysis.Value
-			slot := 0
-			if e.Kind == analysis.KindCall && !tbl.Spec(e).Post {
-				if e.Pack&3 == 0 || e.Val(0).Type != wasm.I64 {
-					t.Errorf("%s: Pack %#x does not start with the i64 table index", tbl.Spec(e).Name, e.Pack)
-				}
-				slot = 1
-			}
-			for j := i; j < next; j, slot = j+1, 0 {
-				for ; slot < int(batch[j].Pack&3); slot++ {
-					got = append(got, batch[j].Val(slot))
-				}
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s: Pack bytes decode %v, spec types decode %v", tbl.Spec(e).Name, got, want)
-			}
-		}
-		i = next
-	}
-}
 
 // encoderFixture compiles every encoder of one parity spec set against an
 // emitter, next to a trampoline set bound to a recorder on the same
@@ -61,7 +28,7 @@ type encoderFixture struct {
 	em     *Emitter
 	sub    *Subscription
 	rec    *recorder
-	specs  []*core.HookSpec
+	specs  []*analysis.EventSpec
 	tramps []hookFn
 	encs   []hookFn
 }
@@ -87,8 +54,8 @@ func newEncoderFixture(t testing.TB, set paritySet, batchSize int) *encoderFixtu
 
 	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, rec: rec}
 	tramps, encs := hostFuncs(rtT), hostFuncs(rtE)
-	for i := range md.Hooks {
-		spec := &md.Hooks[i]
+	for i := range md.Specs {
+		spec := &md.Specs[i]
 		if tramps[i].NoOp {
 			t.Fatalf("hook %s: recorder bound to no-op trampoline", spec.Name)
 		}
@@ -114,7 +81,7 @@ func TestEncoderParityWithTrampolines(t *testing.T) {
 		}
 		fx.em.Close()
 
-		tbl := fx.md.EventTable()
+		tbl := &fx.md.EventTable
 		decoded := &recorder{}
 		dec := analysis.NewDecoder(tbl, decoded)
 		for {
@@ -122,7 +89,6 @@ func TestEncoderParityWithTrampolines(t *testing.T) {
 			if !ok {
 				break
 			}
-			checkPacks(t, tbl, batch)
 			dec.Events(batch)
 		}
 
@@ -157,7 +123,7 @@ func TestEncoderDeadHookElision(t *testing.T) {
 	rt := New(md, struct{}{})
 	rt.SetEmitter(NewEmitter(16), analysis.CapBinary)
 	for i, hf := range hostFuncs(rt) {
-		spec := &md.Hooks[i]
+		spec := &md.Specs[i]
 		if want := spec.Kind != analysis.KindBinary; hf.NoOp != want {
 			t.Errorf("hook %s: noop = %v, want %v under CapBinary-only stream", spec.Name, hf.NoOp, want)
 		}
@@ -184,7 +150,7 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 			}
 		}()
 		for i, spec := range fx.specs {
-			args := synthArgs(spec, spec.Layout().Arity)
+			args := synthArgs(spec, len(spec.WasmType().Params))
 			enc := fx.encs[i]
 			allocs := testing.AllocsPerRun(200, func() {
 				enc(fx.inst, args)

@@ -1,6 +1,6 @@
 package runtime
 
-// Golden parity suite: every generated HookSpec is dispatched through both
+// Golden parity suite: every generated EventSpec is dispatched through both
 // the old generic Kind-switch dispatcher (kept below as a test-only
 // reference implementation) and the production trampolines, on identical
 // lowered argument vectors, and the resulting high-level hook invocations
@@ -171,9 +171,9 @@ func paritySets(t testing.TB) []paritySet {
 // metadata order.
 func hostFuncs(rt *Runtime) []*interp.HostFunc {
 	fields := rt.Imports()[core.HookModule]
-	hfs := make([]*interp.HostFunc, len(rt.meta.Hooks))
-	for i := range rt.meta.Hooks {
-		hfs[i] = fields[rt.meta.Hooks[i].Name].(*interp.HostFunc)
+	hfs := make([]*interp.HostFunc, len(rt.meta.Specs))
+	for i := range rt.meta.Specs {
+		hfs[i] = fields[rt.meta.Specs[i].Name].(*interp.HostFunc)
 	}
 	return hfs
 }
@@ -197,7 +197,7 @@ func callFast(hf *interp.HostFunc, inst *interp.Instance, args []interp.Value) (
 // synthArgs builds a deterministic lowered argument vector for a spec: every
 // word gets a distinctive pattern so wrong offsets or a missed i64 re-join
 // change the observed events.
-func synthArgs(spec *core.HookSpec, n int) []interp.Value {
+func synthArgs(spec *analysis.EventSpec, n int) []interp.Value {
 	args := make([]interp.Value, n)
 	for p := range args {
 		args[p] = uint64(uint32(0x9E3779B9*uint32(p+1) + uint32(spec.Kind)))
@@ -223,8 +223,8 @@ func synthArgs(spec *core.HookSpec, n int) []interp.Value {
 // parityVectors returns the argument vectors the parity suites dispatch a
 // hook with: synthArgs, plus the default entry of a br_table (an index past
 // its targets) and an unresolvable table index of an indirect call.
-func parityVectors(spec *core.HookSpec) [][]interp.Value {
-	arity := spec.Layout().Arity
+func parityVectors(spec *analysis.EventSpec) [][]interp.Value {
+	arity := len(spec.WasmType().Params)
 	vectors := [][]interp.Value{synthArgs(spec, arity)}
 	if spec.Kind == analysis.KindBrTable {
 		v := synthArgs(spec, arity)
@@ -253,7 +253,7 @@ func TestTrampolineParityWithGenericDispatch(t *testing.T) {
 		ref := &reference{meta: md, a: recG, inst: inst} // resolves indirect calls via the same instance
 
 		for i, hf := range hostFuncs(rtT) {
-			spec := &md.Hooks[i]
+			spec := &md.Specs[i]
 			seenKinds[spec.Kind] = true
 			if hf.NoOp {
 				t.Errorf("%s: hook %s bound no-op although the analysis implements everything", set.name, spec.Name)
@@ -340,9 +340,9 @@ type reference struct {
 // imports exposes the reference dispatcher as hook imports, for the
 // end-to-end leg of the parity suite.
 func (ref *reference) imports() interp.Imports {
-	fields := make(map[string]any, len(ref.meta.Hooks))
-	for i := range ref.meta.Hooks {
-		spec := &ref.meta.Hooks[i]
+	fields := make(map[string]any, len(ref.meta.Specs))
+	for i := range ref.meta.Specs {
+		spec := &ref.meta.Specs[i]
 		fields[spec.Name] = &interp.HostFunc{
 			Type: spec.WasmType(),
 			Fn: func(inst *interp.Instance, args []interp.Value) ([]interp.Value, error) {
@@ -389,7 +389,7 @@ func (ar *argReader) values(ts []wasm.ValType) []analysis.Value {
 	return vs
 }
 
-func (ref *reference) dispatch(spec *core.HookSpec, args []interp.Value) error {
+func (ref *reference) dispatch(spec *analysis.EventSpec, args []interp.Value) error {
 	ar := &argReader{args: args}
 	loc := analysis.Location{Func: int(ar.i32()), Instr: int(ar.i32())}
 	a := ref.a
@@ -508,7 +508,7 @@ func (ref *reference) dispatch(spec *core.HookSpec, args []interp.Value) error {
 	return nil
 }
 
-func (ref *reference) dispatchCall(loc analysis.Location, spec *core.HookSpec, ar *argReader) {
+func (ref *reference) dispatchCall(loc analysis.Location, spec *analysis.EventSpec, ar *argReader) {
 	if spec.Post {
 		if h, ok := ref.a.(analysis.CallPostHooker); ok {
 			h.CallPost(loc, ar.values(spec.Types))

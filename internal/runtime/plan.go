@@ -1,15 +1,15 @@
 package runtime
 
 // Hook plans: everything about dispatching one generated hook that depends
-// only on its core.HookSpec. NewShared derives one plan per spec, once per
+// only on its analysis.EventSpec. NewShared derives one plan per spec, once per
 // CompiledAnalysis; both dispatch backends — callback trampolines
 // (trampoline.go) and event-record encoders (encoder.go) — are built from
 // the plans, so a hook's lowering is written in one place and a session only
 // wraps its callbacks or emitter around it.
 //
 // A hook's lowered payload maps onto its Event record uniformly: at most one
-// payload value is carried in Aux (auxValue), the others fill Vals in order
-// (the table on analysis.Event). Trampolines read their callback arguments
+// payload value is carried in Aux (EventSpec.AuxValue), the others fill Vals
+// in order (the table on analysis.Event). Trampolines read their callback arguments
 // from the same lowered words.
 
 import (
@@ -42,10 +42,10 @@ func (w word) value(args []interp.Value) analysis.Value {
 	return analysis.Value{Type: w.t, Bits: w.raw(args)}
 }
 
-// hookPlan is the lowering of one core.HookSpec.
+// hookPlan is the lowering of one analysis.EventSpec.
 type hookPlan struct {
 	// Read by every call of a compiled hook.
-	tmpl    analysis.Event // Hook, Kind, Pack and the constant Vals slots
+	tmpl    analysis.Event // Hook, Kind and the constant Vals slots
 	aux     int            // lowered offset of the word carried in Aux
 	auxMask uint32         // 0 when the record carries no Aux word
 	n       int            // Vals slots filled from vals (single-record hooks)
@@ -53,12 +53,12 @@ type hookPlan struct {
 
 	// Call and return hooks: the value vector (call_pre's arguments,
 	// call_post's and return's results) fills the primary record from
-	// Vals[vecStart] on and then continuation records, 3 values each.
-	group     bool
-	indirect  bool // call_pre through a table: Aux is the resolved callee
-	vecStart  int
-	vec       []word
-	contPacks []uint8 // Pack byte of each continuation record
+	// Vals[vecStart] on and then conts continuation records, 3 values each.
+	group    bool
+	indirect bool // call_pre through a table: Aux is the resolved callee
+	vecStart int
+	vec      []word
+	conts    int
 
 	name    string
 	typ     wasm.FuncType
@@ -68,28 +68,9 @@ type hookPlan struct {
 	endHook [analysis.NumBlockKinds]uint16 // br_table: end hook per BlockKind.Code, or EventSynth
 }
 
-// auxValue returns which payload value of a hook kind its record carries in
-// Aux, or -1 for none.
-func auxValue(spec *core.HookSpec) int {
-	switch spec.Kind {
-	case analysis.KindConst, analysis.KindDrop, analysis.KindUnary, analysis.KindBinary, analysis.KindReturn:
-		return -1
-	case analysis.KindCall:
-		if spec.Post {
-			return -1
-		}
-	case analysis.KindBrIf:
-		return 2 // the condition; label and target fill Vals
-	case analysis.KindBrTable:
-		return 1 // the runtime index; the metadata index fills Vals[0]
-	}
-	return 0
-}
-
 // newPlan derives the plan of spec, the hookIdx-th hook of its metadata.
 // endHook maps block kind codes to the metadata's end hooks.
-func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]uint16) hookPlan {
-	lay := spec.Layout()
+func newPlan(spec *analysis.EventSpec, hookIdx int, endHook [analysis.NumBlockKinds]uint16) hookPlan {
 	p := hookPlan{
 		tmpl:  analysis.Event{Hook: uint16(hookIdx), Kind: spec.Kind},
 		name:  spec.Name,
@@ -98,32 +79,31 @@ func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]u
 		block: spec.Block,
 		live:  spec.Kind.Callback(spec.Post),
 	}
-	aux := auxValue(spec)
+	// The lowered vector starts with the two location words; an i64 payload
+	// value takes two words (lo, hi), any other one word.
+	aux, off := spec.AuxValue(), 2
 	var ws []word
 	for i, t := range spec.Types {
 		if i == aux {
-			p.aux, p.auxMask = lay.Offs[i], ^uint32(0)
+			p.aux, p.auxMask = off, ^uint32(0)
 		} else {
-			ws = append(ws, word{off: lay.Offs[i], t: t})
+			ws = append(ws, word{off: off, t: t})
+		}
+		off++
+		if t == wasm.I64 {
+			off++
 		}
 	}
 
 	switch spec.Kind {
 	case analysis.KindCall, analysis.KindReturn:
-		p.group, p.vec = true, ws
-		var head []wasm.ValType
+		p.group, p.vec, p.conts = true, ws, spec.Conts()
 		if spec.Kind == analysis.KindCall && !spec.Post {
 			// Vals[0] is the table index as an i64: -1 for a direct call,
 			// which the indirect encoder overwrites.
 			p.indirect = spec.Indirect
 			p.vecStart = 1
 			p.tmpl.Vals[0] = ^uint64(0)
-			head = []wasm.ValType{wasm.I64}
-		}
-		n := min(len(ws), len(p.tmpl.Vals)-p.vecStart)
-		p.tmpl.Pack = packOf(ws[:n], head...)
-		for rest := ws[n:]; len(rest) > 0; rest = rest[min(len(rest), 3):] {
-			p.contPacks = append(p.contPacks, packOf(rest[:min(len(rest), 3)]))
 		}
 		return p
 	case analysis.KindBrTable:
@@ -134,22 +114,12 @@ func newPlan(spec *core.HookSpec, hookIdx int, endHook [analysis.NumBlockKinds]u
 		p.endHook = endHook
 	}
 	p.n = copy(p.vals[:], ws)
-	p.tmpl.Pack = packOf(ws[:p.n])
 	if spec.Kind == analysis.KindEnd {
 		// Vals[0] = block kind code, so end records decode without a spec,
 		// like the end records a br_table replays.
-		p.tmpl.Pack = analysis.PackSlots(wasm.I32)
 		p.tmpl.Vals[0] = uint64(spec.Block.Code())
 	}
 	return p
-}
-
-// packOf returns the Pack byte of a record whose Vals hold head, then ws.
-func packOf(ws []word, head ...wasm.ValType) uint8 {
-	for _, w := range ws {
-		head = append(head, w.t)
-	}
-	return analysis.PackSlots(head...)
 }
 
 // fill sets the location and Aux words of a record started from the

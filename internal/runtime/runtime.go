@@ -7,7 +7,7 @@
 // known at runtime (paper §2.4.5).
 //
 // Dispatch is specialized per generated hook: NewShared derives one hook
-// plan per core.HookSpec (plan.go), and Imports() builds one trampoline
+// plan per analysis.EventSpec (plan.go), and Imports() builds one trampoline
 // closure (trampoline.go) or record encoder (encoder.go) per plan instead of
 // funneling every call through a generic Kind switch. Hooks the analysis
 // does not observe are bound to a shared no-op that the interpreter elides
@@ -26,7 +26,7 @@ import (
 // the hook plans. A CompiledAnalysis computes it once; binding a new
 // session then only captures callbacks, never re-derives a hook's lowering.
 type Shared struct {
-	plans []hookPlan // indexed like Metadata.Hooks
+	plans []hookPlan // indexed like Metadata.Specs
 }
 
 // NewShared derives the hook plans of meta.
@@ -39,14 +39,14 @@ func NewShared(meta *core.Metadata) *Shared {
 	for i := range endHook {
 		endHook[i] = analysis.EventSynth
 	}
-	for i := range meta.Hooks {
-		if meta.Hooks[i].Kind == analysis.KindEnd {
-			endHook[meta.Hooks[i].Block.Code()] = uint16(i)
+	for i := range meta.Specs {
+		if meta.Specs[i].Kind == analysis.KindEnd {
+			endHook[meta.Specs[i].Block.Code()] = uint16(i)
 		}
 	}
-	plans := make([]hookPlan, len(meta.Hooks))
-	for i := range meta.Hooks {
-		plans[i] = newPlan(&meta.Hooks[i], i, endHook)
+	plans := make([]hookPlan, len(meta.Specs))
+	for i := range meta.Specs {
+		plans[i] = newPlan(&meta.Specs[i], i, endHook)
 	}
 	return &Shared{plans: plans}
 }
@@ -84,7 +84,7 @@ func NewBound(meta *core.Metadata, a any, shared *Shared) *Runtime {
 	r := &Runtime{meta: meta, shared: shared}
 	r.cbs, r.caps = analysis.Bind(a)
 	if v, ok := a.(analysis.ModuleInfoReceiver); ok {
-		v.SetModuleInfo(&meta.Info)
+		v.SetModuleInfo(meta.Info)
 	}
 	return r
 }

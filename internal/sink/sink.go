@@ -19,7 +19,9 @@
 //	[32,64)  reserved, zero
 //	[64,..)  event table (le encoding of every EventSpec, see encodeTable)
 //	[dataOff,..) records, 40 bytes each; dataOff = 64+tableLen rounded up
-//	         to the next 64-byte boundary
+//	         to the next 64-byte boundary. Byte 3 of a record is reserved
+//	         and written as zero; files written before it was reserved
+//	         hold per-slot type tags there, which nothing reads.
 //
 // Crash safety is the watermark rule: records are written first, the
 // watermark after, so a crash mid-batch leaves a torn tail BEYOND the
@@ -111,10 +113,11 @@ func bytesEvents(b []byte) []analysis.Event {
 }
 
 // encodeTable serializes an EventTable deterministically (little-endian,
-// length-prefixed strings) so identical instrumentations produce identical
-// file headers. A spec the format cannot hold — more than 255 types (a
-// call_pre of a function with 255 or more parameters) or a string over
-// 65,535 bytes — is an error, not a segment that Open would reject.
+// length-prefixed strings; an opcode is recorded as its name, "" for none)
+// so identical instrumentations produce identical file headers. A spec the
+// format cannot hold — more than 255 types (a call_pre of a function with
+// 255 or more parameters) or a string over 65,535 bytes — is an error, not a
+// segment that Open would reject.
 func encodeTable(tbl *analysis.EventTable) ([]byte, error) {
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(tbl.Specs)))
@@ -134,7 +137,7 @@ func encodeTable(tbl *analysis.EventTable) ([]byte, error) {
 		for _, t := range s.Types {
 			out = append(out, byte(t))
 		}
-		for _, str := range []string{s.Name, s.Op, string(s.Block)} {
+		for _, str := range []string{s.Name, s.OpName(), string(s.Block)} {
 			if len(str) > math.MaxUint16 {
 				return nil, fmt.Errorf("wasabi: hook %d has a %d-byte string; a segment records at most %d", i, len(str), math.MaxUint16)
 			}
@@ -149,18 +152,22 @@ func encodeTable(tbl *analysis.EventTable) ([]byte, error) {
 // kind, flags, type count and three string lengths.
 const minSpecSize = 3 + 3*2
 
-// payloadTypes is, per hook kind, how many Types the decoding of its records
-// indexes (see the analysis.Event layout table). A call_pre spec also needs
-// Types[0], the target slot EventSpec.ValueTypes skips.
-var payloadTypes = [analysis.NumKinds]int{
-	analysis.KindSelect: 3, analysis.KindDrop: 1, analysis.KindLoad: 3,
-	analysis.KindStore: 3, analysis.KindConst: 1, analysis.KindUnary: 2,
-	analysis.KindBinary: 3, analysis.KindGlobal: 2, analysis.KindLocal: 2,
-}
+// opcodes maps each opcode's name back to it: a table records op names,
+// and EventSpec.Op is the opcode.
+var opcodes = func() map[string]wasm.Opcode {
+	m := make(map[string]wasm.Opcode)
+	for op := range 256 {
+		if o := wasm.Opcode(op); o.Known() {
+			m[o.String()] = o
+		}
+	}
+	return m
+}()
 
 // decodeTable is the inverse of encodeTable; any bounds violation, unknown
-// hook kind or type list too short for its kind's records reports the blob
-// as corrupt (via the returned error's text — Open wraps it).
+// hook kind, type list too short for its kind's records or op name that is
+// not an opcode reports the blob as corrupt (via the returned error's text —
+// Open wraps it).
 func decodeTable(b []byte) (*analysis.EventTable, error) {
 	if len(b) < 4 {
 		return nil, errors.New("event table shorter than its count field")
@@ -180,21 +187,17 @@ func decodeTable(b []byte) (*analysis.EventTable, error) {
 		if int(kind) >= analysis.NumKinds {
 			return nil, fmt.Errorf("spec %d: unknown hook kind %d", i, kind)
 		}
-		need := payloadTypes[kind]
-		if kind == analysis.KindCall && flags&2 == 0 {
-			need = 1
-		}
-		if nt < need {
+		spec := analysis.EventSpec{Kind: kind, Indirect: flags&1 != 0, Post: flags&2 != 0}
+		if need := spec.TypesRead(); nt < need {
 			return nil, fmt.Errorf("spec %d: %s spec has %d types, its records need %d", i, kind, nt, need)
 		}
 		if len(b) < nt {
 			return nil, fmt.Errorf("spec %d: truncated type list", i)
 		}
-		var types []wasm.ValType
 		if nt > 0 {
-			types = make([]wasm.ValType, nt)
+			spec.Types = make([]wasm.ValType, nt)
 			for j := 0; j < nt; j++ {
-				types[j] = wasm.ValType(b[j])
+				spec.Types[j] = wasm.ValType(b[j])
 			}
 		}
 		b = b[nt:]
@@ -211,15 +214,13 @@ func decodeTable(b []byte) (*analysis.EventTable, error) {
 			strs[j] = string(b[:l])
 			b = b[l:]
 		}
-		specs = append(specs, analysis.EventSpec{
-			Kind:     kind,
-			Name:     strs[0],
-			Op:       strs[1],
-			Block:    analysis.BlockKind(strs[2]),
-			Types:    types,
-			Indirect: flags&1 != 0,
-			Post:     flags&2 != 0,
-		})
+		spec.Name, spec.Block = strs[0], analysis.BlockKind(strs[2])
+		if op, ok := opcodes[strs[1]]; ok {
+			spec.Op = op
+		} else if strs[1] != "" {
+			return nil, fmt.Errorf("spec %d: op %q is not an opcode", i, strs[1])
+		}
+		specs = append(specs, spec)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after %d specs", len(b), n)
@@ -455,16 +456,7 @@ func checkRecords(tbl *analysis.EventTable, recs []analysis.Event) (int, string)
 		if e.Kind != spec.Kind {
 			return i, fmt.Sprintf("%s record of hook %d, a %s spec", e.Kind, e.Hook, spec.Kind)
 		}
-		if spec.Kind != analysis.KindCall && spec.Kind != analysis.KindReturn {
-			continue
-		}
-		// A value vector fills the primary's three slots after call_pre's
-		// table index, then three slots per continuation record.
-		slots := len(spec.ValueTypes())
-		if spec.Kind == analysis.KindCall && !spec.Post {
-			slots++
-		}
-		conts := (max(slots, 1) - 1) / len(e.Vals)
+		conts := spec.Conts()
 		for j := 1; j <= conts; j++ {
 			if i+j == len(recs) || recs[i+j].Hook != analysis.EventCont {
 				return i, fmt.Sprintf("%s group has %d of its %d continuation records", spec.Kind, j-1, conts)

@@ -22,12 +22,12 @@ func fixtureTable() *analysis.EventTable {
 	return &analysis.EventTable{Specs: []analysis.EventSpec{
 		{Kind: analysis.KindNop, Name: "nop"},
 		{
-			Kind: analysis.KindCall, Name: "call_pre_4", Op: "call_indirect",
+			Kind: analysis.KindCall, Name: "call_pre_4", Op: wasm.OpCallIndirect,
 			Types:    []wasm.ValType{wasm.I32, wasm.I32, wasm.I64, wasm.F32, wasm.F64},
 			Indirect: true,
 		},
 		{
-			Kind: analysis.KindCall, Name: "call_post_1", Op: "call",
+			Kind: analysis.KindCall, Name: "call_post_1", Op: wasm.OpCall,
 			Types: []wasm.ValType{wasm.F64}, Post: true,
 		},
 		{Kind: analysis.KindEnd, Name: "end_loop", Block: analysis.BlockLoop},
@@ -42,18 +42,17 @@ func fixtureBatches() [][]analysis.Event {
 		{
 			{Hook: 0, Kind: analysis.KindNop, Func: 2, Instr: 7},
 			{
-				Hook: 1, Kind: analysis.KindCall, Pack: analysis.PackSlots(wasm.I64, wasm.I32, wasm.I64),
+				Hook: 1, Kind: analysis.KindCall,
 				Func: 2, Instr: 8, Aux: 5, Vals: [3]uint64{3, 0x1234, 0xFFFF_FFFF_0000_0001},
 			},
 			{
 				Hook: analysis.EventCont, Kind: analysis.KindCall,
-				Pack: analysis.PackSlots(wasm.F32, wasm.F64),
 				Func: 2, Instr: 8, Vals: [3]uint64{0x3F80_0000, 0x3FF0_0000_0000_0000},
 			},
 		},
 		{
 			{
-				Hook: 2, Kind: analysis.KindCall, Pack: analysis.PackSlots(wasm.F64),
+				Hook: 2, Kind: analysis.KindCall,
 				Func: 2, Instr: 8, Vals: [3]uint64{0x4000_0000_0000_0000},
 			},
 			{Hook: 3, Kind: analysis.KindEnd, Func: 2, Instr: 11, Aux: 9, Vals: [3]uint64{uint64(analysis.BlockLoop.Code())}},
@@ -133,6 +132,44 @@ func TestGoldenFixture(t *testing.T) {
 	defer r.Close()
 	if r.Count() != 5 {
 		t.Errorf("golden fixture replays %d records, want 5", r.Count())
+	}
+}
+
+// TestPackedFixtureReplays pins that segments written while byte 3 of a
+// record still held its slot types (a byte now reserved and written as
+// zero) open and replay unchanged: golden-pack.evlog is the golden fixture
+// as it was written then, different from golden.evlog only in that byte of
+// the three records that set it.
+func TestPackedFixtureReplays(t *testing.T) {
+	var want []analysis.Event
+	for _, b := range fixtureBatches() {
+		want = append(want, b...)
+	}
+	var traces [2][]string
+	for i, name := range []string{"golden-pack.evlog", "golden.evlog"} {
+		r, err := Open(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatalf("Open %s: %v", name, err)
+		}
+		defer r.Close()
+		if !reflect.DeepEqual(r.Table(), fixtureTable()) {
+			t.Errorf("%s: decoded table differs:\n got %+v\nwant %+v", name, r.Table(), fixtureTable())
+		}
+		got := r.Records()
+		if len(got) != len(want) {
+			t.Fatalf("%s replays %d records, want %d", name, len(got), len(want))
+		}
+		for j, e := range got {
+			if e != want[j] { // == skips the reserved byte, which only old files set
+				t.Errorf("%s: record %d = %+v, want %+v", name, j, e, want[j])
+			}
+		}
+		tr := analyses.NewTracer()
+		r.Serve(analysis.NewDecoder(r.Table(), everyHook{tr}), 0)
+		traces[i] = tr.Events
+	}
+	if !reflect.DeepEqual(traces[0], traces[1]) || len(traces[0]) != 4 {
+		t.Errorf("replays differ or miss events:\n  packed: %q\n  golden: %q", traces[0], traces[1])
 	}
 }
 
@@ -390,7 +427,7 @@ func TestCreateRefusesUnrecordableTable(t *testing.T) {
 	long := fixtureTable()
 	long.Specs[0].Name = string(make([]byte, 1<<16))
 
-	for name, tbl := range map[string]*analysis.EventTable{"300 params": md.EventTable(), "64 KiB name": long} {
+	for name, tbl := range map[string]*analysis.EventTable{"300 params": &md.EventTable, "64 KiB name": long} {
 		path := filepath.Join(t.TempDir(), "wide.evlog")
 		w, err := Create(path, tbl)
 		if err == nil {
@@ -435,17 +472,20 @@ func craftedSegments() []craftedSegment {
 		{"unknown kind", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: 200, Name: "x"}}}, nil},
 		{"const spec without types", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: analysis.KindConst, Name: "const"}}}, nil},
 		{"binary spec with two types", &analysis.EventTable{Specs: []analysis.EventSpec{
-			{Kind: analysis.KindBinary, Name: "binary", Op: "i32.add", Types: []wasm.ValType{wasm.I32, wasm.I32}},
+			{Kind: analysis.KindBinary, Name: "binary", Op: wasm.OpI32Add, Types: []wasm.ValType{wasm.I32, wasm.I32}},
 		}}, nil},
 		{"call_pre spec without types", &analysis.EventTable{Specs: []analysis.EventSpec{{Kind: analysis.KindCall, Name: "call_pre"}}}, nil},
+		{"op name not an opcode", &analysis.EventTable{Specs: []analysis.EventSpec{
+			{Kind: analysis.KindUnary, Name: "unary", Op: wasm.Opcode(0x06), Types: []wasm.ValType{wasm.I32, wasm.I32}},
+		}}, nil},
 		{"hook past table", nopConst, []analysis.Event{nop, {Hook: 7, Kind: analysis.KindNop}}},
 		{"kind differs from spec", nopConst, []analysis.Event{{Hook: 0, Kind: analysis.KindConst}}},
 		{"synthesized non-end", nopConst, []analysis.Event{{Hook: analysis.EventSynth, Kind: analysis.KindConst}}},
 		{"continuation without primary", nopConst, []analysis.Event{{Hook: analysis.EventCont, Kind: analysis.KindCall}, nop}},
 		{"continuation after a nop", nopConst, []analysis.Event{nop, {Hook: analysis.EventCont, Kind: analysis.KindNop}}},
-		{"return group cut at the end", ret4, []analysis.Event{{Hook: 0, Kind: analysis.KindReturn, Pack: 3}}},
+		{"return group cut at the end", ret4, []analysis.Event{{Hook: 0, Kind: analysis.KindReturn}}},
 		{"return group cut by a primary", ret4, []analysis.Event{
-			{Hook: 0, Kind: analysis.KindReturn, Pack: 3}, {Hook: 0, Kind: analysis.KindReturn, Pack: 3},
+			{Hook: 0, Kind: analysis.KindReturn}, {Hook: 0, Kind: analysis.KindReturn},
 		}},
 		{"call_pre group cut", fixtureTable(), fixtureBatches()[0][:2]},
 	}
@@ -488,8 +528,8 @@ func TestOpenRejectsUndecodableSegments(t *testing.T) {
 	// a whole return group.
 	ok := craftedSegment{"decodable", return4Table(), []analysis.Event{
 		{Hook: analysis.EventSynth, Kind: analysis.KindEnd},
-		{Hook: 0, Kind: analysis.KindReturn, Pack: 3},
-		{Hook: analysis.EventCont, Kind: analysis.KindReturn, Pack: 1},
+		{Hook: 0, Kind: analysis.KindReturn},
+		{Hook: analysis.EventCont, Kind: analysis.KindReturn},
 	}}
 	r, err := Open(writeCrafted(t, t.TempDir(), ok))
 	if err != nil {
@@ -509,11 +549,13 @@ func (everyHook) BlockCovered(analysis.Location, int) {}
 // implements every callback — so every record kind is decoded — without
 // panicking.
 func FuzzOpen(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden.evlog"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"golden.evlog", "golden-pack.evlog"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
 	}
-	f.Add(golden)
 	for _, c := range craftedSegments() {
 		data, err := os.ReadFile(writeCrafted(f, f.TempDir(), c))
 		if err != nil {

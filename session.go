@@ -114,12 +114,13 @@ func (s *Session) Instantiate(name string, programImports interp.Imports) (*inte
 	return inst, nil
 }
 
-// InvokeContext is Instance.InvokeContext for an instance of this session:
-// on cancellation or deadline expiry both the instance and the session's
-// event stream (if any) are interrupted, so a producer wedged on a lagging
-// consumer unblocks too. The instance must belong to this session (its hooks
-// dispatch to the session's analysis); interruption requires the engine to
-// compile guarded code (WithFuel, where WithFuel(0) sets no budget).
+// InvokeContext is Instance.InvokeInterruptible for an instance of this
+// session: on cancellation or deadline expiry both the instance and the
+// session's event stream (if any) are interrupted, so a producer wedged on a
+// lagging consumer unblocks too. The instance must belong to this session
+// (its hooks dispatch to the session's analysis); interruption requires the
+// engine to compile guarded code (WithFuel, where WithFuel(0) sets no
+// budget).
 func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn string, args ...interp.Value) ([]interp.Value, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: InvokeContext", ErrSessionClosed)
@@ -166,4 +167,4 @@ func (s *Session) Module() *wasm.Module { return s.compiled.module }
 func (s *Session) Metadata() *core.Metadata { return s.compiled.meta }
 
 // Info returns the static module information analyses receive.
-func (s *Session) Info() *ModuleInfo { return &s.compiled.meta.Info }
+func (s *Session) Info() *ModuleInfo { return s.compiled.meta.Info }

@@ -31,8 +31,8 @@ import (
 // block_probe hook import, or -1 when the instrumentation has none.
 func probeFuncIdx(ca *wasabi.CompiledAnalysis) int {
 	md := ca.Metadata()
-	for i := range md.Hooks {
-		if md.Hooks[i].Kind == analysis.KindBlockProbe {
+	for i := range md.Specs {
+		if md.Specs[i].Kind == analysis.KindBlockProbe {
 			return md.NumImportedFuncs + i
 		}
 	}

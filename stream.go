@@ -41,7 +41,8 @@ const DefaultStreamBatchSize = 4096
 type (
 	// Event is one packed fixed-width hook-event record.
 	Event = analysis.Event
-	// EventSpec describes one low-level hook for record decoding.
+	// EventSpec describes one generated low-level hook, as the instrumenter
+	// made it and as records are decoded by it.
 	EventSpec = analysis.EventSpec
 	// EventTable maps Event.Hook indices to their EventSpecs.
 	EventTable = analysis.EventTable
