@@ -38,7 +38,7 @@ func main() {
 	invoke := flag.String("invoke", "", "exported function to invoke (default: kernel or main)")
 	arg := flag.Int("arg", 32, "i32 argument for the invoked function (if it takes one)")
 	workload := flag.String("workload", "", "built-in workload: a PolyBench kernel name or \"synthapp\"")
-	n := flag.Int("n", 16, "problem size for built-in workloads")
+	n := flag.Int("n", 16, "problem size of a PolyBench kernel workload (size a synthapp run with -arg)")
 	list := flag.Bool("list", false, "list bundled analyses and workloads")
 	wasiMode := flag.Bool("wasi", false, "run the module as a WASI preview1 command (_start entry, captured stdio)")
 	wasiArgs := flag.String("args", "", "space-separated program arguments for -wasi (argv[0] is the module path)")
@@ -62,6 +62,11 @@ func main() {
 	entry := *invoke
 	switch {
 	case *workload == "synthapp":
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "n" {
+				fatal("-n sizes PolyBench kernels; synthapp is a fixed app, size its run with -arg")
+			}
+		})
 		m = synthapp.Generate(synthapp.Config{TargetBytes: 100_000, Seed: 1})
 		if entry == "" {
 			entry = "main"
@@ -181,9 +186,13 @@ func main() {
 		fmt.Printf("%s returned %v values; raw: %v\n", entry, len(res), res)
 	}
 	if *record != "" {
-		// End the stream (flush + close), join the recorder, commit the file.
+		// End the stream (flush + close) and join the recorder. The segment
+		// outlives this process, so it is synced before it is closed.
 		stream.Close()
 		<-recDone
+		if err := rec.Sync(); err != nil {
+			fatal("record %s: %v", *record, err)
+		}
 		if err := rec.Close(); err != nil {
 			fatal("record %s: %v", *record, err)
 		}

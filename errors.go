@@ -90,9 +90,9 @@ var (
 	// offset, and reason. (A torn tail BEYOND the watermark is normal crash
 	// debris and replays cleanly without the tail.)
 	ErrCorruptSegment = sink.ErrCorrupt
-	// ErrSinkClosed matches records written to a record sink after its
-	// Close (sink.Writer latches it into Err instead of failing the stream
-	// it serves).
+	// ErrSinkClosed matches records written to, or a Sync of, a record sink
+	// after its Close (sink.Writer latches it into Err instead of failing
+	// the stream it serves).
 	ErrSinkClosed = sink.ErrSinkClosed
 )
 

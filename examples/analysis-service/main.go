@@ -4,9 +4,10 @@
 // analysis request runs the module in a contained session (fuel-metered,
 // memory-capped) whose event stream fans out to four concurrent
 // subscribers: an instruction mix, a bounded trace, a function-coverage
-// counter, and a durable record sink. The response reports all four — and
-// the service replays the sink's segment file to prove the durable copy
-// matches what the live subscribers saw.
+// counter, and a record sink. The response reports all four — and the
+// service replays the sink's segment file to prove the recorded copy
+// matches what the live subscribers saw. A segment lives only as long as
+// its request, so the service never syncs one to disk.
 //
 // The program starts the service on a loopback port, then runs a
 // self-checking client against it: a well-behaved tenant whose results are
@@ -173,8 +174,9 @@ func (s *service) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 }
 
 // analyze runs one contained, fanned-out session: four subscribers drain
-// concurrently while the tenant's code executes, then the recorded segment
-// is replayed to check the durable copy.
+// concurrently while the tenant's code executes, then the sink's segment is
+// replayed to check its record count. The segment is never synced: it is
+// deleted before the reply is sent.
 func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, args []interp.Value) (*analyzeReply, error) {
 	sess, err := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
 	if err != nil {
@@ -267,7 +269,7 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 		reply.TopOps = reply.TopOps[:3]
 	}
 
-	// Close the loop on durability: replay the segment and compare.
+	// Close the loop on the recording: replay the segment and compare.
 	r, err := sink.Open(segment)
 	if err != nil {
 		return nil, err
@@ -421,7 +423,7 @@ func main() {
 		work.ID, work.Funcs, spin.ID, spin.Funcs)
 
 	// Tenant 1: real work. sum(i^2, i<10) = 285, observed by all four
-	// subscribers, with the durable copy replaying to the same record count.
+	// subscribers, with the recorded copy replaying to the same record count.
 	wr := analyze(work.ID, "entry=main&arg=10")
 	if wr.Trap != "" {
 		log.Fatalf("work tenant trapped: %s", wr.Trap)
@@ -430,7 +432,7 @@ func main() {
 		log.Fatalf("main(10) = %d, want 285", wr.Return)
 	}
 	if wr.Recorded == 0 || wr.Recorded != wr.Replayed {
-		log.Fatalf("durable copy diverged: recorded %d, replayed %d", wr.Recorded, wr.Replayed)
+		log.Fatalf("recorded copy diverged: recorded %d, replayed %d", wr.Recorded, wr.Replayed)
 	}
 	if wr.FuncsSeen != 2 {
 		log.Fatalf("funcs seen = %d, want 2 (main + square)", wr.FuncsSeen)
@@ -443,7 +445,7 @@ func main() {
 	}
 	fmt.Printf("tenant %s: main(10) = %d, %d instructions over %d funcs, top ops %v\n",
 		work.ID, wr.Return, wr.Instructions, wr.FuncsSeen, wr.TopOps)
-	fmt.Printf("tenant %s: %d records fanned out to 4 subscribers; durable replay matches (%d records)\n",
+	fmt.Printf("tenant %s: %d records fanned out to 4 subscribers; segment replay matches (%d records)\n",
 		work.ID, wr.Recorded, wr.Replayed)
 
 	// Tenant 2: the runaway loop. The fuel budget must stop it, the fabric
@@ -509,5 +511,5 @@ func main() {
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 		log.Fatalf("segment files left behind: %v (%v)", left, err)
 	}
-	fmt.Println("analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP; no segment file left behind")
+	fmt.Println("analysis service: upload, contained fan-out analysis, and segment replay verified over HTTP; no segment file left behind")
 }

@@ -7,10 +7,13 @@ package wasabi_test
 // analysis outputs they print.
 
 import (
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wasabi/internal/sink"
 )
 
 func TestExamples(t *testing.T) {
@@ -58,11 +61,11 @@ func TestExamples(t *testing.T) {
 		}},
 		{"analysis-service", []string{
 			"tenant m1: main(10) = 285, 229 instructions over 2 funcs",
-			"durable replay matches (285 records)",
+			"segment replay matches (285 records)",
 			"runaway tenant contained: fuel exhausted",
 			"tenant m1: 8 concurrent analyses each recorded and replayed 285 records",
 			"oversized upload refused (HTTP 413, cap 1048576 bytes); nothing registered",
-			"analysis service: upload, contained fan-out analysis, and durable replay verified over HTTP",
+			"analysis service: upload, contained fan-out analysis, and segment replay verified over HTTP",
 			"no segment file left behind",
 		}},
 	}
@@ -107,5 +110,40 @@ func TestWasabiDiffCLI(t *testing.T) {
 	}
 	if strings.Contains(string(out), "DIVERGED") {
 		t.Errorf("unexpected divergence\n--- full output ---\n%s", out)
+	}
+}
+
+// TestWasabiRunRecordCLI runs wasabi-run's record path end to end: a
+// synthapp run sized by -arg records a segment that replays every event the
+// CLI reports, and -n, which sizes PolyBench kernels only, is refused for
+// synthapp instead of being ignored.
+func TestWasabiRunRecordCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess go build; skipped in -short")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("go tool not available: %v", err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "wasabi-run")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/wasabi-run").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/wasabi-run: %v\n%s", err, out)
+	}
+	segment := filepath.Join(dir, "synthapp.evlog")
+	out, err := exec.Command(bin, "-workload", "synthapp", "-arg", "5", "-record", segment).CombinedOutput()
+	if err != nil {
+		t.Fatalf("wasabi-run -record: %v\n%s", err, out)
+	}
+	r, err := sink.Open(segment)
+	if err != nil {
+		t.Fatalf("open the recorded segment: %v", err)
+	}
+	defer r.Close()
+	if want := fmt.Sprintf("recorded %d events to %s", r.Count(), segment); r.Count() == 0 || !strings.Contains(string(out), want) {
+		t.Errorf("output does not report the %d replayable records\n--- full output ---\n%s", r.Count(), out)
+	}
+	out, err = exec.Command(bin, "-workload", "synthapp", "-n", "8").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-arg") {
+		t.Errorf("wasabi-run -workload synthapp -n 8: err %v, want a failure naming -arg\n--- full output ---\n%s", err, out)
 	}
 }

@@ -63,7 +63,7 @@ func collectStreamRecords(t *testing.T, compiled *wasabi.CompiledAnalysis) []was
 }
 
 // TestFanoutParity is the acceptance bar of the fabric: 8 subscribers plus
-// a durable sink over one execution — every subscriber and the sink's
+// a segment sink over one execution — every subscriber and the sink's
 // replay must yield the single-consumer record sequence exactly.
 func TestFanoutParity(t *testing.T) {
 	defer leakcheck.Check(t)

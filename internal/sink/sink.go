@@ -1,7 +1,7 @@
 // Package sink persists event streams as segment files and replays them.
 //
-// A segment file is the stream API's 40-byte records made durable with zero
-// serialization: the Writer appends raw analysis.Event structs (native
+// A segment file is a recording of the stream API's 40-byte records with
+// zero serialization: the Writer appends raw analysis.Event structs (native
 // endianness, the in-memory layout) behind a 64-byte header and the
 // stream's encoded EventTable, one positioned write per batch, and the
 // Reader hands the committed region back as a []analysis.Event without
@@ -24,13 +24,15 @@
 //	         hold per-slot type tags there, which nothing reads.
 //
 // Crash safety is the watermark rule: records are written first, the
-// watermark after, so a crash mid-batch leaves a torn tail BEYOND the
-// watermark, which replay silently drops — the committed prefix is always
-// whole. A watermark pointing past the records actually in the file means
-// committed data is missing (a truncated copy, or writeback reordering
-// across a hard crash) and fails replay with a *CorruptError instead of
-// returning a silently short stream. So does a committed record replay could
-// not decode through the recorded table (see checkRecords).
+// watermark after, so a process crash mid-batch leaves a torn tail BEYOND
+// the watermark, which replay silently drops — the committed prefix is
+// always whole. Nothing is synced unless the caller asks (Writer.Sync), so
+// a machine crash before Sync can lose records, or persist the watermark
+// ahead of the records it commits. That second shape, like any watermark
+// pointing past the records actually in the file (a truncated copy, say),
+// fails replay with a *CorruptError instead of returning a silently short
+// stream. So does a committed record replay could not decode through the
+// recorded table (see checkRecords).
 package sink
 
 import (
@@ -73,8 +75,9 @@ var hostBigEndian = func() bool {
 // with *CorruptError recovers where and why.
 var ErrCorrupt = errors.New("wasabi: corrupt event-log segment")
 
-// ErrSinkClosed reports Writer.Events after Close: the records have nowhere
-// to go, and silently dropping them would defeat the sink's point.
+// ErrSinkClosed reports Writer.Events or Writer.Sync after Close: the
+// records have nowhere to go, and silently dropping them would defeat the
+// sink's point.
 var ErrSinkClosed = errors.New("wasabi: record sink is closed")
 
 // CorruptError is the typed form of ErrCorrupt: which file, at what byte
@@ -304,8 +307,8 @@ func (w *Writer) Events(batch []analysis.Event) {
 		w.err = err
 		return
 	}
-	// Commit AFTER the records: the watermark only ever covers whole,
-	// durable-ordered-before-it records (see the package comment).
+	// Commit AFTER the records: the watermark only ever covers whole
+	// records written before it (see the package comment).
 	w.count += uint64(len(batch))
 	w.putWatermark()
 }
@@ -325,18 +328,34 @@ func (w *Writer) Count() uint64 { return w.count }
 // accepting (and dropping) batches so the stream it serves is unaffected.
 func (w *Writer) Err() error { return w.err }
 
-// Close commits the final watermark, syncs, and truncates the file to its
-// exact committed size. Idempotent; returns the first error of the
-// recording (write failures latched by Events included).
+// Sync flushes the records and watermark written so far to stable storage
+// (os.File.Sync); a recording that must survive a machine crash calls it
+// before Close. Its failures latch like those of Events: Sync returns a
+// latched error without syncing, and fails with ErrSinkClosed after Close.
+func (w *Writer) Sync() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		w.err = ErrSinkClosed
+		return w.err
+	}
+	if err := w.f.Sync(); err != nil {
+		w.err = err
+	}
+	return w.err
+}
+
+// Close truncates the file to its exact committed size and closes it; like
+// os.File.Close, it does not sync (see Sync). Each batch already wrote its
+// watermark, so Close writes none. Idempotent; returns the first error of
+// the recording (write and sync failures latched earlier included).
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
 	}
 	w.closed = true
 	if err := w.f.Truncate(w.dataOff + int64(w.count)*eventSize); err != nil && w.err == nil {
-		w.err = err
-	}
-	if err := w.f.Sync(); err != nil && w.err == nil {
 		w.err = err
 	}
 	if err := w.f.Close(); err != nil && w.err == nil {

@@ -400,6 +400,98 @@ func TestWriterLatchesWriteError(t *testing.T) {
 	}
 }
 
+// TestWriterSyncMidRecording syncs between batches: the recording goes on
+// after Sync, and the closed file replays every record the writer counted.
+func TestWriterSyncMidRecording(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "synced.evlog")
+	w, err := Create(path, fixtureTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nopBatch(0, 10)
+	w.Events(want)
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	more := nopBatch(10, 5)
+	w.Events(more)
+	want = append(want, more...)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	if r.Count() != w.Count() {
+		t.Errorf("replayed Count = %d, writer's = %d", r.Count(), w.Count())
+	}
+	if got := r.Records(); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed %d records, want the %d written", len(got), len(want))
+	}
+}
+
+// TestWriterSyncErrors pins Sync's failures, which latch like those of
+// Events: after Close it reports ErrSinkClosed, a latched write error comes
+// back without a sync, and a failed sync latches into Err and Close.
+func TestWriterSyncErrors(t *testing.T) {
+	create := func(t *testing.T) *Writer {
+		w, err := Create(filepath.Join(t.TempDir(), "sync.evlog"), fixtureTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Events(nopBatch(0, 10))
+		return w
+	}
+	t.Run("AfterClose", func(t *testing.T) {
+		w := create(t)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); !errors.Is(err, ErrSinkClosed) {
+			t.Fatalf("Sync after Close = %v, want ErrSinkClosed", err)
+		}
+	})
+	t.Run("LatchedWriteError", func(t *testing.T) {
+		w := create(t)
+		if err := w.f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w.Events(nopBatch(10, 10))
+		latched := w.Err()
+		if !errors.Is(latched, os.ErrClosed) {
+			t.Fatalf("Err after writing to a closed file = %v, want os.ErrClosed", latched)
+		}
+		if err := w.Sync(); err != latched {
+			t.Errorf("Sync = %v, want the latched %v", err, latched)
+		}
+		if err := w.Close(); err != latched {
+			t.Errorf("Close = %v, want the latched %v", err, latched)
+		}
+	})
+	t.Run("FailedSync", func(t *testing.T) {
+		w := create(t)
+		if err := w.f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := w.Sync()
+		if !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("Sync of a closed file = %v, want os.ErrClosed", err)
+		}
+		if w.Err() != err {
+			t.Errorf("Err = %v, want the failed sync's %v", w.Err(), err)
+		}
+		w.Events(nopBatch(10, 10))
+		if w.Count() != 10 {
+			t.Errorf("Count = %d after a failed sync, want the 10 committed", w.Count())
+		}
+		if cerr := w.Close(); cerr != err {
+			t.Errorf("Close = %v, want the failed sync's %v", cerr, err)
+		}
+	})
+}
+
 // TestCreateRefusesUnrecordableTable pins that Create rejects a decode table
 // the segment format cannot hold instead of writing a file Open then reports
 // as corrupt: a module calling a 300-parameter function monomorphizes a
